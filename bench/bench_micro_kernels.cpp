@@ -1,6 +1,7 @@
 // google-benchmark micro-benchmarks for the kernels on the training and
 // communication hot paths: mask generation, masked extraction/merge, top-k
-// selection, GEMM, blossom matching, and full gossip-matrix generation.
+// selection, GEMM, im2col/col2im, one tiny-CNN training step, blossom
+// matching, and full gossip-matrix generation.
 #include <benchmark/benchmark.h>
 
 #include "compress/mask.hpp"
@@ -9,7 +10,9 @@
 #include "gossip/generator.hpp"
 #include "graph/matching.hpp"
 #include "net/bandwidth.hpp"
+#include "nn/models.hpp"
 #include "tensor/ops.hpp"
+#include "tensor/tensor.hpp"
 #include "util/rng.hpp"
 #include "util/threadpool.hpp"
 
@@ -200,6 +203,67 @@ void BM_ParallelGemmConvShape(benchmark::State& state) {
   set_gemm_counters(state, m, k, n);
 }
 BENCHMARK(BM_ParallelGemmConvShape)->Arg(2)->Arg(4);
+
+// The two 3×3 pad-1 tap shapes of the tiny CNN (make_tiny_cnn at 16×16,
+// width 8): conv1 reads a 3×16×16 image, conv2 an 8×8×8 one.  Args are
+// (channels, height = width).
+void tiny_cnn_tap_args(benchmark::internal::Benchmark* b) {
+  b->Args({3, 16})->Args({8, 8});
+}
+
+void BM_Im2col(benchmark::State& state) {
+  const auto c = static_cast<std::size_t>(state.range(0));
+  const auto hw = static_cast<std::size_t>(state.range(1));
+  saps::Rng rng(20);
+  std::vector<float> img(c * hw * hw), cols(c * 9 * hw * hw);
+  for (auto& v : img) v = rng.next_float() - 0.5f;
+  for (auto _ : state) {
+    saps::ops::im2col(img, c, hw, hw, 3, 3, 1, 1, cols);
+    benchmark::DoNotOptimize(cols.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(cols.size()));
+}
+BENCHMARK(BM_Im2col)->Apply(tiny_cnn_tap_args);
+
+void BM_Col2im(benchmark::State& state) {
+  const auto c = static_cast<std::size_t>(state.range(0));
+  const auto hw = static_cast<std::size_t>(state.range(1));
+  saps::Rng rng(21);
+  std::vector<float> cols(c * 9 * hw * hw), img(c * hw * hw, 0.0f);
+  for (auto& v : cols) v = rng.next_float() - 0.5f;
+  for (auto _ : state) {
+    saps::ops::col2im(cols, c, hw, hw, 3, 3, 1, 1, img);
+    benchmark::DoNotOptimize(img.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(cols.size()));
+}
+BENCHMARK(BM_Col2im)->Apply(tiny_cnn_tap_args);
+
+// One local SGD step's forward + backward on the tiny CNN the cifar
+// workload trains (3×16×16 input, width 8, batch 10) — the per-step cost
+// behind the end-to-end benchmark's local-step phase.
+void BM_TinyCnnTrainBatch(benchmark::State& state) {
+  constexpr std::size_t kBatch = 10;
+  auto model = saps::nn::make_tiny_cnn(3, 16, 10, /*seed=*/22);
+  saps::Rng rng(23);
+  saps::Tensor x({kBatch, 3, 16, 16});
+  for (std::size_t i = 0; i < x.numel(); ++i) x[i] = rng.next_float() - 0.5f;
+  std::vector<std::int32_t> labels(kBatch);
+  for (auto& l : labels) l = static_cast<std::int32_t>(rng() % 10);
+  for (auto _ : state) {
+    model.zero_grad();
+    benchmark::DoNotOptimize(model.train_batch(x, labels));
+    benchmark::DoNotOptimize(model.gradients().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kBatch));
+}
+BENCHMARK(BM_TinyCnnTrainBatch);
 
 // QSGD stochastic quantization (norm pass + draws + elementwise quantize).
 void BM_QuantizeEncode(benchmark::State& state) {

@@ -1,8 +1,9 @@
 // Train SAPS-PSGD on the REAL MNIST dataset when the IDX files are present
 // (pass --mnist-dir=/path/to/mnist), falling back to the synthetic stand-in
-// otherwise — the exact substitution documented in DESIGN.md §1 and encoded
-// in the registry's "real-mnist" workload.  Saves the final collected model
-// as a checkpoint, mirroring Algorithm 1 line 8.
+// otherwise — the exact substitution documented in docs/ARCHITECTURE.md
+// ("Synthetic stand-ins") and encoded in the registry's "real-mnist"
+// workload.  Saves the final collected model as a checkpoint, mirroring
+// Algorithm 1 line 8.
 //
 // Run:  ./build/examples/train_real_mnist [--mnist-dir=data/mnist]
 //                                         [--workers=8 --epochs=4]

@@ -2,7 +2,7 @@
 //
 // The paper trains on MNIST / CIFAR-10, which are not available offline, so
 // src/data also provides procedural generators with the same shapes and class
-// counts (see synthetic.hpp and the substitution table in DESIGN.md).
+// counts (see synthetic.hpp and docs/ARCHITECTURE.md, "Synthetic stand-ins").
 #pragma once
 
 #include <cstdint>

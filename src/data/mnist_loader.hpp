@@ -1,7 +1,8 @@
 // IDX-format loader for the real MNIST files (LeCun's format), used when the
 // files are present on disk; the benches fall back to the synthetic stand-in
-// otherwise (DESIGN.md §1).  Implemented so that a user with the dataset can
-// reproduce the paper's experiments bit-for-bit on real data.
+// otherwise (docs/ARCHITECTURE.md, "Synthetic stand-ins").  Implemented so
+// that a user with the dataset can reproduce the paper's experiments
+// bit-for-bit on real data.
 #pragma once
 
 #include <optional>

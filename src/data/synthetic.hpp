@@ -1,5 +1,6 @@
 // Procedural datasets standing in for MNIST / CIFAR-10 (substitution: the
-// real image files are not available offline; see DESIGN.md §1).
+// real image files are not available offline; see docs/ARCHITECTURE.md,
+// "Synthetic stand-ins").
 //
 // Requirements for a faithful stand-in: same tensor shapes and class counts,
 // classes that are separable but not linearly trivial (so optimizer and

@@ -128,6 +128,7 @@ void BatchNorm2d::backward(const Tensor& in, const Tensor& dout, Tensor& din) {
     }
     dbeta_[c] += static_cast<float>(sum_dy);
     dgamma_[c] += static_cast<float>(sum_dy_xhat);
+    if (din.empty()) continue;  // input gradient not wanted
 
     const float g = gamma_[c] * batch_inv_std_[c];
     const auto mean_dy = static_cast<float>(sum_dy) / m;

@@ -90,8 +90,11 @@ void Conv2d::backward(const Tensor& in, const Tensor& dout, Tensor& din) {
   const std::size_t out_w = (w + 2 * pad_ - kernel_) / stride_ + 1;
   const std::size_t k = in_channels_ * kernel_ * kernel_;
   const std::size_t cols_n = out_h * out_w;
+  const bool want_din = !din.empty();
   cols_.resize(k * cols_n);
-  dcols_.resize(k * cols_n);  // persistent scratch: no per-call allocation
+  // Persistent scratch: no per-call allocation, and none at all when the
+  // input gradient is not wanted.
+  if (want_din) dcols_.resize(k * cols_n);
 
   const std::size_t in_stride = in_channels_ * h * w;
   const std::size_t out_stride = out_channels_ * cols_n;
@@ -112,6 +115,7 @@ void Conv2d::backward(const Tensor& in, const Tensor& dout, Tensor& din) {
         db_[oc] += acc;
       }
     }
+    if (!want_din) continue;
     // dcols(k × cols_n) = Wᵀ(k × outC) · dout(outC × cols_n)
     std::fill(dcols_.begin(), dcols_.end(), 0.0f);
     ops::gemm_at_b_acc(w_, dout_s, dcols_, k, out_channels_, cols_n);

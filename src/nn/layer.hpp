@@ -45,7 +45,11 @@ class Layer {
 
   /// Backward pass: given d(loss)/d(out), accumulate parameter gradients into
   /// the bound gradient span and write d(loss)/d(in) into `din` (pre-sized
-  /// like `in`).
+  /// like `in`).  An empty `din` means the input gradient is not wanted:
+  /// Model passes one to its first layer with parameters, whose input
+  /// gradient nothing reads.  Every layer with parameters must honour it by
+  /// skipping that work while leaving its parameter gradients bit-identical;
+  /// parameter-free layers never receive one.
   virtual void backward(const Tensor& in, const Tensor& dout, Tensor& din) = 0;
 
   /// Appends this layer's non-trainable evaluation state (e.g. batch-norm

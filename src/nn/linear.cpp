@@ -54,6 +54,7 @@ void Linear::backward(const Tensor& in, const Tensor& dout, Tensor& din) {
     const float* row = dout.data() + i * out_dim_;
     for (std::size_t j = 0; j < out_dim_; ++j) db_[j] += row[j];
   }
+  if (din.empty()) return;  // input gradient not wanted
   // din(B×in) = dout(B×out) · W(out×in)
   din.fill(0.0f);
   ops::gemm_acc(dout.span(), w_, din.span(), batch, out_dim_, in_dim_);

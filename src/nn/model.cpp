@@ -33,6 +33,11 @@ void Model::build(std::vector<std::size_t> input_shape, std::uint64_t seed) {
 
   Rng rng(seed);
   for (const auto& layer : layers_) layer->init(rng);
+  first_trainable_ = 0;
+  while (first_trainable_ < layers_.size() &&
+         layers_[first_trainable_]->param_count() == 0) {
+    ++first_trainable_;
+  }
 
   // Validate that shapes chain correctly (throws early on a bad stack).
   std::vector<std::size_t> shape = input_shape_;
@@ -94,15 +99,17 @@ double Model::train_batch(const Tensor& x,
   if (dlogits_.shape() != logits.shape()) dlogits_ = Tensor(logits.shape());
   const double loss = softmax_cross_entropy(logits, labels, dlogits_);
 
-  // Backward through the stack.  Layer i reads its input: acts_[i-1] (or x).
+  // Backward through the stack.  Layer i reads its input: acts_[i-1] (or x),
+  // and writes its input gradient into dacts_[i-1].  Nothing reads the
+  // input gradient of the first layer with parameters, and the layers in
+  // front of it have no gradients to accumulate, so the pass stops there
+  // and hands that layer an empty din (Layer::backward: not wanted).
   const Tensor* dout = &dlogits_;
-  for (std::size_t i = layers_.size(); i-- > 0;) {
+  for (std::size_t i = layers_.size(); i-- > first_trainable_;) {
     const Tensor& in = (i == 0) ? x : acts_[i - 1];
-    // Layer i's input gradient has the shape of layer i-1's output, so it is
-    // written into dacts_[i-1]; the first layer's input gradient is discarded.
-    if (i == 0) {
-      Tensor din0(x.shape());
-      layers_[0]->backward(in, *dout, din0);
+    if (i == first_trainable_) {
+      Tensor unwanted;
+      layers_[i]->backward(in, *dout, unwanted);
       break;
     }
     Tensor& din_prev = dacts_[i - 1];

@@ -79,6 +79,9 @@ class Model {
   const Tensor& forward(const Tensor& x, bool train);
 
   std::vector<std::unique_ptr<Layer>> layers_;
+  // Backward stops at this layer: the first one with parameters
+  // (layers_.size() when none has any).
+  std::size_t first_trainable_ = 0;
   std::vector<float> params_, grads_;
   std::vector<std::size_t> input_shape_;
   bool built_ = false;

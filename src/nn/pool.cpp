@@ -27,6 +27,30 @@ void MaxPool2d::forward(const Tensor& in, Tensor& out, bool /*train*/) {
   const std::size_t oh = h / window_, ow = w / window_;
   argmax_.resize(batch * channels * oh * ow);
   std::size_t oi = 0;
+  if (window_ == 2) {
+    // The generic loop below, unrolled for the 2×2 window every model uses:
+    // the same scan order, the same strict `>` from -inf (so the first
+    // maximum wins and a NaN is never chosen), as branch-free selects.
+    for (std::size_t p = 0; p < batch * channels; ++p) {
+      const float* plane = in.data() + p * h * w;
+      for (std::size_t y = 0; y < oh; ++y) {
+        for (std::size_t x = 0; x < ow; ++x, ++oi) {
+          const std::size_t i00 = 2 * y * w + 2 * x;
+          float best = -std::numeric_limits<float>::infinity();
+          std::size_t best_idx = 0;
+          for (const std::size_t idx : {i00, i00 + 1, i00 + w, i00 + w + 1}) {
+            const float v = plane[idx];
+            const bool take = v > best;
+            best = take ? v : best;
+            best_idx = take ? idx : best_idx;
+          }
+          out[oi] = best;
+          argmax_[oi] = p * h * w + best_idx;
+        }
+      }
+    }
+    return;
+  }
   for (std::size_t s = 0; s < batch; ++s) {
     for (std::size_t c = 0; c < channels; ++c) {
       const float* plane = in.data() + (s * channels + c) * h * w;

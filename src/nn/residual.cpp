@@ -138,11 +138,13 @@ void ResidualBlock::backward(const Tensor& in, const Tensor& dout,
   bn1_.backward(a_conv1_, d_relu1, d_conv1);
   conv1_.backward(in, d_conv1, din);
 
-  // Skip path adds into din.
+  // Skip path adds into din.  An empty din (input gradient not wanted) is
+  // passed on to the convs, and the adds below then cover no elements.
   if (has_projection()) {
     Tensor d_skip_conv(a_skip_conv_.shape());
     bn_proj_->backward(a_skip_conv_, dsum, d_skip_conv);
-    Tensor d_in_skip(in.shape());
+    Tensor d_in_skip;
+    if (!din.empty()) d_in_skip = Tensor(in.shape());
     proj_->backward(in, d_skip_conv, d_in_skip);
     for (std::size_t i = 0; i < din.numel(); ++i) din[i] += d_in_skip[i];
   } else {

@@ -1,7 +1,8 @@
 // Built-in workload registrations: the paper's three Table II workloads
 // (scaled by the shared context, --full restores paper scale), the blobs
 // workload the test suites train on, and the real-MNIST workload (IDX files
-// with the documented synthetic fallback, DESIGN.md §1).
+// with the documented synthetic fallback, docs/ARCHITECTURE.md "Synthetic
+// stand-ins").
 #include "data/cifar_loader.hpp"
 #include "data/mnist_loader.hpp"
 #include "data/synthetic.hpp"
@@ -157,7 +158,8 @@ void register_workloads(Registry& r) {
        }});
 
   // Real MNIST from IDX files, with the exact synthetic substitution
-  // documented in DESIGN.md §1 when the files are absent.
+  // documented in docs/ARCHITECTURE.md ("Synthetic stand-ins") when the files
+  // are absent.
   r.add_workload(
       {.key = "real-mnist",
        .summary = "real MNIST from IDX files (synthetic stand-in fallback)",
@@ -182,7 +184,7 @@ void register_workloads(Registry& r) {
          } else {
            w.display_name = "MNIST-CNN(synthetic)";
            w.note = "MNIST IDX files not found under '" + dir +
-                    "' - using the synthetic stand-in (see DESIGN.md)";
+                    "' - using the synthetic stand-in (docs/ARCHITECTURE.md)";
            const std::size_t img = 12;
            w.train = data::make_mnist_like(
                ctx.samples_per_worker * ctx.workers, seed, img);
@@ -222,7 +224,7 @@ void register_workloads(Registry& r) {
          } else {
            w.display_name = "CIFAR10-CNN(synthetic)";
            w.note = "CIFAR-10 binary batches not found under '" + dir +
-                    "' - using the synthetic stand-in (see DESIGN.md)";
+                    "' - using the synthetic stand-in (docs/ARCHITECTURE.md)";
            const std::size_t img = 16;
            w.train = data::make_cifar_like(
                ctx.samples_per_worker * ctx.workers, seed, img);

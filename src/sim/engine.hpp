@@ -7,10 +7,11 @@
 // messages over an event-driven net::LinkModel for traffic/time accounting.
 // Algorithms (src/algos, src/core) drive it round by round.
 //
-// Substitution note (DESIGN.md §1): this replaces the paper's 32 TCP-connected
-// machines.  All reported quantities are functions of round-level state, which
-// the engine reproduces exactly; an optional thread pool parallelizes the
-// independent per-worker local steps without changing results.
+// Substitution note (docs/ARCHITECTURE.md, "Synthetic stand-ins"): this
+// replaces the paper's 32 TCP-connected machines.  All reported quantities
+// are functions of round-level state, which the engine reproduces exactly;
+// an optional thread pool parallelizes the independent per-worker local
+// steps without changing results.
 #pragma once
 
 #include <cstdint>

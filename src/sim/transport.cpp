@@ -87,7 +87,17 @@ void Transport::shutdown() {
   // down_ (published by the mutex hand-off) in its wait predicate.
   std::lock_guard lock(alloc_mutex_);
   for (auto& slot : slots_) {
-    if (auto* mb = slot.load(std::memory_order_acquire)) mb->cv.notify_all();
+    auto* mb = slot.load(std::memory_order_acquire);
+    if (mb == nullptr) continue;
+    // Passing through the box mutex closes the lost-wakeup window: a
+    // receiver that read down_ == false in its predicate holds this mutex
+    // until it parks, so by the time we acquire it the receiver is either
+    // parked (and woken below) or has yet to test the predicate (and will
+    // see down_).
+    {
+      std::lock_guard box_lock(mb->mutex);
+    }
+    mb->cv.notify_all();
   }
 }
 

@@ -140,7 +140,8 @@ void im2col(std::span<const float> img, std::size_t channels,
             std::span<float> cols);
 
 /// Transpose of im2col: scatters column gradients back into an image gradient.
-/// `img_grad` is accumulated into (callers zero it first).
+/// `img_grad` is accumulated into (callers zero it first) and must not
+/// overlap `cols`.
 void col2im(std::span<const float> cols, std::size_t channels,
             std::size_t height, std::size_t width, std::size_t kernel_h,
             std::size_t kernel_w, std::size_t stride, std::size_t pad,

@@ -91,7 +91,8 @@ TEST(Synthetic, CifarLikeShape) {
 
 TEST(Synthetic, MnistLikeIsLearnable) {
   // A linear probe beats chance by a wide margin — the stand-in dataset has
-  // usable class structure (substitution sanity check, DESIGN.md §1).
+  // usable class structure (substitution sanity check, docs/ARCHITECTURE.md
+  // "Synthetic stand-ins").
   const auto train = make_mnist_like(600, 17, 14, 10);
   auto model = nn::make_logreg({1, 14, 14}, 10, 5);
   nn::Sgd sgd({.lr = 0.05});

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <memory>
 
 #include "nn/activation.hpp"
@@ -184,6 +186,78 @@ TEST(MaxPool2d, SelectsMaximum) {
   EXPECT_FLOAT_EQ(out[0], 5.0f);
 }
 
+bool same_bits(const float* a, const float* b, std::size_t n) {
+  return std::memcmp(a, b, n * sizeof(float)) == 0;
+}
+
+// The window-generic max-pool loop, kept as the oracle for the 2×2 path:
+// strict `>` from -inf in row-major window order, so the first maximum wins,
+// a NaN is never chosen, and a window with nothing above -inf reports the
+// plane's first element.
+void maxpool_oracle(const Tensor& in, std::size_t window, Tensor& out,
+                    std::vector<std::size_t>& argmax) {
+  const std::size_t planes = in.dim(0) * in.dim(1), h = in.dim(2),
+                    w = in.dim(3);
+  const std::size_t oh = h / window, ow = w / window;
+  argmax.assign(planes * oh * ow, 0);
+  std::size_t oi = 0;
+  for (std::size_t p = 0; p < planes; ++p) {
+    const float* plane = in.data() + p * h * w;
+    for (std::size_t y = 0; y < oh; ++y) {
+      for (std::size_t x = 0; x < ow; ++x, ++oi) {
+        float best = -std::numeric_limits<float>::infinity();
+        std::size_t best_idx = 0;
+        for (std::size_t dy = 0; dy < window; ++dy) {
+          for (std::size_t dx = 0; dx < window; ++dx) {
+            const std::size_t idx = (y * window + dy) * w + (x * window + dx);
+            if (plane[idx] > best) {
+              best = plane[idx];
+              best_idx = idx;
+            }
+          }
+        }
+        out[oi] = best;
+        argmax[oi] = p * h * w + best_idx;
+      }
+    }
+  }
+}
+
+TEST(MaxPool2d, TwoByTwoPathMatchesGenericLoopOnTiesInfAndNaN) {
+  // Odd extents leave a trailing row and column out of every window.
+  const std::vector<std::size_t> in_shape{2, 3, 7, 9};
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  // Values drawn from a small pool, so windows hold ties (±0 among them),
+  // -inf, NaN, and windows with nothing above -inf.
+  const float pool[] = {1.0f, 1.0f, 0.0f, -0.0f, -2.0f, 3.0f, -inf, nan};
+  Tensor in(in_shape);
+  Rng rng(77);
+  for (std::size_t i = 0; i < in.numel(); ++i) in[i] = pool[rng() % 8];
+  for (std::size_t i : {0, 1, 9, 10}) in[i] = nan;    // all-NaN window
+  for (std::size_t i : {2, 3, 11, 12}) in[i] = -inf;  // all -inf window
+
+  MaxPool2d layer(2);
+  const auto out_shape = layer.output_shape(in_shape);
+  Tensor got(out_shape), want(out_shape);
+  std::vector<std::size_t> argmax;
+  layer.forward(in, got, true);
+  maxpool_oracle(in, 2, want, argmax);
+  EXPECT_TRUE(same_bits(got.data(), want.data(), got.numel()));
+
+  // argmax_ is observed through backward: each output's distinct gradient
+  // lands on the input element it selected.
+  Tensor dout(out_shape), din(in_shape), din_want(in_shape);
+  for (std::size_t i = 0; i < dout.numel(); ++i) {
+    dout[i] = static_cast<float>(i + 1);
+  }
+  layer.backward(in, dout, din);
+  for (std::size_t i = 0; i < argmax.size(); ++i) {
+    din_want[argmax[i]] += dout[i];
+  }
+  EXPECT_TRUE(same_bits(din.data(), din_want.data(), din.numel()));
+}
+
 TEST(GlobalAvgPool, GradCheck) {
   GlobalAvgPool layer;
   GradCheck gc(layer, {2, 3, 4, 4});
@@ -256,6 +330,48 @@ TEST(ResidualBlock, OutputShape) {
   ResidualBlock block(16, 32, 2);
   EXPECT_EQ(block.output_shape({1, 16, 32, 32}),
             (std::vector<std::size_t>{1, 32, 16, 16}));
+}
+
+// An empty din means "input gradient not wanted" (Layer::backward): the
+// layer skips that work, and its parameter gradients must come out exactly
+// as in a backward that computes din.
+void expect_empty_din_keeps_param_grads(Layer& layer,
+                                        std::vector<std::size_t> in_shape) {
+  GradCheck gc(layer, std::move(in_shape));
+  gc.objective();  // training forward, as backward requires
+  Tensor din(gc.in_.shape());
+  layer.backward(gc.in_, gc.dout_, din);
+  const std::vector<float> want = gc.grads_;
+  std::fill(gc.grads_.begin(), gc.grads_.end(), 0.0f);
+  Tensor unwanted;
+  layer.backward(gc.in_, gc.dout_, unwanted);
+  EXPECT_TRUE(unwanted.empty());
+  ASSERT_EQ(gc.grads_.size(), want.size());
+  EXPECT_TRUE(same_bits(gc.grads_.data(), want.data(), want.size()));
+}
+
+TEST(Linear, EmptyDinKeepsParameterGradients) {
+  Linear layer(6, 5);
+  expect_empty_din_keeps_param_grads(layer, {4, 6});
+}
+
+TEST(Conv2d, EmptyDinKeepsParameterGradients) {
+  Conv2d same(3, 4, 3, 1, 1);
+  expect_empty_din_keeps_param_grads(same, {2, 3, 6, 6});
+  Conv2d strided(2, 3, 3, 2, 1, /*bias=*/false);
+  expect_empty_din_keeps_param_grads(strided, {2, 2, 7, 5});
+}
+
+TEST(BatchNorm2d, EmptyDinKeepsParameterGradients) {
+  BatchNorm2d layer(3);
+  expect_empty_din_keeps_param_grads(layer, {4, 3, 3, 3});
+}
+
+TEST(ResidualBlock, EmptyDinKeepsParameterGradients) {
+  ResidualBlock identity(4, 4, 1);
+  expect_empty_din_keeps_param_grads(identity, {2, 4, 4, 4});
+  ResidualBlock projection(2, 4, 2);
+  expect_empty_din_keeps_param_grads(projection, {2, 2, 6, 6});
 }
 
 TEST(Layers, BindRejectsWrongSpanSize) {

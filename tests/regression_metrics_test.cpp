@@ -156,6 +156,47 @@ TEST(MessagePlaneRegression, SpecDrivenRunsMatchSeedGoldensBitForBit) {
   }
 }
 
+// The conv, pool and activation paths: short spec-driven runs of the tiny
+// CNN (3-channel cifar and 1-channel mnist stand-ins: stride-1 "same" 3×3
+// convs, ReLU, 2×2 max-pool) and the tiny ResNet (stride-2 convs, 1×1
+// projection convs, batch-norm).  Captured before the nn layers' fast paths
+// (empty input gradient, run-based im2col/col2im, vectorized ReLU backward,
+// 2×2 pool path) were written; they must keep every bit.
+TEST(CnnRegression, SpecDrivenConvRunsMatchGoldensBitForBit) {
+  struct ConvGolden {
+    const char* workload;
+    const char* algorithm;
+    double accuracy;
+    double loss;
+  };
+  const ConvGolden goldens[] = {
+      {"cifar", "saps", 0x1.a3d70a3d70a3dp-2, 0x1.c8947a27af80ep+0},
+      {"cifar", "fedavg", 0x1.11eb851eb851fp-1, 0x1.999cbb5e6545dp+0},
+      {"resnet", "saps", 0x1.d1eb851eb851fp-1, 0x1.a5bd39001fc64p-1},
+      {"mnist", "topk", 0x1.28f5c28f5c28fp-1, 0x1.a45ca3b943053p+0},
+  };
+  const std::string common =
+      "workers=4\n"
+      "epochs=3\n"
+      "samples=60\n"
+      "test-samples=200\n"
+      "batch=10\n"
+      "seed=42\n"
+      "bandwidth=uniform\n"
+      "bandwidth-seed=123\n";
+  for (const auto& golden : goldens) {
+    SCOPED_TRACE(std::string(golden.workload) + "/" + golden.algorithm);
+    const std::string text = common + "workload=" + golden.workload +
+                             "\nalgorithm=" + golden.algorithm + "\n";
+    auto spec = scenario::parse_spec_text(text);
+    spec.threads = test_util::env_threads();
+    scenario::Runner runner(spec);
+    const auto record = runner.run(golden.algorithm);
+    EXPECT_EQ(record.result.final().accuracy, golden.accuracy);
+    EXPECT_EQ(record.result.final().loss, golden.loss);
+  }
+}
+
 TEST(MessagePlaneRegression, NonzeroLatencyStrictlyLengthensCommTime) {
   for (const auto& key : {"psgd", "saps", "fedavg"}) {
     SCOPED_TRACE(key);

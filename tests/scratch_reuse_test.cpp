@@ -209,6 +209,52 @@ TEST(Conv2d, BackwardReusesColumnScratchAfterWarmup) {
   EXPECT_EQ(allocations() - before, 0u);
 }
 
+TEST(Conv2d, BackwardWithoutInputGradientNeverSizesColumnGradient) {
+  // Model::train_batch hands its first conv an empty din: that layer's
+  // backward must skip the column-gradient scratch entirely and allocate
+  // nothing once warm.
+  const std::vector<std::size_t> in_shape{2, 3, 8, 8};
+  Tensor in(in_shape), din(in_shape);
+  auto src = random_vec(in.numel(), 53);
+  std::copy(src.begin(), src.end(), in.data());
+
+  const auto make_conv = [](std::vector<float>& params,
+                            std::vector<float>& grads) {
+    nn::Conv2d conv(3, 8, 3, 1, 1);
+    params.assign(conv.param_count(), 0.0f);
+    grads.assign(conv.param_count(), 0.0f);
+    conv.bind(params, grads);
+    Rng rng(59);
+    conv.init(rng);
+    return conv;
+  };
+  std::vector<float> params, grads, twin_params, twin_grads;
+  nn::Conv2d conv = make_conv(params, grads);
+  Tensor out(conv.output_shape(in_shape)), dout(conv.output_shape(in_shape));
+  auto dsrc = random_vec(dout.numel(), 61);
+  std::copy(dsrc.begin(), dsrc.end(), dout.data());
+
+  // A full backward on a same-shaped twin warms the thread-local GEMM pack
+  // buffers, so only the layer's own scratch is left to count.
+  nn::Conv2d twin = make_conv(twin_params, twin_grads);
+  twin.forward(in, out, true);
+  twin.backward(in, dout, din);
+
+  Tensor unwanted;
+  conv.forward(in, out, true);
+  conv.backward(in, dout, unwanted);  // warm cols_
+  std::size_t before = allocations();
+  conv.forward(in, out, true);
+  conv.backward(in, dout, unwanted);
+  EXPECT_EQ(allocations() - before, 0u);
+
+  // The first backward that does want din sizes the column-gradient
+  // scratch: exactly one allocation, so no earlier call had sized it.
+  before = allocations();
+  conv.backward(in, dout, din);
+  EXPECT_EQ(allocations() - before, 1u);
+}
+
 TEST(Gemm, PackScratchIsReusedAcrossCalls) {
   const std::size_t m = 16, k = 144, n = 64;
   const auto a = random_vec(m * k, 23);

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstring>
 #include <tuple>
 #include <vector>
 
@@ -195,6 +197,132 @@ TEST(Col2im, IsAdjointOfIm2col) {
   ops::col2im(y, C, H, W, K, K, S, P, back);
 
   EXPECT_NEAR(ops::dot(cols, y), ops::dot(x, back), 1e-3);
+}
+
+// The per-element loops im2col and col2im were before they moved to
+// per-tap runs, kept as the oracle the run kernels must match bit for bit.
+void im2col_oracle(const std::vector<float>& img, std::size_t channels,
+                   std::size_t height, std::size_t width, std::size_t kernel,
+                   std::size_t stride, std::size_t pad,
+                   std::vector<float>& cols) {
+  const std::size_t out_h = (height + 2 * pad - kernel) / stride + 1;
+  const std::size_t out_w = (width + 2 * pad - kernel) / stride + 1;
+  std::size_t row = 0;
+  for (std::size_t c = 0; c < channels; ++c) {
+    for (std::size_t kh = 0; kh < kernel; ++kh) {
+      for (std::size_t kw = 0; kw < kernel; ++kw, ++row) {
+        float* dst = cols.data() + row * out_h * out_w;
+        for (std::size_t oh = 0; oh < out_h; ++oh) {
+          const std::ptrdiff_t ih =
+              static_cast<std::ptrdiff_t>(oh * stride + kh) -
+              static_cast<std::ptrdiff_t>(pad);
+          for (std::size_t ow = 0; ow < out_w; ++ow) {
+            const std::ptrdiff_t iw =
+                static_cast<std::ptrdiff_t>(ow * stride + kw) -
+                static_cast<std::ptrdiff_t>(pad);
+            const bool inside =
+                ih >= 0 && ih < static_cast<std::ptrdiff_t>(height) &&
+                iw >= 0 && iw < static_cast<std::ptrdiff_t>(width);
+            dst[oh * out_w + ow] =
+                inside
+                    ? img[(c * height + static_cast<std::size_t>(ih)) * width +
+                          static_cast<std::size_t>(iw)]
+                    : 0.0f;
+          }
+        }
+      }
+    }
+  }
+}
+
+void col2im_oracle(const std::vector<float>& cols, std::size_t channels,
+                   std::size_t height, std::size_t width, std::size_t kernel,
+                   std::size_t stride, std::size_t pad,
+                   std::vector<float>& img_grad) {
+  const std::size_t out_h = (height + 2 * pad - kernel) / stride + 1;
+  const std::size_t out_w = (width + 2 * pad - kernel) / stride + 1;
+  std::size_t row = 0;
+  for (std::size_t c = 0; c < channels; ++c) {
+    for (std::size_t kh = 0; kh < kernel; ++kh) {
+      for (std::size_t kw = 0; kw < kernel; ++kw, ++row) {
+        const float* src = cols.data() + row * out_h * out_w;
+        for (std::size_t oh = 0; oh < out_h; ++oh) {
+          const std::ptrdiff_t ih =
+              static_cast<std::ptrdiff_t>(oh * stride + kh) -
+              static_cast<std::ptrdiff_t>(pad);
+          if (ih < 0 || ih >= static_cast<std::ptrdiff_t>(height)) continue;
+          for (std::size_t ow = 0; ow < out_w; ++ow) {
+            const std::ptrdiff_t iw =
+                static_cast<std::ptrdiff_t>(ow * stride + kw) -
+                static_cast<std::ptrdiff_t>(pad);
+            if (iw < 0 || iw >= static_cast<std::ptrdiff_t>(width)) continue;
+            img_grad[(c * height + static_cast<std::size_t>(ih)) * width +
+                     static_cast<std::size_t>(iw)] += src[oh * out_w + ow];
+          }
+        }
+      }
+    }
+  }
+}
+
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(Im2col, RunKernelsMatchPerElementOracleBitForBit) {
+  // Every {C, H, W, K, stride, pad} below, including "same" stride-1 shapes
+  // (the shifted-plane copy), pad >= H (taps that never touch the image),
+  // and strided and 1x1 shapes (per-row runs).  Buffers are sized exactly,
+  // so an overrun shows under ASan.  col2im accumulates into a gradient that
+  // already holds values of mixed magnitude, so any change in a pixel's
+  // accumulation order changes its bits.
+  std::vector<std::array<std::size_t, 6>> shapes;
+  for (const std::size_t c : {1, 3}) {
+    for (const std::size_t h : {1, 2, 5, 8, 9}) {
+      for (const std::size_t w : {1, 4, 7, 16}) {
+        for (const std::size_t k : {1, 2, 3, 5}) {
+          for (const std::size_t stride : {1, 2, 3}) {
+            for (const std::size_t pad : {0, 1, 2, 3}) {
+              if (h + 2 * pad < k || w + 2 * pad < k) continue;
+              shapes.push_back({c, h, w, k, stride, pad});
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(shapes.size(), 1656u);
+
+  Rng rng(2024);
+  const auto draw = [&](std::vector<float>& v) {
+    for (auto& x : v) {
+      x = static_cast<float>(rng.next_normal() *
+                             static_cast<double>(1u << (rng() % 12)));
+    }
+  };
+  for (const auto& shape : shapes) {
+    SCOPED_TRACE(testing::PrintToString(shape));
+    const auto [c, h, w, k, stride, pad] = shape;
+    const std::size_t out_h = (h + 2 * pad - k) / stride + 1;
+    const std::size_t out_w = (w + 2 * pad - k) / stride + 1;
+    std::vector<float> img(c * h * w);
+    std::vector<float> cols(c * k * k * out_h * out_w);
+    draw(img);
+    std::vector<float> want(cols.size(), -1.0f);
+    std::vector<float> got(cols.size(), -2.0f);
+    im2col_oracle(img, c, h, w, k, stride, pad, want);
+    ops::im2col(img, c, h, w, k, k, stride, pad, got);
+    EXPECT_TRUE(same_bits(got, want)) << "im2col";
+
+    draw(cols);
+    std::vector<float> grad_want(img.size());
+    draw(grad_want);
+    std::vector<float> grad_got = grad_want;
+    col2im_oracle(cols, c, h, w, k, stride, pad, grad_want);
+    ops::col2im(cols, c, h, w, k, k, stride, pad, grad_got);
+    EXPECT_TRUE(same_bits(grad_got, grad_want)) << "col2im";
+  }
 }
 
 }  // namespace

@@ -4,6 +4,10 @@
 // sequential masked-average computation.
 #include <gtest/gtest.h>
 
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
+#include <mutex>
 #include <thread>
 
 #include "compress/mask.hpp"
@@ -96,6 +100,40 @@ TEST(Transport, MailboxesAllocateLazilyOnFirstTouch) {
   t.shutdown();
   receiver.join();
   EXPECT_FALSE(got.has_value());
+}
+
+TEST(Transport, ShutdownNeverLosesAReceiverAboutToPark) {
+  // A receiver that has read down_ == false in its wait predicate but has
+  // not yet parked must still be woken by shutdown().  The window is a few
+  // instructions wide, so race the two a thousand times; a lost wakeup
+  // hangs the receiver, and the watchdog turns that into a prompt abort
+  // instead of a wait for the suite timeout.
+  std::mutex watch_mutex;
+  std::condition_variable watch_cv;
+  bool finished = false;
+  std::thread watchdog([&] {
+    std::unique_lock lock(watch_mutex);
+    if (!watch_cv.wait_for(lock, std::chrono::seconds(30),
+                           [&] { return finished; })) {
+      std::fprintf(stderr, "Transport::shutdown lost a receiver's wakeup\n");
+      std::abort();
+    }
+  });
+  for (int i = 0; i < 1000; ++i) {
+    Transport t(2);
+    std::optional<Envelope> got = Envelope{};  // sentinel non-null
+    std::thread receiver([&] { got = t.recv(1); });
+    while (t.allocated_mailboxes() < 1) std::this_thread::yield();
+    t.shutdown();
+    receiver.join();
+    EXPECT_FALSE(got.has_value()) << "iteration " << i;
+  }
+  {
+    std::lock_guard lock(watch_mutex);
+    finished = true;
+  }
+  watch_cv.notify_all();
+  watchdog.join();
 }
 
 TEST(Transport, ThreadedSapsRoundMatchesSequential) {
