@@ -356,14 +356,14 @@ void BM_QuantizeUnpack(benchmark::State& state) {
 }
 BENCHMARK(BM_QuantizeUnpack)->Arg(1 << 16)->Arg(1 << 20);
 
-// The steady-state selection path (workspace overload, threshold-pass
+// The steady-state selection path (workspace overload, two-pass threshold
 // strategy at these sizes).
 void BM_TopKWarm(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   saps::Rng rng(22);
   std::vector<float> x(n);
   for (auto& v : x) v = rng.next_float() - 0.5f;
-  std::vector<std::uint32_t> scratch;
+  std::vector<saps::compress::TopKCandidate> scratch;
   saps::compress::SparseVector out;
   for (auto _ : state) {
     saps::compress::top_k(x, 100.0, scratch, out);
@@ -374,13 +374,13 @@ void BM_TopKWarm(benchmark::State& state) {
 }
 BENCHMARK(BM_TopKWarm)->Arg(1 << 16)->Arg(1 << 20);
 
-// The scalar collect twin of BM_TopKWarm, for same-machine backend deltas.
+// The scalar twin of BM_TopKWarm, for same-machine backend deltas.
 void BM_TopKWarmPortable(benchmark::State& state) {
   const std::size_t n = 1 << 20;
   saps::Rng rng(22);
   std::vector<float> x(n);
   for (auto& v : x) v = rng.next_float() - 0.5f;
-  std::vector<std::uint32_t> scratch;
+  std::vector<saps::compress::TopKCandidate> scratch;
   saps::compress::SparseVector out;
   saps::ops::set_gemm_backend(saps::ops::GemmBackend::kPortable);
   for (auto _ : state) {
@@ -394,7 +394,8 @@ void BM_TopKWarmPortable(benchmark::State& state) {
 BENCHMARK(BM_TopKWarmPortable);
 
 // The full compression path of TopK-PSGD: residual add, top-k selection,
-// residual update.
+// residual update.  136714 is the parameter count of perfbench's
+// topk-mlp16 MLP.
 void BM_ErrorFeedbackCompress(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   saps::Rng rng(10);
@@ -407,7 +408,7 @@ void BM_ErrorFeedbackCompress(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_ErrorFeedbackCompress)->Arg(1 << 16)->Arg(1 << 20);
+BENCHMARK(BM_ErrorFeedbackCompress)->Arg(1 << 16)->Arg(136714)->Arg(1 << 20);
 
 void BM_BlossomCompleteGraph(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -21,24 +21,42 @@ struct SparseVector {
   }
 };
 
-/// Selects the k largest-|x| entries (k = ceil(n / c)).  Ties broken by
-/// lower index for determinism.
+/// One selection candidate: a coordinate and its |x| key, the IEEE-754 bits
+/// of x with the sign cleared.  Keys order finite values exactly like fabs;
+/// +inf sits above every finite value and NaN above +inf.
+struct TopKCandidate {
+  std::uint32_t index;
+  std::uint32_t key;
+};
+
+/// Selects the k largest-|x| entries (k = ceil(n / c)): the first k in
+/// descending key order, ties broken by lower index.  The output is in
+/// ascending index order.
 [[nodiscard]] SparseVector top_k(std::span<const float> x, double c);
 
-/// As above, reusing `order_scratch` for selection state and writing into
-/// `out`'s existing buffers — allocation-free once capacities have warmed
-/// up.  Used by the per-round compression hot path.
+/// As above, reusing `scratch` for selection state and writing into `out`'s
+/// existing buffers — allocation-free once capacities have warmed up (the
+/// scratch reserves n entries on first use).  Used by the per-round
+/// compression hot path.
 ///
-/// Two selection strategies produce the exact same (index, value) output:
-/// small inputs use nth_element over an index permutation; large inputs
-/// (n >= 4096) find the exact k-th magnitude with a two-level 16-bit radix
-/// histogram over the monotonic |x| bit patterns, then collect survivors in
-/// one ascending threshold pass (vectorized behind the ops::gemm_backend()
-/// dispatch).  The tie budget at the threshold magnitude is consumed in
-/// ascending index order — identical to the comparator's lower-index-wins
-/// rule.
+/// Both strategies rank by the same (key desc, index asc) order at every n,
+/// NaN included.  Small inputs (n < 4096) run nth_element over (index, key)
+/// pairs.  Larger inputs make two streaming passes over x:
+///   1. histogram the 11-bit top digit of each key (bits 30..20) into four
+///      interleaved, L1-resident sub-histograms (so runs of equal digits do
+///      not serialize on one counter), sum them, and walk down from the top
+///      bucket to the bucket b1 holding the k-th key;
+///   2. gather, in ascending index order, every (index, key) with key >=
+///      b1 << 20 into `scratch` (AVX2 compare, movemask and left-pack behind
+///      the ops::gemm_backend() dispatch, or its scalar twin).
+/// Two 10-bit histograms over bucket b1's members in that dense list pin
+/// the exact k-th key T and how many keys equal to T still fit.  The
+/// candidates are then emitted in order: every key above T, and keys equal
+/// to T while that tie budget lasts, i.e. the lowest indices win.  Every key
+/// of the top k is >= b1 << 20, so the candidates hold the whole answer and
+/// the select is exact.
 void top_k(std::span<const float> x, double c,
-           std::vector<std::uint32_t>& order_scratch, SparseVector& out);
+           std::vector<TopKCandidate>& scratch, SparseVector& out);
 
 /// Adds a sparse vector, scaled: x[idx] += scale * value.
 void add_sparse(std::span<float> x, const SparseVector& s, float scale = 1.0f);
@@ -52,7 +70,8 @@ class ErrorFeedbackTopK {
   [[nodiscard]] SparseVector compress(std::span<const float> gradient);
 
   /// As compress, writing into `out`'s existing buffers — allocation-free
-  /// once capacities have warmed up (the per-round hot path).
+  /// once capacities have warmed up (the per-round hot path).  Runs top_k's
+  /// selection with residual + gradient formed inside its first pass.
   void compress_into(std::span<const float> gradient, SparseVector& out);
 
   [[nodiscard]] std::span<const float> residual() const noexcept {
@@ -63,7 +82,7 @@ class ErrorFeedbackTopK {
   double c_;
   std::vector<float> residual_;
   std::vector<float> scratch_;
-  std::vector<std::uint32_t> order_;  // top_k selection scratch, persistent
+  std::vector<TopKCandidate> candidates_;  // selection scratch, persistent
 };
 
 }  // namespace saps::compress

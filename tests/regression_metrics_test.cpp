@@ -11,6 +11,7 @@
 
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "algos/d_psgd.hpp"
@@ -195,6 +196,98 @@ TEST(CnnRegression, SpecDrivenConvRunsMatchGoldensBitForBit) {
     EXPECT_EQ(record.result.final().accuracy, golden.accuracy);
     EXPECT_EQ(record.result.final().loss, golden.loss);
   }
+}
+
+struct SpecGolden {
+  const char* name;
+  const char* lines;  // appended to the shared spec text
+  double accuracy;
+  double loss;
+  double traffic_mb;
+  double comm_seconds;
+};
+
+void expect_spec_goldens(const std::string& common,
+                         std::span<const SpecGolden> goldens) {
+  for (const auto& golden : goldens) {
+    SCOPED_TRACE(golden.name);
+    auto spec = scenario::parse_spec_text(common + golden.lines);
+    spec.threads = test_util::env_threads();
+    scenario::Runner runner(spec);
+    const auto record = runner.run(spec.algorithms.at(0));
+    EXPECT_EQ(record.result.final().accuracy, golden.accuracy);
+    EXPECT_EQ(record.result.final().loss, golden.loss);
+    EXPECT_EQ(record.traffic_mb, golden.traffic_mb);
+    EXPECT_EQ(record.comm_seconds, golden.comm_seconds);
+  }
+}
+
+// The seven-algorithm goldens above train a 212-parameter MLP, so their
+// top-k selections all take the small-n nth_element path.  A 512-wide
+// hidden layer (6,660 parameters) sends TopK-PSGD's error-feedback
+// compressor and DCD-PSGD's difference top-k through the threshold path
+// (n >= 4096).  Captured before the fused two-pass select was written.
+TEST(MessagePlaneRegression, ThresholdPathTopKRunsMatchGoldensBitForBit) {
+  const SpecGolden goldens[] = {
+      {"topk c=10", "algorithm=topk\ntopk-c=10\n", 0x1.9333333333333p-1,
+       0x1.1800432ad51e2p-1, 0x1.4855da272862fp-1, 0x1.4743fd039afc1p-2},
+      {"topk c=100", "algorithm=topk\ntopk-c=100\n", 0x1.a333333333333p-1,
+       0x1.dbcd5e5f4987dp-2, 0x1.0f51ac9afe1dap-4, 0x1.0e6f5e1b819a8p-5},
+      {"dcd c=4", "algorithm=dcd\ndcd-c=4\n", 0x1.9666666666666p-1,
+       0x1.1ed642bb610aap-1, 0x1.111f0c34c1a8bp+0, 0x1.103b3ce0a2c5fp-2},
+  };
+  expect_spec_goldens(
+      "workload=blob\n"
+      "blob-hidden=512\n"
+      "blob-noise=1\n"
+      "workers=4\n"
+      "epochs=2\n"
+      "batch=16\n"
+      "lr=0.1\n"
+      "seed=42\n"
+      "bandwidth=uniform\n"
+      "bandwidth-seed=123\n",
+      goldens);
+}
+
+// Cohort runs: 8 of 16 clients drawn per round over the pooled replica
+// engine, so clients leave and rejoin the cohort and their state goes
+// through freeze/thaw.  Each algorithm also runs with a failures= window
+// (three clients, overlapping rounds) whose members are drawn while away,
+// which moves each run's loss and traffic.
+TEST(CohortRegression, SpecDrivenCohortRunsMatchGoldensBitForBit) {
+  const SpecGolden goldens[] = {
+      {"saps", "algorithm=saps\n", 0x1.9333333333333p-1,
+       0x1.29e6105d03b1fp-1, 0x1.d2e0e30446b6ap-10, 0x1.3d70a3d70a3d9p-2},
+      {"saps failures", "algorithm=saps\nfailures=2@1-4,5@0-3,11@2-8\n",
+       0x1.9333333333333p-1, 0x1.2e391b44f22dep-1, 0x1.c087442c7fbadp-10,
+       0x1.3333333333335p-2},
+      {"fedavg", "algorithm=fedavg\n", 0x1p+0, 0x1.f13f3809b6c3dp-3,
+       0x1.4d72799a1fd15p-9, 0x1.eb851eb851eb9p-5},
+      {"fedavg failures", "algorithm=fedavg\nfailures=2@1-4,5@0-3,11@2-8\n",
+       0x1p+0, 0x1.e95b55c4592abp-3, 0x1.15df6555c52e7p-9,
+       0x1.eb851eb851eb9p-5},
+      {"sfedavg", "algorithm=sfedavg\n", 0x1.fcccccccccccdp-1,
+       0x1.59d7675a73bafp-3, 0x1.9b90ea9e6eeb7p-10, 0x1.eb851eb851eb9p-5},
+      {"sfedavg failures", "algorithm=sfedavg\nfailures=2@1-4,5@0-3,11@2-8\n",
+       0x1.fcccccccccccdp-1, 0x1.5c98773b98608p-3, 0x1.567dbb16c1e36p-10,
+       0x1.eb851eb851eb9p-5},
+  };
+  // Population runs take no bandwidth matrix; the 10 ms link latency gives
+  // them a nonzero simulated communication time.
+  expect_spec_goldens(
+      "workload=blob\n"
+      "workers=4\n"
+      "population=16\n"
+      "cohort=8\n"
+      "epochs=3\n"
+      "batch=16\n"
+      "lr=0.1\n"
+      "seed=42\n"
+      "latency=0.01\n"
+      "saps-c=10\n"
+      "sfedavg-c=5\n",
+      goldens);
 }
 
 TEST(MessagePlaneRegression, NonzeroLatencyStrictlyLengthensCommTime) {

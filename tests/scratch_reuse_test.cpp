@@ -37,10 +37,17 @@ void* operator new[](std::size_t size) {
   throw std::bad_alloc();
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Kept out of line: once GCC inlines a delete next to a call of the
+// (out-of-line) replaced new, -Wmismatched-new-delete sees free() on a
+// pointer from operator new and warns.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace saps {
 namespace {
@@ -99,7 +106,7 @@ TEST(TopK, WorkspaceOverloadIsAllocationFreeAndEquivalent) {
   const auto x = random_vec(n, 11);
   const auto want = compress::top_k(x, 50.0);
 
-  std::vector<std::uint32_t> order;
+  std::vector<compress::TopKCandidate> order;
   compress::SparseVector out;
   compress::top_k(x, 50.0, order, out);  // warm the buffers
   const std::size_t before = allocations();
@@ -138,7 +145,7 @@ TEST(TopK, ThresholdPathIsAllocationFreeAndMatchesSortReference) {
   ref.resize(k);
   std::sort(ref.begin(), ref.end());
 
-  std::vector<std::uint32_t> scratch;
+  std::vector<compress::TopKCandidate> scratch;
   compress::SparseVector out;
   compress::top_k(x, 64.0, scratch, out);  // warm the buffers
   const std::size_t before = allocations();
@@ -148,6 +155,45 @@ TEST(TopK, ThresholdPathIsAllocationFreeAndMatchesSortReference) {
   for (std::size_t i = 0; i < k; ++i) {
     EXPECT_EQ(out.values[i], x[out.indices[i]]);
   }
+}
+
+TEST(TopK, CandidateListGrowsToAllOfNWithoutAllocating) {
+  // The threshold path's candidates are the members of the bucket holding
+  // the k-th key and of the buckets above it: a few percent of n for
+  // uniform input, all of n when every value is equal.  The scratch
+  // reserves n entries on first use, so growing into the dense list
+  // allocates nothing.
+  const std::size_t n = 65536;
+  const auto sparse = random_vec(n, 53);
+  const std::vector<float> dense(n, 0.75f);
+  std::vector<compress::TopKCandidate> scratch;
+  compress::SparseVector out;
+  compress::top_k(sparse, 100.0, scratch, out);  // warm the buffers
+  const std::size_t before = allocations();
+  compress::top_k(dense, 100.0, scratch, out);
+  const std::size_t k = out.nnz();
+  compress::top_k(sparse, 100.0, scratch, out);
+  EXPECT_EQ(allocations() - before, 0u);
+  // All keys tie, so the lowest k indices win.
+  compress::top_k(dense, 100.0, scratch, out);
+  ASSERT_EQ(k, (n + 99) / 100);
+  for (std::size_t i = 0; i < k; ++i) ASSERT_EQ(out.indices[i], i);
+}
+
+TEST(ErrorFeedbackTopK, DenseCandidateListIsAllocationFree) {
+  // A gradient of equal values far above the residual makes every
+  // accumulated key equal: the fused select then gathers all of n.
+  const std::size_t n = 65536;
+  compress::ErrorFeedbackTopK ef(n, 100.0);
+  const auto grad = random_vec(n, 59);
+  const std::vector<float> flat(n, 1e30f);
+  compress::SparseVector out;
+  for (int warm = 0; warm < 3; ++warm) ef.compress_into(grad, out);
+
+  const std::size_t before = allocations();
+  ef.compress_into(flat, out);
+  ef.compress_into(grad, out);
+  EXPECT_EQ(allocations() - before, 0u);
 }
 
 TEST(Qsgd, IntoOverloadsAreAllocationFreeAfterWarmup) {

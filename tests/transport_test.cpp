@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 #include "compress/mask.hpp"
@@ -186,26 +187,37 @@ TEST(Transport, ThreadedSapsRoundMatchesSequential) {
   });
   for (std::size_t w = 0; w < kWorkers; ++w) {
     threads.emplace_back([&, w] {
-      const auto note_env = transport.recv(w);
-      ASSERT_TRUE(note_env.has_value());
-      const auto note = net::NotifyMsg::decode(note_env->payload);
+      // The coordinator's NotifyMsg and the peer's MaskedModelMsg come from
+      // different senders, and the transport orders frames per sender
+      // only: the peer's model may arrive first.  Dispatch on the type.
+      std::optional<net::NotifyMsg> note;
+      std::optional<net::MaskedModelMsg> in;
+      const auto receive = [&] {
+        const auto env = transport.recv(w);
+        if (!env) return false;
+        if (net::peek_type(env->payload) == net::MsgType::kNotify) {
+          note = net::NotifyMsg::decode(env->payload);
+        } else {
+          in = net::MaskedModelMsg::decode(env->payload);
+        }
+        return true;
+      };
+      while (!note) ASSERT_TRUE(receive());
       const auto my_mask =
-          compress::bernoulli_mask(note.mask_seed, kDim, kC);
+          compress::bernoulli_mask(note->mask_seed, kDim, kC);
 
       net::MaskedModelMsg out;
-      out.mask_seed = note.mask_seed;
-      out.round = note.round;
+      out.mask_seed = note->mask_seed;
+      out.round = note->round;
       out.values = compress::extract_masked(models[w], my_mask);
-      transport.send(w, note.peer, out.encode());
+      transport.send(w, note->peer, out.encode());
 
-      const auto peer_env = transport.recv(w);
-      ASSERT_TRUE(peer_env.has_value());
-      const auto in = net::MaskedModelMsg::decode(peer_env->payload);
-      EXPECT_EQ(in.mask_seed, mask_seed);
-      compress::average_masked_inplace(models[w], my_mask, in.values);
+      while (!in) ASSERT_TRUE(receive());
+      EXPECT_EQ(in->mask_seed, mask_seed);
+      compress::average_masked_inplace(models[w], my_mask, in->values);
 
       transport.send(w, coord,
-                     net::RoundEndMsg{.round = note.round,
+                     net::RoundEndMsg{.round = note->round,
                                       .rank = static_cast<std::uint32_t>(w)}
                          .encode());
     });
