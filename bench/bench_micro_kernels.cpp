@@ -1,7 +1,8 @@
 // google-benchmark micro-benchmarks for the kernels on the training and
 // communication hot paths: mask generation, masked extraction/merge, top-k
-// selection, GEMM, im2col/col2im, one tiny-CNN training step, blossom
-// matching, and full gossip-matrix generation.
+// selection, GEMM, im2col/col2im, the 2×2 max-pool, one tiny-CNN training
+// step and a train/eval batch-size cycle, blossom matching, and full
+// gossip-matrix generation.
 #include <benchmark/benchmark.h>
 
 #include "compress/mask.hpp"
@@ -11,6 +12,7 @@
 #include "graph/matching.hpp"
 #include "net/bandwidth.hpp"
 #include "nn/models.hpp"
+#include "nn/pool.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
 #include "util/rng.hpp"
@@ -264,6 +266,58 @@ void BM_TinyCnnTrainBatch(benchmark::State& state) {
                           static_cast<std::int64_t>(kBatch));
 }
 BENCHMARK(BM_TinyCnnTrainBatch);
+
+// The tiny CNN's two 2×2 max-pool forwards at batch 10: conv1's 8×16×16
+// output and conv2's 16×8×8 one.  Args are (channels, height = width).
+void BM_MaxPool2x2(benchmark::State& state) {
+  constexpr std::size_t kBatch = 10;
+  const auto c = static_cast<std::size_t>(state.range(0));
+  const auto hw = static_cast<std::size_t>(state.range(1));
+  saps::nn::MaxPool2d pool(2);
+  saps::Rng rng(24);
+  saps::Tensor in({kBatch, c, hw, hw});
+  for (std::size_t i = 0; i < in.numel(); ++i) in[i] = rng.next_float() - 0.5f;
+  saps::Tensor out(pool.output_shape(in.shape()));
+  for (auto _ : state) {
+    pool.forward(in, out, /*train=*/true);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(out.numel()));
+}
+BENCHMARK(BM_MaxPool2x2)->Args({8, 16})->Args({16, 8});
+
+// One tiny-CNN model alternating between a training step (batch 10) and an
+// evaluation of 400 samples at eval batch 256 (256 + 144), then training
+// again: the batch-size swings a model sees when it both trains and
+// evaluates.  Counts the cost of re-sizing activations on top of the work.
+void BM_TinyCnnEvalCycle(benchmark::State& state) {
+  auto model = saps::nn::make_tiny_cnn(3, 16, 10, /*seed=*/25);
+  saps::Rng rng(26);
+  const auto batch = [&](std::size_t n) {
+    saps::Tensor x({n, 3, 16, 16});
+    for (std::size_t i = 0; i < x.numel(); ++i) x[i] = rng.next_float() - 0.5f;
+    std::vector<std::int32_t> labels(n);
+    for (auto& l : labels) l = static_cast<std::int32_t>(rng() % 10);
+    return std::pair{std::move(x), std::move(labels)};
+  };
+  const auto [train_x, train_y] = batch(10);
+  const auto [big_x, big_y] = batch(256);
+  const auto [tail_x, tail_y] = batch(144);
+  for (auto _ : state) {
+    model.zero_grad();
+    benchmark::DoNotOptimize(model.train_batch(train_x, train_y));
+    benchmark::DoNotOptimize(model.evaluate_batch(big_x, big_y).loss);
+    benchmark::DoNotOptimize(model.evaluate_batch(tail_x, tail_y).loss);
+    model.zero_grad();
+    benchmark::DoNotOptimize(model.train_batch(train_x, train_y));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          (10 + 256 + 144 + 10));
+}
+BENCHMARK(BM_TinyCnnEvalCycle);
 
 // QSGD stochastic quantization (norm pass + draws + elementwise quantize).
 void BM_QuantizeEncode(benchmark::State& state) {

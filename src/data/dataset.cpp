@@ -38,7 +38,7 @@ void Dataset::gather(std::span<const std::size_t> indices, Tensor& x_out,
                      std::vector<std::int32_t>& labels_out) const {
   std::vector<std::size_t> shape = sample_shape_;
   shape.insert(shape.begin(), indices.size());
-  if (x_out.shape() != shape) x_out = Tensor(shape);
+  x_out.resize(shape);
   labels_out.resize(indices.size());
   for (std::size_t b = 0; b < indices.size(); ++b) {
     const auto src = sample(indices[b]);

@@ -38,8 +38,9 @@ class Dataset {
   }
   [[nodiscard]] std::span<const float> sample(std::size_t i) const;
 
-  /// Copies the samples at `indices` into a (|indices|, ...sample_shape)
-  /// tensor and the labels into `labels_out`.
+  /// Copies the samples at `indices` into `x_out`, resized in place (its
+  /// storage kept) to (|indices|, ...sample_shape), and the labels into
+  /// `labels_out`.
   void gather(std::span<const std::size_t> indices, Tensor& x_out,
               std::vector<std::int32_t>& labels_out) const;
 

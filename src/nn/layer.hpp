@@ -55,8 +55,8 @@ class Layer {
   /// Appends this layer's non-trainable evaluation state (e.g. batch-norm
   /// running statistics) to `out`.  Stateless layers append nothing.  Used to
   /// replicate a model's full eval-mode behaviour into a clone (the engine's
-  /// parallel evaluation path); layers with children must forward the call in
-  /// a fixed order matching load_buffers.
+  /// eval replicas); layers with children must forward the call in a fixed
+  /// order matching load_buffers.
   virtual void save_buffers(std::vector<float>& out) const { (void)out; }
 
   /// Restores state written by save_buffers from the front of `in`; returns

@@ -1,5 +1,6 @@
 #include "nn/model.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 
@@ -63,28 +64,42 @@ std::size_t Model::num_classes() const {
 
 void Model::ensure_activations(
     const std::vector<std::size_t>& batch_input_shape) {
+  // forward() has checked the per-sample shape, so the batch size alone
+  // keys the cache.  resize keeps each tensor's storage: a model that
+  // alternates between batch sizes reallocates nothing once it has seen the
+  // largest.
   const std::size_t batch = batch_input_shape[0];
-  if (cached_batch_ == batch && !acts_.empty()) return;
-  acts_.clear();
-  dacts_.clear();
+  if (cached_batch_ == batch) return;
+  acts_.resize(layers_.size());
   std::vector<std::size_t> shape = batch_input_shape;
-  acts_.reserve(layers_.size());
-  dacts_.reserve(layers_.size());
-  for (const auto& layer : layers_) {
-    shape = layer->output_shape(shape);
-    acts_.emplace_back(shape);
-    dacts_.emplace_back(shape);
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
+    shape = layers_[i]->output_shape(shape);
+    acts_[i].resize(shape);
   }
   cached_batch_ = batch;
 }
 
+void Model::ensure_gradients() {
+  // Backward writes the input gradient of every layer after the first
+  // trainable one: dacts_[i] for i in [first_trainable_, size - 1).  The
+  // logits' gradient is dlogits_.
+  dacts_.resize(layers_.size());
+  for (std::size_t i = first_trainable_; i + 1 < layers_.size(); ++i) {
+    dacts_[i].resize(acts_[i].shape());
+  }
+  dlogits_.resize(acts_.back().shape());
+}
+
 const Tensor& Model::forward(const Tensor& x, bool train) {
   if (!built_) throw std::logic_error("Model::forward before build");
-  if (x.rank() != input_shape_.size() + 1) {
-    throw std::invalid_argument("Model::forward: input rank mismatch, got " +
-                                x.shape_str());
+  const auto& shape = x.shape();
+  if (shape.size() != input_shape_.size() + 1 ||
+      !std::equal(input_shape_.begin(), input_shape_.end(),
+                  shape.begin() + 1)) {
+    throw std::invalid_argument("Model::forward: input " + x.shape_str() +
+                                " does not match the built sample shape");
   }
-  ensure_activations(x.shape());
+  ensure_activations(shape);
   const Tensor* cur = &x;
   for (std::size_t i = 0; i < layers_.size(); ++i) {
     layers_[i]->forward(*cur, acts_[i], train);
@@ -96,7 +111,7 @@ const Tensor& Model::forward(const Tensor& x, bool train) {
 double Model::train_batch(const Tensor& x,
                           std::span<const std::int32_t> labels) {
   const Tensor& logits = forward(x, /*train=*/true);
-  if (dlogits_.shape() != logits.shape()) dlogits_ = Tensor(logits.shape());
+  ensure_gradients();
   const double loss = softmax_cross_entropy(logits, labels, dlogits_);
 
   // Backward through the stack.  Layer i reads its input: acts_[i-1] (or x),

@@ -44,7 +44,9 @@ class Model {
 
   /// Forward + loss + backward on one mini-batch; gradients are ACCUMULATED
   /// into gradients() (call zero_grad() first).  `x` is (B, ...input_shape),
-  /// labels has length B.  Returns the mean loss.
+  /// labels has length B.  Returns the mean loss.  Every forward pass
+  /// (here, evaluate_batch, predict) throws std::invalid_argument when x's
+  /// per-sample shape is not input_shape().
   double train_batch(const Tensor& x, std::span<const std::int32_t> labels);
 
   /// Forward in eval mode; returns {mean loss, #correct}.
@@ -76,6 +78,7 @@ class Model {
 
  private:
   void ensure_activations(const std::vector<std::size_t>& batch_input_shape);
+  void ensure_gradients();
   const Tensor& forward(const Tensor& x, bool train);
 
   std::vector<std::unique_ptr<Layer>> layers_;
@@ -86,8 +89,11 @@ class Model {
   std::vector<std::size_t> input_shape_;
   bool built_ = false;
 
-  // acts_[0] is unused (the external input is layer 0's input);
-  // acts_[i] is the output of layer i-1.  dacts_ mirror shapes for backward.
+  // acts_[i] is the output of layer i (layer 0 reads the external input).
+  // dacts_[i] is the loss gradient with respect to acts_[i]; only
+  // train_batch sizes it, so forward-only passes (evaluate_batch, predict)
+  // never hold gradient storage at their batch size.  Both keep their
+  // storage across batch sizes (Tensor::resize).
   std::vector<Tensor> acts_;
   std::vector<Tensor> dacts_;
   Tensor dlogits_;

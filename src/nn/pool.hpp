@@ -1,6 +1,8 @@
 // Pooling layers for NCHW activations.
 #pragma once
 
+#include <cstdint>
+
 #include "nn/layer.hpp"
 
 namespace saps::nn {
@@ -23,7 +25,9 @@ class MaxPool2d final : public Layer {
 
  private:
   std::size_t window_;
-  std::vector<std::size_t> argmax_;  // flat input index of each output max
+  // Flat input index of each output max; forward rejects inputs of 2^32 or
+  // more elements.
+  std::vector<std::uint32_t> argmax_;
 };
 
 /// Global average pooling: (B, C, H, W) → (B, C).

@@ -75,16 +75,14 @@ std::vector<std::size_t> ResidualBlock::output_shape(
 }
 
 void ResidualBlock::forward(const Tensor& in, Tensor& out, bool train) {
+  // Every mid tensor is fully written below before it is read, so resizing
+  // (which keeps storage across batch sizes) changes no bit.
   const auto mid_shape = conv1_.output_shape(in.shape());
-  if (a_conv1_.shape() != mid_shape) {
-    a_conv1_ = Tensor(mid_shape);
-    a_bn1_ = Tensor(mid_shape);
-    a_relu1_ = Tensor(mid_shape);
-    a_conv2_ = Tensor(mid_shape);
-    a_bn2_ = Tensor(mid_shape);
-    a_skip_ = Tensor(mid_shape);
-    if (has_projection()) a_skip_conv_ = Tensor(mid_shape);
+  for (Tensor* t : {&a_conv1_, &a_bn1_, &a_relu1_, &a_conv2_, &a_bn2_}) {
+    t->resize(mid_shape);
   }
+  a_skip_.resize(mid_shape);
+  if (has_projection()) a_skip_conv_.resize(mid_shape);
 
   conv1_.forward(in, a_conv1_, train);
   bn1_.forward(a_conv1_, a_bn1_, train);
@@ -120,35 +118,42 @@ void ResidualBlock::backward(const Tensor& in, const Tensor& dout,
   if (relu_out_mask_.size() != n) {
     throw std::logic_error("ResidualBlock::backward before forward");
   }
+  // The gradient scratch persists across calls: each tensor is fully
+  // written before it is read (the ReLU gates and BatchNorm dx loops
+  // overwrite, the conv backwards zero-fill their din).
+  //
   // d(sum) through the output ReLU.
-  Tensor dsum(a_bn2_.shape());
+  dsum_.resize(a_bn2_.shape());
   for (std::size_t i = 0; i < n; ++i) {
-    dsum[i] = relu_out_mask_[i] ? dout[i] : 0.0f;
+    dsum_[i] = relu_out_mask_[i] ? dout[i] : 0.0f;
   }
 
   // Main path: dsum → bn2 → conv2 → relu1 → bn1 → conv1 → din (partial).
-  Tensor d_conv2(a_conv2_.shape());
-  bn2_.backward(a_conv2_, dsum, d_conv2);
-  Tensor d_relu1(a_relu1_.shape());
-  conv2_.backward(a_relu1_, d_conv2, d_relu1);
+  d_conv2_.resize(a_conv2_.shape());
+  bn2_.backward(a_conv2_, dsum_, d_conv2_);
+  d_relu1_.resize(a_relu1_.shape());
+  conv2_.backward(a_relu1_, d_conv2_, d_relu1_);
   for (std::size_t i = 0; i < n; ++i) {
-    if (!relu1_mask_[i]) d_relu1[i] = 0.0f;
+    if (!relu1_mask_[i]) d_relu1_[i] = 0.0f;
   }
-  Tensor d_conv1(a_conv1_.shape());
-  bn1_.backward(a_conv1_, d_relu1, d_conv1);
-  conv1_.backward(in, d_conv1, din);
+  d_conv1_.resize(a_conv1_.shape());
+  bn1_.backward(a_conv1_, d_relu1_, d_conv1_);
+  conv1_.backward(in, d_conv1_, din);
 
-  // Skip path adds into din.  An empty din (input gradient not wanted) is
-  // passed on to the convs, and the adds below then cover no elements.
+  // Skip path adds into din.  An empty din (input gradient not wanted) goes
+  // to the projection conv as is, and the identity add covers no elements.
   if (has_projection()) {
-    Tensor d_skip_conv(a_skip_conv_.shape());
-    bn_proj_->backward(a_skip_conv_, dsum, d_skip_conv);
-    Tensor d_in_skip;
-    if (!din.empty()) d_in_skip = Tensor(in.shape());
-    proj_->backward(in, d_skip_conv, d_in_skip);
-    for (std::size_t i = 0; i < din.numel(); ++i) din[i] += d_in_skip[i];
+    d_skip_conv_.resize(a_skip_conv_.shape());
+    bn_proj_->backward(a_skip_conv_, dsum_, d_skip_conv_);
+    if (din.empty()) {
+      proj_->backward(in, d_skip_conv_, din);
+      return;
+    }
+    d_in_skip_.resize(in.shape());
+    proj_->backward(in, d_skip_conv_, d_in_skip_);
+    for (std::size_t i = 0; i < din.numel(); ++i) din[i] += d_in_skip_[i];
   } else {
-    for (std::size_t i = 0; i < din.numel(); ++i) din[i] += dsum[i];
+    for (std::size_t i = 0; i < din.numel(); ++i) din[i] += dsum_[i];
   }
 }
 

@@ -44,6 +44,8 @@ class ResidualBlock final : public Layer {
   // Forward caches for backward.
   Tensor a_conv1_, a_bn1_, a_relu1_, a_conv2_, a_bn2_, a_skip_conv_, a_skip_;
   std::vector<unsigned char> relu1_mask_, relu_out_mask_;
+  // Backward scratch, kept across calls.
+  Tensor dsum_, d_conv2_, d_relu1_, d_conv1_, d_skip_conv_, d_in_skip_;
 };
 
 }  // namespace saps::nn

@@ -1,6 +1,7 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
 #include "data/partition.hpp"
@@ -395,23 +396,20 @@ void Engine::allreduce_average() {
   });
 }
 
-void Engine::eval_batches(nn::Model& model, std::size_t batch_begin,
+void Engine::eval_batches(EvalReplica& replica, std::size_t batch_begin,
                           std::size_t batch_end, std::vector<double>& losses,
                           std::vector<std::size_t>& corrects,
                           std::vector<std::size_t>& seens) {
-  Tensor x;
-  std::vector<std::int32_t> y;
-  std::vector<std::size_t> idx;
   for (std::size_t b = batch_begin; b < batch_end; ++b) {
     const std::size_t start = b * config_.eval_batch;
     const std::size_t end = std::min(start + config_.eval_batch, test_->size());
-    idx.resize(end - start);
-    for (std::size_t i = start; i < end; ++i) idx[i - start] = i;
-    test_->gather(idx, x, y);
-    const auto r = model.evaluate_batch(x, y);
+    replica.idx.resize(end - start);
+    std::iota(replica.idx.begin(), replica.idx.end(), start);
+    test_->gather(replica.idx, replica.x, replica.y);
+    const auto r = replica.model->evaluate_batch(replica.x, replica.y);
     losses[b] = r.loss;
     corrects[b] = r.correct;
-    seens[b] = idx.size();
+    seens[b] = end - start;
   }
 }
 
@@ -421,54 +419,38 @@ MetricPoint Engine::eval_point(std::size_t round, double epoch,
   if (params.empty()) {
     avg = average_params();
     params = avg;
+  } else if (params.size() != param_count()) {
+    throw std::invalid_argument("Engine::eval_point: got " +
+                                std::to_string(params.size()) +
+                                " parameters for a model of " +
+                                std::to_string(param_count()));
   }
   const std::size_t batches =
       (test_->size() + config_.eval_batch - 1) / config_.eval_batch;
   std::vector<double> losses(batches, 0.0);
   std::vector<std::size_t> corrects(batches, 0), seens(batches, 0);
 
-  // Evaluation state: the given parameters plus the lowest-ranked resident
-  // worker's batch-norm running statistics (locally trained buffer state, as
-  // in the serial single-model path; worker 0 outside cohort mode).
-  auto& model = *models_[slot_of_[roster_.front()]];
+  // Evaluation runs on dedicated replicas, never on a training one: one
+  // serially, at most kMaxEvalClones on a pool, each evaluating a
+  // contiguous batch range with `params` and the lowest resident worker's
+  // batch-norm running statistics (worker 0 outside cohort mode).  Partials
+  // are reduced below in batch order, so the result is bit-identical for
+  // every thread count.
   const std::size_t blocks =
       pool_ ? std::min({batches, pool_->size(), kMaxEvalClones})
             : std::size_t{1};
-  if (blocks > 1) {
-    // Parallel path: worker 0's model (block 0, reusing its activation
-    // scratch) plus at most kMaxEvalClones - 1 factory clones evaluate
-    // disjoint contiguous batch ranges — memory stays bounded no matter how
-    // large the pool is.  Partials are reduced below in batch order, so the
-    // result is bit-identical to the serial path.
-    while (eval_models_.size() < blocks - 1) {
-      eval_models_.push_back(std::make_unique<nn::Model>(factory_()));
-    }
-    const auto buffers = model.buffers();
-    const auto live = model.parameters();
-    std::vector<float> saved(live.begin(), live.end());
-    std::copy(params.begin(), params.end(), live.begin());
-    pool_->parallel_for(blocks, [&](std::size_t b) {
-      const std::size_t begin = b * batches / blocks;
-      const std::size_t end = (b + 1) * batches / blocks;
-      nn::Model* m = &model;
-      if (b > 0) {
-        m = eval_models_[b - 1].get();
-        const auto clone_live = m->parameters();
-        std::copy(params.begin(), params.end(), clone_live.begin());
-        m->set_buffers(buffers);
-      }
-      eval_batches(*m, begin, end, losses, corrects, seens);
-    });
-    std::copy(saved.begin(), saved.end(), live.begin());
-  } else {
-    // Serial path: evaluate through worker 0's model directly (parameters
-    // are swapped in and restored).
-    const auto live = model.parameters();
-    std::vector<float> saved(live.begin(), live.end());
-    std::copy(params.begin(), params.end(), live.begin());
-    eval_batches(model, 0, batches, losses, corrects, seens);
-    std::copy(saved.begin(), saved.end(), live.begin());
+  while (eval_replicas_.size() < blocks) {
+    eval_replicas_.push_back({std::make_unique<nn::Model>(factory_())});
   }
+  const auto buffers = models_[slot_of_[roster_.front()]]->buffers();
+  parallel_for(blocks, [&](std::size_t b) {
+    EvalReplica& replica = eval_replicas_[b];
+    const auto live = replica.model->parameters();
+    std::copy(params.begin(), params.end(), live.begin());
+    replica.model->set_buffers(buffers);
+    eval_batches(replica, b * batches / blocks, (b + 1) * batches / blocks,
+                 losses, corrects, seens);
+  });
 
   double loss_sum = 0.0;
   std::size_t correct = 0, seen = 0;

@@ -107,9 +107,9 @@ struct RunResult {
 
 /// Builds a fresh model; must produce identical weights on every call (seed
 /// captured inside), so all workers start from the same x_0.  The engine
-/// stores a copy and may invoke it for the ENGINE'S LIFETIME (per-thread
-/// eval clones are built lazily on the first pooled evaluation), so capture
-/// by value — a by-reference capture of a local dangles.
+/// stores a copy and may invoke it for the ENGINE'S LIFETIME (eval replicas
+/// are built lazily on the first evaluation), so capture by value — a
+/// by-reference capture of a local dangles.
 using ModelFactory = std::function<nn::Model()>;
 
 class Engine {
@@ -237,6 +237,10 @@ class Engine {
 
   /// Evaluates `params` (default: average_params()) on the test set and
   /// returns a MetricPoint stamped with the engine's traffic/time counters.
+  /// Throws std::invalid_argument when a non-empty `params` is not
+  /// param_count() long.  Training replicas are only read (their parameters
+  /// for the default average, the lowest resident worker's batch-norm
+  /// statistics): evaluation never changes a run.
   MetricPoint eval_point(std::size_t round, double epoch,
                          std::span<const float> params = {});
 
@@ -252,9 +256,18 @@ class Engine {
   [[nodiscard]] double consensus_distance() const;
 
  private:
+  /// A forward-only model replica for evaluation, with its batch scratch:
+  /// the input tensor keeps its storage across eval points.
+  struct EvalReplica {
+    std::unique_ptr<nn::Model> model;
+    Tensor x;
+    std::vector<std::int32_t> y;
+    std::vector<std::size_t> idx;
+  };
+
   /// Per-batch eval partials for [batch_begin, batch_end), written into the
   /// caller-provided per-batch vectors; reduced in batch order by eval_point.
-  void eval_batches(nn::Model& model, std::size_t batch_begin,
+  void eval_batches(EvalReplica& replica, std::size_t batch_begin,
                     std::size_t batch_end, std::vector<double>& losses,
                     std::vector<std::size_t>& corrects,
                     std::vector<std::size_t>& seens);
@@ -312,13 +325,12 @@ class Engine {
   std::unique_ptr<Fabric> fabric_;
   std::size_t steps_per_epoch_ = 0;
   std::unique_ptr<ThreadPool> pool_;
-  // Parallel evaluation runs on worker 0's model (sharing its existing
-  // activation scratch) plus at most kMaxEvalClones - 1 lazily built factory
-  // clones — NOT one clone per pool thread; each clone gets worker 0's
-  // parameters and buffers copied in before use so results match the serial
-  // path bit-for-bit.
+  // Evaluation replicas, built lazily by eval_point: one when serial, at
+  // most kMaxEvalClones on a pool (NOT one per pool thread), so eval memory
+  // is bounded however large the pool is.  Training replicas never run an
+  // eval batch.
   static constexpr std::size_t kMaxEvalClones = 4;
-  std::vector<std::unique_ptr<nn::Model>> eval_models_;
+  std::vector<EvalReplica> eval_replicas_;
   std::function<void(const MetricPoint&)> metric_observer_;
 
   // Per-worker batch scratch (needed for thread-parallel local steps).

@@ -70,6 +70,16 @@ class Tensor {
     shape_ = std::move(shape);
   }
 
+  /// Gives the tensor `shape`, keeping its storage: elements up to the
+  /// smaller numel keep their values, grown elements are zero, and the
+  /// capacity never shrinks, so a buffer sized once for the largest shape
+  /// it sees never reallocates.  A no-op when the shape is unchanged.
+  void resize(const std::vector<std::size_t>& shape) {
+    if (shape == shape_) return;
+    data_.resize(checked_numel(shape));
+    shape_ = shape;
+  }
+
   [[nodiscard]] std::string shape_str() const {
     std::string s = "[";
     for (std::size_t i = 0; i < shape_.size(); ++i) {

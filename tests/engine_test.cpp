@@ -1,7 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "data/synthetic.hpp"
 #include "nn/models.hpp"
+#include "scenario/registry.hpp"
+#include "scenario/runner.hpp"
+#include "scenario/spec.hpp"
 #include "sim/engine.hpp"
 #include "test_util.hpp"
 
@@ -97,6 +105,116 @@ TEST(Engine, EvalPointTracksNetworkCounters) {
   EXPECT_DOUBLE_EQ(p.epoch, 0.5);
   EXPECT_NEAR(p.worker_mb, 6.0 / 3.0, 1e-9);  // 3 MB up + 3 MB down over 3
   EXPECT_GT(p.accuracy, 0.0);
+}
+
+TEST(Engine, EvalPointRejectsWrongSizeParameters) {
+  SimConfig cfg;
+  cfg.workers = 3;
+  auto engine = make_engine(cfg);
+  const std::vector<float> short_params(engine.param_count() - 1, 0.0f);
+  const std::vector<float> long_params(engine.param_count() + 1, 0.0f);
+  EXPECT_THROW(engine.eval_point(1, 0.5, short_params), std::invalid_argument);
+  EXPECT_THROW(engine.eval_point(1, 0.5, long_params), std::invalid_argument);
+  const auto p0 = engine.params(0);
+  const std::vector<float> exact(p0.begin(), p0.end());
+  EXPECT_NO_THROW(engine.eval_point(1, 0.5, exact));
+}
+
+// A spec-driven run with its engine kept, so every resident worker's final
+// parameters can be compared.  With `extra_evals`, every evaluation the
+// algorithm makes is followed by one more, of the resident workers'
+// average, through the metric observer.
+struct KeptRun {
+  std::vector<std::size_t> roster;
+  std::vector<std::vector<float>> params;
+  MetricPoint final;
+  std::size_t eval_points = 0;
+};
+
+KeptRun run_spec(const std::string& text, std::size_t threads,
+                 bool extra_evals = false) {
+  auto spec = scenario::parse_spec_text(text);
+  spec.threads = threads;
+  scenario::Runner runner(spec);
+  const auto& s = runner.spec();  // finalized
+  const auto& registry = scenario::Registry::instance();
+  const auto& entry = registry.algorithm(s.algorithms.at(0));
+  const auto params = scenario::resolve_entry_params(entry.params, s.params);
+  auto algorithm = entry.make(params, {});
+  auto engine = runner.make_engine();
+  KeptRun run;
+  bool nested = false;
+  engine.set_metric_observer([&](const MetricPoint& p) {
+    ++run.eval_points;
+    if (!extra_evals || nested) return;
+    nested = true;
+    (void)engine.eval_point(p.round, p.epoch);
+    nested = false;
+  });
+  run.final = algorithm->run(engine).final();
+  for (const auto w : engine.roster()) {
+    const auto p = engine.params(w);
+    run.roster.push_back(w);
+    run.params.emplace_back(p.begin(), p.end());
+  }
+  return run;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(Engine, EvaluationNeverChangesARun) {
+  // More evaluation must leave training untouched: both runs of each pair
+  // end with bit-identical parameters on every resident worker and the same
+  // final metrics.  SAPS runs eval-every=1 against its default
+  // once-per-epoch cadence.  FedAvg evaluates its global model after every
+  // round by design, so its second run adds an evaluation of other
+  // parameters (the resident average) after each of those.  Eval batches of
+  // 24 over 100 test samples make five batches, the last one short, so a
+  // 4-thread engine spreads them over four eval replicas.
+  const std::string common =
+      "workload=cifar\n"
+      "workers=4\n"
+      "epochs=2\n"
+      "samples=60\n"
+      "test-samples=100\n"
+      "batch=10\n"
+      "seed=42\n"
+      "eval-batch=24\n";
+  const std::string saps_lines =
+      "algorithm=saps\n"
+      "bandwidth=uniform\n"
+      "bandwidth-seed=123\n";
+  const std::string fedavg_lines =
+      "algorithm=fedavg\n"
+      "population=16\n"
+      "cohort=8\n";
+  const std::string saps = common + saps_lines;
+  const std::string fedavg = common + fedavg_lines;
+  const std::string every_round = saps + "eval-every=1\n";
+  for (const std::size_t threads : {0, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const std::pair<KeptRun, KeptRun> pairs[] = {
+        {run_spec(saps, threads), run_spec(every_round, threads)},
+        {run_spec(fedavg, threads), run_spec(fedavg, threads, true)},
+    };
+    for (const auto& [base, more] : pairs) {
+      ASSERT_GT(more.eval_points, base.eval_points);
+      ASSERT_EQ(more.roster, base.roster);
+      for (std::size_t i = 0; i < base.params.size(); ++i) {
+        EXPECT_TRUE(same_bits(more.params[i], base.params[i]))
+            << "worker " << base.roster[i];
+      }
+      EXPECT_TRUE(same_bits(more.final.loss, base.final.loss));
+      EXPECT_TRUE(same_bits(more.final.accuracy, base.final.accuracy));
+    }
+  }
 }
 
 TEST(Engine, InactiveWorkersExcludedFromAverage) {

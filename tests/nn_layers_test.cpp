@@ -6,6 +6,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <string>
 
 #include "nn/activation.hpp"
 #include "nn/batchnorm.hpp"
@@ -13,6 +14,7 @@
 #include "nn/linear.hpp"
 #include "nn/pool.hpp"
 #include "nn/residual.hpp"
+#include "tensor/ops.hpp"
 #include "util/rng.hpp"
 
 namespace saps::nn {
@@ -224,38 +226,63 @@ void maxpool_oracle(const Tensor& in, std::size_t window, Tensor& out,
 }
 
 TEST(MaxPool2d, TwoByTwoPathMatchesGenericLoopOnTiesInfAndNaN) {
-  // Odd extents leave a trailing row and column out of every window.
-  const std::vector<std::size_t> in_shape{2, 3, 7, 9};
   const float inf = std::numeric_limits<float>::infinity();
   const float nan = std::numeric_limits<float>::quiet_NaN();
   // Values drawn from a small pool, so windows hold ties (±0 among them),
   // -inf, NaN, and windows with nothing above -inf.
   const float pool[] = {1.0f, 1.0f, 0.0f, -0.0f, -2.0f, 3.0f, -inf, nan};
-  Tensor in(in_shape);
-  Rng rng(77);
-  for (std::size_t i = 0; i < in.numel(); ++i) in[i] = pool[rng() % 8];
-  for (std::size_t i : {0, 1, 9, 10}) in[i] = nan;    // all-NaN window
-  for (std::size_t i : {2, 3, 11, 12}) in[i] = -inf;  // all -inf window
-
   MaxPool2d layer(2);
-  const auto out_shape = layer.output_shape(in_shape);
-  Tensor got(out_shape), want(out_shape);
-  std::vector<std::size_t> argmax;
-  layer.forward(in, got, true);
-  maxpool_oracle(in, 2, want, argmax);
-  EXPECT_TRUE(same_bits(got.data(), want.data(), got.numel()));
+  // Both kernel backends: the AVX2 clone of the 2×2 path and its portable
+  // twin.
+  for (const auto be : {ops::GemmBackend::kAvx2, ops::GemmBackend::kPortable}) {
+    if (!ops::gemm_backend_available(be)) continue;
+    ops::set_gemm_backend(be);
+    SCOPED_TRACE(be == ops::GemmBackend::kAvx2 ? "avx2" : "portable");
+    // Output widths on both sides of the 4- and 8-wide vector lengths; an
+    // odd extent leaves a trailing row and column out of every window.
+    for (const std::size_t ow : {1, 3, 4, 7, 8, 9, 16, 17}) {
+      for (const std::size_t odd : {0, 1}) {
+        const std::size_t oh = 3, h = 2 * oh + odd, w = 2 * ow + odd;
+        SCOPED_TRACE("ow=" + std::to_string(ow) +
+                     " odd=" + std::to_string(odd));
+        const std::vector<std::size_t> in_shape{2, 3, h, w};
+        Tensor in(in_shape);
+        Rng rng(77 + ow + odd);
+        for (std::size_t i = 0; i < in.numel(); ++i) in[i] = pool[rng() % 8];
+        // Planes 4 and 5 end in an all-NaN and an all -inf window: both
+        // report their plane's first element, not their own first element
+        // nor flat index 0.
+        const std::size_t last = (2 * oh - 2) * w + 2 * ow - 2;
+        for (const std::size_t d : {std::size_t{0}, std::size_t{1}, w, w + 1}) {
+          in[4 * h * w + last + d] = nan;
+          in[5 * h * w + last + d] = -inf;
+        }
 
-  // argmax_ is observed through backward: each output's distinct gradient
-  // lands on the input element it selected.
-  Tensor dout(out_shape), din(in_shape), din_want(in_shape);
-  for (std::size_t i = 0; i < dout.numel(); ++i) {
-    dout[i] = static_cast<float>(i + 1);
+        const auto out_shape = layer.output_shape(in_shape);
+        Tensor got(out_shape), want(out_shape);
+        std::vector<std::size_t> argmax;
+        layer.forward(in, got, true);
+        maxpool_oracle(in, 2, want, argmax);
+        EXPECT_TRUE(same_bits(got.data(), want.data(), got.numel()));
+        const std::size_t windows = oh * ow;
+        EXPECT_EQ(argmax[5 * windows - 1], 4 * h * w);
+        EXPECT_EQ(argmax[6 * windows - 1], 5 * h * w);
+
+        // argmax_ is observed through backward: each output's distinct
+        // gradient lands on the input element it selected.
+        Tensor dout(out_shape), din(in_shape), din_want(in_shape);
+        for (std::size_t i = 0; i < dout.numel(); ++i) {
+          dout[i] = static_cast<float>(i + 1);
+        }
+        layer.backward(in, dout, din);
+        for (std::size_t i = 0; i < argmax.size(); ++i) {
+          din_want[argmax[i]] += dout[i];
+        }
+        EXPECT_TRUE(same_bits(din.data(), din_want.data(), din.numel()));
+      }
+    }
   }
-  layer.backward(in, dout, din);
-  for (std::size_t i = 0; i < argmax.size(); ++i) {
-    din_want[argmax[i]] += dout[i];
-  }
-  EXPECT_TRUE(same_bits(din.data(), din_want.data(), din.numel()));
+  ops::set_gemm_backend(ops::GemmBackend::kAuto);
 }
 
 TEST(GlobalAvgPool, GradCheck) {

@@ -145,6 +145,20 @@ TEST(Model, RejectsBadInput) {
   EXPECT_THROW(model.evaluate_batch(bad, y), std::invalid_argument);
 }
 
+TEST(Model, RejectsNewSampleShapeAfterWarmCall) {
+  // The activation cache is keyed on batch size: a warm model fed another
+  // per-sample shape at the same batch size must throw, not run layers
+  // into activations sized for the built shape.
+  auto model = make_mlp({8}, {16}, 4, 3);
+  const std::vector<std::int32_t> y = {0, 1};
+  EXPECT_NO_THROW(model.evaluate_batch(Tensor({2, 8}), y));
+  EXPECT_THROW(model.evaluate_batch(Tensor({2, 4096}), y),
+               std::invalid_argument);
+  EXPECT_THROW(model.train_batch(Tensor({2, 4096}), y), std::invalid_argument);
+  EXPECT_THROW(model.predict(Tensor({2, 8, 1})), std::invalid_argument);
+  EXPECT_NO_THROW(model.train_batch(Tensor({2, 8}), y));
+}
+
 TEST(Model, TinyModelsBuild) {
   auto cnn = make_tiny_cnn(1, 12, 10, 5);
   EXPECT_GT(cnn.param_count(), 1000u);

@@ -1,8 +1,11 @@
 // Allocation-count tests for the training/compression hot paths: the
 // per-round kernels must be allocation-free at steady state (persistent
 // scratch, buffer swaps) apart from buffers whose ownership is handed to the
-// caller.  Global operator new/new[] are replaced with counting versions for
-// this binary; each test warms its path up, then measures a tight window.
+// caller, and a model that alternates between training and evaluation batch
+// sizes must make no large allocation.  Global operator new/new[] are
+// replaced with counting versions for this binary (counting all
+// allocations, and separately the large ones); each test warms its path up,
+// then measures a tight window.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,24 +20,34 @@
 #include "compress/quantize.hpp"
 #include "compress/topk.hpp"
 #include "nn/conv2d.hpp"
+#include "nn/models.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
 #include "util/rng.hpp"
 
 namespace {
+// Allocations of at least this many bytes also count as large: buffers of
+// that size are activations and scratch, not shape vectors or strings.
+constexpr std::size_t kLargeAlloc = 4096;
 std::atomic<std::size_t> g_alloc_count{0};
-}  // namespace
+std::atomic<std::size_t> g_large_alloc_count{0};
 
-void* operator new(std::size_t size) {
+void* counted_malloc(std::size_t size) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  if (size >= kLargeAlloc) {
+    g_large_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  }
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
+}  // namespace
+
+void* operator new(std::size_t size) {
+  return counted_malloc(size);
+}
 
 void* operator new[](std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
+  return counted_malloc(size);
 }
 
 // Kept out of line: once GCC inlines a delete next to a call of the
@@ -61,6 +74,10 @@ std::vector<float> random_vec(std::size_t n, std::uint64_t seed) {
 
 std::size_t allocations() {
   return g_alloc_count.load(std::memory_order_relaxed);
+}
+
+std::size_t large_allocations() {
+  return g_large_alloc_count.load(std::memory_order_relaxed);
 }
 
 TEST(ErrorFeedbackTopK, CompressAllocatesOnlyTheReturnedVectors) {
@@ -299,6 +316,73 @@ TEST(Conv2d, BackwardWithoutInputGradientNeverSizesColumnGradient) {
   before = allocations();
   conv.backward(in, dout, din);
   EXPECT_EQ(allocations() - before, 1u);
+}
+
+// Random inputs and labels for a (batch, 3, 16, 16) model input.
+struct Batch {
+  Tensor x;
+  std::vector<std::int32_t> y;
+};
+
+Batch random_batch(std::size_t batch, std::uint64_t seed) {
+  const auto v = random_vec(batch * 3 * 16 * 16, seed);
+  Batch b{Tensor({batch, 3, 16, 16}, v), std::vector<std::int32_t>(batch)};
+  for (std::size_t i = 0; i < batch; ++i) {
+    b.y[i] = static_cast<std::int32_t>((seed + i) % 10);
+  }
+  return b;
+}
+
+// A model that trains at batch 10 and evaluates at 256 and then 144 (a
+// 400-sample test set) keeps its activation storage across the swings:
+// once warm, the cycle makes no allocation of kLargeAlloc bytes or more.
+void expect_cycle_without_large_allocations(nn::Model& model) {
+  const auto train = random_batch(10, 71);
+  const auto full = random_batch(256, 73);
+  const auto tail = random_batch(144, 79);
+  const auto cycle = [&] {
+    model.zero_grad();
+    (void)model.train_batch(train.x, train.y);
+    (void)model.evaluate_batch(full.x, full.y);
+    (void)model.evaluate_batch(tail.x, tail.y);
+    model.zero_grad();
+    (void)model.train_batch(train.x, train.y);
+  };
+  cycle();  // warm the activations, scratch and GEMM pack buffers
+  const std::size_t before = large_allocations();
+  cycle();
+  cycle();
+  EXPECT_EQ(large_allocations() - before, 0u);
+}
+
+TEST(Model, TinyCnnTrainEvalCycleMakesNoLargeAllocation) {
+  auto model = nn::make_tiny_cnn(3, 16, 10, /*seed=*/67);
+  expect_cycle_without_large_allocations(model);
+}
+
+TEST(Model, TinyResnetTrainEvalCycleMakesNoLargeAllocation) {
+  // Covers ResidualBlock's persistent forward and backward scratch.
+  auto model = nn::make_tiny_resnet(3, 16, 10, /*seed=*/83);
+  expect_cycle_without_large_allocations(model);
+}
+
+TEST(Model, EvaluationNeverSizesGradientTensors) {
+  // An evaluation at a new batch size grows the activations only, so the
+  // first training step at that size still has its gradient tensors to
+  // size.  A twin that already trained at that size has warmed the
+  // thread-local GEMM pack buffers, so only the model's own tensors are
+  // left to count.
+  const auto train = random_batch(10, 97);
+  const auto full = random_batch(256, 101);
+  auto twin = nn::make_tiny_cnn(3, 16, 10, /*seed=*/89);
+  (void)twin.train_batch(full.x, full.y);
+
+  auto model = nn::make_tiny_cnn(3, 16, 10, /*seed=*/89);
+  (void)model.train_batch(train.x, train.y);
+  (void)model.evaluate_batch(full.x, full.y);
+  const std::size_t before = large_allocations();
+  (void)model.train_batch(full.x, full.y);
+  EXPECT_GT(large_allocations() - before, 0u);
 }
 
 TEST(Gemm, PackScratchIsReusedAcrossCalls) {

@@ -233,8 +233,8 @@ TEST(ThreadInvariance, TopkBitIdenticalAcrossBackendsAndThreads) {
 }
 
 TEST(ThreadInvariance, EvalPointBitIdenticalAcrossThreadCounts) {
-  // Isolates the evaluation path: identical trained state, eval with and
-  // without the pool's per-thread clone models.
+  // Isolates the evaluation path: identical trained state, evaluated on one
+  // eval replica and on the pool's several.
   auto serial = make_engine(0, false);
   auto pooled = make_engine(4, false);
   for (std::size_t w = 0; w < serial.workers(); ++w) {
