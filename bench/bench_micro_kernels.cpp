@@ -1,18 +1,20 @@
 // google-benchmark micro-benchmarks for the kernels on the training and
 // communication hot paths: mask generation, masked extraction/merge, top-k
 // selection, GEMM, im2col/col2im, the 2×2 max-pool, one tiny-CNN training
-// step and a train/eval batch-size cycle, blossom matching, and full
-// gossip-matrix generation.
+// step, a train/eval batch-size cycle and a serial engine's round-robin
+// local steps, blossom matching, and full gossip-matrix generation.
 #include <benchmark/benchmark.h>
 
 #include "compress/mask.hpp"
 #include "compress/quantize.hpp"
 #include "compress/topk.hpp"
+#include "data/synthetic.hpp"
 #include "gossip/generator.hpp"
 #include "graph/matching.hpp"
 #include "net/bandwidth.hpp"
 #include "nn/models.hpp"
 #include "nn/pool.hpp"
+#include "sim/engine.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
 #include "util/rng.hpp"
@@ -318,6 +320,32 @@ void BM_TinyCnnEvalCycle(benchmark::State& state) {
                           (10 + 256 + 144 + 10));
 }
 BENCHMARK(BM_TinyCnnEvalCycle);
+
+// One local SGD step per worker of a serial engine, round-robin as the
+// serial engine runs them: the tiny CNN at batch 10 on 3×16×16 images, with
+// the worker count as the argument.  Every step runs on the same executor,
+// so the per-step cost should not grow with the number of workers whose
+// state it is bound to in turn.
+void BM_SerialLocalSteps(benchmark::State& state) {
+  const auto workers = static_cast<std::size_t>(state.range(0));
+  const auto train = saps::data::make_cifar_like(workers * 40, 27, 16);
+  const auto test = saps::data::make_cifar_like(10, 27, 16);
+  saps::sim::SimConfig cfg;
+  cfg.workers = workers;
+  cfg.batch_size = 10;
+  cfg.seed = 28;
+  saps::sim::Engine engine(
+      cfg, train, test, [] { return saps::nn::make_tiny_cnn(3, 16, 10, 28); },
+      std::nullopt);
+  for (auto _ : state) {
+    for (std::size_t w = 0; w < workers; ++w) {
+      benchmark::DoNotOptimize(engine.sgd_step(w, 0));
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(workers));
+}
+BENCHMARK(BM_SerialLocalSteps)->Arg(2)->Arg(32);
 
 // QSGD stochastic quantization (norm pass + draws + elementwise quantize).
 void BM_QuantizeEncode(benchmark::State& state) {

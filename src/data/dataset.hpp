@@ -94,10 +94,4 @@ class BatchSampler {
   void reshuffle();
 };
 
-/// Evaluates a model over a whole dataset in batches.
-struct EvalStats {
-  double loss = 0.0;
-  double accuracy = 0.0;  // in [0, 1]
-};
-
 }  // namespace saps::data

@@ -10,7 +10,7 @@ namespace saps::nn {
 class ReLU final : public Layer {
  public:
   [[nodiscard]] std::size_t param_count() const noexcept override { return 0; }
-  void bind(std::span<float>, std::span<float>) override {}
+  void bind(std::span<float>, std::span<float>, std::span<float>) override {}
   void init(Rng&) override {}
   [[nodiscard]] std::vector<std::size_t> output_shape(
       const std::vector<std::size_t>& in_shape) const override {
@@ -25,7 +25,7 @@ class ReLU final : public Layer {
 class Flatten final : public Layer {
  public:
   [[nodiscard]] std::size_t param_count() const noexcept override { return 0; }
-  void bind(std::span<float>, std::span<float>) override {}
+  void bind(std::span<float>, std::span<float>, std::span<float>) override {}
   void init(Rng&) override {}
   [[nodiscard]] std::vector<std::size_t> output_shape(
       const std::vector<std::size_t>& in_shape) const override;

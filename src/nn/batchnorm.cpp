@@ -1,48 +1,34 @@
 #include "nn/batchnorm.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
 namespace saps::nn {
 
 BatchNorm2d::BatchNorm2d(std::size_t channels, float momentum, float eps)
-    : channels_(channels),
-      momentum_(momentum),
-      eps_(eps),
-      running_mean_(channels, 0.0f),
-      running_var_(channels, 1.0f) {
+    : channels_(channels), momentum_(momentum), eps_(eps) {
   if (channels == 0) throw std::invalid_argument("BatchNorm2d: zero channels");
 }
 
-void BatchNorm2d::bind(std::span<float> params, std::span<float> grads) {
-  if (params.size() != param_count() || grads.size() != param_count()) {
+void BatchNorm2d::bind(std::span<float> params, std::span<float> grads,
+                       std::span<float> buffers) {
+  if (params.size() != param_count() || grads.size() != param_count() ||
+      buffers.size() != buffer_count()) {
     throw std::invalid_argument("BatchNorm2d::bind: span size mismatch");
   }
   gamma_ = params.subspan(0, channels_);
   beta_ = params.subspan(channels_, channels_);
   dgamma_ = grads.subspan(0, channels_);
   dbeta_ = grads.subspan(channels_, channels_);
+  running_mean_ = buffers.subspan(0, channels_);
+  running_var_ = buffers.subspan(channels_, channels_);
 }
 
 void BatchNorm2d::init(Rng& /*rng*/) {
   for (auto& v : gamma_) v = 1.0f;
   for (auto& v : beta_) v = 0.0f;
-}
-
-void BatchNorm2d::save_buffers(std::vector<float>& out) const {
-  out.insert(out.end(), running_mean_.begin(), running_mean_.end());
-  out.insert(out.end(), running_var_.begin(), running_var_.end());
-}
-
-std::size_t BatchNorm2d::load_buffers(std::span<const float> in) {
-  if (in.size() < 2 * channels_) {
-    throw std::invalid_argument("BatchNorm2d::load_buffers: short span");
-  }
-  std::copy_n(in.begin(), channels_, running_mean_.begin());
-  std::copy_n(in.begin() + static_cast<std::ptrdiff_t>(channels_), channels_,
-              running_var_.begin());
-  return 2 * channels_;
+  for (auto& v : running_mean_) v = 0.0f;
+  for (auto& v : running_var_) v = 1.0f;
 }
 
 std::vector<std::size_t> BatchNorm2d::output_shape(

@@ -4,8 +4,8 @@
 // Note on distributed semantics: gamma/beta are trainable and live in the
 // model's flat parameter vector (so they are exchanged/sparsified like any
 // other parameter, as in the paper's full-model exchange).  Running mean/var
-// are local statistics and are NOT exchanged — matching how D-PSGD-style
-// systems treat buffer state.
+// live in the model's flat buffer vector: local statistics that are NOT
+// exchanged — matching how D-PSGD-style systems treat buffer state.
 #pragma once
 
 #include "nn/layer.hpp"
@@ -20,14 +20,16 @@ class BatchNorm2d final : public Layer {
   [[nodiscard]] std::size_t param_count() const noexcept override {
     return 2 * channels_;  // gamma, beta
   }
-  void bind(std::span<float> params, std::span<float> grads) override;
+  [[nodiscard]] std::size_t buffer_count() const noexcept override {
+    return 2 * channels_;  // running mean, running variance
+  }
+  void bind(std::span<float> params, std::span<float> grads,
+            std::span<float> buffers) override;
   void init(Rng& rng) override;
   [[nodiscard]] std::vector<std::size_t> output_shape(
       const std::vector<std::size_t>& in_shape) const override;
   void forward(const Tensor& in, Tensor& out, bool train) override;
   void backward(const Tensor& in, const Tensor& dout, Tensor& din) override;
-  void save_buffers(std::vector<float>& out) const override;
-  std::size_t load_buffers(std::span<const float> in) override;
   [[nodiscard]] const char* name() const noexcept override {
     return "BatchNorm2d";
   }
@@ -36,7 +38,7 @@ class BatchNorm2d final : public Layer {
   std::size_t channels_;
   float momentum_, eps_;
   std::span<float> gamma_, beta_, dgamma_, dbeta_;
-  std::vector<float> running_mean_, running_var_;
+  std::span<float> running_mean_, running_var_;
   // Cached from the training-mode forward for backward:
   std::vector<float> batch_mean_, batch_inv_std_, xhat_;
 };

@@ -21,7 +21,8 @@ Conv2d::Conv2d(std::size_t in_channels, std::size_t out_channels,
   }
 }
 
-void Conv2d::bind(std::span<float> params, std::span<float> grads) {
+void Conv2d::bind(std::span<float> params, std::span<float> grads,
+                  std::span<float> /*buffers*/) {
   if (params.size() != param_count() || grads.size() != param_count()) {
     throw std::invalid_argument("Conv2d::bind: span size mismatch");
   }

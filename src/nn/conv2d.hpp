@@ -14,7 +14,8 @@ class Conv2d final : public Layer {
     return out_channels_ * in_channels_ * kernel_ * kernel_ +
            (has_bias_ ? out_channels_ : 0);
   }
-  void bind(std::span<float> params, std::span<float> grads) override;
+  void bind(std::span<float> params, std::span<float> grads,
+            std::span<float> buffers) override;
   void init(Rng& rng) override;
   [[nodiscard]] std::vector<std::size_t> output_shape(
       const std::vector<std::size_t>& in_shape) const override;

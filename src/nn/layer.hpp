@@ -1,10 +1,13 @@
 // Layer interface for the src/nn substrate (our libtorch substitute).
 //
-// Parameter storage convention: the owning Model holds ONE flat parameter
-// vector and ONE flat gradient vector for the whole network (paper notation
-// x ∈ R^N).  Layers are bound to sub-spans of those vectors once at build
-// time via bind().  This makes the distributed algorithms trivial: masking,
-// averaging and SGD all operate on the flat vectors directly.
+// State storage convention: a Model holds ONE flat parameter vector, ONE
+// flat gradient vector and ONE flat buffer vector (non-trainable state such
+// as batch-norm running statistics) for the whole network (paper notation
+// x ∈ R^N for the parameters).  Layers are bound to sub-spans of those
+// vectors via bind(), and can be rebound to another model's vectors: a
+// layer keeps no state of its own beyond per-batch scratch.  This makes the
+// distributed algorithms trivial: masking, averaging and SGD all operate on
+// the flat vectors directly.
 //
 // Shape convention: activations are rank-2 (B, D) or rank-4 (B, C, H, W),
 // row-major.  forward() may cache whatever it needs for backward(); backward
@@ -27,11 +30,21 @@ class Layer {
   /// Number of trainable floats this layer (including children) needs.
   [[nodiscard]] virtual std::size_t param_count() const noexcept = 0;
 
-  /// Binds this layer to its slice of the model's flat parameter/gradient
-  /// vectors.  Called exactly once; spans have size param_count().
-  virtual void bind(std::span<float> params, std::span<float> grads) = 0;
+  /// Number of non-trainable state floats (e.g. batch-norm running
+  /// statistics) this layer (including children) needs.
+  [[nodiscard]] virtual std::size_t buffer_count() const noexcept {
+    return 0;
+  }
 
-  /// Initializes the bound parameters.
+  /// Binds this layer to its slices of a model's flat parameter, gradient
+  /// and buffer vectors, of sizes param_count(), param_count() and
+  /// buffer_count().  Called at build and again whenever the model is
+  /// rebound to other state; allocates nothing.  Layers with children bind
+  /// them in a fixed order.
+  virtual void bind(std::span<float> params, std::span<float> grads,
+                    std::span<float> buffers) = 0;
+
+  /// Initializes the bound parameters and buffers.
   virtual void init(Rng& rng) = 0;
 
   /// Output shape for a given input shape (excluding batch handling: the
@@ -51,20 +64,6 @@ class Layer {
   /// skipping that work while leaving its parameter gradients bit-identical;
   /// parameter-free layers never receive one.
   virtual void backward(const Tensor& in, const Tensor& dout, Tensor& din) = 0;
-
-  /// Appends this layer's non-trainable evaluation state (e.g. batch-norm
-  /// running statistics) to `out`.  Stateless layers append nothing.  Used to
-  /// replicate a model's full eval-mode behaviour into a clone (the engine's
-  /// eval replicas); layers with children must forward the call in a fixed
-  /// order matching load_buffers.
-  virtual void save_buffers(std::vector<float>& out) const { (void)out; }
-
-  /// Restores state written by save_buffers from the front of `in`; returns
-  /// the number of floats consumed (0 for stateless layers).
-  virtual std::size_t load_buffers(std::span<const float> in) {
-    (void)in;
-    return 0;
-  }
 
   /// Human-readable layer name for summaries.
   [[nodiscard]] virtual const char* name() const noexcept = 0;

@@ -14,7 +14,8 @@ Linear::Linear(std::size_t in_dim, std::size_t out_dim)
   }
 }
 
-void Linear::bind(std::span<float> params, std::span<float> grads) {
+void Linear::bind(std::span<float> params, std::span<float> grads,
+                  std::span<float> /*buffers*/) {
   if (params.size() != param_count() || grads.size() != param_count()) {
     throw std::invalid_argument("Linear::bind: span size mismatch");
   }

@@ -12,7 +12,8 @@ class Linear final : public Layer {
   [[nodiscard]] std::size_t param_count() const noexcept override {
     return in_dim_ * out_dim_ + out_dim_;
   }
-  void bind(std::span<float> params, std::span<float> grads) override;
+  void bind(std::span<float> params, std::span<float> grads,
+            std::span<float> buffers) override;
   void init(Rng& rng) override;
   [[nodiscard]] std::vector<std::size_t> output_shape(
       const std::vector<std::size_t>& in_shape) const override;

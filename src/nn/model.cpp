@@ -19,18 +19,15 @@ void Model::build(std::vector<std::size_t> input_shape, std::uint64_t seed) {
   if (layers_.empty()) throw std::logic_error("Model::build: no layers");
   input_shape_ = std::move(input_shape);
 
-  std::size_t total = 0;
-  for (const auto& layer : layers_) total += layer->param_count();
-  params_.assign(total, 0.0f);
-  grads_.assign(total, 0.0f);
-
-  std::size_t off = 0;
+  std::size_t total = 0, total_buffers = 0;
   for (const auto& layer : layers_) {
-    const std::size_t n = layer->param_count();
-    layer->bind(std::span<float>(params_).subspan(off, n),
-                std::span<float>(grads_).subspan(off, n));
-    off += n;
+    total += layer->param_count();
+    total_buffers += layer->buffer_count();
   }
+  own_params_.assign(total, 0.0f);
+  own_grads_.assign(total, 0.0f);
+  own_buffers_.assign(total_buffers, 0.0f);
+  bind_layers(own_params_, own_grads_, own_buffers_);
 
   Rng rng(seed);
   for (const auto& layer : layers_) layer->init(rng);
@@ -48,6 +45,31 @@ void Model::build(std::vector<std::size_t> input_shape, std::uint64_t seed) {
     throw std::logic_error("Model: final layer must produce (B, classes)");
   }
   built_ = true;
+}
+
+void Model::bind_layers(std::span<float> params, std::span<float> grads,
+                        std::span<float> buffers) {
+  std::size_t off = 0, buf_off = 0;
+  for (const auto& layer : layers_) {
+    const std::size_t n = layer->param_count(), nb = layer->buffer_count();
+    layer->bind(params.subspan(off, n), grads.subspan(off, n),
+                buffers.subspan(buf_off, nb));
+    off += n;
+    buf_off += nb;
+  }
+  params_ = params;
+  grads_ = grads;
+  buffers_ = buffers;
+}
+
+void Model::bind(std::span<float> params, std::span<float> grads,
+                 std::span<float> buffers) {
+  if (!built_) throw std::logic_error("Model::bind before build");
+  if (params.size() != params_.size() || grads.size() != params_.size() ||
+      buffers.size() != buffers_.size()) {
+    throw std::invalid_argument("Model::bind: span size mismatch");
+  }
+  bind_layers(params, grads, buffers);
 }
 
 void Model::zero_grad() noexcept {
@@ -143,20 +165,11 @@ Model::EvalResult Model::evaluate_batch(const Tensor& x,
 
 const Tensor& Model::predict(const Tensor& x) { return forward(x, false); }
 
-std::vector<float> Model::buffers() const {
-  std::vector<float> out;
-  for (const auto& layer : layers_) layer->save_buffers(out);
-  return out;
-}
-
 void Model::set_buffers(std::span<const float> state) {
-  std::size_t off = 0;
-  for (const auto& layer : layers_) {
-    off += layer->load_buffers(state.subspan(off));
-  }
-  if (off != state.size()) {
+  if (state.size() != buffers_.size()) {
     throw std::invalid_argument("Model::set_buffers: state size mismatch");
   }
+  std::copy(state.begin(), state.end(), buffers_.begin());
 }
 
 std::string Model::summary() const {

@@ -1,5 +1,8 @@
 // Sequential model with ONE flat parameter vector — the `x ∈ R^N` that the
-// distributed algorithms sparsify, exchange and average.
+// distributed algorithms sparsify, exchange and average — plus flat gradient
+// and buffer vectors.  A model can compute on state it does not own: bind()
+// points its layers at another model's vectors, while the activations and
+// layer scratch stay its own.
 #pragma once
 
 #include <cstdint>
@@ -20,15 +23,30 @@ class Model {
   /// Appends a layer.  Must be called before build().
   void add(std::unique_ptr<Layer> layer);
 
-  /// Allocates flat parameter/gradient storage, binds all layers, and
-  /// initializes parameters from `seed`.  `input_shape` excludes the batch
-  /// dimension, e.g. {1, 28, 28} or {784}.
+  /// Allocates flat parameter/gradient/buffer storage, binds all layers to
+  /// it, and initializes parameters and buffers from `seed`.  `input_shape`
+  /// excludes the batch dimension, e.g. {1, 28, 28} or {784}.
   void build(std::vector<std::size_t> input_shape, std::uint64_t seed);
 
   [[nodiscard]] bool built() const noexcept { return built_; }
   [[nodiscard]] std::size_t param_count() const noexcept {
     return params_.size();
   }
+  [[nodiscard]] std::size_t buffer_count() const noexcept {
+    return buffers_.size();
+  }
+
+  /// Points every layer at the given state, typically another built model's
+  /// parameters(), gradients() and buffers() of the same architecture:
+  /// `params` and `grads` of param_count() floats, `buffers` of
+  /// buffer_count().  Until the next bind, every pass reads and writes that
+  /// state, and parameters(), gradients() and buffers() return these spans;
+  /// the activations and layer scratch stay this model's own.  O(#layers)
+  /// and allocation-free.  Throws std::invalid_argument on a size mismatch,
+  /// leaving the binding as it was.  A built model starts bound to its own
+  /// storage.
+  void bind(std::span<float> params, std::span<float> grads,
+            std::span<float> buffers);
 
   /// The flat model vector x (paper notation) and its gradient ∇x.
   [[nodiscard]] std::span<float> parameters() noexcept { return params_; }
@@ -65,18 +83,24 @@ class Model {
   }
   [[nodiscard]] std::size_t num_classes() const;
 
-  /// Concatenated non-trainable evaluation state of all layers (batch-norm
+  /// The flat non-trainable evaluation state of all layers (batch-norm
   /// running statistics); empty for buffer-free models.  Together with
   /// parameters(), this is the complete eval-mode state of the network.
-  [[nodiscard]] std::vector<float> buffers() const;
-  /// Restores state captured by buffers() from an architecturally identical
-  /// model; throws on size mismatch.
+  [[nodiscard]] std::span<float> buffers() noexcept { return buffers_; }
+  [[nodiscard]] std::span<const float> buffers() const noexcept {
+    return buffers_;
+  }
+  /// Copies `state` (buffers() of an architecturally identical model) into
+  /// buffers(); throws std::invalid_argument unless it is buffer_count()
+  /// long.
   void set_buffers(std::span<const float> state);
 
   /// One-line-per-layer summary.
   [[nodiscard]] std::string summary() const;
 
  private:
+  void bind_layers(std::span<float> params, std::span<float> grads,
+                   std::span<float> buffers);
   void ensure_activations(const std::vector<std::size_t>& batch_input_shape);
   void ensure_gradients();
   const Tensor& forward(const Tensor& x, bool train);
@@ -85,7 +109,10 @@ class Model {
   // Backward stops at this layer: the first one with parameters
   // (layers_.size() when none has any).
   std::size_t first_trainable_ = 0;
-  std::vector<float> params_, grads_;
+  // The storage build() allocates, and the state the layers are bound to
+  // (this storage until bind() points them elsewhere).
+  std::vector<float> own_params_, own_grads_, own_buffers_;
+  std::span<float> params_, grads_, buffers_;
   std::vector<std::size_t> input_shape_;
   bool built_ = false;
 

@@ -13,7 +13,7 @@ class MaxPool2d final : public Layer {
   explicit MaxPool2d(std::size_t window);
 
   [[nodiscard]] std::size_t param_count() const noexcept override { return 0; }
-  void bind(std::span<float>, std::span<float>) override {}
+  void bind(std::span<float>, std::span<float>, std::span<float>) override {}
   void init(Rng&) override {}
   [[nodiscard]] std::vector<std::size_t> output_shape(
       const std::vector<std::size_t>& in_shape) const override;
@@ -34,7 +34,7 @@ class MaxPool2d final : public Layer {
 class GlobalAvgPool final : public Layer {
  public:
   [[nodiscard]] std::size_t param_count() const noexcept override { return 0; }
-  void bind(std::span<float>, std::span<float>) override {}
+  void bind(std::span<float>, std::span<float>, std::span<float>) override {}
   void init(Rng&) override {}
   [[nodiscard]] std::vector<std::size_t> output_shape(
       const std::vector<std::size_t>& in_shape) const override;

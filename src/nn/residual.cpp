@@ -24,15 +24,25 @@ std::size_t ResidualBlock::param_count() const noexcept {
   return n;
 }
 
-void ResidualBlock::bind(std::span<float> params, std::span<float> grads) {
-  if (params.size() != param_count() || grads.size() != param_count()) {
+std::size_t ResidualBlock::buffer_count() const noexcept {
+  std::size_t n = bn1_.buffer_count() + bn2_.buffer_count();
+  if (has_projection()) n += bn_proj_->buffer_count();
+  return n;
+}
+
+void ResidualBlock::bind(std::span<float> params, std::span<float> grads,
+                         std::span<float> buffers) {
+  if (params.size() != param_count() || grads.size() != param_count() ||
+      buffers.size() != buffer_count()) {
     throw std::invalid_argument("ResidualBlock::bind: span size mismatch");
   }
-  std::size_t off = 0;
+  std::size_t off = 0, buf_off = 0;
   auto take = [&](Layer& layer) {
-    const std::size_t n = layer.param_count();
-    layer.bind(params.subspan(off, n), grads.subspan(off, n));
+    const std::size_t n = layer.param_count(), nb = layer.buffer_count();
+    layer.bind(params.subspan(off, n), grads.subspan(off, n),
+               buffers.subspan(buf_off, nb));
     off += n;
+    buf_off += nb;
   };
   take(conv1_);
   take(bn1_);
@@ -53,19 +63,6 @@ void ResidualBlock::init(Rng& rng) {
     proj_->init(rng);
     bn_proj_->init(rng);
   }
-}
-
-void ResidualBlock::save_buffers(std::vector<float>& out) const {
-  bn1_.save_buffers(out);
-  bn2_.save_buffers(out);
-  if (has_projection()) bn_proj_->save_buffers(out);
-}
-
-std::size_t ResidualBlock::load_buffers(std::span<const float> in) {
-  std::size_t off = bn1_.load_buffers(in);
-  off += bn2_.load_buffers(in.subspan(off));
-  if (has_projection()) off += bn_proj_->load_buffers(in.subspan(off));
-  return off;
 }
 
 std::vector<std::size_t> ResidualBlock::output_shape(

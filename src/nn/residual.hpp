@@ -19,14 +19,14 @@ class ResidualBlock final : public Layer {
                 std::size_t stride);
 
   [[nodiscard]] std::size_t param_count() const noexcept override;
-  void bind(std::span<float> params, std::span<float> grads) override;
+  [[nodiscard]] std::size_t buffer_count() const noexcept override;
+  void bind(std::span<float> params, std::span<float> grads,
+            std::span<float> buffers) override;
   void init(Rng& rng) override;
   [[nodiscard]] std::vector<std::size_t> output_shape(
       const std::vector<std::size_t>& in_shape) const override;
   void forward(const Tensor& in, Tensor& out, bool train) override;
   void backward(const Tensor& in, const Tensor& dout, Tensor& din) override;
-  void save_buffers(std::vector<float>& out) const override;
-  std::size_t load_buffers(std::span<const float> in) override;
   [[nodiscard]] const char* name() const noexcept override {
     return "ResidualBlock";
   }

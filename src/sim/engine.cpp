@@ -115,8 +115,6 @@ Engine::Engine(SimConfig config, const data::Dataset& train,
   samplers_.reserve(cohort_size_);
   models_.reserve(cohort_size_);
   optimizers_.reserve(cohort_size_);
-  batch_x_.resize(cohort_size_);
-  batch_y_.resize(cohort_size_);
   slot_of_.assign(config_.workers, kNoSlot);
   slot_worker_.assign(cohort_size_, kNoSlot);
 
@@ -152,7 +150,8 @@ Engine::Engine(SimConfig config, const data::Dataset& train,
   if (pooled_) {
     // First-time arrivals start from the common initialization.
     init_params_.assign(ref.begin(), ref.end());
-    init_buffers_ = models_.front()->buffers();
+    const auto buffers = models_.front()->buffers();
+    init_buffers_.assign(buffers.begin(), buffers.end());
     frozen_.resize(config_.workers);
   }
 
@@ -202,7 +201,8 @@ void Engine::freeze_worker(std::size_t w) {
   auto f = std::make_unique<FrozenWorker>();
   const auto p = models_[s]->parameters();
   f->params.assign(p.begin(), p.end());
-  f->buffers = models_[s]->buffers();
+  const auto b = models_[s]->buffers();
+  f->buffers.assign(b.begin(), b.end());
   f->velocity = optimizers_[s]->velocity();
   f->sampler = samplers_[s]->save_state();
   frozen_[w] = std::move(f);
@@ -289,21 +289,47 @@ std::optional<net::BandwidthMatrix> Engine::worker_bandwidth() const {
   return out;
 }
 
+Engine::Lease::Lease(Executors& executors, const ModelFactory& factory)
+    : executors_(executors), exec_(nullptr) {
+  std::lock_guard lock(executors_.mutex);
+  if (executors_.idle.empty()) {
+    executors_.all.push_back(std::make_unique<Executor>(factory()));
+    executors_.idle.reserve(executors_.all.size());
+    exec_ = executors_.all.back().get();
+  } else {
+    exec_ = executors_.idle.back();
+    executors_.idle.pop_back();
+  }
+}
+
+Engine::Lease::~Lease() {
+  std::lock_guard lock(executors_.mutex);
+  executors_.idle.push_back(exec_);
+}
+
+double Engine::train_step(Executor& exec, std::size_t s) {
+  samplers_[s]->next(exec.x, exec.y);
+  exec.model.zero_grad();
+  return exec.model.train_batch(exec.x, exec.y);
+}
+
 double Engine::sgd_step(std::size_t w, std::size_t epoch) {
-  const double loss = compute_gradient(w, epoch);
   const std::size_t s = slot(w);
-  optimizers_[s]->step(models_[s]->parameters(), models_[s]->gradients(),
-                       epoch);
+  auto& state = *models_[s];
+  const Lease exec(*step_executors_, factory_);
+  exec->model.bind(state.parameters(), exec->grad, state.buffers());
+  const double loss = train_step(*exec, s);
+  optimizers_[s]->step(state.parameters(), exec->grad, epoch);
   return loss;
 }
 
 double Engine::compute_gradient(std::size_t w, std::size_t epoch) {
   (void)epoch;
   const std::size_t s = slot(w);
-  auto& model = *models_[s];
-  samplers_[s]->next(batch_x_[s], batch_y_[s]);
-  model.zero_grad();
-  return model.train_batch(batch_x_[s], batch_y_[s]);
+  auto& state = *models_[s];
+  const Lease exec(*step_executors_, factory_);
+  exec->model.bind(state.parameters(), state.gradients(), state.buffers());
+  return train_step(*exec, s);
 }
 
 void Engine::apply_update(std::size_t w, std::span<const float> gradient,
@@ -367,8 +393,13 @@ void Engine::set_active(std::size_t w, bool active) {
 }
 
 std::vector<float> Engine::average_params() const {
-  const std::size_t n = models_.front()->param_count();
-  std::vector<float> avg(n, 0.0f);
+  std::vector<float> avg(param_count());
+  average_into(avg);
+  return avg;
+}
+
+void Engine::average_into(std::span<float> avg) const {
+  std::fill(avg.begin(), avg.end(), 0.0f);
   std::size_t count = 0;
   for (const auto w : roster_) {
     if (active_[w]) ++count;
@@ -377,7 +408,7 @@ std::vector<float> Engine::average_params() const {
   const float inv = 1.0f / static_cast<float>(count);
   // Chunked over coordinates; each coordinate sums over the roster in fixed
   // worker order, so the result is identical for every thread count.
-  parallel_chunks(n, [&](std::size_t begin, std::size_t end) {
+  parallel_chunks(avg.size(), [&](std::size_t begin, std::size_t end) {
     for (const auto w : roster_) {
       if (!active_[w]) continue;
       const auto p = models_[slot_of_[w]]->parameters();
@@ -385,7 +416,6 @@ std::vector<float> Engine::average_params() const {
     }
     for (std::size_t j = begin; j < end; ++j) avg[j] *= inv;
   });
-  return avg;
 }
 
 void Engine::allreduce_average() {
@@ -396,17 +426,17 @@ void Engine::allreduce_average() {
   });
 }
 
-void Engine::eval_batches(EvalReplica& replica, std::size_t batch_begin,
+void Engine::eval_batches(Executor& exec, std::size_t batch_begin,
                           std::size_t batch_end, std::vector<double>& losses,
                           std::vector<std::size_t>& corrects,
                           std::vector<std::size_t>& seens) {
   for (std::size_t b = batch_begin; b < batch_end; ++b) {
     const std::size_t start = b * config_.eval_batch;
     const std::size_t end = std::min(start + config_.eval_batch, test_->size());
-    replica.idx.resize(end - start);
-    std::iota(replica.idx.begin(), replica.idx.end(), start);
-    test_->gather(replica.idx, replica.x, replica.y);
-    const auto r = replica.model->evaluate_batch(replica.x, replica.y);
+    exec.idx.resize(end - start);
+    std::iota(exec.idx.begin(), exec.idx.end(), start);
+    test_->gather(exec.idx, exec.x, exec.y);
+    const auto r = exec.model.evaluate_batch(exec.x, exec.y);
     losses[b] = r.loss;
     corrects[b] = r.correct;
     seens[b] = end - start;
@@ -415,40 +445,38 @@ void Engine::eval_batches(EvalReplica& replica, std::size_t batch_begin,
 
 MetricPoint Engine::eval_point(std::size_t round, double epoch,
                                std::span<const float> params) {
-  std::vector<float> avg;
-  if (params.empty()) {
-    avg = average_params();
-    params = avg;
-  } else if (params.size() != param_count()) {
+  if (!params.empty() && params.size() != param_count()) {
     throw std::invalid_argument("Engine::eval_point: got " +
                                 std::to_string(params.size()) +
                                 " parameters for a model of " +
                                 std::to_string(param_count()));
+  }
+  eval_params_.resize(param_count());
+  if (params.empty()) {
+    average_into(eval_params_);
+  } else {
+    std::copy(params.begin(), params.end(), eval_params_.begin());
   }
   const std::size_t batches =
       (test_->size() + config_.eval_batch - 1) / config_.eval_batch;
   std::vector<double> losses(batches, 0.0);
   std::vector<std::size_t> corrects(batches, 0), seens(batches, 0);
 
-  // Evaluation runs on dedicated replicas, never on a training one: one
-  // serially, at most kMaxEvalClones on a pool, each evaluating a
-  // contiguous batch range with `params` and the lowest resident worker's
-  // batch-norm running statistics (worker 0 outside cohort mode).  Partials
+  // Evaluation runs on executors checked out like a step's, from the eval
+  // free list: one serially, at most kMaxEvalClones on a pool, each
+  // evaluating a contiguous batch range bound to the evaluated parameters
+  // and the lowest resident worker's batch-norm running statistics (worker
+  // 0 outside cohort mode), which an eval-mode pass only reads.  Partials
   // are reduced below in batch order, so the result is bit-identical for
   // every thread count.
   const std::size_t blocks =
       pool_ ? std::min({batches, pool_->size(), kMaxEvalClones})
             : std::size_t{1};
-  while (eval_replicas_.size() < blocks) {
-    eval_replicas_.push_back({std::make_unique<nn::Model>(factory_())});
-  }
   const auto buffers = models_[slot_of_[roster_.front()]]->buffers();
   parallel_for(blocks, [&](std::size_t b) {
-    EvalReplica& replica = eval_replicas_[b];
-    const auto live = replica.model->parameters();
-    std::copy(params.begin(), params.end(), live.begin());
-    replica.model->set_buffers(buffers);
-    eval_batches(replica, b * batches / blocks, (b + 1) * batches / blocks,
+    const Lease exec(*eval_executors_, factory_);
+    exec->model.bind(eval_params_, exec->grad, buffers);
+    eval_batches(*exec, b * batches / blocks, (b + 1) * batches / blocks,
                  losses, corrects, seens);
   });
 

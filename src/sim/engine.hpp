@@ -12,11 +12,17 @@
 // are functions of round-level state, which the engine reproduces exactly;
 // an optional thread pool parallelizes the independent per-worker local
 // steps without changing results.
+//
+// A worker's replica is only its state (parameters, gradient, buffers,
+// optimizer, sampler).  Its local steps, and evaluation, run on executors:
+// factory models that are rebound to the state they work on, each with the
+// activations and scratch of one step (or eval block) at a time.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -107,8 +113,8 @@ struct RunResult {
 
 /// Builds a fresh model; must produce identical weights on every call (seed
 /// captured inside), so all workers start from the same x_0.  The engine
-/// stores a copy and may invoke it for the ENGINE'S LIFETIME (eval replicas
-/// are built lazily on the first evaluation), so capture by value — a
+/// stores a copy and may invoke it for the ENGINE'S LIFETIME (executors are
+/// built lazily by the first steps and evaluations), so capture by value — a
 /// by-reference capture of a local dangles.
 using ModelFactory = std::function<nn::Model()>;
 
@@ -151,7 +157,15 @@ class Engine {
   /// Outside cohort mode this is a no-op returning the full roster.
   std::span<const std::size_t> begin_round_cohort(std::size_t round);
 
+  /// Worker w's state: parameters(), gradients() (written by
+  /// compute_gradient only) and buffers().  The engine never runs a pass on
+  /// it: steps and evaluation run on executors bound to this state.
   [[nodiscard]] nn::Model& model(std::size_t w) { return *models_.at(slot(w)); }
+  /// Worker w's optimizer; its momentum velocity is part of the worker's
+  /// state.
+  [[nodiscard]] const nn::Sgd& optimizer(std::size_t w) const {
+    return *optimizers_.at(slot(w));
+  }
   [[nodiscard]] std::span<float> params(std::size_t w) {
     return models_.at(slot(w))->parameters();
   }
@@ -181,11 +195,17 @@ class Engine {
   }
 
   /// One local mini-batch SGD step on worker w; `epoch` drives the LR
-  /// schedule.  Returns the training loss of the batch.
+  /// schedule.  Returns the training loss of the batch.  The step runs on an
+  /// executor bound to w's parameters and buffers; its gradient goes to the
+  /// executor's own scratch, which the update consumes at once, so
+  /// model(w).gradients() is left untouched.  Calls for distinct workers
+  /// may run at the same time on any threads.
   double sgd_step(std::size_t w, std::size_t epoch);
 
   /// Computes the mini-batch gradient into model(w).gradients() WITHOUT
-  /// updating parameters (for gradient-exchange algorithms).  Returns loss.
+  /// updating parameters (for gradient-exchange algorithms, which read it
+  /// there later).  Returns loss.  Runs on an executor like sgd_step, with
+  /// the same concurrency guarantee.
   double compute_gradient(std::size_t w, std::size_t epoch);
 
   /// Applies an SGD update with an externally supplied gradient.
@@ -238,9 +258,9 @@ class Engine {
   /// Evaluates `params` (default: average_params()) on the test set and
   /// returns a MetricPoint stamped with the engine's traffic/time counters.
   /// Throws std::invalid_argument when a non-empty `params` is not
-  /// param_count() long.  Training replicas are only read (their parameters
-  /// for the default average, the lowest resident worker's batch-norm
-  /// statistics): evaluation never changes a run.
+  /// param_count() long.  Worker state is only read (parameters for the
+  /// default average, the lowest resident worker's batch-norm statistics):
+  /// evaluation never changes a run.
   MetricPoint eval_point(std::size_t round, double epoch,
                          std::span<const float> params = {});
 
@@ -256,21 +276,60 @@ class Engine {
   [[nodiscard]] double consensus_distance() const;
 
  private:
-  /// A forward-only model replica for evaluation, with its batch scratch:
-  /// the input tensor keeps its storage across eval points.
-  struct EvalReplica {
-    std::unique_ptr<nn::Model> model;
+  /// Who computes: a factory model that a step or an eval block binds to
+  /// the state it works on, plus its batch scratch.  Every tensor keeps its
+  /// storage, so an executor stays cache-hot and allocation-free across the
+  /// workers it serves.
+  struct Executor {
+    explicit Executor(nn::Model built)
+        : model(std::move(built)), grad(model.gradients()) {}
+    nn::Model model;
+    std::span<float> grad;  // the model's own gradient storage
     Tensor x;
     std::vector<std::int32_t> y;
     std::vector<std::size_t> idx;
   };
 
+  /// A free list of executors: those built so far and the idle ones.
+  /// Built lazily under the mutex (so the factory never runs concurrently),
+  /// one per step (or eval block) running at a time: exactly one when
+  /// serial.  `idle` keeps capacity for all of them, so a check-in never
+  /// allocates.
+  struct Executors {
+    std::mutex mutex;
+    std::vector<std::unique_ptr<Executor>> all;
+    std::vector<Executor*> idle;
+  };
+
+  /// Checks an executor out of a free list for its lifetime, building one
+  /// with the engine's factory when none is idle.
+  class Lease {
+   public:
+    Lease(Executors& executors, const ModelFactory& factory);
+    ~Lease();
+    Lease(const Lease&) = delete;
+    Lease& operator=(const Lease&) = delete;
+    Executor& operator*() const noexcept { return *exec_; }
+    Executor* operator->() const noexcept { return exec_; }
+
+   private:
+    Executors& executors_;
+    Executor* exec_;
+  };
+
+  /// Draws slot s's next mini-batch into the executor, which is bound to
+  /// the state to train, and runs forward + backward; returns the loss.
+  double train_step(Executor& exec, std::size_t s);
+
   /// Per-batch eval partials for [batch_begin, batch_end), written into the
   /// caller-provided per-batch vectors; reduced in batch order by eval_point.
-  void eval_batches(EvalReplica& replica, std::size_t batch_begin,
+  void eval_batches(Executor& exec, std::size_t batch_begin,
                     std::size_t batch_end, std::vector<double>& losses,
                     std::vector<std::size_t>& corrects,
                     std::vector<std::size_t>& seens);
+
+  /// Writes the mean of the active workers' parameters into `avg`.
+  void average_into(std::span<float> avg) const;
 
   static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
 
@@ -301,7 +360,8 @@ class Engine {
   std::vector<data::Dataset> shards_;  // one per shard group
   // Replica pool, one entry per SLOT (cohort_size_ of them); slot_of_ maps
   // logical workers onto slots (kNoSlot = not resident).  Outside cohort
-  // mode slot s is permanently owned by worker s.
+  // mode slot s is permanently owned by worker s.  A slot holds state only:
+  // its model never runs a pass, so it holds no activations.
   std::vector<std::unique_ptr<data::BatchSampler>> samplers_;
   std::vector<std::unique_ptr<nn::Model>> models_;
   std::vector<std::unique_ptr<nn::Sgd>> optimizers_;
@@ -325,17 +385,19 @@ class Engine {
   std::unique_ptr<Fabric> fabric_;
   std::size_t steps_per_epoch_ = 0;
   std::unique_ptr<ThreadPool> pool_;
-  // Evaluation replicas, built lazily by eval_point: one when serial, at
-  // most kMaxEvalClones on a pool (NOT one per pool thread), so eval memory
-  // is bounded however large the pool is.  Training replicas never run an
-  // eval batch.
+  // Local steps and eval blocks check out executors from separate free
+  // lists, so neither kind swings its activations between the training and
+  // the eval batch size (regrowing a tensor zero-fills it).  Held through
+  // pointers so the engine stays movable.
+  std::unique_ptr<Executors> step_executors_ = std::make_unique<Executors>();
+  std::unique_ptr<Executors> eval_executors_ = std::make_unique<Executors>();
+  // eval_point splits the test set into at most this many blocks, each on
+  // its own executor (NOT one per pool thread), so eval memory is bounded
+  // however large the pool is.
   static constexpr std::size_t kMaxEvalClones = 4;
-  std::vector<EvalReplica> eval_replicas_;
+  // The parameters eval_point evaluates, kept across eval points.
+  std::vector<float> eval_params_;
   std::function<void(const MetricPoint&)> metric_observer_;
-
-  // Per-worker batch scratch (needed for thread-parallel local steps).
-  std::vector<Tensor> batch_x_;
-  std::vector<std::vector<std::int32_t>> batch_y_;
 };
 
 }  // namespace saps::sim

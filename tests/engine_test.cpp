@@ -177,7 +177,7 @@ TEST(Engine, EvaluationNeverChangesARun) {
   // round by design, so its second run adds an evaluation of other
   // parameters (the resident average) after each of those.  Eval batches of
   // 24 over 100 test samples make five batches, the last one short, so a
-  // 4-thread engine spreads them over four eval replicas.
+  // 4-thread engine spreads them over four executors.
   const std::string common =
       "workload=cifar\n"
       "workers=4\n"

@@ -29,7 +29,8 @@ struct GradCheck {
       : layer_(layer), in_shape_(std::move(in_shape)) {
     params_.assign(layer.param_count(), 0.0f);
     grads_.assign(layer.param_count(), 0.0f);
-    layer.bind(params_, grads_);
+    buffers_.assign(layer.buffer_count(), 0.0f);
+    layer.bind(params_, grads_, buffers_);
     Rng rng(seed);
     layer.init(rng);
     // Perturb params away from symmetric init values.
@@ -103,7 +104,7 @@ struct GradCheck {
 
   Layer& layer_;
   std::vector<std::size_t> in_shape_;
-  std::vector<float> params_, grads_;
+  std::vector<float> params_, grads_, buffers_;
   Tensor in_, out_, dout_;
 };
 
@@ -308,8 +309,8 @@ TEST(BatchNorm2d, GradCheck) {
 
 TEST(BatchNorm2d, NormalizesTrainingBatch) {
   BatchNorm2d layer(1);
-  std::vector<float> params(2), grads(2);
-  layer.bind(params, grads);
+  std::vector<float> params(2), grads(2), buffers(2);
+  layer.bind(params, grads, buffers);
   Rng rng(1);
   layer.init(rng);
   Tensor in({2, 1, 2, 2}, {1, 2, 3, 4, 5, 6, 7, 8});
@@ -328,8 +329,8 @@ TEST(BatchNorm2d, NormalizesTrainingBatch) {
 
 TEST(BatchNorm2d, EvalBeforeTrainUsesRunningStats) {
   BatchNorm2d layer(1);
-  std::vector<float> params(2), grads(2);
-  layer.bind(params, grads);
+  std::vector<float> params(2), grads(2), buffers(2);
+  layer.bind(params, grads, buffers);
   Rng rng(1);
   layer.init(rng);
   Tensor in({1, 1, 1, 2}, {2.0f, 4.0f});
@@ -404,7 +405,7 @@ TEST(ResidualBlock, EmptyDinKeepsParameterGradients) {
 TEST(Layers, BindRejectsWrongSpanSize) {
   Linear layer(3, 2);
   std::vector<float> too_small(3), grads(3);
-  EXPECT_THROW(layer.bind(too_small, grads), std::invalid_argument);
+  EXPECT_THROW(layer.bind(too_small, grads, {}), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <functional>
+
 #include "data/synthetic.hpp"
 #include "nn/loss.hpp"
 #include "nn/models.hpp"
@@ -167,6 +170,76 @@ TEST(Model, TinyModelsBuild) {
   Tensor x({2, 1, 12, 12});
   std::vector<std::int32_t> y = {0, 1};
   EXPECT_NO_THROW(cnn.evaluate_batch(x, y));
+}
+
+bool same_bits(std::span<const float> a, std::span<const float> b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size_bytes()) == 0);
+}
+
+// A model bound to another model's state trains exactly as the owner does
+// through its own layers: the same loss, gradients, batch-norm running
+// statistics and updated parameters, step after step.  The computing model
+// is built from another seed, so nothing it owns can stand in for the
+// bound state.
+void expect_bound_training_matches_owner(
+    const std::function<Model(std::uint64_t)>& make) {
+  auto owner = make(7);
+  auto state = make(7);
+  auto executor = make(8);
+  Sgd owner_sgd({.lr = 0.05, .momentum = 0.9});
+  Sgd state_sgd({.lr = 0.05, .momentum = 0.9});
+  Rng rng(9);
+  for (int step = 0; step < 3; ++step) {
+    Tensor x({6, 3, 16, 16});
+    for (std::size_t i = 0; i < x.numel(); ++i) {
+      x[i] = static_cast<float>(rng.next_normal());
+    }
+    std::vector<std::int32_t> y(6);
+    for (auto& label : y) label = static_cast<std::int32_t>(rng() % 10);
+
+    owner.zero_grad();
+    const double want = owner.train_batch(x, y);
+    owner_sgd.step(owner.parameters(), owner.gradients());
+
+    executor.bind(state.parameters(), state.gradients(), state.buffers());
+    EXPECT_EQ(executor.parameters().data(), state.parameters().data());
+    executor.zero_grad();
+    const double got = executor.train_batch(x, y);
+    state_sgd.step(state.parameters(), state.gradients());
+
+    EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0) << "step " << step;
+    EXPECT_TRUE(same_bits(state.gradients(), owner.gradients()));
+    EXPECT_TRUE(same_bits(state.buffers(), owner.buffers()));
+    EXPECT_TRUE(same_bits(state.parameters(), owner.parameters()));
+  }
+}
+
+TEST(Model, BoundTinyCnnTrainsLikeTheOwner) {
+  expect_bound_training_matches_owner(
+      [](std::uint64_t seed) { return make_tiny_cnn(3, 16, 10, seed); });
+}
+
+TEST(Model, BoundTinyResnetTrainsLikeTheOwner) {
+  // Covers the batch-norm running statistics bound inside residual blocks.
+  expect_bound_training_matches_owner(
+      [](std::uint64_t seed) { return make_tiny_resnet(3, 16, 10, seed); });
+}
+
+TEST(Model, BindRejectsWrongSpanSizes) {
+  auto model = make_tiny_resnet(3, 16, 10, 11);
+  auto other = make_tiny_resnet(3, 16, 10, 12);
+  const auto p = other.parameters(), g = other.gradients(), b = other.buffers();
+  ASSERT_GT(b.size(), 0u);
+  EXPECT_THROW(model.bind(p.first(p.size() - 1), g, b), std::invalid_argument);
+  EXPECT_THROW(model.bind(p, g.first(g.size() - 1), b), std::invalid_argument);
+  EXPECT_THROW(model.bind(p, g, b.first(b.size() - 1)), std::invalid_argument);
+  EXPECT_THROW(model.set_buffers(b.first(b.size() - 1)),
+               std::invalid_argument);
+  // A rejected bind leaves the model on its own state.
+  EXPECT_NE(model.parameters().data(), p.data());
+  EXPECT_NO_THROW(model.bind(p, g, b));
+  EXPECT_EQ(model.buffers().data(), b.data());
 }
 
 TEST(Sgd, MilestoneSchedule) {

@@ -9,6 +9,7 @@
 // comm_seconds, and the control-plane ledger must match the coordinator's.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <span>
@@ -20,6 +21,7 @@
 #include "algos/qsgd_psgd.hpp"
 #include "algos/topk_psgd.hpp"
 #include "core/saps.hpp"
+#include "data/synthetic.hpp"
 #include "net/bandwidth.hpp"
 #include "nn/models.hpp"
 #include "scenario/runner.hpp"
@@ -288,6 +290,65 @@ TEST(CohortRegression, SpecDrivenCohortRunsMatchGoldensBitForBit) {
       "saps-c=10\n"
       "sfedavg-c=5\n",
       goldens);
+}
+
+// FNV-1a over the bytes of `values`, continuing from `hash`.
+std::uint64_t fnv1a(std::span<const float> values, std::uint64_t hash) {
+  const auto* bytes = reinterpret_cast<const unsigned char*>(values.data());
+  for (std::size_t i = 0; i < values.size_bytes(); ++i) {
+    hash = (hash ^ bytes[i]) * 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+// Direct-engine cohort runs of the tiny ResNet with momentum: 8 of 16
+// clients per round, so batch-norm running statistics and the optimizer
+// velocity (SimConfig::momentum, which no spec key sets) go through
+// freeze/thaw.  Besides the final loss and accuracy, a checksum pins the
+// bytes of every resident worker's parameters, buffers and velocity at the
+// end of the run, whichever thread ran its steps.  Captured serial and on a
+// 4-thread pool before local steps moved onto shared step executors.
+TEST(CohortRegression, MomentumResnetCohortRunsMatchGoldensBitForBit) {
+  struct StateGolden {
+    const char* algorithm;
+    double accuracy;
+    double loss;
+    std::uint64_t state;  // fnv1a of the residents' params, buffers, velocity
+  };
+  const StateGolden goldens[] = {
+      {"saps", 0x1.851eb851eb852p-3, 0x1.09b27c1b847d6p+1,
+       0x18e0aa69c8445088ULL},
+      {"fedavg", 0x1.28f5c28f5c28fp-2, 0x1.d63fa6445b8e5p+0,
+       0x41c505e9739ce73bULL},
+  };
+  const auto train = data::make_cifar_like(640, /*seed=*/5, /*img=*/8);
+  const auto test = data::make_cifar_like(100, /*seed=*/5, /*img=*/8);
+  for (const auto& golden : goldens) {
+    SCOPED_TRACE(golden.algorithm);
+    sim::SimConfig cfg;
+    cfg.workers = 16;
+    cfg.cohort = 8;
+    cfg.sample_seed = 9;
+    cfg.epochs = 3;
+    cfg.batch_size = 10;
+    cfg.lr = 0.02;
+    cfg.momentum = 0.9;
+    cfg.seed = 42;
+    cfg.threads = test_util::env_threads();
+    sim::Engine engine(
+        cfg, train, test, [] { return nn::make_tiny_resnet(3, 8, 10, 42); },
+        std::nullopt);
+    const auto result = make_algorithm(golden.algorithm)->run(engine);
+    std::uint64_t state = 0xcbf29ce484222325ULL;
+    for (const auto w : engine.roster()) {
+      state = fnv1a(engine.params(w), state);
+      state = fnv1a(engine.model(w).buffers(), state);
+      state = fnv1a(engine.optimizer(w).velocity(), state);
+    }
+    EXPECT_EQ(result.final().accuracy, golden.accuracy);
+    EXPECT_EQ(result.final().loss, golden.loss);
+    EXPECT_EQ(state, golden.state);
+  }
 }
 
 TEST(MessagePlaneRegression, NonzeroLatencyStrictlyLengthensCommTime) {

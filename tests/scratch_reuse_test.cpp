@@ -1,11 +1,12 @@
 // Allocation-count tests for the training/compression hot paths: the
 // per-round kernels must be allocation-free at steady state (persistent
 // scratch, buffer swaps) apart from buffers whose ownership is handed to the
-// caller, and a model that alternates between training and evaluation batch
-// sizes must make no large allocation.  Global operator new/new[] are
-// replaced with counting versions for this binary (counting all
-// allocations, and separately the large ones); each test warms its path up,
-// then measures a tight window.
+// caller, a model that alternates between training and evaluation batch
+// sizes must make no large allocation, and neither must an engine's first
+// steps on workers that have not trained before.  Global operator
+// new/new[] are replaced with counting versions for this binary (counting
+// all allocations, and separately the large ones); each test warms its path
+// up, then measures a tight window.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,8 +20,10 @@
 
 #include "compress/quantize.hpp"
 #include "compress/topk.hpp"
+#include "data/synthetic.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/models.hpp"
+#include "sim/engine.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
 #include "util/rng.hpp"
@@ -252,7 +255,7 @@ TEST(PackedLevels, PackIntoWarmBufferIsAllocationFree) {
 TEST(Conv2d, BackwardReusesColumnScratchAfterWarmup) {
   nn::Conv2d conv(3, 8, 3, 1, 1);
   std::vector<float> params(conv.param_count()), grads(conv.param_count());
-  conv.bind(params, grads);
+  conv.bind(params, grads, {});
   Rng rng(13);
   conv.init(rng);
 
@@ -286,7 +289,7 @@ TEST(Conv2d, BackwardWithoutInputGradientNeverSizesColumnGradient) {
     nn::Conv2d conv(3, 8, 3, 1, 1);
     params.assign(conv.param_count(), 0.0f);
     grads.assign(conv.param_count(), 0.0f);
-    conv.bind(params, grads);
+    conv.bind(params, grads, {});
     Rng rng(59);
     conv.init(rng);
     return conv;
@@ -383,6 +386,40 @@ TEST(Model, EvaluationNeverSizesGradientTensors) {
   const std::size_t before = large_allocations();
   (void)model.train_batch(full.x, full.y);
   EXPECT_GT(large_allocations() - before, 0u);
+}
+
+TEST(Model, BuffersAreAViewThatAllocatesNothing) {
+  auto model = nn::make_tiny_resnet(3, 16, 10, /*seed=*/103);
+  const std::size_t before = allocations();
+  const auto buffers = model.buffers();
+  EXPECT_EQ(allocations() - before, 0u);
+  EXPECT_EQ(buffers.size(), model.buffer_count());
+  EXPECT_GT(buffers.size(), 0u);
+}
+
+TEST(Engine, FirstStepsOfFreshWorkersMakeNoLargeAllocation) {
+  // A serial engine runs every local step on one executor and every eval
+  // block on another, whichever worker's state they are bound to.  Once
+  // worker 0's first step and the first eval point (batches of 256 and 144)
+  // have warmed them, the first steps of the other 31 workers and a second
+  // eval point make no allocation of kLargeAlloc bytes or more: no worker
+  // sizes activations of its own.
+  constexpr std::size_t kWorkers = 32;
+  const auto train = data::make_cifar_like(kWorkers * 20, 107, 16);
+  const auto test = data::make_cifar_like(400, 107, 16);
+  sim::SimConfig cfg;
+  cfg.workers = kWorkers;
+  cfg.batch_size = 10;
+  cfg.seed = 109;
+  sim::Engine engine(
+      cfg, train, test, [] { return nn::make_tiny_cnn(3, 16, 10, 109); },
+      std::nullopt);
+  (void)engine.sgd_step(0, 0);
+  (void)engine.eval_point(0, 0.0);
+  const std::size_t before = large_allocations();
+  for (std::size_t w = 1; w < kWorkers; ++w) (void)engine.sgd_step(w, 0);
+  (void)engine.eval_point(1, 1.0);
+  EXPECT_EQ(large_allocations() - before, 0u);
 }
 
 TEST(Gemm, PackScratchIsReusedAcrossCalls) {

@@ -6,7 +6,9 @@
 // "Threading model").
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "algos/d_psgd.hpp"
@@ -232,9 +234,42 @@ TEST(ThreadInvariance, TopkBitIdenticalAcrossBackendsAndThreads) {
   });
 }
 
+TEST(ThreadInvariance, StepsFromPlainThreadsMatchSteppingInTurn) {
+  // sgd_step and compute_gradient for distinct workers may run at the same
+  // time on any threads, not only on the engine's pool: each call checks an
+  // executor out of a shared free list.  Four std::threads stepping
+  // disjoint workers of a serial engine land on the bits of one thread
+  // stepping every worker in turn.
+  auto in_turn = make_engine(0, false);
+  auto threaded = make_engine(0, false);
+  const std::size_t n = in_turn.workers();
+  const auto step = [](sim::Engine& engine, std::size_t w) {
+    (void)engine.sgd_step(w, 0);
+    (void)engine.compute_gradient(w, 0);
+  };
+  for (int round = 0; round < 3; ++round) {
+    for (std::size_t w = 0; w < n; ++w) step(in_turn, w);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < 4; ++t) {
+      threads.emplace_back([&, t] {
+        for (std::size_t w = t; w < n; w += 4) step(threaded, w);
+      });
+    }
+    for (auto& thread : threads) thread.join();
+  }
+  for (std::size_t w = 0; w < n; ++w) {
+    SCOPED_TRACE("worker " + std::to_string(w));
+    const auto pa = in_turn.params(w), pb = threaded.params(w);
+    EXPECT_TRUE(std::equal(pa.begin(), pa.end(), pb.begin(), pb.end()));
+    const auto ga = in_turn.model(w).gradients();
+    const auto gb = threaded.model(w).gradients();
+    EXPECT_TRUE(std::equal(ga.begin(), ga.end(), gb.begin(), gb.end()));
+  }
+}
+
 TEST(ThreadInvariance, EvalPointBitIdenticalAcrossThreadCounts) {
   // Isolates the evaluation path: identical trained state, evaluated on one
-  // eval replica and on the pool's several.
+  // executor and on the pool's several.
   auto serial = make_engine(0, false);
   auto pooled = make_engine(4, false);
   for (std::size_t w = 0; w < serial.workers(); ++w) {
