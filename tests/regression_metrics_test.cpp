@@ -351,6 +351,134 @@ TEST(CohortRegression, MomentumResnetCohortRunsMatchGoldensBitForBit) {
   }
 }
 
+// Faulted, robust and churn runs of all eight keys on an 8-worker blob MLP:
+// frames dropped, duplicated, delayed, sign-flipped and cut by a healing
+// partition (chaos); a trimmed mean against a sign-flipper; a median merge
+// on a transparent fabric; and two failure windows over a lossy fabric.
+// Besides the final metrics, a checksum pins the bytes of the run's final
+// averaged parameters.  Captured serial and on a 4-thread pool before the
+// synchronous algorithms moved onto one round driver.
+TEST(FaultRegression, SpecDrivenFaultedRunsMatchGoldensBitForBit) {
+  struct FaultGolden {
+    const char* algorithm;
+    const char* variant;
+    double accuracy;
+    double loss;
+    double traffic_mb;
+    double comm_seconds;
+    std::uint64_t params;  // fnv1a of RunRecord::final_params
+  };
+  const std::map<std::string, std::string> variants = {
+      {"chaos",
+       "fault-seed=777\ndrop-prob=0.15\ndup-prob=0.15\ndelay-prob=0.25\n"
+       "delay-seconds=0.002\nbyzantine=3@2:sign-flip\n"
+       "net-partition=0.1.2.3|4.5.6.7@3-6\n"},
+      {"trimmed",
+       "aggregation=trimmed\ntrim-frac=0.25\nbyzantine=3@2:sign-flip\n"},
+      {"median", "aggregation=median\n"},
+      {"failures",
+       "failures=2@1-4,5@0-3\nfault-seed=778\ndrop-prob=0.2\ndup-prob=0.2\n"},
+  };
+  const FaultGolden goldens[] = {
+      {"psgd", "chaos", 0x1.799999999999ap-1, 0x1.9808623b63027p-1,
+       0x1.31a8ef77f27fep-6, 0x1.736d8b9339771p-6, 0x9cfd79a1a6412652ULL},
+      {"topk", "chaos", 0x1.2p-1, 0x1.4d01d9c00b848p+0, 0x1.4013ec460ed81p-6,
+       0x1.d94bbcaeb825p-4, 0x01a64056eae14804ULL},
+      {"qsgd", "chaos", 0x1.3cccccccccccdp-1, 0x1.393d8cdc93fbep+0,
+       0x1.721709310129dp-7, 0x1.c5560eb6cd35fp-4, 0x9675c71d5d1dab08ULL},
+      {"fedavg", "chaos", 0x1.2cccccccccccdp-1, 0x1.5662cc2f94fp+0,
+       0x1.d8622c4502689p-10, 0x1.5f2c2fb36f30ap-8, 0x793c75a727dda8ecULL},
+      {"sfedavg", "chaos", 0x1.2666666666666p-2, 0x1.766fe4fceb50bp+1,
+       0x1.1ada76d97b31p-10, 0x1.386def3758d3fp-8, 0xb60af2888327dd3cULL},
+      {"dpsgd", "chaos", 0x1.7p-1, 0x1.3aa6c6f4362a5p+0, 0x1.3c148344c37e7p-5,
+       0x1.cb5a2e2d12818p-6, 0x2766a3a1ac0da8dbULL},
+      {"dcd", "chaos", 0x1.8p-2, 0x1.82632ba618d38p+0, 0x1.4801f75104d55p-6,
+       0x1.8c0021d017cd6p-6, 0xad486dc175f2fcc0ULL},
+      {"saps", "chaos", 0x1.7333333333333p-1, 0x1.ac685df5f1d46p-1,
+       0x1.3be22e5de15cap-9, 0x1.0fe15e9225396p-6, 0xee3ae8bb1c5ab8e1ULL},
+      {"psgd", "trimmed", 0x1.7666666666666p-1, 0x1.9e9f91d204e06p-1,
+       0x1.15df6555c52e7p-6, 0x1.ff04a73387f6fp-7, 0x227f1dea4b6ba35fULL},
+      {"topk", "trimmed", 0x1.6p-2, 0x1.bfca85267fbb5p+0,
+       0x1.b866e43aa79bcp-6, 0x1.94f53262cc59cp-6, 0xe86e05b29af2728aULL},
+      {"qsgd", "trimmed", 0x1.6666666666666p-2, 0x1.b567895610deep+0,
+       0x1.fd36f7e3d1cc1p-7, 0x1.d43b82423c47p-7, 0x3885fe33a9eb529fULL},
+      {"fedavg", "trimmed", 0x1.7333333333333p-1, 0x1.939ae3da7c17cp-1,
+       0x1.bc98a222d5172p-10, 0x1.fabde9d38fcc8p-10, 0x1e74fc9965beb816ULL},
+      {"sfedavg", "trimmed", 0x1.d99999999999ap-1, 0x1.2fd6474c00bc6p-1,
+       0x1.14d2f5dbb9cfap-10, 0x1.3a3646ec581dp-10, 0xe70b0be6b266de6dULL},
+      {"dpsgd", "trimmed", 0x1.7p-1, 0x1.30a67752ac12ep+0,
+       0x1.15df6555c52e7p-5, 0x1.ff04a73387f6fp-7, 0x4dbf4a5637729a25ULL},
+      {"dcd", "trimmed", 0x1.199999999999ap-1, 0x1.2292bd14e2d2p+0,
+       0x1.205bc01a36e2fp-6, 0x1.0926a409d509cp-7, 0x67d3c7dfc16ded63ULL},
+      {"saps", "trimmed", 0x1.7p-1, 0x1.b7060afcd2496p-1,
+       0x1.1c6d1e108c3f4p-9, 0x1.af01b7506b907p-11, 0x4ec010d8091f77f8ULL},
+      {"psgd", "median", 0x1.7666666666666p-1, 0x1.9ec1bc6f98c9ap-1,
+       0x1.15df6555c52e7p-6, 0x1.ff04a73387f6fp-7, 0xb4c9e50e3667cc84ULL},
+      {"topk", "median", 0x1.3cccccccccccdp-1, 0x1.482028bba6cf9p+0,
+       0x1.b866e43aa79bcp-6, 0x1.94f53262cc59cp-6, 0xd61735c3e8c75703ULL},
+      {"qsgd", "median", 0x1.6cccccccccccdp-1, 0x1.0b0b793daa911p+0,
+       0x1.fd36f7e3d1cc1p-7, 0x1.d43b82423c47p-7, 0x7f9fc46fcf36c017ULL},
+      {"fedavg", "median", 0x1.799999999999ap-1, 0x1.86c76cb16cf42p-1,
+       0x1.bc98a222d5172p-10, 0x1.fabde9d38fcc8p-10, 0xac7b55505e61946eULL},
+      {"sfedavg", "median", 0x1.e333333333333p-1, 0x1.20152543c57b4p-1,
+       0x1.14d2f5dbb9cfap-10, 0x1.3a3646ec581dp-10, 0x4ed9a23ec0bbfa2bULL},
+      {"dpsgd", "median", 0x1.799999999999ap-1, 0x1.9a7f1763ae3aap-1,
+       0x1.15df6555c52e7p-5, 0x1.ff04a73387f6fp-7, 0xa38be801c7ab18cdULL},
+      {"dcd", "median", 0x1.7333333333333p-1, 0x1.a25c9970d662p-1,
+       0x1.205bc01a36e2fp-6, 0x1.0926a409d509cp-7, 0x5fab8a8a86390bfaULL},
+      {"saps", "median", 0x1.799999999999ap-1, 0x1.9b02bd15584d2p-1,
+       0x1.1c6d1e108c3f4p-9, 0x1.af01b7506b907p-11, 0xbb01f2728d0f398aULL},
+      {"psgd", "failures", 0x1.7666666666666p-1, 0x1.aba41230e1136p-1,
+       0x1.2e2fbe33acd5bp-6, 0x1.93de2458d8e8bp-7, 0xecff0b53d00a6cb9ULL},
+      {"topk", "failures", 0x1.699999999999ap-1, 0x1.d101f0edeea4dp-1,
+       0x1.0a99b6f5caf2dp-6, 0x1.c5dc801b00fe1p-7, 0xc52c8f62d7b93ab7ULL},
+      {"qsgd", "failures", 0x1.799999999999ap-1, 0x1.aa9fc20382c96p-1,
+       0x1.3441bb8c32a8dp-7, 0x1.06637a0f9c92ep-7, 0x9ed699bbe72566ecULL},
+      {"fedavg", "failures", 0x1.799999999999ap-1, 0x1.85c2480c762a6p-1,
+       0x1.693c03bc4d22dp-10, 0x1.f723581f893cep-10, 0x557b54f2f6baf6feULL},
+      {"sfedavg", "failures", 0x1.a99999999999ap-1, 0x1.3fb2dab88cfadp-1,
+       0x1.ff2e48e8a71dep-11, 0x1.37eacabe89114p-10, 0xfe07ba5a0474de40ULL},
+      {"dpsgd", "failures", 0x1.7666666666666p-1, 0x1.a8d294cb5c883p-1,
+       0x1.204af922962dp-5, 0x1.93de2458d8e8bp-7, 0xf9b5dbb6e62f8c24ULL},
+      {"dcd", "failures", 0x1.6666666666666p-1, 0x1.04be5e3c377fp+0,
+       0x1.031055b899392p-5, 0x1.583211eccdc6fp-7, 0xe16e8d4913d86de7ULL},
+      {"saps", "failures", 0x1.7666666666666p-1, 0x1.aeb6b32481416p-1,
+       0x1.2e40852b4d8bap-9, 0x1.5c30ca6d6da9ep-11, 0x6216295a5a520c46ULL},
+  };
+  const std::string common =
+      "workload=blob\n"
+      "workers=8\n"
+      "epochs=2\n"
+      "batch=16\n"
+      "lr=0.1\n"
+      "seed=42\n"
+      "bandwidth=uniform\n"
+      "bandwidth-seed=99\n"
+      "topk-c=10\n"
+      "sfedavg-c=5\n"
+      "dcd-c=4\n"
+      "saps-c=10\n"
+      "qsgd-levels=4\n";
+  for (const std::size_t threads : {0, 4}) {
+    for (const auto& golden : goldens) {
+      SCOPED_TRACE(std::string(golden.algorithm) + " " + golden.variant +
+                   " threads=" + std::to_string(threads));
+      auto spec = scenario::parse_spec_text(
+          common + "algorithm=" + golden.algorithm + "\n" +
+          variants.at(golden.variant));
+      spec.threads = threads;
+      scenario::Runner runner(spec);
+      const auto record = runner.run(golden.algorithm);
+      EXPECT_EQ(record.result.final().accuracy, golden.accuracy);
+      EXPECT_EQ(record.result.final().loss, golden.loss);
+      EXPECT_EQ(record.traffic_mb, golden.traffic_mb);
+      EXPECT_EQ(record.comm_seconds, golden.comm_seconds);
+      EXPECT_EQ(fnv1a(record.final_params, 0xcbf29ce484222325ULL),
+                golden.params);
+    }
+  }
+}
+
 TEST(MessagePlaneRegression, NonzeroLatencyStrictlyLengthensCommTime) {
   for (const auto& key : {"psgd", "saps", "fedavg"}) {
     SCOPED_TRACE(key);
