@@ -1,10 +1,16 @@
 // Common interface for the distributed-training algorithms of the paper's
 // comparison (Section IV): PSGD, TopK-PSGD, FedAvg, S-FedAvg, D-PSGD,
-// DCD-PSGD (here, in src/algos) and SAPS-PSGD (in src/core).
+// DCD-PSGD (here, in src/algos) and SAPS-PSGD (in src/core), plus the round
+// driver and the receive rule the synchronous ones share.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
+#include <span>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "compress/robust.hpp"
 #include "sim/engine.hpp"
@@ -14,9 +20,8 @@ namespace saps::algos {
 /// Scenario dynamics every algorithm honors: a per-round liveness hook (the
 /// registry turns a dropout/rejoin failure schedule into engine set_active
 /// flips) plus the merge rule robust aggregation swaps in for the plain
-/// mean.  The default-constructed value is the legacy static run — no hook,
-/// MergeRule::kMean — and algorithms gate their dynamic/robust code paths on
-/// exactly these defaults, keeping the all-default run bit-transparent.
+/// mean.  The default-constructed value is the static run: no hook and
+/// MergeRule::kMean.
 struct Dynamics {
   /// Called with the 0-based round index before every algorithm round.
   std::function<void(std::size_t round, sim::Engine& engine)> on_round;
@@ -60,6 +65,59 @@ class EvalSchedule {
  private:
   std::size_t interval_;
 };
+
+/// One round of a synchronous run, as run_rounds hands it to the step.
+struct Round {
+  std::size_t index;                    // 0-based round index
+  std::size_t epoch;                    // drives the LR schedule
+  std::span<const std::size_t> active;  // active workers, ascending
+};
+
+/// The round driver of the synchronous algorithms (PSGD, D-PSGD, DCD-PSGD,
+/// TopK-PSGD, QSGD-PSGD, SAPS-PSGD).  Evaluates at round 0, then runs
+/// epochs × steps_per_epoch rounds: before each it calls `on_round` (when
+/// set) and lists the active workers, then calls `step`.  Evaluates on the
+/// EvalSchedule cadence, and once more after the last round if the cadence
+/// missed it.  Returns the metric history under `name`.
+sim::RunResult run_rounds(
+    sim::Engine& engine, const char* name,
+    const std::function<void(std::size_t, sim::Engine&)>& on_round,
+    const std::function<void(const Round&)>& step);
+
+/// The receive rule of every synchronous exchange.  Drains `node`'s mailbox
+/// to empty.  Each frame fills the first open slot k whose expected sender
+/// senders[k] equals sender_of(frame), if `keep(k, frame)` accepts it (it
+/// returns false for a frame that is not valid this round); every other
+/// frame is dropped.  A sender listed twice fills both slots, in arrival
+/// order.  On a transparent fabric exactly the expected frames must arrive,
+/// each once and valid; anything else throws std::logic_error naming
+/// `what`.
+template <typename SenderOf, typename Keep>
+void receive_expected(sim::Fabric& fabric, std::size_t node,
+                      std::span<const std::size_t> senders, const char* what,
+                      SenderOf sender_of, Keep keep) {
+  std::vector<std::uint8_t> filled(senders.size(), 0);
+  std::size_t kept = 0;
+  bool stray = false;
+  while (auto env = fabric.recv(node)) {
+    const std::size_t from = sender_of(*env);
+    std::size_t k = 0;
+    while (k < senders.size() && (filled[k] || senders[k] != from)) ++k;
+    if (k < senders.size() && keep(k, *env)) {
+      filled[k] = 1;
+      ++kept;
+    } else {
+      stray = true;
+    }
+  }
+  if (fabric.transparent() && (stray || kept != senders.size())) {
+    throw std::logic_error(std::string(what) +
+                           ": the expected frames did not arrive exactly once");
+  }
+}
+
+/// sender_of for receive_expected: the node that posted the frame.
+inline std::size_t posted_by(const sim::Envelope& env) { return env.from; }
 
 /// Bytes of one dense float32 parameter vector on the wire.
 [[nodiscard]] inline double dense_model_bytes(

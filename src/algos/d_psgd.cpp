@@ -1,9 +1,8 @@
 #include "algos/d_psgd.hpp"
 
+#include <algorithm>
 #include <array>
 #include <optional>
-#include <stdexcept>
-#include <utility>
 
 #include "compress/topk.hpp"
 #include "net/wire.hpp"
@@ -13,197 +12,109 @@ namespace saps::algos {
 
 namespace {
 
-/// Pops the two neighbor messages queued for `w` and returns them decoded
-/// as (left, right), identified by the sender rank carried in the message —
-/// mailbox arrival order is unspecified when sends run on the pool.
-template <typename Msg, typename Rank>
-std::pair<Msg, Msg> recv_neighbor_pair(sim::Fabric& fabric, std::size_t w,
-                                       std::size_t left_rank,
-                                       std::size_t right_rank,
-                                       Rank rank_of) {
-  std::optional<Msg> left, right;
-  for (int k = 0; k < 2; ++k) {
-    const auto env = fabric.recv(w);
-    if (!env) throw std::logic_error("ring gossip: missing neighbor message");
-    auto msg = Msg::decode(env->payload);
-    const std::size_t rank = rank_of(msg);
-    // On a 2-ring both neighbors are the same node; fill left first.
-    if (rank == left_rank && !left) {
-      left = std::move(msg);
-    } else if (rank == right_rank && !right) {
-      right = std::move(msg);
-    } else {
-      throw std::logic_error("ring gossip: unexpected neighbor message");
-    }
-  }
-  if (!left || !right) {
-    throw std::logic_error("ring gossip: missing neighbor message");
-  }
-  return {std::move(*left), std::move(*right)};
+/// Worker act[i]'s two ring neighbors over the active set, (left, right);
+/// on a 2-ring both are the same node.
+std::array<std::size_t, 2> ring_neighbors(std::span<const std::size_t> act,
+                                          std::size_t i) {
+  const std::size_t m = act.size();
+  return {act[(i + m - 1) % m], act[(i + 1) % m]};
 }
 
-/// Faulted-fabric variant: drains w's mailbox to EMPTY (a frame left queued
-/// would pollute the next round) and keeps the first frame from each
-/// expected neighbor; duplicates and strangers are discarded.  nullopt =
-/// that neighbor's frame was dropped.
-template <typename Msg, typename Rank>
-std::pair<std::optional<Msg>, std::optional<Msg>> drain_neighbor_pair(
-    sim::Fabric& fabric, std::size_t w, std::size_t left_rank,
-    std::size_t right_rank, Rank rank_of) {
-  std::optional<Msg> left, right;
-  while (auto env = fabric.recv(w)) {
-    auto msg = Msg::decode(env->payload);
-    const std::size_t rank = rank_of(msg);
-    if (rank == left_rank && !left) {
-      left = std::move(msg);
-    } else if (rank == right_rank && !right) {
-      right = std::move(msg);
-    }
-  }
-  return {std::move(left), std::move(right)};
+std::size_t full_model_rank(const sim::Envelope& env) {
+  return net::FullModelMsg::peek_rank(env.payload);
 }
 
-/// Receives worker w's two ring-neighbor messages, strict on a transparent
-/// fabric (exactly-one-frame validation) and loss-tolerant otherwise.
-template <typename Msg, typename Rank>
-std::pair<std::optional<Msg>, std::optional<Msg>> recv_ring_pair(
-    sim::Fabric& fabric, std::size_t w, std::size_t left_rank,
-    std::size_t right_rank, Rank rank_of) {
-  if (fabric.transparent()) {
-    auto [left, right] =
-        recv_neighbor_pair<Msg>(fabric, w, left_rank, right_rank, rank_of);
-    return {std::move(left), std::move(right)};
-  }
-  return drain_neighbor_pair<Msg>(fabric, w, left_rank, right_rank, rank_of);
+std::size_t sparse_delta_origin(const sim::Envelope& env) {
+  return net::SparseDeltaMsg::peek_origin(env.payload);
 }
-
-constexpr auto full_model_rank = [](const net::FullModelMsg& m) {
-  return static_cast<std::size_t>(m.rank);
-};
-constexpr auto sparse_delta_origin = [](const net::SparseDeltaMsg& m) {
-  return static_cast<std::size_t>(m.origin);
-};
 
 }  // namespace
 
 sim::RunResult DPsgd::run(sim::Engine& engine) {
-  const auto& cfg = engine.config();
-  const std::size_t n = engine.workers();
-  const std::size_t steps = engine.steps_per_epoch();
   const std::size_t dim = engine.param_count();
-  EvalSchedule schedule(cfg, steps);
   auto& fabric = engine.fabric();
+  std::vector<std::vector<float>> next(engine.workers(),
+                                       std::vector<float>(dim));
 
-  sim::RunResult result;
-  result.algorithm = name();
-  result.history.push_back(engine.eval_point(0, 0.0));
+  return run_rounds(engine, name(), dyn_.on_round, [&](const Round& r) {
+    const auto act = r.active;
+    const std::size_t m = act.size();
+    engine.for_each_worker(
+        [&](std::size_t w) { engine.sgd_step(w, r.epoch); });
+    if (m < 2) return;
 
-  std::vector<std::vector<float>> next(n, std::vector<float>(dim));
-  std::vector<std::size_t> act;
-  act.reserve(n);
+    // Full-model exchange with both neighbors on the ring over the ACTIVE
+    // set (the full ring when nobody is away): each worker encodes its
+    // replica once and ships it left and right.  Sends are staged per
+    // source, so the loop parallelizes.
+    fabric.begin_round();
+    engine.parallel_for(m, [&](std::size_t i) {
+      const std::size_t w = act[i];
+      fabric.compute(w);
+      net::FullModelMsg msg;
+      msg.rank = static_cast<std::uint32_t>(w);
+      const auto p = engine.params(w);
+      msg.params.assign(p.begin(), p.end());
+      fabric.multicast(w, ring_neighbors(act, i), msg);
+    });
+    fabric.end_round();
 
-  std::size_t round = 0;
-  for (std::size_t epoch = 0; epoch < cfg.epochs; ++epoch) {
-    for (std::size_t step = 0; step < steps; ++step) {
-      if (dyn_.on_round) dyn_.on_round(round, engine);
-      act.clear();
-      for (std::size_t w = 0; w < n; ++w) {
-        if (engine.active(w)) act.push_back(w);
-      }
-      const std::size_t m = act.size();
-
-      engine.for_each_worker([&](std::size_t w) { engine.sgd_step(w, epoch); });
-
-      if (m >= 2) {
-        // Full-model exchange with both neighbors on the ring over the
-        // ACTIVE set (the full ring when nobody is away): each worker
-        // encodes its replica once and ships it left and right.  Sends are
-        // staged per source, so the loop parallelizes.
-        fabric.begin_round();
-        engine.parallel_for(m, [&](std::size_t i) {
-          const std::size_t w = act[i];
-          fabric.compute(w);
-          net::FullModelMsg msg;
-          msg.rank = static_cast<std::uint32_t>(w);
-          const auto p = engine.params(w);
-          msg.params.assign(p.begin(), p.end());
-          const std::size_t nbrs[] = {act[(i + m - 1) % m], act[(i + 1) % m]};
-          fabric.multicast(w, nbrs, msg);
-        });
-        fabric.end_round();
-
-        // x_w ← mean(x_w, x_left, x_right) from the DELIVERED replicas
-        // (all three on the default path; a dropped frame shrinks the mean
-        // to the frames that made it).  Each worker drains only its own
-        // mailbox and writes only its own next[w], so the merge
-        // parallelizes; the write-back runs as a second pass.
-        engine.parallel_for(m, [&](std::size_t i) {
-          const std::size_t w = act[i];
-          const auto [left, right] = recv_ring_pair<net::FullModelMsg>(
-              fabric, w, act[(i + m - 1) % m], act[(i + 1) % m],
-              full_model_rank);
-          const auto self = engine.params(w);
-          auto& dst = next[w];
-          if (!dyn_.robust()) {
-            for (std::size_t j = 0; j < dim; ++j) {
-              float sum = self[j];
-              int cnt = 1;
-              if (left) {
-                sum += left->params[j];
-                ++cnt;
-              }
-              if (right) {
-                sum += right->params[j];
-                ++cnt;
-              }
-              dst[j] = sum / static_cast<float>(cnt);
-            }
-          } else {
-            // Robust gossip: per-coordinate center of the available
-            // contributions instead of their mean.
-            std::array<float, 3> vals{};
-            for (std::size_t j = 0; j < dim; ++j) {
-              std::size_t k = 0;
-              vals[k++] = self[j];
-              if (left) vals[k++] = left->params[j];
-              if (right) vals[k++] = right->params[j];
-              dst[j] = compress::robust_center(
-                  dyn_.merge, std::span<float>(vals.data(), k),
-                  dyn_.trim_frac);
-            }
+    // x_w ← mean(x_w, x_left, x_right) from the DELIVERED replicas (all
+    // three unless a frame was dropped, which shrinks the mean to the
+    // frames that made it).  Each worker drains only its own mailbox and
+    // writes only its own next[w], so the merge parallelizes; the
+    // write-back runs as a second pass.
+    engine.parallel_for(m, [&](std::size_t i) {
+      const std::size_t w = act[i];
+      std::array<std::optional<net::FullModelMsg>, 2> nbr;  // left, right
+      receive_expected(fabric, w, ring_neighbors(act, i), name(),
+                       full_model_rank,
+                       [&](std::size_t k, sim::Envelope& env) {
+                         nbr[k] = net::FullModelMsg::decode(env.payload);
+                         return true;
+                       });
+      const auto& [left, right] = nbr;
+      const auto self = engine.params(w);
+      auto& dst = next[w];
+      if (!dyn_.robust()) {
+        for (std::size_t j = 0; j < dim; ++j) {
+          float sum = self[j];
+          int cnt = 1;
+          if (left) {
+            sum += left->params[j];
+            ++cnt;
           }
-        });
-        engine.parallel_for(m, [&](std::size_t i) {
-          const auto p = engine.params(act[i]);
-          std::copy(next[act[i]].begin(), next[act[i]].end(), p.begin());
-        });
+          if (right) {
+            sum += right->params[j];
+            ++cnt;
+          }
+          dst[j] = sum / static_cast<float>(cnt);
+        }
+      } else {
+        // Robust gossip: per-coordinate center of the available
+        // contributions instead of their mean.
+        std::array<float, 3> vals{};
+        for (std::size_t j = 0; j < dim; ++j) {
+          std::size_t k = 0;
+          vals[k++] = self[j];
+          if (left) vals[k++] = left->params[j];
+          if (right) vals[k++] = right->params[j];
+          dst[j] = compress::robust_center(
+              dyn_.merge, std::span<float>(vals.data(), k), dyn_.trim_frac);
+        }
       }
-
-      ++round;
-      if (schedule.due(round)) {
-        result.history.push_back(engine.eval_point(
-            round, static_cast<double>(round) / static_cast<double>(steps)));
-      }
-    }
-  }
-  if (result.history.back().round != round) {
-    result.history.push_back(engine.eval_point(
-        round, static_cast<double>(round) / static_cast<double>(steps)));
-  }
-  return result;
+    });
+    engine.parallel_for(m, [&](std::size_t i) {
+      const auto p = engine.params(act[i]);
+      std::copy(next[act[i]].begin(), next[act[i]].end(), p.begin());
+    });
+  });
 }
 
 sim::RunResult DcdPsgd::run(sim::Engine& engine) {
-  const auto& cfg = engine.config();
   const std::size_t n = engine.workers();
-  const std::size_t steps = engine.steps_per_epoch();
   const std::size_t dim = engine.param_count();
-  EvalSchedule schedule(cfg, steps);
   auto& fabric = engine.fabric();
-
-  sim::RunResult result;
-  result.algorithm = name();
-  result.history.push_back(engine.eval_point(0, 0.0));
 
   // Public copies x̂: every worker holds its OWN public model plus local
   // replicas of both neighbors' public models, maintained purely from the
@@ -225,144 +136,113 @@ sim::RunResult DcdPsgd::run(sim::Engine& engine) {
   // the pool size), not per worker.
   std::vector<std::vector<float>> diffs(engine.chunk_count(n),
                                         std::vector<float>(dim));
-  std::vector<std::size_t> act;
-  act.reserve(n);
   // The membership the current ring (and nbr_pub replicas) was built for;
   // any change re-seeds the neighbor replicas over the wire.
   std::vector<std::size_t> ring_set(n);
   for (std::size_t w = 0; w < n; ++w) ring_set[w] = w;
 
-  std::size_t round = 0;
-  for (std::size_t epoch = 0; epoch < cfg.epochs; ++epoch) {
-    for (std::size_t step = 0; step < steps; ++step) {
-      if (dyn_.on_round) dyn_.on_round(round, engine);
-      act.clear();
-      for (std::size_t w = 0; w < n; ++w) {
-        if (engine.active(w)) act.push_back(w);
-      }
-      const std::size_t m = act.size();
+  return run_rounds(engine, name(), dyn_.on_round, [&](const Round& r) {
+    const auto act = r.active;
+    const std::size_t m = act.size();
+    engine.for_each_worker(
+        [&](std::size_t w) { engine.sgd_step(w, r.epoch); });
+    if (m < 2) return;
 
-      engine.for_each_worker([&](std::size_t w) { engine.sgd_step(w, epoch); });
-
-      if (m >= 2) {
-        if (act != ring_set) {
-          // Membership changed: the ring is rewired, so the locally held
-          // neighbor replicas point at the wrong peers.  Re-seed them with
-          // one extra fabric round of full public-copy exchanges (honestly
-          // charged — rejoining is not free).  Never fires on a static run.
-          ring_set = act;
-          fabric.begin_round();
-          engine.parallel_for(m, [&](std::size_t i) {
-            const std::size_t w = act[i];
-            net::FullModelMsg msg;
-            msg.rank = static_cast<std::uint32_t>(w);
-            msg.params = pub[w];
-            const std::size_t nbrs[] = {act[(i + m - 1) % m],
-                                        act[(i + 1) % m]};
-            fabric.multicast(w, nbrs, msg);
-          });
-          fabric.end_round();
-          engine.parallel_for(m, [&](std::size_t i) {
-            const std::size_t w = act[i];
-            auto [left, right] = recv_ring_pair<net::FullModelMsg>(
-                fabric, w, act[(i + m - 1) % m], act[(i + 1) % m],
-                full_model_rank);
-            if (left) nbr_pub[w][0] = std::move(left->params);
-            if (right) nbr_pub[w][1] = std::move(right->params);
-          });
-        }
-
-        // Compress x_w − x̂_w (per-block scratch, so the compression step
-        // parallelizes) and ship the SparseDeltaMsg to both neighbors.
-        engine.parallel_chunks(
-            m, [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-              auto& diff = diffs[chunk];
-              for (std::size_t i = begin; i < end; ++i) {
-                const std::size_t w = act[i];
-                const auto p = engine.params(w);
-                for (std::size_t j = 0; j < dim; ++j) {
-                  diff[j] = p[j] - pub[w][j];
-                }
-                deltas[w] = compress::top_k(diff, config_.compression);
-              }
-            });
-        fabric.begin_round();
-        engine.parallel_for(m, [&](std::size_t i) {
-          const std::size_t w = act[i];
-          fabric.compute(w);
-          net::SparseDeltaMsg msg;
-          msg.round = static_cast<std::uint32_t>(round);
-          msg.origin = static_cast<std::uint32_t>(w);
-          msg.indices = deltas[w].indices;
-          msg.values = deltas[w].values;
-          const std::size_t nbrs[] = {act[(i + m - 1) % m], act[(i + 1) % m]};
-          fabric.multicast(w, nbrs, msg);
-        });
-        fabric.end_round();
-
-        // Every holder applies the delivered deltas: w updates its own
-        // public copy from its local delta and both neighbor replicas from
-        // the delivered messages (each w touches only its own state).  A
-        // dropped delta leaves that neighbor replica stale — the drift a
-        // faulted fabric is supposed to cause.
-        engine.parallel_for(m, [&](std::size_t i) {
-          const std::size_t w = act[i];
-          compress::add_sparse(pub[w], deltas[w]);
-          auto [left, right] = recv_ring_pair<net::SparseDeltaMsg>(
-              fabric, w, act[(i + m - 1) % m], act[(i + 1) % m],
-              sparse_delta_origin);
-          compress::SparseVector sv;
-          if (left) {
-            sv.indices = std::move(left->indices);
-            sv.values = std::move(left->values);
-            compress::add_sparse(nbr_pub[w][0], sv);
-          }
-          if (right) {
-            sv.indices = std::move(right->indices);
-            sv.values = std::move(right->values);
-            compress::add_sparse(nbr_pub[w][1], sv);
-          }
-        });
-
-        // Gossip on public copies: x_w += Σ_u W_wu (x̂_u − x̂_w), ring
-        // weights 1/3, using the locally maintained neighbor replicas; the
-        // robust rule replaces the weighted mean with a per-coordinate
-        // center of {self, left, right}.
-        engine.parallel_for(m, [&](std::size_t i) {
-          const std::size_t w = act[i];
-          const auto p = engine.params(w);
-          const auto& self = pub[w];
-          const auto& left = nbr_pub[w][0];
-          const auto& right = nbr_pub[w][1];
-          if (!dyn_.robust()) {
-            for (std::size_t j = 0; j < dim; ++j) {
-              p[j] += (left[j] + right[j] - 2.0f * self[j]) / 3.0f;
-            }
-          } else {
-            std::array<float, 3> vals{};
-            for (std::size_t j = 0; j < dim; ++j) {
-              vals = {self[j], left[j], right[j]};
-              p[j] += compress::robust_center(dyn_.merge,
-                                              std::span<float>(vals),
-                                              dyn_.trim_frac) -
-                      self[j];
-            }
-          }
-        });
-      }
-
-      ++round;
-      if (schedule.due(round)) {
-        result.history.push_back(engine.eval_point(
-            round, static_cast<double>(round) / static_cast<double>(steps)));
-      }
+    if (!std::ranges::equal(act, ring_set)) {
+      // Membership changed: the ring is rewired, so the locally held
+      // neighbor replicas point at the wrong peers.  Re-seed them with one
+      // extra fabric round of full public-copy exchanges (honestly charged
+      // — rejoining is not free).  Never fires on a static run.
+      ring_set.assign(act.begin(), act.end());
+      fabric.begin_round();
+      engine.parallel_for(m, [&](std::size_t i) {
+        const std::size_t w = act[i];
+        net::FullModelMsg msg;
+        msg.rank = static_cast<std::uint32_t>(w);
+        msg.params = pub[w];
+        fabric.multicast(w, ring_neighbors(act, i), msg);
+      });
+      fabric.end_round();
+      engine.parallel_for(m, [&](std::size_t i) {
+        const std::size_t w = act[i];
+        receive_expected(fabric, w, ring_neighbors(act, i), name(),
+                         full_model_rank,
+                         [&](std::size_t k, sim::Envelope& env) {
+                           nbr_pub[w][k] = std::move(
+                               net::FullModelMsg::decode(env.payload).params);
+                           return true;
+                         });
+      });
     }
-  }
-  if (result.history.back().round != round) {
-    result.history.push_back(engine.eval_point(
-        round, static_cast<double>(round) / static_cast<double>(steps)));
-  }
-  return result;
+
+    // Compress x_w − x̂_w (per-block scratch, so the compression step
+    // parallelizes) and ship the SparseDeltaMsg to both neighbors.
+    engine.parallel_chunks(
+        m, [&](std::size_t chunk, std::size_t begin, std::size_t end) {
+          auto& diff = diffs[chunk];
+          for (std::size_t i = begin; i < end; ++i) {
+            const std::size_t w = act[i];
+            const auto p = engine.params(w);
+            for (std::size_t j = 0; j < dim; ++j) diff[j] = p[j] - pub[w][j];
+            deltas[w] = compress::top_k(diff, config_.compression);
+          }
+        });
+    fabric.begin_round();
+    engine.parallel_for(m, [&](std::size_t i) {
+      const std::size_t w = act[i];
+      fabric.compute(w);
+      net::SparseDeltaMsg msg;
+      msg.round = static_cast<std::uint32_t>(r.index);
+      msg.origin = static_cast<std::uint32_t>(w);
+      msg.indices = deltas[w].indices;
+      msg.values = deltas[w].values;
+      fabric.multicast(w, ring_neighbors(act, i), msg);
+    });
+    fabric.end_round();
+
+    // Every holder applies the delivered deltas: w updates its own public
+    // copy from its local delta and both neighbor replicas from the
+    // delivered messages (each w touches only its own state).  A dropped
+    // delta leaves that neighbor replica stale — the drift a faulted fabric
+    // is supposed to cause.
+    engine.parallel_for(m, [&](std::size_t i) {
+      const std::size_t w = act[i];
+      compress::add_sparse(pub[w], deltas[w]);
+      receive_expected(fabric, w, ring_neighbors(act, i), name(),
+                       sparse_delta_origin,
+                       [&](std::size_t k, sim::Envelope& env) {
+                         const auto delta =
+                             net::SparseDeltaMsg::decode(env.payload);
+                         compress::add_sparse(nbr_pub[w][k], delta.indices,
+                                              delta.values);
+                         return true;
+                       });
+    });
+
+    // Gossip on public copies: x_w += Σ_u W_wu (x̂_u − x̂_w), ring weights
+    // 1/3, using the locally maintained neighbor replicas; the robust rule
+    // replaces the weighted mean with a per-coordinate center of {self,
+    // left, right}.
+    engine.parallel_for(m, [&](std::size_t i) {
+      const std::size_t w = act[i];
+      const auto p = engine.params(w);
+      const auto& self = pub[w];
+      const auto& [left, right] = nbr_pub[w];
+      if (!dyn_.robust()) {
+        for (std::size_t j = 0; j < dim; ++j) {
+          p[j] += (left[j] + right[j] - 2.0f * self[j]) / 3.0f;
+        }
+      } else {
+        std::array<float, 3> vals{};
+        for (std::size_t j = 0; j < dim; ++j) {
+          vals = {self[j], left[j], right[j]};
+          p[j] += compress::robust_center(dyn_.merge, std::span<float>(vals),
+                                          dyn_.trim_frac) -
+                  self[j];
+        }
+      }
+    });
+  });
 }
 
 }  // namespace saps::algos

@@ -67,6 +67,8 @@ sim::RunResult FedAvg::run(sim::Engine& engine) {
   part.reserve(n);
   std::vector<std::uint8_t> got_down(n, 0);
   std::vector<std::uint8_t> got_up(n, 0);
+  std::vector<std::size_t> sent;  // participants that got the download
+  sent.reserve(n);
   std::vector<std::size_t> received;
   received.reserve(n);
   std::vector<const float*> inputs;
@@ -108,37 +110,33 @@ sim::RunResult FedAvg::run(sim::Engine& engine) {
       fabric.multicast(server, part, down);
     }
     fabric.end_round();
+    // A dropped download sits the participant out of the round.
+    const std::size_t from_server[] = {server};
     engine.parallel_for(part.size(), [&](std::size_t i) {
       const std::size_t w = part[i];
-      if (fabric.transparent()) {
-        const auto env = fabric.recv(w);
-        if (!env) throw std::logic_error("FedAvg: missing download");
-        const auto down = net::FullModelMsg::decode(env->payload);
-        const auto p = engine.params(w);
-        std::copy(down.params.begin(), down.params.end(), p.begin());
-        got_down[w] = 1;
-      } else {
-        // Faulted fabric: the download may be dropped (the participant then
-        // sits the round out) or duplicated (drain to empty).
-        got_down[w] = 0;
-        while (auto env = fabric.recv(w)) {
-          if (got_down[w]) continue;
-          const auto down = net::FullModelMsg::decode(env->payload);
-          const auto p = engine.params(w);
-          std::copy(down.params.begin(), down.params.end(), p.begin());
-          got_down[w] = 1;
-        }
-      }
+      got_down[w] = 0;
+      receive_expected(fabric, w, from_server, "FedAvg download", posted_by,
+                       [&](std::size_t, sim::Envelope& env) {
+                         const auto down =
+                             net::FullModelMsg::decode(env.payload);
+                         std::copy(down.params.begin(), down.params.end(),
+                                   engine.params(w).begin());
+                         got_down[w] = 1;
+                         return true;
+                       });
     });
+    sent.clear();
+    for (const auto w : part) {
+      if (got_down[w]) sent.push_back(w);
+    }
 
     // Local training: E epochs (or a fixed step count) on each participant
     // that received the global model.  Participants own disjoint
     // models/samplers/optimizers, so their whole local schedules run in
     // parallel.
     const auto lr_epoch = static_cast<std::size_t>(epoch_progress);
-    engine.parallel_for(part.size(), [&](std::size_t i) {
-      const std::size_t w = part[i];
-      if (!got_down[w]) return;
+    engine.parallel_for(sent.size(), [&](std::size_t i) {
+      const std::size_t w = sent[i];
       const std::size_t local_steps =
           config_.local_steps > 0
               ? config_.local_steps
@@ -165,8 +163,7 @@ sim::RunResult FedAvg::run(sim::Engine& engine) {
       }
     }
     fabric.begin_round();
-    for (const auto w : part) {
-      if (!got_down[w]) continue;
+    for (const auto w : sent) {
       fabric.compute(w);
       if (sparse_up) {
         net::MaskedModelMsg up;
@@ -185,44 +182,26 @@ sim::RunResult FedAvg::run(sim::Engine& engine) {
     fabric.end_round();
 
     // Server-side decode: bucket the uploads by sender so aggregation runs
-    // in `part` (chosen) order whatever the arrival order was.  On a
-    // transparent fabric every upload arrives exactly once; under faults the
-    // server drains its mailbox and renormalizes over whoever made it.
-    for (const auto w : part) got_up[w] = 0;
-    if (fabric.transparent()) {
-      for (std::size_t i = 0; i < part.size(); ++i) {
-        const auto env = fabric.recv(server);
-        if (!env) throw std::logic_error("FedAvg: missing upload");
-        if (sparse_up) {
-          auto up = net::MaskedModelMsg::decode(env->payload);
-          if (up.mask_seed != mask_seed) {
-            throw std::logic_error("S-FedAvg: upload from a different round");
-          }
-          uploads[env->from] = std::move(up.values);
-          got_up[env->from] = 1;
-        } else {
-          auto up = net::FullModelMsg::decode(env->payload);
-          got_up[up.rank] = 1;
-          uploads[up.rank] = std::move(up.params);
-        }
-      }
-    } else {
-      while (auto env = fabric.recv(server)) {
-        const std::size_t w = env->from;
-        if (w >= n || got_up[w]) continue;  // stranger or duplicate
-        if (sparse_up) {
-          auto up = net::MaskedModelMsg::decode(env->payload);
-          if (up.mask_seed != mask_seed) continue;  // stale frame
-          uploads[w] = std::move(up.values);
-        } else {
-          auto up = net::FullModelMsg::decode(env->payload);
-          uploads[w] = std::move(up.params);
-        }
-        got_up[w] = 1;
-      }
-    }
+    // in `part` (chosen) order whatever the arrival order was, over whoever
+    // made it (a stale S-FedAvg frame, from another round's mask, is
+    // refused).
+    for (const auto w : sent) got_up[w] = 0;
+    receive_expected(fabric, server, sent, "FedAvg upload", posted_by,
+                     [&](std::size_t k, sim::Envelope& env) {
+                       const std::size_t w = sent[k];
+                       if (sparse_up) {
+                         auto up = net::MaskedModelMsg::decode(env.payload);
+                         if (up.mask_seed != mask_seed) return false;
+                         uploads[w] = std::move(up.values);
+                       } else {
+                         uploads[w] = std::move(
+                             net::FullModelMsg::decode(env.payload).params);
+                       }
+                       got_up[w] = 1;
+                       return true;
+                     });
     received.clear();
-    for (const auto w : part) {
+    for (const auto w : sent) {
       if (got_up[w]) received.push_back(w);
     }
 

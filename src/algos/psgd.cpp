@@ -1,7 +1,6 @@
 #include "algos/psgd.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "net/wire.hpp"
 #include "scenario/registry.hpp"
@@ -9,118 +8,75 @@
 namespace saps::algos {
 
 sim::RunResult PsgdAllReduce::run(sim::Engine& engine) {
-  const auto& cfg = engine.config();
-  const std::size_t n = engine.workers();
-  const std::size_t steps = engine.steps_per_epoch();
   const std::size_t dim = engine.param_count();
-  EvalSchedule schedule(cfg, steps);
   auto& fabric = engine.fabric();
-
-  sim::RunResult result;
-  result.algorithm = name();
-  result.history.push_back(engine.eval_point(0, 0.0));
-
-  std::vector<std::size_t> act;
-  act.reserve(n);
   std::vector<float> merged(dim);
   std::vector<const float*> inputs;
   std::vector<std::vector<float>> scratch(engine.chunk_count(dim));
 
-  std::size_t round = 0;
-  for (std::size_t epoch = 0; epoch < cfg.epochs; ++epoch) {
-    for (std::size_t step = 0; step < steps; ++step) {
-      if (dyn_.on_round) dyn_.on_round(round, engine);
-      act.clear();
-      for (std::size_t w = 0; w < n; ++w) {
-        if (engine.active(w)) act.push_back(w);
-      }
-      const std::size_t m = act.size();
+  return run_rounds(engine, name(), dyn_.on_round, [&](const Round& r) {
+    const auto act = r.active;
+    const std::size_t m = act.size();
+    engine.for_each_worker(
+        [&](std::size_t w) { engine.sgd_step(w, r.epoch); });
+    // A lone worker has no one to average with.
+    if (m == 1) return;
 
-      engine.for_each_worker([&](std::size_t w) { engine.sgd_step(w, epoch); });
-
-      // Ring pass over the active set: each active worker ships one
-      // FullModelMsg to its right active neighbor and receives one (the
-      // paper's 2N-per-round accounting for all-reduce PSGD).  With everyone
-      // active this is the legacy full ring.
-      fabric.begin_round();
-      for (std::size_t i = 0; i < m; ++i) {
-        const std::size_t w = act[i];
-        fabric.compute(w);
-        net::FullModelMsg msg;
-        msg.rank = static_cast<std::uint32_t>(w);
-        const auto p = engine.params(w);
-        msg.params.assign(p.begin(), p.end());
-        fabric.send(w, act[(i + 1) % m], msg);
-      }
-      fabric.end_round();
-      if (fabric.transparent()) {
-        for (std::size_t i = 0; i < m; ++i) {
-          const auto env = fabric.recv(act[i]);
-          if (!env) throw std::logic_error("PSGD: missing ring message");
-          // Provenance check only — the averaged merge below uses the
-          // engine's replicas, so skip materializing the payload.
-          if (net::FullModelMsg::peek_rank(env->payload) !=
-              act[(i + m - 1) % m]) {
-            throw std::logic_error("PSGD: ring message from wrong neighbor");
-          }
-        }
-      } else {
-        // Faulted fabric: frames may be missing, duplicated, or rewritten.
-        // The merge never reads them, so just drain every mailbox to empty
-        // (a duplicate left queued would pollute the next round).
-        for (const auto w : act) {
-          while (fabric.recv(w)) {
-          }
-        }
-      }
-
-      // The delivered replicas average to the same global mean the ideal
-      // collective produces; apply it through the engine.  Write the result
-      // back to ACTIVE workers only — dropped workers keep their stale
-      // replica and re-enter the average when they rejoin.
-      if (m == 0) {
-        // Every worker is away; nothing trains or merges this round.
-      } else if (!dyn_.robust()) {
-        if (!dyn_.on_round) {
-          engine.allreduce_average();
-        } else {
-          const auto avg = engine.average_params();
-          engine.parallel_for(m, [&](std::size_t i) {
-            const auto p = engine.params(act[i]);
-            std::copy(avg.begin(), avg.end(), p.begin());
-          });
-        }
-      } else {
-        // Robust merge: per-coordinate center over the active replicas.
-        // PSGD merges from engine state rather than payloads, so byzantine
-        // payload rewrites cannot reach it — the attack-free control.
-        inputs.clear();
-        for (const auto w : act) inputs.push_back(engine.params(w).data());
-        engine.parallel_chunks(
-            dim, [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-              auto& tmp = scratch[chunk];
-              tmp.resize(inputs.size());
-              compress::robust_combine(
-                  dyn_.merge, dyn_.trim_frac, inputs, begin, end,
-                  std::span<float>(merged.data() + begin, end - begin), tmp);
-            });
-        engine.parallel_for(m, [&](std::size_t i) {
-          const auto p = engine.params(act[i]);
-          std::copy(merged.begin(), merged.end(), p.begin());
-        });
-      }
-      ++round;
-      if (schedule.due(round)) {
-        result.history.push_back(engine.eval_point(
-            round, static_cast<double>(round) / static_cast<double>(steps)));
-      }
+    // Ring pass over the active set: each active worker ships one
+    // FullModelMsg to its right active neighbor and receives one (the
+    // paper's 2N-per-round accounting for all-reduce PSGD).  With everyone
+    // active this is the full ring; with nobody active the fabric round
+    // stays empty.
+    fabric.begin_round();
+    for (std::size_t i = 0; i < m; ++i) {
+      const std::size_t w = act[i];
+      fabric.compute(w);
+      net::FullModelMsg msg;
+      msg.rank = static_cast<std::uint32_t>(w);
+      const auto p = engine.params(w);
+      msg.params.assign(p.begin(), p.end());
+      fabric.send(w, act[(i + 1) % m], msg);
     }
-  }
-  if (result.history.back().round != round) {
-    result.history.push_back(engine.eval_point(
-        round, static_cast<double>(round) / static_cast<double>(steps)));
-  }
-  return result;
+    fabric.end_round();
+    // The merge below reads the engine's replicas, so receiving only checks
+    // provenance and drains the mailboxes.
+    for (std::size_t i = 0; i < m; ++i) {
+      const std::size_t left[] = {act[(i + m - 1) % m]};
+      receive_expected(
+          fabric, act[i], left, "PSGD",
+          [](const sim::Envelope& env) {
+            return net::FullModelMsg::peek_rank(env.payload);
+          },
+          [](std::size_t, sim::Envelope&) { return true; });
+    }
+    if (m == 0) return;
+
+    // The delivered replicas average to the same global mean the ideal
+    // collective produces; apply it through the engine to the ACTIVE
+    // workers only — dropped workers keep their stale replica and re-enter
+    // the average when they rejoin.
+    if (!dyn_.robust()) {
+      engine.allreduce_average();
+      return;
+    }
+    // Robust merge: per-coordinate center over the active replicas.  PSGD
+    // merges from engine state rather than payloads, so byzantine payload
+    // rewrites cannot reach it — the attack-free control.
+    inputs.clear();
+    for (const auto w : act) inputs.push_back(engine.params(w).data());
+    engine.parallel_chunks(
+        dim, [&](std::size_t chunk, std::size_t begin, std::size_t end) {
+          auto& tmp = scratch[chunk];
+          tmp.resize(inputs.size());
+          compress::robust_combine(
+              dyn_.merge, dyn_.trim_frac, inputs, begin, end,
+              std::span<float>(merged.data() + begin, end - begin), tmp);
+        });
+    engine.parallel_for(m, [&](std::size_t i) {
+      const auto p = engine.params(act[i]);
+      std::copy(merged.begin(), merged.end(), p.begin());
+    });
+  });
 }
 
 }  // namespace saps::algos

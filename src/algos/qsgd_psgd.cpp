@@ -1,8 +1,6 @@
 #include "algos/qsgd_psgd.hpp"
 
-#include <algorithm>
-#include <stdexcept>
-
+#include "algos/ring_allgather.hpp"
 #include "compress/quantize.hpp"
 #include "net/wire.hpp"
 #include "scenario/registry.hpp"
@@ -10,218 +8,68 @@
 
 namespace saps::algos {
 
-sim::RunResult QsgdPsgd::run(sim::Engine& engine) {
-  const auto& cfg = engine.config();
-  const std::size_t n = engine.workers();
-  const std::size_t steps = engine.steps_per_epoch();
-  const std::size_t dim = engine.param_count();
-  EvalSchedule schedule(cfg, steps);
-  auto& fabric = engine.fabric();
+namespace {
 
-  sim::RunResult result;
-  result.algorithm = name();
-  result.history.push_back(engine.eval_point(0, 0.0));
+/// Stochastically quantized chunks for run_ring_allgather.
+struct QsgdCodec {
+  using Msg = net::QuantGradMsg;
 
   // One RNG stream per worker (derived, uncorrelated), so the stochastic
   // quantization parallelizes across workers and stays deterministic for
   // every thread count.
-  std::vector<Rng> rngs;
-  rngs.reserve(n);
-  for (std::size_t w = 0; w < n; ++w) {
-    rngs.emplace_back(derive_seed(cfg.seed, 0x05d9, w));
-  }
-  // Ring all-gather state over the ACTIVE set, as in TopK-PSGD: each
-  // worker's quantized chunk is encoded once (sim::pre_encode) and the frame
-  // forwarded verbatim at every hop.  On a transparent fabric the first
-  // active worker decodes to build the gathered set (identical on all
-  // workers, so the shared averaged update is computed once, in origin
-  // order); other workers validate provenance via peek_origin.
-  std::vector<net::QuantGradMsg> msgs(n);
-  std::vector<sim::EncodedFrame> frames(n);
-  // Per-worker encoder output, persistent across rounds: the into-overload
-  // refills it, then the level buffer is swapped into the message (swap
-  // keeps both sides' capacity warm — the steady state allocates nothing).
-  std::vector<compress::QsgdEncoded> encs(n);
-  std::vector<net::QuantGradMsg> gathered;
-  std::vector<float> avg(dim);
-  std::vector<std::size_t> act;
-  act.reserve(n);
-  std::vector<std::size_t> pos(n, 0);
-  std::vector<std::vector<float>> dense;  // robust-merge densification
-  std::vector<const float*> inputs;
-  std::vector<float> scratch;
-
-  std::size_t round = 0;
-  for (std::size_t epoch = 0; epoch < cfg.epochs; ++epoch) {
-    for (std::size_t step = 0; step < steps; ++step) {
-      if (dyn_.on_round) dyn_.on_round(round, engine);
-      act.clear();
-      for (std::size_t w = 0; w < n; ++w) {
-        if (engine.active(w)) act.push_back(w);
-      }
-      const std::size_t m = act.size();
-      for (std::size_t i = 0; i < m; ++i) pos[act[i]] = i;
-
-      engine.for_each_worker(
-          [&](std::size_t w) { engine.compute_gradient(w, epoch); });
-      engine.parallel_for(m, [&](std::size_t i) {
-        const std::size_t w = act[i];
-        compress::qsgd_encode(engine.model(w).gradients(), config_.levels,
-                              rngs[w], encs[w]);
-        msgs[w].round = static_cast<std::uint32_t>(round);
-        msgs[w].origin = static_cast<std::uint32_t>(w);
-        msgs[w].norm = encs[w].norm;
-        msgs[w].levels = encs[w].levels;
-        msgs[w].quantized.swap(encs[w].quantized);
-        frames[w] = sim::pre_encode(msgs[w]);
-      });
-
-      if (m >= 1 && fabric.transparent()) {
-        gathered.assign(m, {});
-        gathered[0] = msgs[act[0]];
-
-        // Ring all-gather of the bit-packed quantized gradients.
-        for (std::size_t hop = 0; hop + 1 < m; ++hop) {
-          fabric.begin_round();
-          for (std::size_t i = 0; i < m; ++i) {
-            if (hop == 0) fabric.compute(act[i]);
-            fabric.send_frame(act[i], act[(i + 1) % m],
-                              frames[act[(i + m - hop) % m]]);
-          }
-          fabric.end_round();
-          for (std::size_t i = 0; i < m; ++i) {
-            const auto env = fabric.recv(act[i]);
-            if (!env) throw std::logic_error("QSGD: missing ring chunk");
-            const std::size_t expect = (i + m - hop - 1) % m;
-            if (i == 0) {
-              gathered[expect] = net::QuantGradMsg::decode(env->payload);
-              if (gathered[expect].origin != act[expect]) {
-                throw std::logic_error("QSGD: ring chunk out of order");
-              }
-            } else if (net::QuantGradMsg::peek_origin(env->payload) !=
-                       act[expect]) {
-              throw std::logic_error("QSGD: ring chunk out of order");
-            }
-          }
-        }
-
-        if (!dyn_.robust()) {
-          // Decode-and-accumulate chunked over coordinates (QSGD decode is
-          // elementwise: unit * quantized[j]); each coordinate still sums
-          // over origins in fixed order, so the average is thread-count
-          // invariant — and no dense decoded copies are materialized.
-          const float inv = 1.0f / static_cast<float>(m);
-          engine.parallel_chunks(
-              dim, [&](std::size_t begin, std::size_t end) {
-                for (std::size_t j = begin; j < end; ++j) avg[j] = 0.0f;
-                for (std::size_t p = 0; p < m; ++p) {
-                  const auto& e = gathered[p];
-                  const float unit = e.norm / static_cast<float>(e.levels);
-                  for (std::size_t j = begin; j < end; ++j) {
-                    avg[j] += inv * (unit * static_cast<float>(e.quantized[j]));
-                  }
-                }
-              });
-        } else {
-          // Robust merge: densify every decoded gradient, per-coordinate
-          // center instead of mean.
-          dense.assign(m, std::vector<float>(dim));
-          inputs.clear();
-          for (std::size_t p = 0; p < m; ++p) {
-            const auto& e = gathered[p];
-            const float unit = e.norm / static_cast<float>(e.levels);
-            for (std::size_t j = 0; j < dim; ++j) {
-              dense[p][j] = unit * static_cast<float>(e.quantized[j]);
-            }
-            inputs.push_back(dense[p].data());
-          }
-          scratch.resize(m);
-          compress::robust_combine(dyn_.merge, dyn_.trim_frac, inputs, 0, dim,
-                                   avg, scratch);
-        }
-        engine.for_each_worker(
-            [&](std::size_t w) { engine.apply_update(w, avg, epoch); });
-      } else if (m >= 1) {
-        // Faulted fabric: track the payloads each position actually holds
-        // and forward only those (rewritten frames spread in rewritten
-        // form); merge per worker over its held subset.
-        std::vector<std::vector<std::vector<std::uint8_t>>> held(
-            m, std::vector<std::vector<std::uint8_t>>(m));
-        for (std::size_t i = 0; i < m; ++i) {
-          held[i][i] = frames[act[i]].bytes;
-        }
-        for (std::size_t hop = 0; hop + 1 < m; ++hop) {
-          fabric.begin_round();
-          for (std::size_t i = 0; i < m; ++i) {
-            if (hop == 0) fabric.compute(act[i]);
-            const std::size_t p = (i + m - hop) % m;
-            if (!held[i][p].empty()) {
-              const sim::EncodedFrame fwd{frames[act[p]].charged, held[i][p]};
-              fabric.send_frame(act[i], act[(i + 1) % m], fwd);
-            }
-          }
-          fabric.end_round();
-          for (std::size_t i = 0; i < m; ++i) {
-            while (auto env = fabric.recv(act[i])) {
-              const std::size_t origin =
-                  net::QuantGradMsg::peek_origin(env->payload);
-              if (origin >= n || !engine.active(origin)) continue;
-              auto& slot = held[i][pos[origin]];
-              if (slot.empty()) slot = std::move(env->payload);
-            }
-          }
-        }
-
-        for (std::size_t i = 0; i < m; ++i) {
-          if (!dyn_.robust()) {
-            std::size_t count = 0;
-            for (std::size_t p = 0; p < m; ++p) {
-              if (!held[i][p].empty()) ++count;
-            }
-            const float inv = 1.0f / static_cast<float>(count);
-            std::fill(avg.begin(), avg.end(), 0.0f);
-            for (std::size_t p = 0; p < m; ++p) {
-              if (held[i][p].empty()) continue;
-              const auto e = net::QuantGradMsg::decode(held[i][p]);
-              const float unit = e.norm / static_cast<float>(e.levels);
-              for (std::size_t j = 0; j < dim; ++j) {
-                avg[j] += inv * (unit * static_cast<float>(e.quantized[j]));
-              }
-            }
-          } else {
-            dense.clear();
-            inputs.clear();
-            for (std::size_t p = 0; p < m; ++p) {
-              if (held[i][p].empty()) continue;
-              const auto e = net::QuantGradMsg::decode(held[i][p]);
-              const float unit = e.norm / static_cast<float>(e.levels);
-              dense.emplace_back(dim);
-              for (std::size_t j = 0; j < dim; ++j) {
-                dense.back()[j] = unit * static_cast<float>(e.quantized[j]);
-              }
-            }
-            inputs.reserve(dense.size());
-            for (const auto& d : dense) inputs.push_back(d.data());
-            scratch.resize(inputs.size());
-            compress::robust_combine(dyn_.merge, dyn_.trim_frac, inputs, 0,
-                                     dim, avg, scratch);
-          }
-          engine.apply_update(act[i], avg, epoch);
-        }
-      }
-
-      ++round;
-      if (schedule.due(round)) {
-        result.history.push_back(engine.eval_point(
-            round, static_cast<double>(round) / static_cast<double>(steps)));
-      }
+  QsgdCodec(const sim::Engine& engine, std::uint8_t levels)
+      : engine(engine), levels(levels), encs(engine.workers()) {
+    rngs.reserve(engine.workers());
+    for (std::size_t w = 0; w < engine.workers(); ++w) {
+      rngs.emplace_back(derive_seed(engine.config().seed, 0x05d9, w));
     }
   }
-  if (result.history.back().round != round) {
-    result.history.push_back(engine.eval_point(
-        round, static_cast<double>(round) / static_cast<double>(steps)));
+
+  // The into-overload refills the worker's encoder output, whose level
+  // buffer is then swapped into the message (the steady state allocates
+  // nothing).
+  void encode(std::size_t w, std::span<const float> gradient, Msg& msg) {
+    compress::qsgd_encode(gradient, levels, rngs[w], encs[w]);
+    msg.norm = encs[w].norm;
+    msg.levels = encs[w].levels;
+    msg.quantized.swap(encs[w].quantized);
   }
-  return result;
+
+  // Decode-and-accumulate chunked over coordinates (QSGD decode is
+  // elementwise: unit * quantized[j]); each coordinate still sums over
+  // origins in fixed order, so the mean is thread-count invariant — and no
+  // dense decoded copies are materialized.
+  void mean(std::span<const Msg* const> chunks, std::span<float> avg) const {
+    const float inv = 1.0f / static_cast<float>(chunks.size());
+    engine.parallel_chunks(avg.size(), [&](std::size_t begin, std::size_t end) {
+      for (std::size_t j = begin; j < end; ++j) avg[j] = 0.0f;
+      for (const Msg* e : chunks) {
+        const float unit = e->norm / static_cast<float>(e->levels);
+        for (std::size_t j = begin; j < end; ++j) {
+          avg[j] += inv * (unit * static_cast<float>(e->quantized[j]));
+        }
+      }
+    });
+  }
+
+  static void densify(const Msg& e, std::span<float> dense) {
+    const float unit = e.norm / static_cast<float>(e.levels);
+    for (std::size_t j = 0; j < dense.size(); ++j) {
+      dense[j] = unit * static_cast<float>(e.quantized[j]);
+    }
+  }
+
+  const sim::Engine& engine;
+  std::uint8_t levels;
+  std::vector<Rng> rngs;
+  std::vector<compress::QsgdEncoded> encs;
+};
+
+}  // namespace
+
+sim::RunResult QsgdPsgd::run(sim::Engine& engine) {
+  QsgdCodec codec(engine, config_.levels);
+  return run_ring_allgather(engine, name(), dyn_, codec);
 }
 
 }  // namespace saps::algos

@@ -1,222 +1,58 @@
 #include "algos/topk_psgd.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
+#include "algos/ring_allgather.hpp"
 #include "compress/topk.hpp"
 #include "net/wire.hpp"
 #include "scenario/registry.hpp"
 
 namespace saps::algos {
 
-sim::RunResult TopkPsgd::run(sim::Engine& engine) {
-  const auto& cfg = engine.config();
-  const std::size_t n = engine.workers();
-  const std::size_t steps = engine.steps_per_epoch();
-  const std::size_t dim = engine.param_count();
-  EvalSchedule schedule(cfg, steps);
-  auto& fabric = engine.fabric();
+namespace {
 
-  std::vector<compress::ErrorFeedbackTopK> ef;
-  ef.reserve(n);
-  for (std::size_t w = 0; w < n; ++w) ef.emplace_back(dim, config_.compression);
+/// Error-feedback top-k chunks for run_ring_allgather.
+struct TopkCodec {
+  using Msg = net::SparseDeltaMsg;
 
-  sim::RunResult result;
-  result.algorithm = name();
-  result.history.push_back(engine.eval_point(0, 0.0));
+  TopkCodec(std::size_t workers, std::size_t dim, double compression)
+      : ef(workers, compress::ErrorFeedbackTopK(dim, compression)),
+        out(workers) {}
 
-  // Ring all-gather state over the ACTIVE set: each worker's own chunk is
-  // encoded ONCE (sim::pre_encode) and the frame is forwarded verbatim at
-  // every hop — no per-hop re-serialization.  On a transparent fabric the
-  // first active worker decodes what it receives to build the gathered set
-  // (all workers end up with identical sets, so the shared averaged update
-  // is computed once, in origin order); other workers only validate
-  // provenance via peek_origin.
-  std::vector<net::SparseDeltaMsg> msgs(n);
-  std::vector<sim::EncodedFrame> frames(n);
-  // Per-worker compression output, persistent across rounds: compress_into
-  // refills it, then the buffers are swapped into the message (swap keeps
-  // both sides' capacity warm — the steady state allocates nothing).
-  std::vector<compress::SparseVector> chunks(n);
-  std::vector<compress::SparseVector> gathered;
-  std::vector<float> avg(dim);
-  std::vector<std::size_t> act;
-  act.reserve(n);
-  std::vector<std::size_t> pos(n, 0);
-  std::vector<std::vector<float>> dense;  // robust-merge densification
-  std::vector<const float*> inputs;
-  std::vector<float> scratch;
+  // compress_into refills the worker's output, whose buffers are then
+  // swapped into the message (swap keeps both sides' capacity warm — the
+  // steady state allocates nothing).
+  void encode(std::size_t w, std::span<const float> gradient, Msg& msg) {
+    ef[w].compress_into(gradient, out[w]);
+    msg.indices.swap(out[w].indices);
+    msg.values.swap(out[w].values);
+  }
 
-  std::size_t round = 0;
-  for (std::size_t epoch = 0; epoch < cfg.epochs; ++epoch) {
-    for (std::size_t step = 0; step < steps; ++step) {
-      if (dyn_.on_round) dyn_.on_round(round, engine);
-      act.clear();
-      for (std::size_t w = 0; w < n; ++w) {
-        if (engine.active(w)) act.push_back(w);
-      }
-      const std::size_t m = act.size();
-      for (std::size_t i = 0; i < m; ++i) pos[act[i]] = i;
-
-      engine.for_each_worker(
-          [&](std::size_t w) { engine.compute_gradient(w, epoch); });
-      // Error-feedback compression is per-worker state; top-k selection is
-      // deterministic (lowest-index tie-break), so this parallelizes.
-      engine.parallel_for(m, [&](std::size_t i) {
-        const std::size_t w = act[i];
-        ef[w].compress_into(engine.model(w).gradients(), chunks[w]);
-        msgs[w].round = static_cast<std::uint32_t>(round);
-        msgs[w].origin = static_cast<std::uint32_t>(w);
-        msgs[w].indices.swap(chunks[w].indices);
-        msgs[w].values.swap(chunks[w].values);
-        frames[w] = sim::pre_encode(msgs[w]);
-      });
-
-      if (m >= 1 && fabric.transparent()) {
-        gathered.assign(m, {});
-        gathered[0].indices = msgs[act[0]].indices;
-        gathered[0].values = msgs[act[0]].values;
-
-        // Ring all-gather: m-1 sequential hops; at hop r position i forwards
-        // the pre-encoded chunk that originated at position (i - r) mod m.
-        // Each hop is one fabric round of concurrent transfers.
-        for (std::size_t hop = 0; hop + 1 < m; ++hop) {
-          fabric.begin_round();
-          for (std::size_t i = 0; i < m; ++i) {
-            if (hop == 0) fabric.compute(act[i]);
-            fabric.send_frame(act[i], act[(i + 1) % m],
-                              frames[act[(i + m - hop) % m]]);
-          }
-          fabric.end_round();
-          for (std::size_t i = 0; i < m; ++i) {
-            const auto env = fabric.recv(act[i]);
-            if (!env) throw std::logic_error("TopK: missing ring chunk");
-            const std::size_t expect = (i + m - hop - 1) % m;
-            if (i == 0) {
-              auto incoming = net::SparseDeltaMsg::decode(env->payload);
-              if (incoming.origin != act[expect]) {
-                throw std::logic_error("TopK: ring chunk out of order");
-              }
-              gathered[expect].indices = std::move(incoming.indices);
-              gathered[expect].values = std::move(incoming.values);
-            } else if (net::SparseDeltaMsg::peek_origin(env->payload) !=
-                       act[expect]) {
-              throw std::logic_error("TopK: ring chunk out of order");
-            }
-          }
-        }
-
-        // Everyone now holds all chunks; apply the identical merged update.
-        if (!dyn_.robust()) {
-          // The accumulation stays serial in fixed origin order so the float
-          // sums are bit-identical for every thread count.
-          std::fill(avg.begin(), avg.end(), 0.0f);
-          for (std::size_t p = 0; p < m; ++p) {
-            compress::add_sparse(avg, gathered[p],
-                                 1.0f / static_cast<float>(m));
-          }
-        } else {
-          // Robust merge: densify every chunk, then take the per-coordinate
-          // center instead of the mean.
-          dense.assign(m, std::vector<float>(dim, 0.0f));
-          inputs.clear();
-          for (std::size_t p = 0; p < m; ++p) {
-            compress::add_sparse(dense[p], gathered[p]);
-            inputs.push_back(dense[p].data());
-          }
-          scratch.resize(m);
-          compress::robust_combine(dyn_.merge, dyn_.trim_frac, inputs, 0, dim,
-                                   avg, scratch);
-        }
-        engine.for_each_worker(
-            [&](std::size_t w) { engine.apply_update(w, avg, epoch); });
-      } else if (m >= 1) {
-        // Faulted fabric: a frame may never arrive, so each position tracks
-        // the payloads it actually HOLDS (its own chunk plus whatever was
-        // delivered) and can only forward those; a byzantine-rewritten frame
-        // is forwarded in its rewritten form, spreading the attack the way a
-        // real relay would.  Gathered sets now differ per worker, so each
-        // merges its own subset.
-        std::vector<std::vector<std::vector<std::uint8_t>>> held(
-            m, std::vector<std::vector<std::uint8_t>>(m));
-        for (std::size_t i = 0; i < m; ++i) {
-          held[i][i] = frames[act[i]].bytes;
-        }
-        for (std::size_t hop = 0; hop + 1 < m; ++hop) {
-          fabric.begin_round();
-          for (std::size_t i = 0; i < m; ++i) {
-            if (hop == 0) fabric.compute(act[i]);
-            const std::size_t p = (i + m - hop) % m;
-            if (!held[i][p].empty()) {
-              const sim::EncodedFrame fwd{frames[act[p]].charged, held[i][p]};
-              fabric.send_frame(act[i], act[(i + 1) % m], fwd);
-            }
-          }
-          fabric.end_round();
-          for (std::size_t i = 0; i < m; ++i) {
-            while (auto env = fabric.recv(act[i])) {
-              const std::size_t origin =
-                  net::SparseDeltaMsg::peek_origin(env->payload);
-              if (origin >= n || !engine.active(origin)) continue;
-              auto& slot = held[i][pos[origin]];
-              if (slot.empty()) slot = std::move(env->payload);
-            }
-          }
-        }
-
-        // Per-worker merge over the held subset (serial: per-worker updates
-        // differ, and the reused densification scratch keeps memory at one
-        // chunk set).
-        for (std::size_t i = 0; i < m; ++i) {
-          if (!dyn_.robust()) {
-            std::size_t count = 0;
-            for (std::size_t p = 0; p < m; ++p) {
-              if (!held[i][p].empty()) ++count;
-            }
-            std::fill(avg.begin(), avg.end(), 0.0f);
-            for (std::size_t p = 0; p < m; ++p) {
-              if (held[i][p].empty()) continue;
-              const auto sv = net::SparseDeltaMsg::decode(held[i][p]);
-              compress::SparseVector chunk;
-              chunk.indices = sv.indices;
-              chunk.values = sv.values;
-              compress::add_sparse(avg, chunk,
-                                   1.0f / static_cast<float>(count));
-            }
-          } else {
-            dense.clear();
-            inputs.clear();
-            for (std::size_t p = 0; p < m; ++p) {
-              if (held[i][p].empty()) continue;
-              const auto sv = net::SparseDeltaMsg::decode(held[i][p]);
-              compress::SparseVector chunk;
-              chunk.indices = sv.indices;
-              chunk.values = sv.values;
-              dense.emplace_back(dim, 0.0f);
-              compress::add_sparse(dense.back(), chunk);
-            }
-            inputs.reserve(dense.size());
-            for (const auto& d : dense) inputs.push_back(d.data());
-            scratch.resize(inputs.size());
-            compress::robust_combine(dyn_.merge, dyn_.trim_frac, inputs, 0,
-                                     dim, avg, scratch);
-          }
-          engine.apply_update(act[i], avg, epoch);
-        }
-      }
-
-      ++round;
-      if (schedule.due(round)) {
-        result.history.push_back(engine.eval_point(
-            round, static_cast<double>(round) / static_cast<double>(steps)));
-      }
+  // Serial, in fixed origin order, so the float sums are bit-identical for
+  // every thread count.
+  static void mean(std::span<const Msg* const> chunks, std::span<float> avg) {
+    std::fill(avg.begin(), avg.end(), 0.0f);
+    for (const Msg* chunk : chunks) {
+      compress::add_sparse(avg, chunk->indices, chunk->values,
+                           1.0f / static_cast<float>(chunks.size()));
     }
   }
-  if (result.history.back().round != round) {
-    result.history.push_back(engine.eval_point(
-        round, static_cast<double>(round) / static_cast<double>(steps)));
+
+  static void densify(const Msg& chunk, std::span<float> dense) {
+    std::fill(dense.begin(), dense.end(), 0.0f);
+    compress::add_sparse(dense, chunk.indices, chunk.values);
   }
-  return result;
+
+  std::vector<compress::ErrorFeedbackTopK> ef;
+  std::vector<compress::SparseVector> out;
+};
+
+}  // namespace
+
+sim::RunResult TopkPsgd::run(sim::Engine& engine) {
+  TopkCodec codec(engine.workers(), engine.param_count(),
+                  config_.compression);
+  return run_ring_allgather(engine, name(), dyn_, codec);
 }
 
 }  // namespace saps::algos

@@ -342,12 +342,17 @@ SparseVector top_k(std::span<const float> x, double c) {
   return s;
 }
 
-void add_sparse(std::span<float> x, const SparseVector& s, float scale) {
-  for (std::size_t i = 0; i < s.indices.size(); ++i) {
-    const auto idx = s.indices[i];
+void add_sparse(std::span<float> x, std::span<const std::uint32_t> indices,
+                std::span<const float> values, float scale) {
+  for (std::size_t i = 0; i < indices.size(); ++i) {
+    const auto idx = indices[i];
     if (idx >= x.size()) throw std::out_of_range("add_sparse: index");
-    x[idx] += scale * s.values[i];
+    x[idx] += scale * values[i];
   }
+}
+
+void add_sparse(std::span<float> x, const SparseVector& s, float scale) {
+  add_sparse(x, s.indices, s.values, scale);
 }
 
 ErrorFeedbackTopK::ErrorFeedbackTopK(std::size_t n, double c)

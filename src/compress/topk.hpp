@@ -58,7 +58,10 @@ struct TopKCandidate {
 void top_k(std::span<const float> x, double c,
            std::vector<TopKCandidate>& scratch, SparseVector& out);
 
-/// Adds a sparse vector, scaled: x[idx] += scale * value.
+/// Adds a sparse vector, scaled: x[indices[i]] += scale * values[i], in
+/// entry order.
+void add_sparse(std::span<float> x, std::span<const std::uint32_t> indices,
+                std::span<const float> values, float scale = 1.0f);
 void add_sparse(std::span<float> x, const SparseVector& s, float scale = 1.0f);
 
 /// Error-feedback compressor state (one per worker): compress(g) returns

@@ -20,17 +20,14 @@ SapsPsgd::SapsPsgd(SapsConfig config) : config_(std::move(config)) {
 }
 
 sim::RunResult SapsPsgd::run(sim::Engine& engine) {
-  const auto& cfg = engine.config();
   const std::size_t n = engine.workers();
-  const std::size_t steps = engine.steps_per_epoch();
   const std::size_t dim = engine.param_count();
-  algos::EvalSchedule schedule(cfg, steps);
 
   CoordinatorConfig coord_cfg;
   coord_cfg.strategy = config_.strategy;
   coord_cfg.bandwidth_threshold = config_.bandwidth_threshold;
   coord_cfg.t_thres = config_.t_thres;
-  coord_cfg.seed = cfg.seed;
+  coord_cfg.seed = engine.config().seed;
   Coordinator coordinator(n, engine.worker_bandwidth(), coord_cfg);
 
   auto& fabric = engine.fabric();
@@ -59,135 +56,113 @@ sim::RunResult SapsPsgd::run(sim::Engine& engine) {
   }
 
   selection_bandwidth_.clear();
-  sim::RunResult result;
-  result.algorithm = name();
-  result.history.push_back(engine.eval_point(0, 0.0));
-
   const bool pooled = engine.cohort_mode();
-  std::size_t round = 0;
-  for (std::size_t epoch = 0; epoch < cfg.epochs; ++epoch) {
-    for (std::size_t step = 0; step < steps; ++step) {
-      // Population runs: draw this round's cohort first (it resets the
-      // engine's active flags), then let the failure schedule re-assert its
-      // flips, then mirror residency ∩ liveness into the coordinator so the
-      // match never names a worker without a live replica.
-      if (pooled) engine.begin_round_cohort(round);
-      if (config_.on_round) config_.on_round(round, coordinator, engine);
-      if (pooled) {
-        for (std::size_t w = 0; w < n; ++w) {
-          coordinator.set_active(w, engine.resident(w) && engine.active(w));
-        }
-      }
-
-      // Algorithm 1 lines 4-6: the coordinator decides (W_t, t, s) and
-      // broadcasts one NotifyMsg per worker over the control plane.
-      const RoundPlan plan = coordinator.begin_round();
-      if (engine.network().has_bandwidth()) {
-        selection_bandwidth_.push_back(
-            coordinator.bottleneck_bandwidth(plan.gossip));
-      }
+  // No driver hook: the cohort draw must come before config_.on_round, so
+  // both run inside the step.
+  auto result = algos::run_rounds(engine, name(), {}, [&](const auto& r) {
+    // Population runs: draw this round's cohort first (it resets the
+    // engine's active flags), then let the failure schedule re-assert its
+    // flips, then mirror residency ∩ liveness into the coordinator so the
+    // match never names a worker without a live replica.
+    if (pooled) engine.begin_round_cohort(r.index);
+    if (config_.on_round) config_.on_round(r.index, coordinator, engine);
+    if (pooled) {
       for (std::size_t w = 0; w < n; ++w) {
-        // Non-resident workers never drain their mailbox; notifying them
-        // would grow it without bound over a population-scale run.
-        if (pooled && !engine.resident(w)) continue;
-        net::NotifyMsg note;
-        note.round = static_cast<std::uint32_t>(plan.round);
-        note.mask_seed = plan.mask_seed;
-        note.peer = static_cast<std::uint32_t>(plan.gossip.peer(w));
-        fabric.send_control(coord_node, w, note);
-      }
-      // Algorithm 2 line 6: active workers decode their notification (the
-      // drain skips notifies queued while a worker was away).
-      for (std::size_t w = 0; w < n; ++w) {
-        if (coordinator.active(w)) {
-          workers[w].begin_round(fabric,
-                                 static_cast<std::uint32_t>(plan.round));
-        }
-      }
-
-      // Algorithm 2 line 5: local SGD on every active worker.
-      engine.for_each_worker(
-          [&](std::size_t w) { workers[w].local_train(epoch); });
-
-      // Lines 6-10: regenerate the shared mask, exchange MaskedModelMsgs
-      // with the matched peer over the fabric, merge.
-      const auto mask =
-          compress::bernoulli_mask(plan.mask_seed, dim, config_.compression);
-      const auto pairs = plan.gossip.pairs();
-
-      fabric.begin_round();
-      for (std::size_t w = 0; w < n; ++w) {
-        if (coordinator.active(w)) fabric.compute(w);
-      }
-      // The matching is disjoint, so each pair's send/receive/merge touches
-      // only its own two workers and mailboxes and parallelizes without
-      // races; the traffic charges are staged per source and applied in
-      // fixed order at end_round.
-      engine.parallel_for(pairs.size(), [&](std::size_t k) {
-        const auto [i, j] = pairs[k];
-        workers[i].send_model(fabric, mask);
-        workers[j].send_model(fabric, mask);
-        workers[i].receive_and_merge(fabric, mask);
-        workers[j].receive_and_merge(fabric, mask);
-      });
-      fabric.end_round();
-      // Fold this round's staged anomaly observations (fixed observer
-      // order — serial, after the parallel exchange).
-      if (reputation_) reputation_->end_round();
-
-      // Line 11: ROUND_END notifications back over the control plane.
-      for (std::size_t w = 0; w < n; ++w) {
-        if (coordinator.active(w)) {
-          net::RoundEndMsg done;
-          done.round = static_cast<std::uint32_t>(plan.round);
-          done.rank = static_cast<std::uint32_t>(w);
-          fabric.send_control(w, coord_node, done);
-        }
-      }
-      while (auto env = fabric.recv(coord_node)) {
-        const auto done = net::RoundEndMsg::decode(env->payload);
-        coordinator.worker_done(done.rank);
-      }
-
-      ++round;
-      if (schedule.due(round)) {
-        result.history.push_back(engine.eval_point(
-            round, static_cast<double>(round) / static_cast<double>(steps)));
+        coordinator.set_active(w, engine.resident(w) && engine.active(w));
       }
     }
-  }
-  if (result.history.back().round != round) {
-    result.history.push_back(engine.eval_point(
-        round, static_cast<double>(round) / static_cast<double>(steps)));
-  }
+
+    // Algorithm 1 lines 4-6: the coordinator decides (W_t, t, s) and
+    // broadcasts one NotifyMsg per worker over the control plane.
+    const RoundPlan plan = coordinator.begin_round();
+    if (engine.network().has_bandwidth()) {
+      selection_bandwidth_.push_back(
+          coordinator.bottleneck_bandwidth(plan.gossip));
+    }
+    for (std::size_t w = 0; w < n; ++w) {
+      // Non-resident workers never drain their mailbox; notifying them
+      // would grow it without bound over a population-scale run.
+      if (pooled && !engine.resident(w)) continue;
+      net::NotifyMsg note;
+      note.round = static_cast<std::uint32_t>(plan.round);
+      note.mask_seed = plan.mask_seed;
+      note.peer = static_cast<std::uint32_t>(plan.gossip.peer(w));
+      fabric.send_control(coord_node, w, note);
+    }
+    // Algorithm 2 line 6: active workers decode their notification (the
+    // drain skips notifies queued while a worker was away).
+    for (std::size_t w = 0; w < n; ++w) {
+      if (coordinator.active(w)) {
+        workers[w].begin_round(fabric, static_cast<std::uint32_t>(plan.round));
+      }
+    }
+
+    // Algorithm 2 line 5: local SGD on every active worker.
+    engine.for_each_worker(
+        [&](std::size_t w) { workers[w].local_train(r.epoch); });
+
+    // Lines 6-10: regenerate the shared mask, exchange MaskedModelMsgs with
+    // the matched peer over the fabric, merge.
+    const auto mask =
+        compress::bernoulli_mask(plan.mask_seed, dim, config_.compression);
+    const auto pairs = plan.gossip.pairs();
+
+    fabric.begin_round();
+    for (std::size_t w = 0; w < n; ++w) {
+      if (coordinator.active(w)) fabric.compute(w);
+    }
+    // The matching is disjoint, so each pair's send/receive/merge touches
+    // only its own two workers and mailboxes and parallelizes without
+    // races; the traffic charges are staged per source and applied in fixed
+    // order at end_round.
+    engine.parallel_for(pairs.size(), [&](std::size_t k) {
+      const auto [i, j] = pairs[k];
+      workers[i].send_model(fabric, mask);
+      workers[j].send_model(fabric, mask);
+      workers[i].receive_and_merge(fabric, mask);
+      workers[j].receive_and_merge(fabric, mask);
+    });
+    fabric.end_round();
+    // Fold this round's staged anomaly observations (fixed observer order —
+    // serial, after the parallel exchange).
+    if (reputation_) reputation_->end_round();
+
+    // Line 11: ROUND_END notifications back over the control plane.
+    for (std::size_t w = 0; w < n; ++w) {
+      if (coordinator.active(w)) {
+        net::RoundEndMsg done;
+        done.round = static_cast<std::uint32_t>(plan.round);
+        done.rank = static_cast<std::uint32_t>(w);
+        fabric.send_control(w, coord_node, done);
+      }
+    }
+    while (auto env = fabric.recv(coord_node)) {
+      const auto done = net::RoundEndMsg::decode(env->payload);
+      coordinator.worker_done(done.rank);
+    }
+  });
 
   // Algorithm 1 line 8 / Algorithm 2 line 12: the coordinator collects one
-  // full model at the end of training (Table I's server cost of N).
+  // full model at the end of training (Table I's server cost of N).  The
+  // collecting worker must be resident; the roster front is worker 0 in
+  // legacy runs and the lowest cohort member in population runs.  Under
+  // faults the frame may be dropped; the run still ends (the coordinator
+  // would simply re-request).
+  const std::size_t src[] = {engine.roster().front()};
   fabric.begin_round();
   {
-    // The collecting worker must be resident; the roster front is worker 0
-    // in legacy runs and the lowest cohort member in population runs.
-    const std::size_t src = engine.roster().front();
     net::FullModelMsg final_model;
-    final_model.rank = static_cast<std::uint32_t>(src);
-    const auto p = engine.params(src);
+    final_model.rank = static_cast<std::uint32_t>(src[0]);
+    const auto p = engine.params(src[0]);
     final_model.params.assign(p.begin(), p.end());
-    fabric.send(src, coord_node, final_model);
+    fabric.send(src[0], coord_node, final_model);
   }
   fabric.end_round();
-  bool collected_ok = false;
-  while (const auto env = fabric.recv(coord_node)) {
-    const auto collected = net::FullModelMsg::decode(env->payload);
-    if (collected.params.size() != dim) {
-      throw std::logic_error("SapsPsgd: bad final model collection");
-    }
-    collected_ok = true;
-  }
-  // Under an injected-fault fabric the collection frame itself may be
-  // dropped; the run still ends (the coordinator would simply re-request).
-  if (!collected_ok && fabric.transparent()) {
-    throw std::logic_error("SapsPsgd: final model not delivered");
-  }
+  algos::receive_expected(
+      fabric, coord_node, src, "SapsPsgd final model collection",
+      algos::posted_by, [&](std::size_t, sim::Envelope& env) {
+        return net::FullModelMsg::decode(env.payload).params.size() == dim;
+      });
 
   control_bytes_ = coordinator.control_bytes();
   return result;

@@ -1,8 +1,8 @@
 #include "core/worker.hpp"
 
-#include <optional>
 #include <stdexcept>
-#include <utility>
+
+#include "algos/algorithm.hpp"
 
 namespace saps::core {
 
@@ -51,37 +51,21 @@ void SapsWorker::send_model(sim::Fabric& fabric,
 void SapsWorker::receive_and_merge(sim::Fabric& fabric,
                                    std::span<const std::uint8_t> mask) {
   if (peer_ == rank_) return;
-  if (fabric.transparent()) {
-    const auto env = fabric.recv(rank_);
-    if (!env) throw std::logic_error("SapsWorker: missing peer model");
-    const auto msg = net::MaskedModelMsg::decode(env->payload);
-    if (msg.mask_seed != mask_seed_ || msg.round != round_) {
-      throw std::logic_error("SapsWorker: peer model from a different round");
-    }
-    if (reputation_ != nullptr) {
-      reputation_->observe(rank_, peer_, msg.values, sparsified_model(mask));
-    }
-    merge_peer(mask, msg.values);
-    return;
-  }
-  // Faulted fabric: the peer's frame may be dropped (skip the merge — the
-  // masked coordinates simply don't average this round) or duplicated
-  // (merge the first matching frame, drain the rest so nothing leaks into
-  // the next round's mailbox).
-  std::optional<net::MaskedModelMsg> peer_model;
-  while (auto env = fabric.recv(rank_)) {
-    auto msg = net::MaskedModelMsg::decode(env->payload);
-    if (!peer_model && msg.mask_seed == mask_seed_ && msg.round == round_) {
-      peer_model = std::move(msg);
-    }
-  }
-  if (peer_model) {
-    if (reputation_ != nullptr) {
-      reputation_->observe(rank_, peer_, peer_model->values,
-                           sparsified_model(mask));
-    }
-    merge_peer(mask, peer_model->values);
-  }
+  // Under faults the peer's frame may be dropped (the masked coordinates
+  // then skip this round's average) or duplicated (the first one merges).
+  const std::size_t peer[] = {peer_};
+  algos::receive_expected(
+      fabric, rank_, peer, "SapsWorker", algos::posted_by,
+      [&](std::size_t, sim::Envelope& env) {
+        const auto msg = net::MaskedModelMsg::decode(env.payload);
+        if (msg.mask_seed != mask_seed_ || msg.round != round_) return false;
+        if (reputation_ != nullptr) {
+          reputation_->observe(rank_, peer_, msg.values,
+                               sparsified_model(mask));
+        }
+        merge_peer(mask, msg.values);
+        return true;
+      });
 }
 
 std::vector<float> SapsWorker::sparsified_model(

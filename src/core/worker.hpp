@@ -43,8 +43,9 @@ class SapsWorker {
   /// ships it to the announced peer as an encoded MaskedModelMsg.
   void send_model(sim::Fabric& fabric, std::span<const std::uint8_t> mask);
 
-  /// Lines 9–10 (receive half): pops the peer's MaskedModelMsg, checks it
-  /// carries this round's mask seed, and applies the Eq. (7) merge.
+  /// Lines 9–10 (receive half): receives the peer's MaskedModelMsg by the
+  /// algos::receive_expected rule, checks it carries this round's mask seed,
+  /// and applies the Eq. (7) merge.
   void receive_and_merge(sim::Fabric& fabric,
                          std::span<const std::uint8_t> mask);
 
@@ -55,11 +56,6 @@ class SapsWorker {
   /// Line 10: merge the peer's sparsified model (Eq. (7) update).
   void merge_peer(std::span<const std::uint8_t> mask,
                   std::span<const float> peer_values);
-
-  /// Wire bytes of one sparsified-model message under this round's mask.
-  [[nodiscard]] static double message_bytes(std::size_t mask_ones) noexcept {
-    return compress::masked_wire_bytes(mask_ones);
-  }
 
   /// Attack-aware scoring: when set, receive_and_merge stages one anomaly
   /// observation of the peer (received masked values vs. this worker's own

@@ -421,7 +421,9 @@ void Engine::average_into(std::span<float> avg) const {
 void Engine::allreduce_average() {
   const auto avg = average_params();
   parallel_for(roster_.size(), [&](std::size_t i) {
-    const auto p = models_[slot_of_[roster_[i]]]->parameters();
+    const std::size_t w = roster_[i];
+    if (!active_[w]) return;
+    const auto p = models_[slot_of_[w]]->parameters();
     std::copy(avg.begin(), avg.end(), p.begin());
   });
 }

@@ -251,8 +251,9 @@ class Engine {
   /// Mean of all ACTIVE workers' parameter vectors.
   [[nodiscard]] std::vector<float> average_params() const;
 
-  /// Sets every worker's parameters to the global average (ideal all-reduce;
-  /// accounting is the caller's job).
+  /// Sets every ACTIVE worker's parameters to average_params() (ideal
+  /// all-reduce; accounting is the caller's job).  Inactive workers keep
+  /// their replica.
   void allreduce_average();
 
   /// Evaluates `params` (default: average_params()) on the test set and

@@ -158,6 +158,29 @@ TEST(Churn, EveryAlgorithmStillLearnsUnderChurn) {
   }
 }
 
+TEST(Churn, EveryAlgorithmRunsThroughALoneActiveWorker) {
+  // Three of four workers are away for rounds [2, 6): worker 0 trains alone.
+  auto spec = churn_spec();
+  spec.set("workers", "4");
+  spec.set("epochs", "1");
+  spec.set("failures", "1@2-6,2@2-6,3@2-6");
+  spec.set("eval-every", "1");
+  scenario::Runner runner(spec);
+  for (const auto& key : scenario::Registry::instance().algorithm_keys()) {
+    SCOPED_TRACE(key);
+    const auto rec = runner.run(key);
+    const auto& history = rec.result.history;
+    ASSERT_GE(history.size(), 7u);
+    if (key == "fedavg" || key == "sfedavg") continue;  // server traffic
+    // A lone worker has no peer to exchange with: the points after rounds
+    // 2..5 carry the traffic of the point after round 1.
+    for (std::size_t point = 3; point <= 6; ++point) {
+      EXPECT_EQ(history[point].worker_mb, history[2].worker_mb)
+          << "point " << point;
+    }
+  }
+}
+
 // --- corrupted-frame hardening ----------------------------------------------
 
 // Every wire type's encoded frame, on a miniature payload.

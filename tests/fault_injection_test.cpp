@@ -12,11 +12,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <memory>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "algos/d_psgd.hpp"
 #include "algos/fedavg.hpp"
+#include "algos/psgd.hpp"
+#include "algos/qsgd_psgd.hpp"
 #include "algos/topk_psgd.hpp"
 #include "core/saps.hpp"
 #include "net/bandwidth.hpp"
@@ -140,9 +146,20 @@ sim::FaultSpec adaptive_chaos_spec() {
   return faults;
 }
 
+// A Tally counter, naming an injection a chaos run must have fired.
+using TallyCount = std::size_t sim::FaultyFabric::Tally::*;
+using Tally = sim::FaultyFabric::Tally;
+constexpr TallyCount kChaosInjections[] = {
+    &Tally::dropped, &Tally::duplicated, &Tally::delayed, &Tally::transformed,
+    &Tally::partitioned};
+// A server topology has no worker-to-worker frame for the partition to cut.
+constexpr TallyCount kServerChaosInjections[] = {
+    &Tally::dropped, &Tally::duplicated, &Tally::delayed, &Tally::transformed};
+
 template <typename MakeAlgo>
-void check_faulted_invariance(MakeAlgo make_algo,
-                              const sim::FaultSpec& faults = chaos_spec()) {
+void check_faulted_invariance(
+    MakeAlgo make_algo, const sim::FaultSpec& faults = chaos_spec(),
+    std::span<const TallyCount> fired = kChaosInjections) {
   std::unique_ptr<RunSnapshot> base;
   for (const auto threads : kThreadCounts) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
@@ -151,11 +168,7 @@ void check_faulted_invariance(MakeAlgo make_algo,
     if (!base) {
       base = std::make_unique<RunSnapshot>(std::move(snap));
       // The chaos spec actually fired — otherwise the test is vacuous.
-      EXPECT_GT(base->tally.dropped, 0u);
-      EXPECT_GT(base->tally.duplicated, 0u);
-      EXPECT_GT(base->tally.delayed, 0u);
-      EXPECT_GT(base->tally.transformed, 0u);
-      EXPECT_GT(base->tally.partitioned, 0u);
+      for (const auto count : fired) EXPECT_GT(base->tally.*count, 0u);
     } else {
       expect_identical(*base, snap);
       expect_same_tally(base->tally, snap.tally);
@@ -168,28 +181,88 @@ void check_faulted_invariance(MakeAlgo make_algo,
   expect_same_tally(base->tally, again.tally);
 }
 
+using AlgoFactory = std::function<std::unique_ptr<algos::Algorithm>()>;
+
+// Every algorithm key, configured as the chaos and transparency tests run
+// it.
+std::vector<std::pair<std::string, AlgoFactory>> all_algorithms() {
+  const algos::FedAvgConfig fed{.fraction = 0.5, .local_epochs = 1,
+                                .local_steps = 1};
+  auto sfed = fed;
+  sfed.upload_compression = 5.0;
+  return {
+      {"psgd", [] { return std::make_unique<algos::PsgdAllReduce>(); }},
+      {"topk",
+       [] {
+         return std::make_unique<algos::TopkPsgd>(
+             algos::TopkConfig{.compression = 10.0});
+       }},
+      {"qsgd",
+       [] {
+         return std::make_unique<algos::QsgdPsgd>(
+             algos::QsgdConfig{.levels = 4});
+       }},
+      {"fedavg", [fed] { return std::make_unique<algos::FedAvg>(fed); }},
+      {"sfedavg", [sfed] { return std::make_unique<algos::FedAvg>(sfed); }},
+      {"dpsgd", [] { return std::make_unique<algos::DPsgd>(); }},
+      {"dcd",
+       [] {
+         return std::make_unique<algos::DcdPsgd>(
+             algos::DcdConfig{.compression = 4.0});
+       }},
+      {"saps",
+       [] {
+         return std::make_unique<core::SapsPsgd>(
+             core::SapsConfig{.compression = 10.0});
+       }},
+  };
+}
+
+AlgoFactory algorithm(const std::string& key) {
+  for (auto& [name, make] : all_algorithms()) {
+    if (name == key) return make;
+  }
+  throw std::invalid_argument("no algorithm " + key);
+}
+
 TEST(FaultInjection, SapsChaosRunBitIdenticalAcrossThreadsAndReruns) {
-  check_faulted_invariance([] {
-    return std::make_unique<core::SapsPsgd>(
-        core::SapsConfig{.compression = 10.0});
-  });
+  check_faulted_invariance(algorithm("saps"));
 }
 
 TEST(FaultInjection, DPsgdChaosRunBitIdenticalAcrossThreadsAndReruns) {
-  check_faulted_invariance([] { return std::make_unique<algos::DPsgd>(); });
+  check_faulted_invariance(algorithm("dpsgd"));
 }
 
 TEST(FaultInjection, TopkChaosRunBitIdenticalAcrossThreadsAndReruns) {
-  check_faulted_invariance([] {
-    return std::make_unique<algos::TopkPsgd>(
-        algos::TopkConfig{.compression = 10.0});
-  });
+  check_faulted_invariance(algorithm("topk"));
+}
+
+TEST(FaultInjection, PsgdChaosRunBitIdenticalAcrossThreadsAndReruns) {
+  check_faulted_invariance(algorithm("psgd"));
+}
+
+TEST(FaultInjection, QsgdChaosRunBitIdenticalAcrossThreadsAndReruns) {
+  check_faulted_invariance(algorithm("qsgd"));
+}
+
+TEST(FaultInjection, DcdChaosRunBitIdenticalAcrossThreadsAndReruns) {
+  check_faulted_invariance(algorithm("dcd"));
+}
+
+TEST(FaultInjection, FedAvgChaosRunBitIdenticalAcrossThreadsAndReruns) {
+  check_faulted_invariance(algorithm("fedavg"), chaos_spec(),
+                           kServerChaosInjections);
+}
+
+TEST(FaultInjection, SparseFedAvgChaosRunBitIdenticalAcrossThreadsAndReruns) {
+  check_faulted_invariance(algorithm("sfedavg"), chaos_spec(),
+                           kServerChaosInjections);
 }
 
 TEST(FaultInjection, ZeroKnobWrapperIsBitIdenticalToPlainFabric) {
   // force_wrapper installs the FaultyFabric with nothing enabled; it must
-  // report transparent() and reproduce the plain fabric bit for bit (the
-  // algorithms keep their strict receive-validation paths).
+  // report transparent() and reproduce the plain fabric bit for bit for
+  // every algorithm (which keeps its strict receive checks).
   sim::FaultSpec forced;
   forced.force_wrapper = true;
   forced.fault_seed = 777;  // a seed alone must not perturb anything
@@ -198,23 +271,15 @@ TEST(FaultInjection, ZeroKnobWrapperIsBitIdenticalToPlainFabric) {
     ASSERT_NE(dynamic_cast<sim::FaultyFabric*>(&probe.fabric()), nullptr);
     EXPECT_TRUE(probe.fabric().transparent());
   }
-  const auto check = [&](auto make_algo) {
+  for (const auto& [key, make_algo] : all_algorithms()) {
+    SCOPED_TRACE(key);
     auto plain_algo = make_algo();
     const auto plain = run_faulted(*plain_algo, 0, sim::FaultSpec{});
     auto forced_algo = make_algo();
     const auto wrapped = run_faulted(*forced_algo, 0, forced);
     expect_identical(plain, wrapped);
     expect_same_tally(wrapped.tally, sim::FaultyFabric::Tally{});
-  };
-  check([] {
-    return std::make_unique<core::SapsPsgd>(
-        core::SapsConfig{.compression = 10.0});
-  });
-  check([] { return std::make_unique<algos::DPsgd>(); });
-  check([] {
-    return std::make_unique<algos::TopkPsgd>(
-        algos::TopkConfig{.compression = 10.0});
-  });
+  }
 }
 
 TEST(FaultInjection, DroppedFramesAreChargedButNeverDelivered) {
@@ -333,17 +398,11 @@ TEST(FaultInjection, PartitionChargesCutFramesAndHealsOnSchedule) {
 }
 
 TEST(FaultInjection, SapsAdaptiveChaosRunBitIdenticalAcrossThreadsAndReruns) {
-  check_faulted_invariance(
-      [] {
-        return std::make_unique<core::SapsPsgd>(
-            core::SapsConfig{.compression = 10.0});
-      },
-      adaptive_chaos_spec());
+  check_faulted_invariance(algorithm("saps"), adaptive_chaos_spec());
 }
 
 TEST(FaultInjection, DPsgdAdaptiveChaosRunBitIdenticalAcrossThreadsAndReruns) {
-  check_faulted_invariance([] { return std::make_unique<algos::DPsgd>(); },
-                           adaptive_chaos_spec());
+  check_faulted_invariance(algorithm("dpsgd"), adaptive_chaos_spec());
 }
 
 TEST(FaultInjection, CollusionFiresOnQuorumAndLiesLowBelowIt) {
