@@ -60,7 +60,6 @@ class EvalSchedule {
   [[nodiscard]] bool due(std::size_t round) const noexcept {
     return round % interval_ == 0;
   }
-  [[nodiscard]] std::size_t interval() const noexcept { return interval_; }
 
  private:
   std::size_t interval_;
@@ -86,23 +85,22 @@ sim::RunResult run_rounds(
 
 /// The receive rule of every synchronous exchange.  Drains `node`'s mailbox
 /// to empty.  Each frame fills the first open slot k whose expected sender
-/// senders[k] equals sender_of(frame), if `keep(k, frame)` accepts it (it
-/// returns false for a frame that is not valid this round); every other
-/// frame is dropped.  A sender listed twice fills both slots, in arrival
-/// order.  On a transparent fabric exactly the expected frames must arrive,
-/// each once and valid; anything else throws std::logic_error naming
-/// `what`.
-template <typename SenderOf, typename Keep>
+/// senders[k] posted it, if `keep(k, frame)` accepts it (it returns false
+/// for a frame that is not valid this round: from another round, or
+/// carrying the wrong origin); every other frame is dropped.  A sender
+/// listed twice fills both slots, in arrival order.  On a transparent
+/// fabric exactly the expected frames must arrive, each once and valid;
+/// anything else throws std::logic_error naming `what`.
+template <typename Keep>
 void receive_expected(sim::Fabric& fabric, std::size_t node,
                       std::span<const std::size_t> senders, const char* what,
-                      SenderOf sender_of, Keep keep) {
+                      Keep keep) {
   std::vector<std::uint8_t> filled(senders.size(), 0);
   std::size_t kept = 0;
   bool stray = false;
   while (auto env = fabric.recv(node)) {
-    const std::size_t from = sender_of(*env);
     std::size_t k = 0;
-    while (k < senders.size() && (filled[k] || senders[k] != from)) ++k;
+    while (k < senders.size() && (filled[k] || senders[k] != env->from)) ++k;
     if (k < senders.size() && keep(k, *env)) {
       filled[k] = 1;
       ++kept;
@@ -115,9 +113,6 @@ void receive_expected(sim::Fabric& fabric, std::size_t node,
                            ": the expected frames did not arrive exactly once");
   }
 }
-
-/// sender_of for receive_expected: the node that posted the frame.
-inline std::size_t posted_by(const sim::Envelope& env) { return env.from; }
 
 /// Bytes of one dense float32 parameter vector on the wire.
 [[nodiscard]] inline double dense_model_bytes(

@@ -20,14 +20,6 @@ std::array<std::size_t, 2> ring_neighbors(std::span<const std::size_t> act,
   return {act[(i + m - 1) % m], act[(i + 1) % m]};
 }
 
-std::size_t full_model_rank(const sim::Envelope& env) {
-  return net::FullModelMsg::peek_rank(env.payload);
-}
-
-std::size_t sparse_delta_origin(const sim::Envelope& env) {
-  return net::SparseDeltaMsg::peek_origin(env.payload);
-}
-
 }  // namespace
 
 sim::RunResult DPsgd::run(sim::Engine& engine) {
@@ -66,12 +58,12 @@ sim::RunResult DPsgd::run(sim::Engine& engine) {
     // write-back runs as a second pass.
     engine.parallel_for(m, [&](std::size_t i) {
       const std::size_t w = act[i];
+      const auto nbrs = ring_neighbors(act, i);
       std::array<std::optional<net::FullModelMsg>, 2> nbr;  // left, right
-      receive_expected(fabric, w, ring_neighbors(act, i), name(),
-                       full_model_rank,
-                       [&](std::size_t k, sim::Envelope& env) {
+      receive_expected(fabric, w, nbrs, name(),
+                       [&](std::size_t k, const sim::Envelope& env) {
                          nbr[k] = net::FullModelMsg::decode(env.payload);
-                         return true;
+                         return nbr[k]->rank == nbrs[k];
                        });
       const auto& [left, right] = nbr;
       const auto self = engine.params(w);
@@ -165,11 +157,12 @@ sim::RunResult DcdPsgd::run(sim::Engine& engine) {
       fabric.end_round();
       engine.parallel_for(m, [&](std::size_t i) {
         const std::size_t w = act[i];
-        receive_expected(fabric, w, ring_neighbors(act, i), name(),
-                         full_model_rank,
-                         [&](std::size_t k, sim::Envelope& env) {
-                           nbr_pub[w][k] = std::move(
-                               net::FullModelMsg::decode(env.payload).params);
+        const auto nbrs = ring_neighbors(act, i);
+        receive_expected(fabric, w, nbrs, name(),
+                         [&](std::size_t k, const sim::Envelope& env) {
+                           auto msg = net::FullModelMsg::decode(env.payload);
+                           if (msg.rank != nbrs[k]) return false;
+                           nbr_pub[w][k] = std::move(msg.params);
                            return true;
                          });
       });
@@ -208,11 +201,12 @@ sim::RunResult DcdPsgd::run(sim::Engine& engine) {
     engine.parallel_for(m, [&](std::size_t i) {
       const std::size_t w = act[i];
       compress::add_sparse(pub[w], deltas[w]);
-      receive_expected(fabric, w, ring_neighbors(act, i), name(),
-                       sparse_delta_origin,
-                       [&](std::size_t k, sim::Envelope& env) {
+      const auto nbrs = ring_neighbors(act, i);
+      receive_expected(fabric, w, nbrs, name(),
+                       [&](std::size_t k, const sim::Envelope& env) {
                          const auto delta =
                              net::SparseDeltaMsg::decode(env.payload);
+                         if (delta.origin != nbrs[k]) return false;
                          compress::add_sparse(nbr_pub[w][k], delta.indices,
                                               delta.values);
                          return true;

@@ -115,8 +115,8 @@ sim::RunResult FedAvg::run(sim::Engine& engine) {
     engine.parallel_for(part.size(), [&](std::size_t i) {
       const std::size_t w = part[i];
       got_down[w] = 0;
-      receive_expected(fabric, w, from_server, "FedAvg download", posted_by,
-                       [&](std::size_t, sim::Envelope& env) {
+      receive_expected(fabric, w, from_server, "FedAvg download",
+                       [&](std::size_t, const sim::Envelope& env) {
                          const auto down =
                              net::FullModelMsg::decode(env.payload);
                          std::copy(down.params.begin(), down.params.end(),
@@ -186,8 +186,8 @@ sim::RunResult FedAvg::run(sim::Engine& engine) {
     // made it (a stale S-FedAvg frame, from another round's mask, is
     // refused).
     for (const auto w : sent) got_up[w] = 0;
-    receive_expected(fabric, server, sent, "FedAvg upload", posted_by,
-                     [&](std::size_t k, sim::Envelope& env) {
+    receive_expected(fabric, server, sent, "FedAvg upload",
+                     [&](std::size_t k, const sim::Envelope& env) {
                        const std::size_t w = sent[k];
                        if (sparse_up) {
                          auto up = net::MaskedModelMsg::decode(env.payload);

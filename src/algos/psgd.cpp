@@ -25,8 +25,9 @@ sim::RunResult PsgdAllReduce::run(sim::Engine& engine) {
     // Ring pass over the active set: each active worker ships one
     // FullModelMsg to its right active neighbor and receives one (the
     // paper's 2N-per-round accounting for all-reduce PSGD).  With everyone
-    // active this is the full ring; with nobody active the fabric round
-    // stays empty.
+    // active this is the full ring.  With nobody active the fabric round
+    // stays empty but still counts, like every round, toward fault windows
+    // and straggler draws.
     fabric.begin_round();
     for (std::size_t i = 0; i < m; ++i) {
       const std::size_t w = act[i];
@@ -42,12 +43,11 @@ sim::RunResult PsgdAllReduce::run(sim::Engine& engine) {
     // provenance and drains the mailboxes.
     for (std::size_t i = 0; i < m; ++i) {
       const std::size_t left[] = {act[(i + m - 1) % m]};
-      receive_expected(
-          fabric, act[i], left, "PSGD",
-          [](const sim::Envelope& env) {
-            return net::FullModelMsg::peek_rank(env.payload);
-          },
-          [](std::size_t, sim::Envelope&) { return true; });
+      receive_expected(fabric, act[i], left, "PSGD",
+                       [&](std::size_t, const sim::Envelope& env) {
+                         return net::FullModelMsg::peek_rank(env.payload) ==
+                                left[0];
+                       });
     }
     if (m == 0) return;
 

@@ -56,9 +56,6 @@ sim::RunResult run_ring_allgather(sim::Engine& engine, const char* name,
     compress::robust_combine(dyn.merge, dyn.trim_frac, inputs, 0, dim, avg,
                              scratch);
   };
-  const auto origin_of = [](const sim::Envelope& env) {
-    return static_cast<std::size_t>(Msg::peek_origin(env.payload));
-  };
 
   return run_rounds(engine, name, dyn.on_round, [&](const Round& r) {
     const auto act = r.active;
@@ -110,9 +107,12 @@ sim::RunResult run_ring_allgather(sim::Engine& engine, const char* name,
       fabric.end_round();
       for (std::size_t i = 0; i < m; ++i) {
         const std::size_t p = (i + m - hop - 1) % m;
-        const std::size_t origin[] = {act[p]};
-        receive_expected(fabric, act[i], origin, name, origin_of,
+        const std::size_t left[] = {act[(i + m - 1) % m]};
+        receive_expected(fabric, act[i], left, name,
                          [&](std::size_t, sim::Envelope& env) {
+                           if (Msg::peek_origin(env.payload) != act[p]) {
+                             return false;
+                           }
                            if (!strict) {
                              held[i][p] = std::move(env.payload);
                            } else if (i == 0) {

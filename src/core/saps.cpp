@@ -160,7 +160,7 @@ sim::RunResult SapsPsgd::run(sim::Engine& engine) {
   fabric.end_round();
   algos::receive_expected(
       fabric, coord_node, src, "SapsPsgd final model collection",
-      algos::posted_by, [&](std::size_t, sim::Envelope& env) {
+      [&](std::size_t, const sim::Envelope& env) {
         return net::FullModelMsg::decode(env.payload).params.size() == dim;
       });
 

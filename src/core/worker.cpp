@@ -55,8 +55,8 @@ void SapsWorker::receive_and_merge(sim::Fabric& fabric,
   // then skip this round's average) or duplicated (the first one merges).
   const std::size_t peer[] = {peer_};
   algos::receive_expected(
-      fabric, rank_, peer, "SapsWorker", algos::posted_by,
-      [&](std::size_t, sim::Envelope& env) {
+      fabric, rank_, peer, "SapsWorker",
+      [&](std::size_t, const sim::Envelope& env) {
         const auto msg = net::MaskedModelMsg::decode(env.payload);
         if (msg.mask_seed != mask_seed_ || msg.round != round_) return false;
         if (reputation_ != nullptr) {
