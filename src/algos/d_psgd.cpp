@@ -62,8 +62,10 @@ sim::RunResult DPsgd::run(sim::Engine& engine) {
       std::array<std::optional<net::FullModelMsg>, 2> nbr;  // left, right
       receive_expected(fabric, w, nbrs, name(),
                        [&](std::size_t k, const sim::Envelope& env) {
-                         nbr[k] = net::FullModelMsg::decode(env.payload);
-                         return nbr[k]->rank == nbrs[k];
+                         auto msg = net::FullModelMsg::decode(env.payload);
+                         if (msg.rank != nbrs[k]) return false;
+                         nbr[k] = std::move(msg);
+                         return true;
                        });
       const auto& [left, right] = nbr;
       const auto self = engine.params(w);
@@ -176,7 +178,9 @@ sim::RunResult DcdPsgd::run(sim::Engine& engine) {
           for (std::size_t i = begin; i < end; ++i) {
             const std::size_t w = act[i];
             const auto p = engine.params(w);
-            for (std::size_t j = 0; j < dim; ++j) diff[j] = p[j] - pub[w][j];
+            for (std::size_t j = 0; j < dim; ++j) {
+              diff[j] = p[j] - pub[w][j];
+            }
             deltas[w] = compress::top_k(diff, config_.compression);
           }
         });
@@ -221,7 +225,8 @@ sim::RunResult DcdPsgd::run(sim::Engine& engine) {
       const std::size_t w = act[i];
       const auto p = engine.params(w);
       const auto& self = pub[w];
-      const auto& [left, right] = nbr_pub[w];
+      const auto& left = nbr_pub[w][0];
+      const auto& right = nbr_pub[w][1];
       if (!dyn_.robust()) {
         for (std::size_t j = 0; j < dim; ++j) {
           p[j] += (left[j] + right[j] - 2.0f * self[j]) / 3.0f;

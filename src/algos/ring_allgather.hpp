@@ -80,8 +80,9 @@ sim::RunResult run_ring_allgather(sim::Engine& engine, const char* name,
     // plus those delivered; a rewritten frame travels on rewritten) and
     // merges its own subset.  The faulted relay is also bit-identical on a
     // transparent fabric, but it copies and keeps all m² frames each round
-    // (about 2.8 MB at 16 workers on a 137k-parameter model), which cost
-    // TopK-PSGD 11% of its training throughput; so the strict relay stays.
+    // (about 2.8 MB at 16 workers on a 137k-parameter model): on a 4-vCPU
+    // Xeon VM that cost the topk-mlp16 benchmark 13% of its samples/s and
+    // 5% of its peak RSS, so the strict relay stays.
     const bool strict = fabric.transparent();
     std::vector<std::vector<std::vector<std::uint8_t>>> held;
     if (!strict) {
