@@ -181,6 +181,29 @@ TEST(Churn, EveryAlgorithmRunsThroughALoneActiveWorker) {
   }
 }
 
+TEST(Churn, PsgdOpensAnEmptyFabricRoundWhileEveryWorkerIsAway) {
+  // Fault windows and straggler draws count fabric rounds, so a PSGD round
+  // with nobody active still opens one; a lone worker's round opens none.
+  algos::Dynamics dyn;
+  dyn.on_round = [](std::size_t round, sim::Engine& eng) {
+    const bool everyone_away = round >= 2 && round < 4;
+    const bool alone = round >= 6 && round < 8;
+    for (std::size_t w = 0; w < eng.workers(); ++w) {
+      eng.set_active(w, !everyone_away && !(alone && w > 0));
+    }
+  };
+  sim::SimConfig cfg;
+  cfg.workers = 4;
+  cfg.epochs = 1;
+  cfg.batch_size = 16;
+  cfg.lr = 0.1;
+  cfg.seed = 42;
+  auto engine = test_util::blob_engine(cfg);
+  algos::PsgdAllReduce algo(std::move(dyn));
+  (void)algo.run(engine);
+  EXPECT_EQ(engine.network().rounds(), engine.steps_per_epoch() - 2);
+}
+
 // --- corrupted-frame hardening ----------------------------------------------
 
 // Every wire type's encoded frame, on a miniature payload.
