@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "compress/robust.hpp"
+#include "net/wire.hpp"
 #include "sim/engine.hpp"
 
 namespace saps::algos {
@@ -112,6 +113,13 @@ void receive_expected(sim::Fabric& fabric, std::size_t node,
     throw std::logic_error(std::string(what) +
                            ": the expected frames did not arrive exactly once");
   }
+}
+
+/// Worker w's replica as a FullModelMsg.
+inline net::FullModelMsg replica_msg(sim::Engine& engine, std::size_t w) {
+  const auto p = engine.params(w);
+  return {.rank = static_cast<std::uint32_t>(w),
+          .params = {p.begin(), p.end()}};
 }
 
 /// Bytes of one dense float32 parameter vector on the wire.

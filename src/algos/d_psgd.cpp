@@ -43,11 +43,7 @@ sim::RunResult DPsgd::run(sim::Engine& engine) {
     engine.parallel_for(m, [&](std::size_t i) {
       const std::size_t w = act[i];
       fabric.compute(w);
-      net::FullModelMsg msg;
-      msg.rank = static_cast<std::uint32_t>(w);
-      const auto p = engine.params(w);
-      msg.params.assign(p.begin(), p.end());
-      fabric.multicast(w, ring_neighbors(act, i), msg);
+      fabric.multicast(w, ring_neighbors(act, i), replica_msg(engine, w));
     });
     fabric.end_round();
 

@@ -172,11 +172,7 @@ sim::RunResult FedAvg::run(sim::Engine& engine) {
         up.values = compress::extract_masked(engine.params(w), mask);
         fabric.send(w, server, up);
       } else {
-        net::FullModelMsg up;
-        up.rank = static_cast<std::uint32_t>(w);
-        const auto p = engine.params(w);
-        up.params.assign(p.begin(), p.end());
-        fabric.send(w, server, up);
+        fabric.send(w, server, replica_msg(engine, w));
       }
     }
     fabric.end_round();

@@ -30,13 +30,8 @@ sim::RunResult PsgdAllReduce::run(sim::Engine& engine) {
     // and straggler draws.
     fabric.begin_round();
     for (std::size_t i = 0; i < m; ++i) {
-      const std::size_t w = act[i];
-      fabric.compute(w);
-      net::FullModelMsg msg;
-      msg.rank = static_cast<std::uint32_t>(w);
-      const auto p = engine.params(w);
-      msg.params.assign(p.begin(), p.end());
-      fabric.send(w, act[(i + 1) % m], msg);
+      fabric.compute(act[i]);
+      fabric.send(act[i], act[(i + 1) % m], replica_msg(engine, act[i]));
     }
     fabric.end_round();
     // The merge below reads the engine's replicas, so receiving only checks

@@ -150,13 +150,7 @@ sim::RunResult SapsPsgd::run(sim::Engine& engine) {
   // would simply re-request).
   const std::size_t src[] = {engine.roster().front()};
   fabric.begin_round();
-  {
-    net::FullModelMsg final_model;
-    final_model.rank = static_cast<std::uint32_t>(src[0]);
-    const auto p = engine.params(src[0]);
-    final_model.params.assign(p.begin(), p.end());
-    fabric.send(src[0], coord_node, final_model);
-  }
+  fabric.send(src[0], coord_node, algos::replica_msg(engine, src[0]));
   fabric.end_round();
   algos::receive_expected(
       fabric, coord_node, src, "SapsPsgd final model collection",
