@@ -1,21 +1,27 @@
 // Scenario API coverage: the self-registering registry (every key
-// constructs), ScenarioSpec parse→print→parse losslessness, the friendly
-// exit-2 contract on unknown keys / out-of-range parameters, the fast-mode
-// derivations (including the --batch-only stale-step-count fix), and the
-// CSV/JSONL metric sinks.
+// constructs), ScenarioSpec parse→print→parse losslessness, golden
+// to_spec_text bytes of the committed specs, seeded mutants of spec and sweep
+// texts, the friendly exit-2 contract on unknown keys / out-of-range
+// parameters, the fast-mode derivations (including the --batch-only
+// stale-step-count fix), and the CSV/JSONL metric sinks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <map>
 #include <memory>
 #include <sstream>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "scenario/cli.hpp"
 #include "scenario/runner.hpp"
 #include "util/flags.hpp"
+#include "util/rng.hpp"
 
 namespace saps {
 namespace {
@@ -548,6 +554,242 @@ TEST(ScenarioSpec, DuplicateSpecFileKeysThrowWithBothLineNumbers) {
   // keys never trip the check.
   EXPECT_NO_THROW(scenario::parse_spec_text(
       "# header\n\nworkers=4\n\nepochs=2 # trailing comment\n"));
+}
+
+// The spec-text oracle's inputs: the key lines of the committed perfbench
+// workloads and bench specs (copied, so the suite reads no file), plus one
+// spec that sets every grammar knob.
+const std::vector<std::pair<std::string, std::string>> kOracleSpecs = {
+    {"perfbench/saps-cnn32",
+     "workload=cifar\nalgorithm=saps\nworkers=32\nbandwidth=uniform\n"
+     "bandwidth-seed=7\nlatency=0.01\nepochs=4\n"},
+    {"perfbench/topk-mlp16",
+     "workload=blob\nalgorithm=topk\nworkers=16\nblob-features=256\n"
+     "blob-hidden=512\nblob-classes=10\nblob-noise=3\nblob-train=3200\n"
+     "blob-test=1000\nepochs=3\nbandwidth=uniform\nbandwidth-seed=7\n"},
+    {"perfbench/fedavg-pop",
+     "workload=cifar\nalgorithm=fedavg\nworkers=32\npopulation=2000\n"
+     "cohort=32\nfedavg-steps=5\nlatency=0.01\nepochs=3\n"},
+    {"bench/fig3_mnist",
+     "workload=mnist\nalgorithm=paper\nworkers=8\nepochs=6\nsamples=150\n"
+     "test-samples=400\nbatch=10\nseed=42\n"},
+    {"bench/scale_smoke",
+     "workload=blob\nalgorithm=fedavg,saps\nworkers=8\npopulation=2000\n"
+     "cohort=8\nepochs=1\nseed=42\n"},
+    {"grammar",
+     "full=true\n"
+     "workload=blob\n"
+     "algorithm=saps,dcd\n"
+     "workers=6\n"
+     "epochs=2\n"
+     "partition=dirichlet:0.3\n"
+     "bandwidth=uniform\n"
+     "latency-matrix=0,0.001,0.002,0.003,0.004,0.005;"
+     "0.001,0,0.001,0.002,0.003,0.004;0.002,0.001,0,0.001,0.002,0.003;"
+     "0.003,0.002,0.001,0,0.001,0.002;0.004,0.003,0.002,0.001,0,0.001;"
+     "0.005,0.004,0.003,0.002,0.001,0\n"
+     "failures=5@3-9,4@12\n"
+     "fault-seed=5\n"
+     "drop-prob=0.1\n"
+     "delay-prob=0.2\n"
+     "delay-seconds=0.01\n"
+     "byzantine=0@1:sign-flip,1@2-8:scaled-noise,2@3:silent,"
+     "3@1-5:model-replacement,4@1-6:collusion,5@10:collusion\n"
+     "collude-group=4.5\n"
+     "adapt-attack=0.5\n"
+     "clip-norm=3\n"
+     "reputation-decay=0.9\n"
+     "net-partition=0.1|2.3|4.5@2-6,0|1.2.3|4.5@9\n"
+     "aggregation=trimmed\n"
+     "trim-frac=0.25\n"},
+};
+
+// The key lines of bench/specs/ablation_sweep.spec: four grid points.
+constexpr const char* kAblationSweep =
+    "workload=mnist\nalgorithm=saps\nworkers=8\nepochs=6\nsamples=150\n"
+    "test-samples=400\nbatch=10\nseed=42\nsweep.saps-c=4,10,100,1000\n";
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    hash = (hash ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+TEST(ScenarioSpec, SpecTextOfCommittedSpecsMatchesGoldenBytes) {
+  // FNV-1a 64 and length of each input's to_spec_text, captured before the
+  // knob table generated to_spec_text from the descriptors.
+  struct Golden {
+    std::uint64_t fnv;
+    std::size_t size;
+  };
+  const std::map<std::string, Golden> golden = {
+      {"default", {0xa63038ed157ff6f4ULL, 630}},
+      {"perfbench/saps-cnn32", {0x488c437ca2a5a9faULL, 595}},
+      {"perfbench/topk-mlp16", {0xb68997d9bbc3c01aULL, 636}},
+      {"perfbench/fedavg-pop", {0xa4360529a91a3d6dULL, 578}},
+      {"bench/fig3_mnist", {0xa63038ed157ff6f4ULL, 630}},
+      {"bench/scale_smoke", {0xc7fa7ecccf44d23eULL, 739}},
+      {"grammar", {0x38739f2e71aa0d61ULL, 1092}},
+      {"ablation point 0", {0x80ad193f8b3f1e66ULL, 603}},
+      {"ablation point 1", {0xbf935c340c83d57dULL, 604}},
+      {"ablation point 2", {0x2d3646f41f716329ULL, 605}},
+      {"ablation point 3", {0xf9dd2bbe0b79582dULL, 606}},
+  };
+  std::vector<std::pair<std::string, std::string>> printed;
+  ScenarioSpec defaults;
+  scenario::finalize_spec(defaults);
+  printed.emplace_back("default", scenario::to_spec_text(defaults));
+  for (const auto& [name, text] : kOracleSpecs) {
+    const auto spec = scenario::parse_spec_text(text);
+    printed.emplace_back(name, scenario::to_spec_text(spec));
+  }
+  const auto sweep = scenario::parse_sweep_text(kAblationSweep);
+  ASSERT_EQ(sweep.point_count(), 4u);
+  for (std::size_t i = 0; i < sweep.point_count(); ++i) {
+    printed.emplace_back("ablation point " + std::to_string(i),
+                         scenario::to_spec_text(sweep.point(i)));
+  }
+  ASSERT_EQ(printed.size(), golden.size());
+  for (const auto& [name, text] : printed) {
+    const auto& want = golden.at(name);
+    EXPECT_EQ(fnv1a(text), want.fnv) << name << ":\n" << text;
+    EXPECT_EQ(text.size(), want.size) << name;
+  }
+}
+
+TEST(ScenarioSpec, CoreDescriptorDefaultsAreWhatADefaultSpecPrints) {
+  // The --help defaults and the struct defaults are written apart; every
+  // core key the unfinalized default spec prints must show its descriptor's
+  // default, and the keys it leaves out are the empty grammar knobs.
+  std::map<std::string, std::string> printed;
+  std::istringstream lines(scenario::to_spec_text(ScenarioSpec{}));
+  std::string line;
+  while (std::getline(lines, line)) {
+    const auto eq = line.find('=');
+    ASSERT_NE(eq, std::string::npos) << line;
+    printed[line.substr(0, eq)] = line.substr(eq + 1);
+  }
+  std::size_t core = 0;
+  for (const auto& d : scenario::core_spec_params()) {
+    SCOPED_TRACE(d.name);
+    ++core;
+    const auto it = printed.find(d.name);
+    if (it == printed.end()) {
+      EXPECT_EQ(d.default_value, "");
+      continue;
+    }
+    EXPECT_EQ(it->second, d.default_value);
+    printed.erase(it);
+  }
+  EXPECT_TRUE(printed.empty()) << printed.begin()->first;
+  EXPECT_EQ(core, 39u);
+}
+
+// Seeded mutants of the oracle's inputs: bit flips, inserted bytes (mostly
+// the grammars' own separators and digits), deleted runs and splices from
+// another input.
+std::string mutate(std::string text, const std::vector<std::string>& corpus,
+                   Rng& rng) {
+  constexpr std::string_view kGrammarBytes =
+      "=,;:.@-|#\n\t 0123456789abcdeflnprstu";
+  const auto byte = [&]() -> char {
+    if (rng.next_below(4) == 0) return static_cast<char>(rng.next_below(256));
+    return kGrammarBytes[rng.next_below(kGrammarBytes.size())];
+  };
+  const auto edits = 1 + rng.next_below(2);
+  for (std::uint64_t e = 0; e < edits; ++e) {
+    const auto pos = rng.next_below(text.size() + 1);
+    switch (rng.next_below(4)) {
+      case 0:
+        if (pos < text.size()) {
+          text[pos] = static_cast<char>(text[pos] ^ (1 << rng.next_below(8)));
+        }
+        break;
+      case 1:
+        text.insert(pos, 1, byte());
+        break;
+      case 2:
+        text.erase(pos, 1 + rng.next_below(8));
+        break;
+      default: {
+        const auto& donor = corpus[rng.next_below(corpus.size())];
+        const auto from = rng.next_below(donor.size() + 1);
+        const auto len = std::min<std::uint64_t>(
+            64, rng.next_below(donor.size() - from + 1));
+        text.insert(pos, donor, from, len);
+      }
+    }
+  }
+  return text;
+}
+
+// The oracle's spec texts, the empty spec first; the sweep fuzzer adds the
+// ablation grid.
+std::vector<std::string> oracle_spec_texts() {
+  std::vector<std::string> texts = {""};
+  for (const auto& entry : kOracleSpecs) texts.push_back(entry.second);
+  return texts;
+}
+
+TEST(SpecFuzz, MutatedSpecTextsRoundTripOrThrowInvalidArgument) {
+  const auto corpus = oracle_spec_texts();
+  Rng rng(0x5bec);
+  std::size_t parsed = 0;
+  constexpr std::size_t kMutants = 10000;
+  for (std::size_t i = 0; i < kMutants; ++i) {
+    const auto mutant = mutate(corpus[i % corpus.size()], corpus, rng);
+    ScenarioSpec spec;
+    try {
+      spec = scenario::parse_spec_text(mutant);
+    } catch (const std::invalid_argument&) {
+      continue;
+    } catch (const std::exception& e) {
+      FAIL() << "mutant threw " << e.what() << ":\n" << mutant;
+    }
+    ++parsed;
+    const auto text = scenario::to_spec_text(spec);
+    ScenarioSpec again;
+    try {
+      again = scenario::parse_spec_text(text);
+    } catch (const std::exception& e) {
+      FAIL() << "printed spec threw " << e.what() << ":\n" << text;
+    }
+    ASSERT_EQ(scenario::to_spec_text(again), text) << mutant;
+    ASSERT_TRUE(spec.equivalent(again)) << mutant;
+  }
+  EXPECT_GT(parsed, kMutants / 20);
+}
+
+TEST(SpecFuzz, MutatedSweepTextsRoundTripOrThrowInvalidArgument) {
+  auto corpus = oracle_spec_texts();
+  corpus.push_back(kAblationSweep);
+  Rng rng(0x5eef);
+  std::size_t parsed = 0;
+  constexpr std::size_t kMutants = 10000;
+  for (std::size_t i = 0; i < kMutants; ++i) {
+    const auto mutant = mutate(corpus[i % corpus.size()], corpus, rng);
+    scenario::SweepSpec sweep;
+    try {
+      sweep = scenario::parse_sweep_text(mutant);
+    } catch (const std::invalid_argument&) {
+      continue;
+    } catch (const std::exception& e) {
+      FAIL() << "mutant threw " << e.what() << ":\n" << mutant;
+    }
+    ++parsed;
+    const auto text = scenario::to_sweep_text(sweep);
+    scenario::SweepSpec again;
+    try {
+      again = scenario::parse_sweep_text(text);
+    } catch (const std::exception& e) {
+      FAIL() << "printed sweep threw " << e.what() << ":\n" << text;
+    }
+    ASSERT_EQ(scenario::to_sweep_text(again), text) << mutant;
+    ASSERT_EQ(again.point_count(), sweep.point_count()) << mutant;
+  }
+  EXPECT_GT(parsed, kMutants / 20);
 }
 
 TEST(Runner, CohortSamplingRequiresSupportingAlgorithm) {
