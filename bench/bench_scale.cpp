@@ -166,8 +166,8 @@ int main(int argc, char** argv) {
     auto s = spec;
     // The dataset is sharded by --workers regardless of population, so the
     // workload stays shareable; population only widens the sampling frame.
-    s.population = std::max(p, s.workers);
-    s.cohort = std::min(cohort, s.population);
+    s.set("population", std::to_string(std::max(p, s.workers)));
+    s.set("cohort", std::to_string(std::min(cohort, s.population)));
     saps::scenario::Runner runner(s, workload);
     for (const auto& algo : s.effective_algorithms()) {
       // Runs are deterministic (fresh engine per run), so repetitions are

@@ -71,7 +71,6 @@ int main(int argc, char** argv) {
   // Random peer selection, same budget, no dropout.
   auto random_spec = spec;
   random_spec.failures.clear();
-  random_spec.failures_text.clear();
   random_spec.set("saps-strategy", "random");
   saps::scenario::Runner random_runner(random_spec,
                                        adaptive_runner.workload());

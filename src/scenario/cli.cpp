@@ -1,9 +1,8 @@
 #include "scenario/cli.hpp"
 
+#include <algorithm>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <stdexcept>
 
 #include "util/flags.hpp"
@@ -11,16 +10,6 @@
 namespace saps::scenario {
 
 namespace {
-
-std::string read_spec_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw std::invalid_argument("--spec: cannot read '" + path + "'");
-  }
-  std::ostringstream oss;
-  oss << in.rdbuf();
-  return oss.str();
-}
 
 SweepSpec sweep_from_flags(const Flags& flags,
                            const std::string& fallback_sweep_text) {
@@ -30,8 +19,8 @@ SweepSpec sweep_from_flags(const Flags& flags,
   SweepSpec sweep = parse_sweep_text(text);
 
   // Explicit scenario flags override/extend the base lines.
-  const auto apply_flag = [&](const ParamDesc& d) {
-    if (!flags.has(d.name)) return;
+  for (const auto& d : scenario_params()) {
+    if (!flags.has(d.name)) continue;
     for (const auto& axis : sweep.axes) {
       if (axis.key == d.name) {
         throw std::invalid_argument(
@@ -41,19 +30,14 @@ SweepSpec sweep_from_flags(const Flags& flags,
     }
     const std::string raw =
         flags.get_string(d.name, d.name == "full" ? "true" : "");
-    for (auto& [key, value] : sweep.base) {
-      if (key == d.name) {
-        value = raw;
-        return;
-      }
+    const auto base =
+        std::find_if(sweep.base.begin(), sweep.base.end(),
+                     [&](const auto& line) { return line.first == d.name; });
+    if (base != sweep.base.end()) {
+      base->second = raw;
+    } else {
+      sweep.base.emplace_back(d.name, raw);
     }
-    sweep.base.emplace_back(d.name, raw);
-  };
-  const auto& reg = Registry::instance();
-  for (const auto& d : core_spec_params()) apply_flag(d);
-  for (const auto& d : reg.algorithm_params()) apply_flag(d);
-  for (const auto& d : reg.workload_params(/*paper_only=*/false)) {
-    apply_flag(d);
   }
   // Re-parse the merged text: canonicalizes the raw flag values and re-runs
   // the full per-point validation over the final grid.
@@ -63,13 +47,10 @@ SweepSpec sweep_from_flags(const Flags& flags,
 }  // namespace
 
 void describe_scenario_flags(Flags& flags) {
-  describe_params(flags, core_spec_params());
-  const auto& reg = Registry::instance();
-  describe_params(flags, reg.algorithm_params());
   // ALL workloads' parameters, matching the set spec_from_flags reads —
   // non-paper workloads (blob, real-mnist) are reachable via --workload
   // too, not just via spec files.
-  describe_params(flags, reg.workload_params(/*paper_only=*/false));
+  describe_params(flags, scenario_params());
   flags
       .describe("spec",
                 "scenario spec file (key=value lines; flags override file "

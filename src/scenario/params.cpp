@@ -150,32 +150,40 @@ const std::string& ParamSet::get_string(const std::string& name) const {
   return raw(name);
 }
 
+std::string trim(const std::string& text) {
+  constexpr const char* kSpace = " \t\r\n";
+  const auto first = text.find_first_not_of(kSpace);
+  if (first == std::string::npos) return "";
+  return text.substr(first, text.find_last_not_of(kSpace) - first + 1);
+}
+
+std::vector<std::string> split(const std::string& text, char sep) {
+  std::vector<std::string> out;
+  std::size_t start = 0;
+  while (true) {
+    const auto pos = text.find(sep, start);
+    out.push_back(trim(text.substr(start, pos - start)));
+    if (pos == std::string::npos) return out;
+    start = pos + 1;
+  }
+}
+
 void describe_params(Flags& flags, const std::vector<ParamDesc>& descs) {
   for (const auto& d : descs) flags.describe(d.name, d.help);
 }
 
-void read_params(const Flags& flags, const std::vector<ParamDesc>& descs,
-                 ParamSet& out) {
-  for (const auto& d : descs) {
-    if (!flags.has(d.name)) continue;
-    out.set(d.name, canonical_value(d, flags.get_string(d.name, "")));
-  }
-}
-
-ParamSet resolve_params(const Flags& flags,
-                        const std::vector<ParamDesc>& descs) {
-  ParamSet out;
-  for (const auto& d : descs) {
-    out.set(d.name, canonical_value(d, d.default_value));
-  }
-  read_params(flags, descs, out);
-  return out;
-}
-
 ParamSet resolve_params_or_exit(const Flags& flags,
                                 const std::vector<ParamDesc>& descs) {
+  ParamSet defaults;
+  for (const auto& d : descs) {
+    defaults.set(d.name, canonical_value(d, d.default_value));
+  }
+  ParamSet out = defaults;
   try {
-    return resolve_params(flags, descs);
+    for (const auto& d : descs) {
+      if (!flags.has(d.name)) continue;
+      out.set(d.name, canonical_value(d, flags.get_string(d.name, "")));
+    }
   } catch (const std::exception& e) {
     // Same contract as util/flags strict mode: friendly message + exit 2 —
     // but never preempt --help, which exits in exit_on_help_or_unknown.
@@ -183,12 +191,9 @@ ParamSet resolve_params_or_exit(const Flags& flags,
       std::cerr << e.what() << "\n";
       std::exit(2);
     }
-    ParamSet out;
-    for (const auto& d : descs) {
-      out.set(d.name, canonical_value(d, d.default_value));
-    }
-    return out;
+    return defaults;
   }
+  return out;
 }
 
 }  // namespace saps::scenario

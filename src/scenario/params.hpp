@@ -79,23 +79,22 @@ class ParamSet {
   std::map<std::string, std::string> values_;
 };
 
+/// `text` without leading and trailing spaces, tabs, CRs and LFs.
+[[nodiscard]] std::string trim(const std::string& text);
+
+/// The pieces of `text` between each `sep`, trimmed (one piece per
+/// separator plus one, empty pieces kept).
+[[nodiscard]] std::vector<std::string> split(const std::string& text,
+                                             char sep);
+
 /// Registers one --help line per descriptor on `flags` (registration order).
 void describe_params(Flags& flags, const std::vector<ParamDesc>& descs);
 
-/// Reads every described parameter present on the command line into `out`
-/// (canonicalized; throws on type/range violations).  Absent flags are left
-/// untouched so defaults/presets survive.
-void read_params(const Flags& flags, const std::vector<ParamDesc>& descs,
-                 ParamSet& out);
-
 /// Defaults ∪ command line for a self-contained descriptor table (the
-/// non-training benches' flag sets).  Throws like read_params.
-[[nodiscard]] ParamSet resolve_params(const Flags& flags,
-                                      const std::vector<ParamDesc>& descs);
-
-/// resolve_params with the util/flags exit-2 contract: prints the friendly
-/// message and exits(2) on violation — unless --help is pending, in which
-/// case defaults are returned so exit_on_help_or_unknown can print the help.
+/// non-training benches' flag sets), with the util/flags exit-2 contract:
+/// prints the friendly message and exits(2) on a type/range violation —
+/// unless --help is pending, in which case defaults are returned so
+/// exit_on_help_or_unknown can print the help.
 [[nodiscard]] ParamSet resolve_params_or_exit(
     const Flags& flags, const std::vector<ParamDesc>& descs);
 

@@ -133,11 +133,9 @@ std::vector<ParamDesc> Registry::algorithm_params() const {
   return out;
 }
 
-std::vector<ParamDesc> Registry::workload_params(bool paper_only) const {
+std::vector<ParamDesc> Registry::workload_params() const {
   std::vector<ParamDesc> out;
-  for (const auto& e : workloads_) {
-    if (!paper_only || e.in_paper_set) merge_params(out, e.params);
-  }
+  for (const auto& e : workloads_) merge_params(out, e.params);
   return out;
 }
 

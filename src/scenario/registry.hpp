@@ -140,9 +140,8 @@ class Registry {
   /// (deduplicated by name; shared descriptors — the FedAvg family's — must
   /// agree or registration throws).
   [[nodiscard]] std::vector<ParamDesc> algorithm_params() const;
-  /// Union over the (paper-set by default) workloads.
-  [[nodiscard]] std::vector<ParamDesc> workload_params(
-      bool paper_only = true) const;
+  /// Union over the workloads.
+  [[nodiscard]] std::vector<ParamDesc> workload_params() const;
 
  private:
   Registry();

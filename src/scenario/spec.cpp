@@ -1,12 +1,18 @@
 #include "scenario/spec.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 
 #include "compress/robust.hpp"
 #include "net/bandwidth.hpp"
@@ -29,141 +35,101 @@ constexpr std::uint64_t kSampleSalt = 0x5a3d;
 // the stream salt inside sim::FaultyFabric).
 constexpr std::uint64_t kFaultSalt = 0xfa17;
 
-std::string trim(std::string s) {
-  const auto is_space = [](char c) { return c == ' ' || c == '\t' ||
-                                            c == '\r' || c == '\n'; };
-  while (!s.empty() && is_space(s.front())) s.erase(s.begin());
-  while (!s.empty() && is_space(s.back())) s.pop_back();
-  return s;
+// `partition=dirichlet:ALPHA` selects the Dirichlet partition AND its
+// concentration, so one sweep axis covers the non-IID knob.
+constexpr std::string_view kDirichlet = "dirichlet:";
+
+/// The ALPHA text of a `partition=dirichlet:ALPHA` shorthand, which sets
+/// both partition and dirichlet-alpha; nullopt for any other entry.
+std::optional<std::string> dirichlet_shorthand(const std::string& key,
+                                               const std::string& value) {
+  if (key != "partition" || !value.starts_with(kDirichlet)) return {};
+  return value.substr(kDirichlet.size());
 }
 
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= s.size()) {
-    const auto pos = s.find(sep, start);
-    if (pos == std::string::npos) {
-      out.push_back(trim(s.substr(start)));
-      break;
-    }
-    out.push_back(trim(s.substr(start, pos - start)));
-    start = pos + 1;
-  }
-  return out;
+// --- Grammar building blocks -------------------------------------------
+
+std::size_t parse_size(const std::string& flag, const std::string& text) {
+  return static_cast<std::size_t>(parse_int(flag, text));
 }
 
-std::string join(const std::vector<std::string>& items, char sep) {
+std::string format_size(std::size_t v) {
+  return format_int(static_cast<std::int64_t>(v));
+}
+
+/// `format(item)` of every item, `sep`-joined.
+template <class Range, class Format>
+std::string join(const Range& items, char sep, Format format) {
   std::string out;
-  for (const auto& it : items) {
+  for (const auto& item : items) {
     if (!out.empty()) out += sep;
-    out += it;
+    out += format(item);
   }
   return out;
 }
 
-void assign_core(ScenarioSpec& s, const ParamDesc& d,
-                 const std::string& canonical) {
-  const auto& k = d.name;
-  const auto as_size = [&] {
-    return static_cast<std::size_t>(parse_int(k, canonical));
-  };
-  if (k == "workload") {
-    s.workload = canonical;
-  } else if (k == "algorithm") {
-    if (canonical == "paper") {
-      s.algorithms.clear();
-    } else {
-      s.algorithms = split(canonical, ',');
+/// "R" or "R-R2": the round window [R, R2), R2 = 0 meaning open-ended.
+/// Fabric-round windows (first = 1) count from 1.
+std::pair<std::size_t, std::size_t> parse_window(const std::string& flag,
+                                                 const std::string& text,
+                                                 std::size_t first) {
+  const auto dash = text.find('-');
+  const auto from = parse_size(flag, text.substr(0, dash));
+  std::size_t to = 0;
+  if (dash != std::string::npos) {
+    to = parse_size(flag, text.substr(dash + 1));
+    if (to <= from) {
+      throw std::invalid_argument("--" + flag +
+                                  " window end must be after its start in '" +
+                                  text + "'");
     }
-  } else if (k == "workers") {
-    s.workers = as_size();
-  } else if (k == "population") {
-    s.population = as_size();
-  } else if (k == "cohort") {
-    s.cohort = as_size();
-  } else if (k == "sample-seed") {
-    s.sample_seed = parse_uint(k, canonical);
-  } else if (k == "epochs") {
-    s.epochs = as_size();
-  } else if (k == "samples") {
-    s.samples = as_size();
-  } else if (k == "test-samples") {
-    s.test_samples = as_size();
-  } else if (k == "batch") {
-    s.batch = as_size();
-  } else if (k == "eval-every") {
-    s.eval_every = as_size();
-  } else if (k == "eval-batch") {
-    s.eval_batch = as_size();
-  } else if (k == "seed") {
-    s.seed = parse_uint(k, canonical);
-  } else if (k == "full") {
-    s.full = parse_bool(k, canonical);
-  } else if (k == "threads") {
-    s.threads = as_size();
-  } else if (k == "lr") {
-    s.lr = parse_double(k, canonical);
-  } else if (k == "partition") {
-    s.partition = canonical;
-  } else if (k == "shards-per-worker") {
-    s.shards_per_worker = as_size();
-  } else if (k == "dirichlet-alpha") {
-    s.dirichlet_alpha = parse_double(k, canonical);
-  } else if (k == "bandwidth") {
-    s.bandwidth = canonical;
-  } else if (k == "bandwidth-seed") {
-    s.bandwidth_seed = parse_uint(k, canonical);
-  } else if (k == "latency") {
-    s.latency = parse_double(k, canonical);
-  } else if (k == "compute-base") {
-    s.compute_base = parse_double(k, canonical);
-  } else if (k == "compute-jitter") {
-    s.compute_jitter = parse_double(k, canonical);
-  } else if (k == "latency-matrix") {
-    s.latency_matrix_text = canonical;
-    s.latency_matrix.clear();
-  } else if (k == "failures") {
-    s.failures_text = canonical;
-    s.failures.clear();
-  } else if (k == "fault-seed") {
-    s.fault_seed = parse_uint(k, canonical);
-  } else if (k == "drop-prob") {
-    s.drop_prob = parse_double(k, canonical);
-  } else if (k == "dup-prob") {
-    s.dup_prob = parse_double(k, canonical);
-  } else if (k == "delay-prob") {
-    s.delay_prob = parse_double(k, canonical);
-  } else if (k == "delay-seconds") {
-    s.delay_seconds = parse_double(k, canonical);
-  } else if (k == "byzantine") {
-    s.byzantine_text = canonical;
-    s.byzantine.clear();
-  } else if (k == "collude-group") {
-    s.collude_group_text = canonical;
-    s.collude_group.clear();
-    s.collude_min = 2;
-  } else if (k == "adapt-attack") {
-    s.adapt_attack = parse_double(k, canonical);
-  } else if (k == "clip-norm") {
-    s.clip_norm = parse_double(k, canonical);
-  } else if (k == "reputation-decay") {
-    s.reputation_decay = parse_double(k, canonical);
-  } else if (k == "net-partition") {
-    s.net_partition_text = canonical;
-    s.net_partition.clear();
-  } else if (k == "aggregation") {
-    s.aggregation = canonical;
-  } else if (k == "trim-frac") {
-    s.trim_frac = parse_double(k, canonical);
+  }
+  if (from < first) {
+    throw std::invalid_argument("--" + flag +
+                                " windows count fabric rounds from 1");
+  }
+  return {from, to};
+}
+
+std::string format_window(std::size_t from, std::size_t to) {
+  return to == 0 ? format_size(from)
+                 : format_size(from) + '-' + format_size(to);
+}
+
+/// '.'-joined worker indices ("0.1.2"); empty entries are skipped.
+std::vector<std::size_t> parse_workers(const std::string& flag,
+                                       const std::string& text) {
+  std::vector<std::size_t> out;
+  for (const auto& w : split(text, '.')) {
+    if (!w.empty()) out.push_back(parse_size(flag, w));
+  }
+  return out;
+}
+
+std::string format_workers(const std::vector<std::size_t>& workers) {
+  return join(workers, '.', format_size);
+}
+
+// --- The six grammar knobs ----------------------------------------------
+
+void parse_algorithms(ScenarioSpec& s, const std::string& text) {
+  if (text == "paper") {
+    s.algorithms.clear();
   } else {
-    throw std::logic_error("assign_core: unmapped key '" + k + "'");
+    s.algorithms = split(text, ',');
   }
 }
 
-std::vector<double> parse_matrix(const std::string& text) {
-  std::vector<double> out;
+std::string format_algorithms(const ScenarioSpec& s) {
+  return s.algorithms.empty() ? "paper"
+                              : join(s.algorithms, ',', std::identity{});
+}
+
+void parse_latency_matrix(ScenarioSpec& s, const std::string& text) {
+  std::vector<double> matrix;
   std::size_t cols = 0;
   for (const auto& row : split(text, ';')) {
+    if (text.empty()) break;  // unset: the scalar latency applies
     const auto entries = split(row, ',');
     if (cols == 0) {
       cols = entries.size();
@@ -176,14 +142,27 @@ std::vector<double> parse_matrix(const std::string& text) {
       if (v < 0.0) {
         throw std::invalid_argument("--latency-matrix entries must be >= 0");
       }
-      out.push_back(v);
+      matrix.push_back(v);
     }
+  }
+  s.latency_matrix = std::move(matrix);
+}
+
+// Rows ';'-joined, entries ','-joined (finalize_spec keeps it square).
+std::string format_latency_matrix(const ScenarioSpec& s) {
+  const auto& m = s.latency_matrix;
+  const auto side = static_cast<std::size_t>(
+      std::llround(std::sqrt(static_cast<double>(m.size()))));
+  std::string out;
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    if (i != 0) out += i % side == 0 ? ';' : ',';
+    out += format_double(m[i]);
   }
   return out;
 }
 
-std::vector<FailureEvent> parse_failures(const std::string& text) {
-  std::vector<FailureEvent> out;
+void parse_failures(ScenarioSpec& s, const std::string& text) {
+  std::vector<FailureEvent> failures;
   for (const auto& token : split(text, ',')) {
     if (token.empty()) continue;
     const auto at = token.find('@');
@@ -191,82 +170,31 @@ std::vector<FailureEvent> parse_failures(const std::string& text) {
       throw std::invalid_argument("--failures expects W@R[-R2] entries, got '" +
                                   token + "'");
     }
-    FailureEvent e;
-    e.worker =
-        static_cast<std::size_t>(parse_int("failures", token.substr(0, at)));
-    const auto window = token.substr(at + 1);
-    const auto dash = window.find('-');
-    if (dash == std::string::npos) {
-      e.drop_round = static_cast<std::size_t>(parse_int("failures", window));
-    } else {
-      e.drop_round = static_cast<std::size_t>(
-          parse_int("failures", window.substr(0, dash)));
-      e.rejoin_round = static_cast<std::size_t>(
-          parse_int("failures", window.substr(dash + 1)));
-      if (e.rejoin_round <= e.drop_round) {
-        throw std::invalid_argument(
-            "--failures rejoin round must be after the drop round in '" +
-            token + "'");
-      }
-    }
-    out.push_back(e);
+    FailureEvent e{.worker = parse_size("failures", token.substr(0, at))};
+    std::tie(e.drop_round, e.rejoin_round) =
+        parse_window("failures", token.substr(at + 1), 0);
+    failures.push_back(e);
   }
-  return out;
+  s.failures = std::move(failures);
 }
 
-// Parses "R" or "R-R2" into a [from, to) fabric-round window (to = 0 means
-// "forever"); shared by the byzantine and net-partition grammars.
-void parse_window(const std::string& flag, const std::string& window,
-                  std::size_t& from, std::size_t& to) {
-  const auto dash = window.find('-');
-  if (dash == std::string::npos) {
-    from = static_cast<std::size_t>(parse_int(flag, window));
-    to = 0;
-  } else {
-    from = static_cast<std::size_t>(parse_int(flag, window.substr(0, dash)));
-    to = static_cast<std::size_t>(parse_int(flag, window.substr(dash + 1)));
-    if (to <= from) {
-      throw std::invalid_argument("--" + flag +
-                                  " window end must be after its start in '" +
-                                  window + "'");
-    }
-  }
-  if (from == 0) {
-    throw std::invalid_argument("--" + flag +
-                                " windows count fabric rounds from 1");
-  }
+std::string format_failures(const ScenarioSpec& s) {
+  return join(s.failures, ',', [](const FailureEvent& e) {
+    return format_size(e.worker) + '@' +
+           format_window(e.drop_round, e.rejoin_round);
+  });
 }
 
-sim::ByzantineMode parse_byzantine_mode(const std::string& name) {
-  if (name == "sign-flip") return sim::ByzantineMode::kSignFlip;
-  if (name == "scaled-noise") return sim::ByzantineMode::kScaledNoise;
-  if (name == "silent") return sim::ByzantineMode::kSilent;
-  if (name == "model-replacement") return sim::ByzantineMode::kModelReplacement;
-  if (name == "collusion") return sim::ByzantineMode::kCollusion;
-  throw std::invalid_argument(
-      "--byzantine mode must be "
-      "sign-flip|scaled-noise|silent|model-replacement|collusion, got '" +
-      name + "'");
-}
+constexpr std::pair<const char*, sim::ByzantineMode> kByzantineModes[] = {
+    {"sign-flip", sim::ByzantineMode::kSignFlip},
+    {"scaled-noise", sim::ByzantineMode::kScaledNoise},
+    {"silent", sim::ByzantineMode::kSilent},
+    {"model-replacement", sim::ByzantineMode::kModelReplacement},
+    {"collusion", sim::ByzantineMode::kCollusion},
+};
 
-const char* byzantine_mode_name(sim::ByzantineMode mode) {
-  switch (mode) {
-    case sim::ByzantineMode::kSignFlip:
-      return "sign-flip";
-    case sim::ByzantineMode::kScaledNoise:
-      return "scaled-noise";
-    case sim::ByzantineMode::kSilent:
-      return "silent";
-    case sim::ByzantineMode::kModelReplacement:
-      return "model-replacement";
-    case sim::ByzantineMode::kCollusion:
-      return "collusion";
-  }
-  return "sign-flip";
-}
-
-std::vector<sim::ByzantineEvent> parse_byzantine(const std::string& text) {
-  std::vector<sim::ByzantineEvent> out;
+void parse_byzantine(ScenarioSpec& s, const std::string& text) {
+  std::vector<sim::ByzantineEvent> events;
   for (const auto& token : split(text, ',')) {
     if (token.empty()) continue;
     const auto at = token.find('@');
@@ -276,46 +204,72 @@ std::vector<sim::ByzantineEvent> parse_byzantine(const std::string& text) {
           "--byzantine expects W@R[-R2]:mode entries, got '" + token + "'");
     }
     sim::ByzantineEvent e;
-    e.worker =
-        static_cast<std::size_t>(parse_int("byzantine", token.substr(0, at)));
-    parse_window("byzantine", token.substr(at + 1, colon - at - 1),
-                 e.from_round, e.to_round);
-    e.mode = parse_byzantine_mode(token.substr(colon + 1));
-    out.push_back(e);
+    e.worker = parse_size("byzantine", token.substr(0, at));
+    std::tie(e.from_round, e.to_round) = parse_window(
+        "byzantine", token.substr(at + 1, colon - at - 1), 1);
+    const auto name = token.substr(colon + 1);
+    const auto* mode = std::find_if(
+        std::begin(kByzantineModes), std::end(kByzantineModes),
+        [&](const auto& m) { return name == m.first; });
+    if (mode == std::end(kByzantineModes)) {
+      throw std::invalid_argument(
+          "--byzantine mode must be " +
+          join(kByzantineModes, '|',
+               [](const auto& m) { return std::string(m.first); }) +
+          ", got '" + name + "'");
+    }
+    e.mode = mode->second;
+    events.push_back(e);
   }
-  return out;
+  s.byzantine = std::move(events);
 }
 
-// Parses "W.W.W[:K]" into (members, min_live); K defaults to 2.  Bounds and
-// duplicate checks happen in finalize_spec against the resolved population.
-void parse_collude_group(const std::string& text,
-                         std::vector<std::size_t>& members,
-                         std::size_t& min_live) {
-  members.clear();
-  min_live = 2;
-  const auto colon = text.find(':');
-  if (colon != std::string::npos) {
-    min_live = static_cast<std::size_t>(
-        parse_int("collude-group", text.substr(colon + 1)));
-  }
-  for (const auto& m : split(text.substr(0, colon), '.')) {
-    if (m.empty()) continue;
-    members.push_back(static_cast<std::size_t>(parse_int("collude-group", m)));
-  }
-  if (members.empty()) {
-    throw std::invalid_argument(
-        "--collude-group expects 'W.W.W[:K]' with at least one worker, got '" +
-        text + "'");
-  }
-  if (min_live < 1 || min_live > members.size()) {
-    throw std::invalid_argument(
-        "--collude-group minimum K must be in [1, group size = " +
-        std::to_string(members.size()) + "], got " + std::to_string(min_live));
-  }
+std::string format_byzantine(const ScenarioSpec& s) {
+  return join(s.byzantine, ',', [](const sim::ByzantineEvent& e) {
+    const auto* mode = std::find_if(
+        std::begin(kByzantineModes), std::end(kByzantineModes),
+        [&](const auto& m) { return e.mode == m.second; });
+    return format_size(e.worker) + '@' +
+           format_window(e.from_round, e.to_round) + ':' + mode->first;
+  });
 }
 
-std::vector<sim::PartitionEvent> parse_net_partition(const std::string& text) {
-  std::vector<sim::PartitionEvent> out;
+// "W.W.W[:K]": the colluding members and the live quorum K (default 2).
+// Bounds and duplicate checks happen in finalize_spec against the resolved
+// population.
+void parse_collude_group(ScenarioSpec& s, const std::string& text) {
+  std::vector<std::size_t> members;
+  std::size_t min_live = 2;
+  if (!text.empty()) {
+    const auto colon = text.find(':');
+    if (colon != std::string::npos) {
+      min_live = parse_size("collude-group", text.substr(colon + 1));
+    }
+    members = parse_workers("collude-group", text.substr(0, colon));
+    if (members.empty()) {
+      throw std::invalid_argument(
+          "--collude-group expects 'W.W.W[:K]' with at least one worker, "
+          "got '" +
+          text + "'");
+    }
+    if (min_live < 1 || min_live > members.size()) {
+      throw std::invalid_argument(
+          "--collude-group minimum K must be in [1, group size = " +
+          std::to_string(members.size()) + "], got " +
+          std::to_string(min_live));
+    }
+  }
+  s.collude_group = std::move(members);
+  s.collude_min = min_live;
+}
+
+std::string format_collude_group(const ScenarioSpec& s) {
+  if (s.collude_group.empty()) return "";
+  return format_workers(s.collude_group) + ':' + format_size(s.collude_min);
+}
+
+void parse_net_partition(ScenarioSpec& s, const std::string& text) {
+  std::vector<sim::PartitionEvent> events;
   for (const auto& token : split(text, ',')) {
     if (token.empty()) continue;
     const auto at = token.find('@');
@@ -326,15 +280,10 @@ std::vector<sim::PartitionEvent> parse_net_partition(const std::string& text) {
           token + "'");
     }
     sim::PartitionEvent e;
-    parse_window("net-partition", token.substr(at + 1), e.from_round,
-                 e.to_round);
+    std::tie(e.from_round, e.to_round) =
+        parse_window("net-partition", token.substr(at + 1), 1);
     for (const auto& group : split(token.substr(0, at), '|')) {
-      std::vector<std::size_t> members;
-      for (const auto& m : split(group, '.')) {
-        if (m.empty()) continue;
-        members.push_back(
-            static_cast<std::size_t>(parse_int("net-partition", m)));
-      }
+      auto members = parse_workers("net-partition", group);
       if (members.empty()) {
         throw std::invalid_argument("--net-partition has an empty group in '" +
                                     token + "'");
@@ -345,9 +294,356 @@ std::vector<sim::PartitionEvent> parse_net_partition(const std::string& text) {
       throw std::invalid_argument(
           "--net-partition needs at least two groups in '" + token + "'");
     }
-    out.push_back(std::move(e));
+    events.push_back(std::move(e));
   }
-  return out;
+  s.net_partition = std::move(events);
+}
+
+std::string format_net_partition(const ScenarioSpec& s) {
+  return join(s.net_partition, ',', [](const sim::PartitionEvent& e) {
+    return join(e.groups, '|', format_workers) + '@' +
+           format_window(e.from_round, e.to_round);
+  });
+}
+
+// --- The knob table -------------------------------------------------------
+
+/// How a core key reads its canonical text into the spec and prints it
+/// back.  An empty print leaves the key's line out of to_spec_text (the
+/// five optional grammar knobs while unset).
+struct Codec {
+  void (*parse)(ScenarioSpec&, const std::string&);
+  std::string (*format)(const ScenarioSpec&);
+};
+
+template <auto Field>
+void parse_field(ScenarioSpec& s, const std::string& text) {
+  auto& field = s.*Field;
+  using T = std::remove_reference_t<decltype(field)>;
+  if constexpr (std::is_same_v<T, std::string>) {
+    field = text;
+  } else if constexpr (std::is_same_v<T, bool>) {
+    field = text == "true";
+  } else {
+    // canonical_value has validated the number already.
+    (void)std::from_chars(text.data(), text.data() + text.size(), field);
+  }
+}
+
+template <auto Field>
+std::string format_field(const ScenarioSpec& s) {
+  const auto& field = s.*Field;
+  using T = std::remove_cvref_t<decltype(field)>;
+  if constexpr (std::is_same_v<T, std::string>) {
+    return field;
+  } else if constexpr (std::is_same_v<T, bool>) {
+    return format_bool(field);
+  } else if constexpr (std::is_same_v<T, double>) {
+    return format_double(field);
+  } else {
+    return std::to_string(field);
+  }
+}
+
+/// A plain knob: one field, parsed and printed by its type.
+template <auto Field>
+constexpr Codec plain{&parse_field<Field>, &format_field<Field>};
+
+struct Knob {
+  ParamDesc desc;
+  Codec codec;
+};
+
+/// The spec's own keys in --help and to_spec_text order.
+const std::vector<Knob>& knobs() {
+  using enum ParamType;
+  static const std::vector<Knob> table = {
+      {{.name = "workload",
+        .type = kString,
+        .default_value = "mnist",
+        .help = "workload key (benches without an explicit --workload iterate "
+                "the paper set)"},
+       plain<&ScenarioSpec::workload>},
+      {{.name = "algorithm",
+        .type = kString,
+        .default_value = "paper",
+        .help = "algorithm key or comma list ('paper' = the seven-algorithm "
+                "comparison)"},
+       {parse_algorithms, format_algorithms}},
+      {{.name = "workers",
+        .type = kInt,
+        .default_value = "8",
+        .min_value = 2,
+        .max_value = 4096,
+        .help = "worker count (default 8; 32 under --full)"},
+       plain<&ScenarioSpec::workers>},
+      {{.name = "population",
+        .type = kInt,
+        .default_value = "0",
+        .min_value = 0,
+        .max_value = 1e9,
+        .help = "logical client population workers are sampled from (0 = "
+                "workers; larger values enable per-round cohort sampling with "
+                "pooled model state)"},
+       plain<&ScenarioSpec::population>},
+      {{.name = "cohort",
+        .type = kInt,
+        .default_value = "0",
+        .min_value = 0,
+        .max_value = 4096,
+        .help = "participants drawn (and model replicas materialized) per "
+                "round (0 = workers; must be in [2, population])"},
+       plain<&ScenarioSpec::cohort>},
+      {{.name = "sample-seed",
+        .type = kUint,
+        .default_value = "0",
+        .help = "RNG seed of the per-round cohort draw (default: derived "
+                "from seed)"},
+       plain<&ScenarioSpec::sample_seed>},
+      {{.name = "epochs",
+        .type = kInt,
+        .default_value = "6",
+        .min_value = 1,
+        .max_value = 1e9,
+        .help = "training epochs (default 6; 100 under --full)"},
+       plain<&ScenarioSpec::epochs>},
+      {{.name = "samples",
+        .type = kInt,
+        .default_value = "150",
+        .min_value = 1,
+        .max_value = 1e12,
+        .help = "training samples per worker (default 150; 1875 under --full)"},
+       plain<&ScenarioSpec::samples>},
+      {{.name = "test-samples",
+        .type = kInt,
+        .default_value = "400",
+        .min_value = 1,
+        .max_value = 1e12,
+        .help = "test-set size (default 400; 10000 under --full)"},
+       plain<&ScenarioSpec::test_samples>},
+      {{.name = "batch",
+        .type = kInt,
+        .default_value = "10",
+        .min_value = 1,
+        .max_value = 1e9,
+        .help = "mini-batch size (default 10; 50 under --full)"},
+       plain<&ScenarioSpec::batch>},
+      {{.name = "eval-every",
+        .type = kInt,
+        .default_value = "0",
+        .min_value = 0,
+        .max_value = 1e12,
+        .help = "eval cadence in rounds (0 = once per epoch)"},
+       plain<&ScenarioSpec::eval_every>},
+      {{.name = "eval-batch",
+        .type = kInt,
+        .default_value = "256",
+        .min_value = 1,
+        .max_value = 1e9,
+        .help = "evaluation batch size (default 256)"},
+       plain<&ScenarioSpec::eval_batch>},
+      {{.name = "seed",
+        .type = kUint,
+        .default_value = "42",
+        .help = "top-level RNG seed (default 42)"},
+       plain<&ScenarioSpec::seed>},
+      {{.name = "full",
+        .type = kBool,
+        .default_value = "false",
+        .help = "paper-scale workloads: 32 workers, full-size models"},
+       plain<&ScenarioSpec::full>},
+      {{.name = "threads",
+        .type = kInt,
+        .default_value = "0",
+        .min_value = 0,
+        .max_value = 1024,
+        .help = "engine thread-pool size for per-worker hot loops (0 = serial; "
+                "results are identical for every value)"},
+       plain<&ScenarioSpec::threads>},
+      {{.name = "lr",
+        .type = kDouble,
+        .default_value = "0",
+        .min_value = 0,
+        .max_value = kInf,
+        .help = "learning rate (0 = the workload's Table II default)"},
+       plain<&ScenarioSpec::lr>},
+      {{.name = "partition",
+        .type = kString,
+        .default_value = "iid",
+        .help = "data partition across workers (default iid; the "
+                "dirichlet:ALPHA shorthand also sets dirichlet-alpha)",
+        .choices = {"iid", "shard", "dirichlet"}},
+       plain<&ScenarioSpec::partition>},
+      {{.name = "shards-per-worker",
+        .type = kInt,
+        .default_value = "2",
+        .min_value = 1,
+        .max_value = 1e6,
+        .help = "label shards per worker under partition=shard (default 2)"},
+       plain<&ScenarioSpec::shards_per_worker>},
+      {{.name = "dirichlet-alpha",
+        .type = kDouble,
+        .default_value = "0.5",
+        .min_value = 1e-9,
+        .max_value = kInf,
+        .help = "Dirichlet concentration under partition=dirichlet "
+                "(default 0.5)"},
+       plain<&ScenarioSpec::dirichlet_alpha>},
+      {{.name = "bandwidth",
+        .type = kString,
+        .default_value = "none",
+        .help = "link bandwidths: none = traffic accounting only, uniform = "
+                "random (0,5] MB/s, cities = the measured Fig. 1 matrix "
+                "(requires workers=14)",
+        .choices = {"none", "uniform", "cities"}},
+       plain<&ScenarioSpec::bandwidth>},
+      {{.name = "bandwidth-seed",
+        .type = kUint,
+        .default_value = "0",
+        .help = "RNG seed of bandwidth=uniform (default: derived from seed)"},
+       plain<&ScenarioSpec::bandwidth_seed>},
+      {{.name = "latency",
+        .type = kDouble,
+        .default_value = "0",
+        .min_value = 0,
+        .max_value = kInf,
+        .help = "one-way per-transfer link latency in seconds (default 0 = "
+                "the paper's instantaneous links)"},
+       plain<&ScenarioSpec::latency>},
+      {{.name = "compute-base",
+        .type = kDouble,
+        .default_value = "0",
+        .min_value = 0,
+        .max_value = kInf,
+        .help = "per-round local-compute seconds charged to every worker "
+                "(default 0)"},
+       plain<&ScenarioSpec::compute_base>},
+      {{.name = "compute-jitter",
+        .type = kDouble,
+        .default_value = "0",
+        .min_value = 0,
+        .max_value = kInf,
+        .help = "straggler jitter amplitude in seconds; worker compute is "
+                "base + jitter*u01(round, worker) (default 0)"},
+       plain<&ScenarioSpec::compute_jitter>},
+      {{.name = "latency-matrix",
+        .type = kString,
+        .default_value = "",
+        .help = "per-link one-way latency seconds overriding --latency: N*N "
+                "entries for N workers, rows ';'-joined, entries ','-joined "
+                "(empty = uniform scalar)"},
+       {parse_latency_matrix, format_latency_matrix}},
+      {{.name = "failures",
+        .type = kString,
+        .default_value = "",
+        .help = "dropout schedule 'W@R-R2[,...]': worker W leaves at round R "
+                "and rejoins at round R2 (omit -R2 = never)"},
+       {parse_failures, format_failures}},
+      {{.name = "fault-seed",
+        .type = kUint,
+        .default_value = "0",
+        .help = "RNG seed of the fault-injection schedules (default: derived "
+                "from seed)"},
+       plain<&ScenarioSpec::fault_seed>},
+      {{.name = "drop-prob",
+        .type = kDouble,
+        .default_value = "0",
+        .min_value = 0,
+        .max_value = 1,
+        .help = "per-frame probability a data frame is charged but never "
+                "delivered (default 0)"},
+       plain<&ScenarioSpec::drop_prob>},
+      {{.name = "dup-prob",
+        .type = kDouble,
+        .default_value = "0",
+        .min_value = 0,
+        .max_value = 1,
+        .help = "per-frame probability a data frame is charged and delivered "
+                "twice (default 0)"},
+       plain<&ScenarioSpec::dup_prob>},
+      {{.name = "delay-prob",
+        .type = kDouble,
+        .default_value = "0",
+        .min_value = 0,
+        .max_value = 1,
+        .help = "per-frame probability a data frame gains delay-seconds of "
+                "in-flight time (default 0; requires delay-seconds > 0)"},
+       plain<&ScenarioSpec::delay_prob>},
+      {{.name = "delay-seconds",
+        .type = kDouble,
+        .default_value = "0",
+        .min_value = 0,
+        .max_value = kInf,
+        .help = "extra in-flight seconds of a delayed frame (default 0)"},
+       plain<&ScenarioSpec::delay_seconds>},
+      {{.name = "byzantine",
+        .type = kString,
+        .default_value = "",
+        .help = "adversarial workers 'W@R[-R2]:mode[,...]': worker W applies "
+                "`mode` (sign-flip|scaled-noise|silent|model-replacement|"
+                "collusion) to every frame it sends during fabric rounds "
+                "[R, R2) (omit -R2 = forever); collusion needs collude-group"},
+       {parse_byzantine, format_byzantine}},
+      {{.name = "collude-group",
+        .type = kString,
+        .default_value = "",
+        .help = "colluding workers 'W.W.W[:K]': byzantine=...:collusion "
+                "members share one malicious direction per round and fire "
+                "only when at least K of them are live (default K = 2)"},
+       {parse_collude_group, format_collude_group}},
+      {{.name = "adapt-attack",
+        .type = kDouble,
+        .default_value = "0",
+        .min_value = 0,
+        .max_value = kInf,
+        .help = "adaptive attack attenuation: byzantine transforms keep their "
+                "relative L2 perturbation under this budget to evade norm "
+                "defenses (0 = unconstrained; requires byzantine events)"},
+       plain<&ScenarioSpec::adapt_attack>},
+      {{.name = "clip-norm",
+        .type = kDouble,
+        .default_value = "0",
+        .min_value = 0,
+        .max_value = kInf,
+        .help = "receiver-side defense: delivered data frames are rescaled to "
+                "L2 norm <= this bound (0 = off; works under every "
+                "algorithm; charged bytes are unchanged)"},
+       plain<&ScenarioSpec::clip_norm>},
+      {{.name = "reputation-decay",
+        .type = kDouble,
+        .default_value = "0",
+        .min_value = 0,
+        .max_value = 1,
+        .help = "attack-aware reputation scoring: > 0 runs the anomaly "
+                "monitor with this per-round decay (SAPS peers / the FedAvg "
+                "server); required by saps-strategy=reputation (0 = off)"},
+       plain<&ScenarioSpec::reputation_decay>},
+      {{.name = "net-partition",
+        .type = kString,
+        .default_value = "",
+        .help = "network partitions 'G|G[|...]@R[-R2][,...]' with groups of "
+                "'.'-joined workers, e.g. 0.1.2.3|4.5.6.7@2-6: frames between "
+                "different groups are charged but dropped during fabric "
+                "rounds [R, R2) (omit -R2 = never heals)"},
+       {parse_net_partition, format_net_partition}},
+      {{.name = "aggregation",
+        .type = kString,
+        .default_value = "plain",
+        .help = "merge rule of every model/gradient aggregation: plain = each "
+                "algorithm's legacy mean, trimmed = symmetric trimmed mean, "
+                "median = coordinate-wise median",
+        .choices = {"plain", "trimmed", "median"}},
+       plain<&ScenarioSpec::aggregation>},
+      {{.name = "trim-frac",
+        .type = kDouble,
+        .default_value = "0.2",
+        .min_value = 0,
+        .max_value = 0.5,
+        .help = "fraction trimmed from EACH tail under aggregation=trimmed "
+                "(default 0.2; clamped so at least one value survives)"},
+       plain<&ScenarioSpec::trim_frac>},
+  };
+  return table;
 }
 
 /// --full flips the scale defaults to the paper's Table II values; fast mode
@@ -361,374 +657,116 @@ void apply_scale_preset(ScenarioSpec& s) {
   if (!s.provided("batch")) s.batch = 50;
 }
 
-std::optional<bool> scan_full(const std::string& text) {
-  std::istringstream iss(text);
-  std::string line;
-  while (std::getline(iss, line)) {
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    line = trim(line);
-    const auto eq = line.find('=');
-    if (eq == std::string::npos) continue;
-    if (trim(line.substr(0, eq)) == "full") {
-      return parse_bool("full", trim(line.substr(eq + 1)));
-    }
+/// Defaults → the scale preset → a spec file's lines, each key set once
+/// (the dirichlet: shorthand sets dirichlet-alpha too).  `full` applies
+/// before the preset: the given value (the CLI flag), else the file's
+/// `full` line.
+ScenarioSpec spec_from_lines(const std::vector<SpecLine>& lines,
+                             std::optional<std::string> full) {
+  ScenarioSpec spec;
+  for (const auto& line : lines) {
+    if (!full && line.key == "full") full = line.value;
   }
-  return std::nullopt;
-}
-
-void apply_kv_lines(ScenarioSpec& spec, const std::string& text) {
-  std::istringstream iss(text);
-  std::string line;
-  std::size_t lineno = 0;
-  std::map<std::string, std::size_t> first_line;  // duplicate detection
-  while (std::getline(iss, line)) {
-    ++lineno;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    line = trim(line);
-    if (line.empty()) continue;
-    const auto eq = line.find('=');
-    if (eq == std::string::npos) {
-      throw std::invalid_argument("spec line " + std::to_string(lineno) +
-                                  ": expected key=value, got '" + line + "'");
-    }
-    const auto key = trim(line.substr(0, eq));
+  if (full) spec.set("full", *full);
+  apply_scale_preset(spec);
+  std::map<std::string, std::size_t> first_line;
+  const auto claim = [&](const std::string& key, std::size_t lineno) {
     const auto [it, inserted] = first_line.emplace(key, lineno);
     if (!inserted) {
       throw std::invalid_argument(
           "spec line " + std::to_string(lineno) + ": duplicate key '" + key +
           "' (first set on line " + std::to_string(it->second) + ")");
     }
-    if (key == "full") continue;  // applied up front by the preset scan
-    spec.set(key, trim(line.substr(eq + 1)));
+  };
+  for (const auto& line : lines) {
+    claim(line.key, line.lineno);
+    if (dirichlet_shorthand(line.key, line.value)) {
+      claim("dirichlet-alpha", line.lineno);
+    }
+    if (line.key != "full") spec.set(line.key, line.value);
+  }
+  return spec;
+}
+
+/// Throws unless worker index `w` names one of the population's clients.
+void check_worker(const std::string& flag, std::size_t w,
+                  std::size_t population) {
+  if (w >= population) {
+    throw std::invalid_argument("--" + flag + " names worker " +
+                                std::to_string(w) + " but only " +
+                                std::to_string(population) + " exist");
   }
 }
 
-std::string read_spec_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw std::invalid_argument("--spec: cannot read '" + path + "'");
-  }
-  std::ostringstream oss;
-  oss << in.rdbuf();
-  return oss.str();
+/// Whether round windows [a_from, a_to) and [b_from, b_to) intersect (an
+/// end of 0 is open).
+bool windows_overlap(std::size_t a_from, std::size_t a_to,
+                     std::size_t b_from, std::size_t b_to) {
+  const auto end = [](std::size_t to) {
+    return to == 0 ? static_cast<std::size_t>(-1) : to;
+  };
+  return a_from < end(b_to) && b_from < end(a_to);
+}
+
+bool overlaps(const FailureEvent& a, const FailureEvent& b) {
+  return windows_overlap(a.drop_round, a.rejoin_round, b.drop_round,
+                         b.rejoin_round);
 }
 
 }  // namespace
 
-const std::vector<ParamDesc>& core_spec_params() {
-  using enum ParamType;
-  static const std::vector<ParamDesc> descs = {
-      {.name = "workload",
-       .type = kString,
-       .default_value = "mnist",
-       .help = "workload key (benches without an explicit --workload iterate "
-               "the paper set)"},
-      {.name = "algorithm",
-       .type = kString,
-       .default_value = "paper",
-       .help = "algorithm key or comma list ('paper' = the seven-algorithm "
-               "comparison)"},
-      {.name = "workers",
-       .type = kInt,
-       .default_value = "8",
-       .min_value = 2,
-       .max_value = 4096,
-       .help = "worker count (default 8; 32 under --full)"},
-      {.name = "population",
-       .type = kInt,
-       .default_value = "0",
-       .min_value = 0,
-       .max_value = 1e9,
-       .help = "logical client population workers are sampled from (0 = "
-               "workers; larger values enable per-round cohort sampling with "
-               "pooled model state)"},
-      {.name = "cohort",
-       .type = kInt,
-       .default_value = "0",
-       .min_value = 0,
-       .max_value = 4096,
-       .help = "participants drawn (and model replicas materialized) per "
-               "round (0 = workers; must be in [2, population])"},
-      {.name = "sample-seed",
-       .type = kUint,
-       .default_value = "0",
-       .help = "RNG seed of the per-round cohort draw (default: derived "
-               "from seed)"},
-      {.name = "epochs",
-       .type = kInt,
-       .default_value = "6",
-       .min_value = 1,
-       .max_value = 1e9,
-       .help = "training epochs (default 6; 100 under --full)"},
-      {.name = "samples",
-       .type = kInt,
-       .default_value = "150",
-       .min_value = 1,
-       .max_value = 1e12,
-       .help = "training samples per worker (default 150; 1875 under --full)"},
-      {.name = "test-samples",
-       .type = kInt,
-       .default_value = "400",
-       .min_value = 1,
-       .max_value = 1e12,
-       .help = "test-set size (default 400; 10000 under --full)"},
-      {.name = "batch",
-       .type = kInt,
-       .default_value = "10",
-       .min_value = 1,
-       .max_value = 1e9,
-       .help = "mini-batch size (default 10; 50 under --full)"},
-      {.name = "eval-every",
-       .type = kInt,
-       .default_value = "0",
-       .min_value = 0,
-       .max_value = 1e12,
-       .help = "eval cadence in rounds (0 = once per epoch)"},
-      {.name = "eval-batch",
-       .type = kInt,
-       .default_value = "256",
-       .min_value = 1,
-       .max_value = 1e9,
-       .help = "evaluation batch size (default 256)"},
-      {.name = "seed",
-       .type = kUint,
-       .default_value = "42",
-       .help = "top-level RNG seed (default 42)"},
-      {.name = "full",
-       .type = kBool,
-       .default_value = "false",
-       .help = "paper-scale workloads: 32 workers, full-size models"},
-      {.name = "threads",
-       .type = kInt,
-       .default_value = "0",
-       .min_value = 0,
-       .max_value = 1024,
-       .help = "engine thread-pool size for per-worker hot loops (0 = serial; "
-               "results are identical for every value)"},
-      {.name = "lr",
-       .type = kDouble,
-       .default_value = "0",
-       .min_value = 0,
-       .max_value = kInf,
-       .help = "learning rate (0 = the workload's Table II default)"},
-      {.name = "partition",
-       .type = kString,
-       .default_value = "iid",
-       .help = "data partition across workers (default iid; the "
-               "dirichlet:ALPHA shorthand also sets dirichlet-alpha)",
-       .choices = {"iid", "shard", "dirichlet"}},
-      {.name = "shards-per-worker",
-       .type = kInt,
-       .default_value = "2",
-       .min_value = 1,
-       .max_value = 1e6,
-       .help = "label shards per worker under partition=shard (default 2)"},
-      {.name = "dirichlet-alpha",
-       .type = kDouble,
-       .default_value = "0.5",
-       .min_value = 1e-9,
-       .max_value = kInf,
-       .help = "Dirichlet concentration under partition=dirichlet "
-               "(default 0.5)"},
-      {.name = "bandwidth",
-       .type = kString,
-       .default_value = "none",
-       .help = "link bandwidths: none = traffic accounting only, uniform = "
-               "random (0,5] MB/s, cities = the measured Fig. 1 matrix "
-               "(requires workers=14)",
-       .choices = {"none", "uniform", "cities"}},
-      {.name = "bandwidth-seed",
-       .type = kUint,
-       .default_value = "0",
-       .help = "RNG seed of bandwidth=uniform (default: derived from seed)"},
-      {.name = "latency",
-       .type = kDouble,
-       .default_value = "0",
-       .min_value = 0,
-       .max_value = kInf,
-       .help = "one-way per-transfer link latency in seconds (default 0 = "
-               "the paper's instantaneous links)"},
-      {.name = "compute-base",
-       .type = kDouble,
-       .default_value = "0",
-       .min_value = 0,
-       .max_value = kInf,
-       .help = "per-round local-compute seconds charged to every worker "
-               "(default 0)"},
-      {.name = "compute-jitter",
-       .type = kDouble,
-       .default_value = "0",
-       .min_value = 0,
-       .max_value = kInf,
-       .help = "straggler jitter amplitude in seconds; worker compute is "
-               "base + jitter*u01(round, worker) (default 0)"},
-      {.name = "latency-matrix",
-       .type = kString,
-       .default_value = "",
-       .help = "per-link one-way latency seconds overriding --latency: N*N "
-               "entries for N workers, rows ';'-joined, entries ','-joined "
-               "(empty = uniform scalar)"},
-      {.name = "failures",
-       .type = kString,
-       .default_value = "",
-       .help = "dropout schedule 'W@R-R2[,...]': worker W leaves at round R "
-               "and rejoins at round R2 (omit -R2 = never)"},
-      {.name = "fault-seed",
-       .type = kUint,
-       .default_value = "0",
-       .help = "RNG seed of the fault-injection schedules (default: derived "
-               "from seed)"},
-      {.name = "drop-prob",
-       .type = kDouble,
-       .default_value = "0",
-       .min_value = 0,
-       .max_value = 1,
-       .help = "per-frame probability a data frame is charged but never "
-               "delivered (default 0)"},
-      {.name = "dup-prob",
-       .type = kDouble,
-       .default_value = "0",
-       .min_value = 0,
-       .max_value = 1,
-       .help = "per-frame probability a data frame is charged and delivered "
-               "twice (default 0)"},
-      {.name = "delay-prob",
-       .type = kDouble,
-       .default_value = "0",
-       .min_value = 0,
-       .max_value = 1,
-       .help = "per-frame probability a data frame gains delay-seconds of "
-               "in-flight time (default 0; requires delay-seconds > 0)"},
-      {.name = "delay-seconds",
-       .type = kDouble,
-       .default_value = "0",
-       .min_value = 0,
-       .max_value = kInf,
-       .help = "extra in-flight seconds of a delayed frame (default 0)"},
-      {.name = "byzantine",
-       .type = kString,
-       .default_value = "",
-       .help = "adversarial workers 'W@R[-R2]:mode[,...]': worker W applies "
-               "`mode` (sign-flip|scaled-noise|silent|model-replacement|"
-               "collusion) to every frame it sends during fabric rounds "
-               "[R, R2) (omit -R2 = forever); collusion needs collude-group"},
-      {.name = "collude-group",
-       .type = kString,
-       .default_value = "",
-       .help = "colluding workers 'W.W.W[:K]': byzantine=...:collusion "
-               "members share one malicious direction per round and fire "
-               "only when at least K of them are live (default K = 2)"},
-      {.name = "adapt-attack",
-       .type = kDouble,
-       .default_value = "0",
-       .min_value = 0,
-       .max_value = kInf,
-       .help = "adaptive attack attenuation: byzantine transforms keep their "
-               "relative L2 perturbation under this budget to evade norm "
-               "defenses (0 = unconstrained; requires byzantine events)"},
-      {.name = "clip-norm",
-       .type = kDouble,
-       .default_value = "0",
-       .min_value = 0,
-       .max_value = kInf,
-       .help = "receiver-side defense: delivered data frames are rescaled to "
-               "L2 norm <= this bound (0 = off; works under every "
-               "algorithm; charged bytes are unchanged)"},
-      {.name = "reputation-decay",
-       .type = kDouble,
-       .default_value = "0",
-       .min_value = 0,
-       .max_value = 1,
-       .help = "attack-aware reputation scoring: > 0 runs the anomaly "
-               "monitor with this per-round decay (SAPS peers / the FedAvg "
-               "server); required by saps-strategy=reputation (0 = off)"},
-      {.name = "net-partition",
-       .type = kString,
-       .default_value = "",
-       .help = "network partitions 'G|G[|...]@R[-R2][,...]' with groups of "
-               "'.'-joined workers, e.g. 0.1.2.3|4.5.6.7@2-6: frames between "
-               "different groups are charged but dropped during fabric "
-               "rounds [R, R2) (omit -R2 = never heals)"},
-      {.name = "aggregation",
-       .type = kString,
-       .default_value = "plain",
-       .help = "merge rule of every model/gradient aggregation: plain = each "
-               "algorithm's legacy mean, trimmed = symmetric trimmed mean, "
-               "median = coordinate-wise median",
-       .choices = {"plain", "trimmed", "median"}},
-      {.name = "trim-frac",
-       .type = kDouble,
-       .default_value = "0.2",
-       .min_value = 0,
-       .max_value = 0.5,
-       .help = "fraction trimmed from EACH tail under aggregation=trimmed "
-               "(default 0.2; clamped so at least one value survives)"},
-  };
+const std::vector<ParamDesc>& scenario_params() {
+  static const std::vector<ParamDesc> descs = [] {
+    std::vector<ParamDesc> out;
+    for (const auto& knob : knobs()) out.push_back(knob.desc);
+    const auto& reg = Registry::instance();
+    for (auto& d : reg.algorithm_params()) out.push_back(std::move(d));
+    for (auto& d : reg.workload_params()) out.push_back(std::move(d));
+    return out;
+  }();
   return descs;
 }
 
+const ParamDesc* find_param(const std::string& key) {
+  for (const auto& d : scenario_params()) {
+    if (d.name == key) return &d;
+  }
+  return nullptr;
+}
+
+std::string canonical_scenario_value(const ParamDesc& desc,
+                                     const std::string& value) {
+  if (const auto alpha = dirichlet_shorthand(desc.name, value)) {
+    return std::string(kDirichlet) +
+           canonical_value(*find_param("dirichlet-alpha"), *alpha);
+  }
+  return canonical_value(desc, value);
+}
+
 void ScenarioSpec::set(const std::string& key, const std::string& value) {
-  // `partition=dirichlet:ALPHA` shorthand: one value selects the Dirichlet
-  // partition AND its concentration (one sweep axis covers the non-IID
-  // knob).  Expands to the two canonical keys, so to_spec_text stays
-  // lossless.
-  if (key == "partition" && value.starts_with("dirichlet:")) {
+  if (const auto alpha = dirichlet_shorthand(key, value)) {
     set("partition", "dirichlet");
-    set("dirichlet-alpha", value.substr(std::string("dirichlet:").size()));
+    set("dirichlet-alpha", *alpha);
     return;
   }
-  for (const auto& d : core_spec_params()) {
-    if (d.name != key) continue;
-    assign_core(*this, d, canonical_value(d, value));
-    provided_.insert(key);
-    return;
+  const auto* desc = find_param(key);
+  if (desc == nullptr) {
+    throw std::invalid_argument("unknown scenario key '" + key + "'");
   }
-  const auto& reg = Registry::instance();
-  for (const auto& d : reg.algorithm_params()) {
-    if (d.name != key) continue;
-    params.set(key, canonical_value(d, value));
-    provided_.insert(key);
-    return;
+  const auto canonical = canonical_value(*desc, value);
+  // The spec's own keys lead scenario_params(), in knob-table order.
+  const auto index = static_cast<std::size_t>(desc - scenario_params().data());
+  if (index < knobs().size()) {
+    knobs()[index].codec.parse(*this, canonical);
+  } else {
+    params.set(key, canonical);
   }
-  for (const auto& d : reg.workload_params(/*paper_only=*/false)) {
-    if (d.name != key) continue;
-    params.set(key, canonical_value(d, value));
-    provided_.insert(key);
-    return;
-  }
-  throw std::invalid_argument("unknown scenario key '" + key + "'");
+  provided_.insert(key);
 }
 
 std::vector<std::string> ScenarioSpec::effective_algorithms() const {
   if (!algorithms.empty()) return algorithms;
   return Registry::instance().algorithm_keys(/*paper_only=*/true);
-}
-
-bool ScenarioSpec::equivalent(const ScenarioSpec& o) const {
-  return workload == o.workload && algorithms == o.algorithms &&
-         workers == o.workers && population == o.population &&
-         cohort == o.cohort && sample_seed == o.sample_seed &&
-         epochs == o.epochs && samples == o.samples &&
-         test_samples == o.test_samples && batch == o.batch &&
-         eval_every == o.eval_every && eval_batch == o.eval_batch &&
-         seed == o.seed && full == o.full && threads == o.threads &&
-         lr == o.lr && partition == o.partition &&
-         shards_per_worker == o.shards_per_worker &&
-         dirichlet_alpha == o.dirichlet_alpha && bandwidth == o.bandwidth &&
-         bandwidth_seed == o.bandwidth_seed && latency == o.latency &&
-         compute_base == o.compute_base &&
-         compute_jitter == o.compute_jitter &&
-         latency_matrix == o.latency_matrix && failures == o.failures &&
-         fault_seed == o.fault_seed && drop_prob == o.drop_prob &&
-         dup_prob == o.dup_prob && delay_prob == o.delay_prob &&
-         delay_seconds == o.delay_seconds && byzantine == o.byzantine &&
-         collude_group == o.collude_group && collude_min == o.collude_min &&
-         adapt_attack == o.adapt_attack && clip_norm == o.clip_norm &&
-         reputation_decay == o.reputation_decay &&
-         net_partition == o.net_partition && aggregation == o.aggregation &&
-         trim_frac == o.trim_frac && params == o.params;
 }
 
 void finalize_spec(ScenarioSpec& spec) {
@@ -737,17 +775,18 @@ void finalize_spec(ScenarioSpec& spec) {
   const auto algo_keys = spec.effective_algorithms();
   for (const auto& key : algo_keys) (void)reg.algorithm(key);
 
-  // Participant sampling: resolve the population/cohort pair (0 = workers)
-  // and gate the combinations the engine cannot honor.  The resolved
-  // defaults (population=workers, cohort=workers) are the legacy
-  // fully-materialized engine.
-  if (spec.population == 0) spec.population = spec.workers;
+  // Participant sampling: population and cohort follow workers unless
+  // provided (the legacy fully-materialized engine); gate the combinations
+  // the engine cannot honor.
+  if (spec.population == 0 || !spec.provided("population")) {
+    spec.population = spec.workers;
+  }
   if (spec.population < spec.workers) {
     throw std::invalid_argument(
         "--population must be >= workers (" + std::to_string(spec.workers) +
         "), got " + std::to_string(spec.population));
   }
-  if (spec.cohort == 0) spec.cohort = spec.workers;
+  if (spec.cohort == 0 || !spec.provided("cohort")) spec.cohort = spec.workers;
   if (spec.cohort < 2 || spec.cohort > spec.population) {
     throw std::invalid_argument(
         "--cohort must be in [2, population=" +
@@ -763,10 +802,6 @@ void finalize_spec(ScenarioSpec& spec) {
   // (Runner::run), like the failure schedule: a spec may carry a population
   // while the caller runs only the supporting algorithms by key.
 
-  if (!spec.latency_matrix_text.empty()) {
-    spec.latency_matrix = parse_matrix(spec.latency_matrix_text);
-    spec.latency_matrix_text.clear();
-  }
   if (!spec.latency_matrix.empty() && spec.population != spec.workers) {
     throw std::invalid_argument(
         "--latency-matrix is sized by workers; population runs require the "
@@ -779,38 +814,18 @@ void finalize_spec(ScenarioSpec& spec) {
         std::to_string(spec.workers * spec.workers) + " entries, got " +
         std::to_string(spec.latency_matrix.size()));
   }
-  for (const double v : spec.latency_matrix) {
-    if (v < 0.0) {
-      throw std::invalid_argument("--latency-matrix entries must be >= 0");
-    }
-  }
 
-  if (!spec.failures_text.empty()) {
-    spec.failures = parse_failures(spec.failures_text);
-    spec.failures_text.clear();
-  }
-  // Failure worker indices are validated here, at spec-resolution time, so a
-  // bad spec file fails before any engine is built — against the RESOLVED
+  // Worker indices are validated here, at spec-resolution time, so a bad
+  // spec file fails before any engine is built — against the RESOLVED
   // population (== workers outside population runs).  Algorithm support is
   // checked per run (Runner::run), because a spec may carry a schedule while
   // the caller runs only the supporting algorithms by key.
   for (const auto& e : spec.failures) {
-    if (e.worker >= spec.population) {
-      throw std::invalid_argument("--failures names worker " +
-                                  std::to_string(e.worker) + " but only " +
-                                  std::to_string(spec.population) + " exist");
-    }
+    check_worker("failures", e.worker, spec.population);
   }
   // Two windows for the SAME worker must not overlap: the schedule replays
   // every event each round, so overlapping windows would make the worker's
   // liveness depend on event order.
-  const auto overlaps = [](const FailureEvent& a, const FailureEvent& b) {
-    const auto a_end = a.rejoin_round == 0 ? static_cast<std::size_t>(-1)
-                                           : a.rejoin_round;
-    const auto b_end = b.rejoin_round == 0 ? static_cast<std::size_t>(-1)
-                                           : b.rejoin_round;
-    return a.drop_round < b_end && b.drop_round < a_end;
-  };
   for (std::size_t i = 0; i < spec.failures.size(); ++i) {
     for (std::size_t j = i + 1; j < spec.failures.size(); ++j) {
       if (spec.failures[i].worker == spec.failures[j].worker &&
@@ -845,28 +860,14 @@ void finalize_spec(ScenarioSpec& spec) {
     }
   }
 
-  if (!spec.byzantine_text.empty()) {
-    spec.byzantine = parse_byzantine(spec.byzantine_text);
-    spec.byzantine_text.clear();
-  }
   for (const auto& e : spec.byzantine) {
-    if (e.worker >= spec.population) {
-      throw std::invalid_argument("--byzantine names worker " +
-                                  std::to_string(e.worker) + " but only " +
-                                  std::to_string(spec.population) + " exist");
-    }
+    check_worker("byzantine", e.worker, spec.population);
   }
   // A byzantine window and a failures= dropout window for the SAME worker
   // must not overlap: an away worker sends nothing, so the attack would
   // silently not fire for part of its window.  The two grammars count
   // different clocks (fabric data rounds vs algorithm rounds), so this
   // compares the raw numeric windows — conservative by design.
-  const auto windows_overlap = [](std::size_t a_from, std::size_t a_to,
-                                  std::size_t b_from, std::size_t b_to) {
-    const auto a_end = a_to == 0 ? static_cast<std::size_t>(-1) : a_to;
-    const auto b_end = b_to == 0 ? static_cast<std::size_t>(-1) : b_to;
-    return a_from < b_end && b_from < a_end;
-  };
   for (const auto& b : spec.byzantine) {
     for (const auto& f : spec.failures) {
       if (b.worker == f.worker &&
@@ -880,39 +881,27 @@ void finalize_spec(ScenarioSpec& spec) {
       }
     }
   }
-  if (!spec.collude_group_text.empty()) {
-    parse_collude_group(spec.collude_group_text, spec.collude_group,
-                        spec.collude_min);
-    spec.collude_group_text.clear();
+  std::set<std::size_t> members;
+  for (const auto w : spec.collude_group) {
+    check_worker("collude-group", w, spec.population);
+    if (!members.insert(w).second) {
+      throw std::invalid_argument("--collude-group lists worker " +
+                                  std::to_string(w) + " twice");
+    }
   }
-  {
-    std::set<std::size_t> members;
-    for (const auto w : spec.collude_group) {
-      if (w >= spec.population) {
-        throw std::invalid_argument("--collude-group names worker " +
-                                    std::to_string(w) + " but only " +
-                                    std::to_string(spec.population) +
-                                    " exist");
-      }
-      if (!members.insert(w).second) {
-        throw std::invalid_argument("--collude-group lists worker " +
-                                    std::to_string(w) + " twice");
-      }
-    }
-    bool any_collusion = false;
-    for (const auto& e : spec.byzantine) {
-      if (e.mode != sim::ByzantineMode::kCollusion) continue;
-      any_collusion = true;
-      if (!members.contains(e.worker)) {
-        throw std::invalid_argument(
-            "--byzantine schedules worker " + std::to_string(e.worker) +
-            " as :collusion but --collude-group does not list it");
-      }
-    }
-    if (!any_collusion && !spec.collude_group.empty()) {
+  bool any_collusion = false;
+  for (const auto& e : spec.byzantine) {
+    if (e.mode != sim::ByzantineMode::kCollusion) continue;
+    any_collusion = true;
+    if (!members.contains(e.worker)) {
       throw std::invalid_argument(
-          "--collude-group is set but no --byzantine event uses :collusion");
+          "--byzantine schedules worker " + std::to_string(e.worker) +
+          " as :collusion but --collude-group does not list it");
     }
+  }
+  if (!any_collusion && !spec.collude_group.empty()) {
+    throw std::invalid_argument(
+        "--collude-group is set but no --byzantine event uses :collusion");
   }
   if (spec.adapt_attack > 0.0 && spec.byzantine.empty()) {
     throw std::invalid_argument(
@@ -929,19 +918,11 @@ void finalize_spec(ScenarioSpec& spec) {
         "saps-strategy=reputation needs --reputation-decay > 0 to score "
         "peers");
   }
-  if (!spec.net_partition_text.empty()) {
-    spec.net_partition = parse_net_partition(spec.net_partition_text);
-    spec.net_partition_text.clear();
-  }
   for (const auto& e : spec.net_partition) {
     std::set<std::size_t> seen;
     for (const auto& group : e.groups) {
       for (const auto w : group) {
-        if (w >= spec.population) {
-          throw std::invalid_argument(
-              "--net-partition names worker " + std::to_string(w) +
-              " but only " + std::to_string(spec.population) + " exist");
-        }
+        check_worker("net-partition", w, spec.population);
         if (!seen.insert(w).second) {
           throw std::invalid_argument(
               "--net-partition groups must be disjoint; worker " +
@@ -1004,188 +985,67 @@ void finalize_spec(ScenarioSpec& spec) {
   }
 }
 
-ScenarioSpec parse_spec_text(const std::string& text) {
-  ScenarioSpec spec;
-  if (const auto f = scan_full(text)) {
-    spec.full = *f;
-    spec.provided_.insert("full");
+std::vector<SpecLine> scan_spec_lines(const std::string& text,
+                                      const std::string& kind) {
+  std::vector<SpecLine> out;
+  std::istringstream in(text);
+  std::string line;
+  std::size_t lineno = 0;
+  while (std::getline(in, line)) {
+    ++lineno;
+    line = trim(line.substr(0, line.find('#')));
+    if (line.empty()) continue;
+    const auto eq = line.find('=');
+    if (eq == std::string::npos) {
+      throw std::invalid_argument(kind + " line " + std::to_string(lineno) +
+                                  ": expected key=value, got '" + line + "'");
+    }
+    out.push_back({.lineno = lineno,
+                   .key = trim(line.substr(0, eq)),
+                   .value = trim(line.substr(eq + 1))});
   }
-  apply_scale_preset(spec);
-  apply_kv_lines(spec, text);
+  return out;
+}
+
+std::string read_spec_file(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) {
+    throw std::invalid_argument("--spec: cannot read '" + path + "'");
+  }
+  std::ostringstream oss;
+  oss << in.rdbuf();
+  return oss.str();
+}
+
+ScenarioSpec parse_spec_text(const std::string& text) {
+  auto spec = spec_from_lines(scan_spec_lines(text, "spec"), std::nullopt);
   finalize_spec(spec);
   return spec;
 }
 
-std::string format_failures(const std::vector<FailureEvent>& failures) {
-  std::vector<std::string> tokens;
-  for (const auto& e : failures) {
-    std::string t = format_int(static_cast<std::int64_t>(e.worker));
-    t += '@';
-    t += format_int(static_cast<std::int64_t>(e.drop_round));
-    if (e.rejoin_round != 0) {
-      t += '-';
-      t += format_int(static_cast<std::int64_t>(e.rejoin_round));
-    }
-    tokens.push_back(std::move(t));
+std::string to_spec_text(const ScenarioSpec& s) {
+  std::string out;
+  for (const auto& knob : knobs()) {
+    const auto value = knob.codec.format(s);
+    if (!value.empty()) out += knob.desc.name + '=' + value + '\n';
   }
-  return join(tokens, ',');
-}
-
-std::string format_byzantine(const std::vector<sim::ByzantineEvent>& events) {
-  std::vector<std::string> tokens;
-  for (const auto& e : events) {
-    std::string t = format_int(static_cast<std::int64_t>(e.worker));
-    t += '@';
-    t += format_int(static_cast<std::int64_t>(e.from_round));
-    if (e.to_round != 0) {
-      t += '-';
-      t += format_int(static_cast<std::int64_t>(e.to_round));
-    }
-    t += ':';
-    t += byzantine_mode_name(e.mode);
-    tokens.push_back(std::move(t));
-  }
-  return join(tokens, ',');
-}
-
-std::string format_collude_group(const std::vector<std::size_t>& members,
-                                 std::size_t min_live) {
-  std::vector<std::string> tokens;
-  for (const auto w : members) {
-    tokens.push_back(format_int(static_cast<std::int64_t>(w)));
-  }
-  std::string out = join(tokens, '.');
-  out += ':';
-  out += format_int(static_cast<std::int64_t>(min_live));
+  for (const auto& [k, v] : s.params.items()) out += k + '=' + v + '\n';
   return out;
 }
 
-std::string format_net_partition(
-    const std::vector<sim::PartitionEvent>& events) {
-  std::vector<std::string> tokens;
-  for (const auto& e : events) {
-    std::vector<std::string> groups;
-    for (const auto& group : e.groups) {
-      std::vector<std::string> members;
-      for (const auto w : group) {
-        members.push_back(format_int(static_cast<std::int64_t>(w)));
-      }
-      groups.push_back(join(members, '.'));
-    }
-    std::string t = join(groups, '|');
-    t += '@';
-    t += format_int(static_cast<std::int64_t>(e.from_round));
-    if (e.to_round != 0) {
-      t += '-';
-      t += format_int(static_cast<std::int64_t>(e.to_round));
-    }
-    tokens.push_back(std::move(t));
-  }
-  return join(tokens, ',');
-}
-
-std::string format_latency_matrix(const std::vector<double>& matrix) {
-  if (matrix.empty()) return "";
-  const auto side = static_cast<std::size_t>(
-      std::llround(std::sqrt(static_cast<double>(matrix.size()))));
-  std::vector<std::string> rows;
-  for (std::size_t i = 0; i < side; ++i) {
-    std::vector<std::string> entries;
-    for (std::size_t j = 0; j < side; ++j) {
-      entries.push_back(format_double(matrix[i * side + j]));
-    }
-    rows.push_back(join(entries, ','));
-  }
-  return join(rows, ';');
-}
-
-std::string to_spec_text(const ScenarioSpec& s) {
-  std::ostringstream oss;
-  oss << "workload=" << s.workload << "\n";
-  oss << "algorithm=" << (s.algorithms.empty() ? "paper"
-                                               : join(s.algorithms, ','))
-      << "\n";
-  oss << "workers=" << s.workers << "\n";
-  oss << "population=" << s.population << "\n";
-  oss << "cohort=" << s.cohort << "\n";
-  oss << "sample-seed=" << s.sample_seed << "\n";
-  oss << "epochs=" << s.epochs << "\n";
-  oss << "samples=" << s.samples << "\n";
-  oss << "test-samples=" << s.test_samples << "\n";
-  oss << "batch=" << s.batch << "\n";
-  oss << "eval-every=" << s.eval_every << "\n";
-  oss << "eval-batch=" << s.eval_batch << "\n";
-  oss << "seed=" << s.seed << "\n";
-  oss << "full=" << format_bool(s.full) << "\n";
-  oss << "threads=" << s.threads << "\n";
-  oss << "lr=" << format_double(s.lr) << "\n";
-  oss << "partition=" << s.partition << "\n";
-  oss << "shards-per-worker=" << s.shards_per_worker << "\n";
-  oss << "dirichlet-alpha=" << format_double(s.dirichlet_alpha) << "\n";
-  oss << "bandwidth=" << s.bandwidth << "\n";
-  oss << "bandwidth-seed=" << s.bandwidth_seed << "\n";
-  oss << "latency=" << format_double(s.latency) << "\n";
-  oss << "compute-base=" << format_double(s.compute_base) << "\n";
-  oss << "compute-jitter=" << format_double(s.compute_jitter) << "\n";
-  if (!s.latency_matrix.empty()) {
-    oss << "latency-matrix=" << format_latency_matrix(s.latency_matrix)
-        << "\n";
-  }
-  if (!s.failures.empty()) {
-    oss << "failures=" << format_failures(s.failures) << "\n";
-  }
-  oss << "fault-seed=" << s.fault_seed << "\n";
-  oss << "drop-prob=" << format_double(s.drop_prob) << "\n";
-  oss << "dup-prob=" << format_double(s.dup_prob) << "\n";
-  oss << "delay-prob=" << format_double(s.delay_prob) << "\n";
-  oss << "delay-seconds=" << format_double(s.delay_seconds) << "\n";
-  if (!s.byzantine.empty()) {
-    oss << "byzantine=" << format_byzantine(s.byzantine) << "\n";
-  }
-  if (!s.collude_group.empty()) {
-    oss << "collude-group=" << format_collude_group(s.collude_group,
-                                                    s.collude_min)
-        << "\n";
-  }
-  oss << "adapt-attack=" << format_double(s.adapt_attack) << "\n";
-  oss << "clip-norm=" << format_double(s.clip_norm) << "\n";
-  oss << "reputation-decay=" << format_double(s.reputation_decay) << "\n";
-  if (!s.net_partition.empty()) {
-    oss << "net-partition=" << format_net_partition(s.net_partition) << "\n";
-  }
-  oss << "aggregation=" << s.aggregation << "\n";
-  oss << "trim-frac=" << format_double(s.trim_frac) << "\n";
-  for (const auto& [k, v] : s.params.items()) {
-    oss << k << "=" << v << "\n";
-  }
-  return oss.str();
-}
-
 ScenarioSpec spec_from_flags(const Flags& flags) {
-  ScenarioSpec spec;
-  std::string file_text;
+  std::vector<SpecLine> lines;
   if (flags.has("spec")) {
-    file_text = read_spec_file(flags.get_string("spec", ""));
+    lines = scan_spec_lines(read_spec_file(flags.get_string("spec", "")),
+                            "spec");
   }
-  if (flags.has("full")) {
-    spec.full = parse_bool("full", flags.get_string("full", "true"));
-    spec.provided_.insert("full");
-  } else if (const auto f = scan_full(file_text)) {
-    spec.full = *f;
-    spec.provided_.insert("full");
-  }
-  apply_scale_preset(spec);
-  apply_kv_lines(spec, file_text);
-
-  const auto& reg = Registry::instance();
-  const auto apply_flag = [&](const ParamDesc& d) {
-    if (d.name == "full" || !flags.has(d.name)) return;
-    spec.set(d.name, flags.get_string(d.name, ""));
-  };
-  for (const auto& d : core_spec_params()) apply_flag(d);
-  for (const auto& d : reg.algorithm_params()) apply_flag(d);
-  for (const auto& d : reg.workload_params(/*paper_only=*/false)) {
-    apply_flag(d);
+  std::optional<std::string> full_flag;
+  if (flags.has("full")) full_flag = flags.get_string("full", "true");
+  auto spec = spec_from_lines(lines, full_flag);
+  for (const auto& d : scenario_params()) {
+    if (d.name != "full" && flags.has(d.name)) {
+      spec.set(d.name, flags.get_string(d.name, ""));
+    }
   }
   finalize_spec(spec);
   return spec;

@@ -9,11 +9,20 @@
 //     parse_spec_text(to_spec_text(s)) is equivalent(s) by construction),
 //   - executed by scenario::Runner.
 //
+// Each core key is one row of the knob table in spec.cpp: its ParamDesc and
+// the codec that reads the key's canonical text into its field and prints
+// the field back.  set() and to_spec_text are generated from that table.  A
+// plain knob binds a member pointer; each of the six grammar knobs
+// (algorithm, latency-matrix, failures, byzantine, collude-group,
+// net-partition) binds a parse/format pair and is parsed in set().  Only
+// finalize_spec's bound checks need the resolved worker count.
+//
 // Resolution order (later wins): struct defaults → --full/fast scale preset
-// → spec-file entries → CLI flags → derivations (fast-mode FedAvg local
-// steps from the RESOLVED samples/batch pair, bandwidth seed from the
-// top-level seed).  Derivations only fill values never explicitly set, so a
-// printed spec re-parses to itself.
+// → spec-file entries → CLI flags → derivations (population and cohort from
+// workers, fast-mode FedAvg local steps from the RESOLVED samples/batch
+// pair, the three RNG seeds from the top-level seed).  Derivations fill only
+// keys that are not provided(), so a printed spec re-parses to itself and a
+// finalized spec re-derives after a later edit (say of workers).
 #pragma once
 
 #include <cstdint>
@@ -30,18 +39,21 @@ class Flags;
 
 namespace saps::scenario {
 
-struct ScenarioSpec {
+/// The values of a scenario: one field per core key (collude-group fills
+/// two), plus the workload and algorithm parameters.
+struct ScenarioFields {
   // Run plan.
   std::string workload = "mnist";
   std::vector<std::string> algorithms;  // empty = the paper's seven
 
   // Engine / schedule (fast-mode defaults; --full switches to Table II).
   std::size_t workers = 8;
-  // Participant sampling: `population` (0 = workers) is the logical client
-  // count; `cohort` (0 = workers) is how many of them are drawn — and own a
-  // live model replica — each round.  `sample-seed` drives the per-round
-  // draw (derived from `seed` when never set).  The defaults reproduce the
-  // legacy fully-materialized engine bit-for-bit.
+  // Participant sampling: `population` is the logical client count;
+  // `cohort` is how many of them are drawn — and own a live model replica —
+  // each round.  Both follow `workers` unless provided (0 also means
+  // workers).  `sample-seed` drives the per-round draw (derived from `seed`
+  // when never set).  The defaults reproduce the legacy fully-materialized
+  // engine bit-for-bit.
   std::size_t population = 0;
   std::size_t cohort = 0;
   std::uint64_t sample_seed = 0;
@@ -102,9 +114,15 @@ struct ScenarioSpec {
   // Workload + algorithm parameter values, canonical (see ParamDesc).
   ParamSet params;
 
+  [[nodiscard]] bool operator==(const ScenarioFields&) const = default;
+};
+
+struct ScenarioSpec : ScenarioFields {
   /// Applies one `key=value` entry (a core key above or any registered
   /// algorithm/workload parameter) and marks it explicitly provided.
-  /// Throws std::invalid_argument on unknown keys / invalid values.
+  /// `partition=dirichlet:ALPHA` sets (and provides) both partition and
+  /// dirichlet-alpha.  Throws std::invalid_argument on unknown keys /
+  /// invalid values, grammar knobs' syntax errors included.
   void set(const std::string& key, const std::string& value);
 
   /// True when `key` was explicitly set (spec file, CLI, or set()) — the
@@ -115,56 +133,63 @@ struct ScenarioSpec {
   }
 
   /// Field-wise equality ignoring provenance (the provided-key set).
-  [[nodiscard]] bool equivalent(const ScenarioSpec& other) const;
+  [[nodiscard]] bool equivalent(const ScenarioSpec& other) const {
+    return ScenarioFields::operator==(other);
+  }
 
   /// The algorithm keys this spec runs (paper seven when unset).
   [[nodiscard]] std::vector<std::string> effective_algorithms() const;
 
-  // Raw texts held between set() and finalize_spec() (which parses them
-  // against the resolved worker count).
-  std::string latency_matrix_text;
-  std::string failures_text;
-  std::string byzantine_text;
-  std::string net_partition_text;
-  std::string collude_group_text;
+ private:
   std::set<std::string> provided_;
 };
 
-/// Descriptors of the spec's own keys (drives --help and validation).
-[[nodiscard]] const std::vector<ParamDesc>& core_spec_params();
+/// Every scenario key's descriptor, in --help order: the spec's own keys,
+/// then the union of the registered algorithms' parameters, then the
+/// workloads'.  Built once.
+[[nodiscard]] const std::vector<ParamDesc>& scenario_params();
 
-/// Validates keys, parses the latency matrix / failure schedule against the
-/// resolved worker count, applies the fast-mode derivations, and fills in
-/// the selected workload's + effective algorithms' parameter defaults so the
+/// The descriptor of `key` in scenario_params(); nullptr when unknown.
+[[nodiscard]] const ParamDesc* find_param(const std::string& key);
+
+/// canonical_value(desc, value), except that the `partition=dirichlet:ALPHA`
+/// shorthand stays one value with ALPHA canonical under dirichlet-alpha's
+/// descriptor (how sweep files keep it).
+[[nodiscard]] std::string canonical_scenario_value(const ParamDesc& desc,
+                                                   const std::string& value);
+
+/// Checks worker indices against the resolved population and the
+/// cross-knob combinations, applies the derivations, and fills in the
+/// selected workload's + effective algorithms' parameter defaults so the
 /// spec prints complete.  Idempotent; Runner calls it on its copy.
 void finalize_spec(ScenarioSpec& spec);
 
-/// Parses a spec file's text (one key=value per line; '#' comments, blank
-/// lines ignored) and finalizes.  Throws std::invalid_argument with a
-/// friendly message on any violation.
+/// One `key=value` line of a spec or sweep file (1-based line number; key
+/// and value trimmed).
+struct SpecLine {
+  std::size_t lineno = 0;
+  std::string key;
+  std::string value;
+};
+
+/// The `key=value` lines of a spec or sweep file's text: '#' starts a
+/// comment and blank lines are skipped.  Any other line without '=' throws
+/// std::invalid_argument("<kind> line N: expected key=value, got '...'").
+[[nodiscard]] std::vector<SpecLine> scan_spec_lines(const std::string& text,
+                                                    const std::string& kind);
+
+/// The text of the file a --spec flag names; throws std::invalid_argument
+/// when it cannot be read.
+[[nodiscard]] std::string read_spec_file(const std::string& path);
+
+/// Parses a spec file's text (one key=value per line, each key once; the
+/// dirichlet: shorthand counts as setting dirichlet-alpha too) and
+/// finalizes.  Throws std::invalid_argument with a friendly message on any
+/// violation.
 [[nodiscard]] ScenarioSpec parse_spec_text(const std::string& text);
 
 /// Lossless reproducibility header.
 [[nodiscard]] std::string to_spec_text(const ScenarioSpec& spec);
-
-/// Formats spec.failures / spec.latency_matrix back to their spec-file
-/// grammar ("2@5-25,7@30" / rows ';'-joined, entries ','-joined).
-[[nodiscard]] std::string format_failures(
-    const std::vector<FailureEvent>& failures);
-[[nodiscard]] std::string format_latency_matrix(
-    const std::vector<double>& matrix);
-
-/// Formats spec.byzantine / spec.net_partition back to their spec-file
-/// grammar ("W@R[-R2]:mode[,...]" / groups '|'-joined, members '.'-joined,
-/// "@R[-R2]" windows, events ','-joined — e.g. "0.1.2.3|4.5.6.7@2-6").
-[[nodiscard]] std::string format_byzantine(
-    const std::vector<sim::ByzantineEvent>& events);
-[[nodiscard]] std::string format_net_partition(
-    const std::vector<sim::PartitionEvent>& events);
-
-/// Formats spec.collude_group back to its grammar ("W.W.W:K").
-[[nodiscard]] std::string format_collude_group(
-    const std::vector<std::size_t>& members, std::size_t min_live);
 
 /// Full CLI pipeline: defaults → preset → --spec file → flags → finalize.
 /// Throws std::invalid_argument (benches wrap via scenario_from_flags_or_exit

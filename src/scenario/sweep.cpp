@@ -4,6 +4,7 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 namespace saps::scenario {
 
@@ -13,108 +14,21 @@ namespace {
 // request years of compute; fail fast with the count instead.
 constexpr std::size_t kMaxGridPoints = 4096;
 
-constexpr const char* kSweepPrefix = "sweep.";
-
-std::string trim(std::string s) {
-  const auto is_space = [](char c) {
-    return c == ' ' || c == '\t' || c == '\r' || c == '\n';
-  };
-  while (!s.empty() && is_space(s.front())) s.erase(s.begin());
-  while (!s.empty() && is_space(s.back())) s.pop_back();
-  return s;
-}
-
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= s.size()) {
-    const auto pos = s.find(sep, start);
-    if (pos == std::string::npos) {
-      out.push_back(trim(s.substr(start)));
-      break;
-    }
-    out.push_back(trim(s.substr(start, pos - start)));
-    start = pos + 1;
-  }
-  return out;
-}
+constexpr std::string_view kSweepPrefix = "sweep.";
 
 [[noreturn]] void fail(std::size_t lineno, const std::string& msg) {
   throw std::invalid_argument("sweep spec line " + std::to_string(lineno) +
                               ": " + msg);
 }
 
-/// The descriptor of `key` across the full scenario surface (core spec keys,
-/// every registered algorithm/workload parameter); nullptr when unknown.
-const ParamDesc* find_desc(const std::string& key) {
-  for (const auto& d : core_spec_params()) {
-    if (d.name == key) return &d;
+/// canonical_scenario_value with its error tagged by the line.
+std::string canonical_at(std::size_t lineno, const ParamDesc& desc,
+                         const std::string& value) {
+  try {
+    return canonical_scenario_value(desc, value);
+  } catch (const std::exception& e) {
+    fail(lineno, e.what());
   }
-  const auto& reg = Registry::instance();
-  // The unions are rebuilt per call; descriptors inside them are temporaries,
-  // so validate against a long-lived static copy instead.
-  static const std::vector<ParamDesc> algo = reg.algorithm_params();
-  static const std::vector<ParamDesc> work =
-      reg.workload_params(/*paper_only=*/false);
-  for (const auto& d : algo) {
-    if (d.name == key) return &d;
-  }
-  for (const auto& d : work) {
-    if (d.name == key) return &d;
-  }
-  return nullptr;
-}
-
-/// canonical_value plus the `partition=dirichlet:alpha` shorthand (which the
-/// plain choice validation would reject; ScenarioSpec::set expands it).
-std::string canonical_for_key(const ParamDesc& desc, const std::string& key,
-                              const std::string& value) {
-  constexpr const char* kDirichlet = "dirichlet:";
-  if (key == "partition" && value.starts_with(kDirichlet)) {
-    const double alpha = parse_double(
-        "partition", value.substr(std::string(kDirichlet).size()));
-    if (alpha <= 0.0) {
-      throw std::invalid_argument(
-          "--partition=dirichlet:ALPHA needs ALPHA > 0");
-    }
-    return kDirichlet + format_double(alpha);
-  }
-  return canonical_value(desc, value);
-}
-
-struct ParsedLine {
-  std::size_t lineno = 0;
-  std::string key;    // without the sweep. prefix
-  std::string value;  // raw right-hand side
-  bool is_axis = false;
-};
-
-std::vector<ParsedLine> scan_lines(const std::string& text) {
-  std::vector<ParsedLine> out;
-  std::istringstream iss(text);
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(iss, line)) {
-    ++lineno;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    line = trim(line);
-    if (line.empty()) continue;
-    const auto eq = line.find('=');
-    if (eq == std::string::npos) {
-      fail(lineno, "expected key=value, got '" + line + "'");
-    }
-    ParsedLine p;
-    p.lineno = lineno;
-    p.key = trim(line.substr(0, eq));
-    p.value = trim(line.substr(eq + 1));
-    if (p.key.starts_with(kSweepPrefix)) {
-      p.is_axis = true;
-      p.key = trim(p.key.substr(std::string(kSweepPrefix).size()));
-    }
-    out.push_back(std::move(p));
-  }
-  return out;
 }
 
 }  // namespace
@@ -166,53 +80,28 @@ std::string SweepSpec::point_label(std::size_t index) const {
   return out;
 }
 
-std::vector<ScenarioSpec> SweepSpec::expand() const {
-  std::vector<ScenarioSpec> out;
-  const std::size_t n = point_count();
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) out.push_back(point(i));
-  return out;
-}
-
-bool has_sweep_keys(const std::string& text) {
-  std::istringstream iss(text);
-  std::string line;
-  while (std::getline(iss, line)) {
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    line = trim(line);
-    if (line.starts_with(kSweepPrefix) &&
-        line.find('=') != std::string::npos) {
-      return true;
-    }
-  }
-  return false;
-}
-
 SweepSpec parse_sweep_text(const std::string& text) {
   SweepSpec sweep;
   std::map<std::string, std::size_t> base_line;  // key -> first lineno
   std::map<std::string, std::size_t> axis_line;
 
-  for (const auto& p : scan_lines(text)) {
-    const auto* desc = find_desc(p.key);
+  for (auto line : scan_spec_lines(text, "sweep spec")) {
+    const bool is_axis = line.key.starts_with(kSweepPrefix);
+    if (is_axis) line.key = trim(line.key.substr(kSweepPrefix.size()));
+    const auto& key = line.key;
+    const auto* desc = find_param(key);
     if (desc == nullptr) {
-      fail(p.lineno, std::string("unknown ") + (p.is_axis ? "sweep " : "") +
-                         "key '" + p.key + "'");
+      fail(line.lineno, std::string("unknown ") + (is_axis ? "sweep " : "") +
+                            "key '" + key + "'");
     }
-    if (!p.is_axis) {
-      const auto [it, inserted] = base_line.emplace(p.key, p.lineno);
+    if (!is_axis) {
+      const auto [it, inserted] = base_line.emplace(key, line.lineno);
       if (!inserted) {
-        fail(p.lineno, "duplicate key '" + p.key + "' (first set on line " +
-                           std::to_string(it->second) + ")");
+        fail(line.lineno, "duplicate key '" + key + "' (first set on line " +
+                              std::to_string(it->second) + ")");
       }
-      std::string canonical;
-      try {
-        canonical = canonical_for_key(*desc, p.key, p.value);
-      } catch (const std::exception& e) {
-        fail(p.lineno, e.what());
-      }
-      sweep.base.emplace_back(p.key, std::move(canonical));
+      sweep.base.emplace_back(key,
+                              canonical_at(line.lineno, *desc, line.value));
       continue;
     }
 
@@ -220,44 +109,32 @@ SweepSpec parse_sweep_text(const std::string& text) {
     // before values apply — as an axis it would silently change the meaning
     // of every base line; `threads` cannot change results by the
     // thread-count-invariance contract (and the suite runner pins it).
-    if (p.key == "full") {
-      fail(p.lineno,
+    if (key == "full") {
+      fail(line.lineno,
            "'full' is a scale preset, not a sweepable knob; write two sweep "
            "files");
     }
-    if (p.key == "threads") {
-      fail(p.lineno,
+    if (key == "threads") {
+      fail(line.lineno,
            "'threads' never changes results (thread-count invariance) and "
            "the suite runner pins it per point; not sweepable");
     }
-    const auto [it, inserted] = axis_line.emplace(p.key, p.lineno);
+    const auto [it, inserted] = axis_line.emplace(key, line.lineno);
     if (!inserted) {
-      fail(p.lineno, "duplicate sweep axis 'sweep." + p.key +
-                         "' (first set on line " + std::to_string(it->second) +
-                         ")");
+      fail(line.lineno, "duplicate sweep axis 'sweep." + key +
+                            "' (first set on line " +
+                            std::to_string(it->second) + ")");
     }
-    SweepAxis axis;
-    axis.key = p.key;
-    axis.lineno = p.lineno;
+    SweepAxis axis{.key = key, .lineno = line.lineno};
     std::set<std::string> seen;
-    for (const auto& v : split(p.value, ',')) {
-      if (v.empty()) {
-        fail(p.lineno, "sweep." + p.key + " has an empty value");
-      }
-      std::string canonical;
-      try {
-        canonical = canonical_for_key(*desc, p.key, v);
-      } catch (const std::exception& e) {
-        fail(p.lineno, e.what());
-      }
+    for (const auto& v : split(line.value, ',')) {
+      if (v.empty()) fail(line.lineno, "sweep." + key + " has an empty value");
+      auto canonical = canonical_at(line.lineno, *desc, v);
       if (!seen.insert(canonical).second) {
-        fail(p.lineno, "sweep." + p.key + " lists value '" + canonical +
-                           "' twice");
+        fail(line.lineno,
+             "sweep." + key + " lists value '" + canonical + "' twice");
       }
       axis.values.push_back(std::move(canonical));
-    }
-    if (axis.values.empty()) {
-      fail(p.lineno, "sweep." + p.key + " needs at least one value");
     }
     sweep.axes.push_back(std::move(axis));
   }

@@ -23,11 +23,16 @@
 // alone.  to_sweep_text is lossless: parse(print(s)) re-expands to the same
 // points in the same order.
 //
-// Validation mirrors the spec-file contract (friendly, line-numbered
+// A sweep file reads through the spec file's line scanner and key lookup
+// (scan_spec_lines, find_param, canonical_scenario_value in spec.hpp), and
+// validation mirrors the spec-file contract (friendly, line-numbered
 // std::invalid_argument): unknown keys, duplicate base keys, duplicate axes,
 // duplicate values inside an axis, an axis whose key is also a base line,
 // non-sweepable knobs (`full`, `threads`), and sweeping `seed` while a
-// derived seed is pinned explicitly are all rejected up front.
+// derived seed is pinned explicitly are all rejected up front.  A key set
+// twice through the `partition=dirichlet:ALPHA` shorthand (say a
+// dirichlet-alpha axis over a shorthand base line) fails the per-point
+// validation, like a duplicate line in a spec file.
 #pragma once
 
 #include <cstddef>
@@ -72,14 +77,7 @@ struct SweepSpec {
   /// Human label of a point: its axis assignments, space-joined
   /// ("saps-c=100 seed=2"); "base" when there are no axes.
   [[nodiscard]] std::string point_label(std::size_t index) const;
-
-  /// All points in grid order.
-  [[nodiscard]] std::vector<ScenarioSpec> expand() const;
 };
-
-/// True when `text` contains at least one `sweep.` line (how the CLI decides
-/// a --spec file is a suite).
-[[nodiscard]] bool has_sweep_keys(const std::string& text);
 
 /// Parses and validates a sweep file (see the header comment for the
 /// rejection list).  Every grid point is finalize-validated before this

@@ -13,6 +13,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string_view>
 #include <utility>
@@ -556,6 +557,55 @@ TEST(ScenarioSpec, DuplicateSpecFileKeysThrowWithBothLineNumbers) {
       "# header\n\nworkers=4\n\nepochs=2 # trailing comment\n"));
 }
 
+TEST(ScenarioSpec, DirichletShorthandCountsAsSettingDirichletAlpha) {
+  const auto error = [](const std::string& text) -> std::string {
+    try {
+      (void)scenario::parse_spec_text(text);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  };
+  // Either order names both lines instead of keeping the last one.
+  EXPECT_EQ(error("dirichlet-alpha=0.5\npartition=dirichlet:0.1"),
+            "spec line 2: duplicate key 'dirichlet-alpha' (first set on "
+            "line 1)");
+  EXPECT_EQ(error("partition=dirichlet:0.1\ndirichlet-alpha=0.5"),
+            "spec line 2: duplicate key 'dirichlet-alpha' (first set on "
+            "line 1)");
+  // Alone, the shorthand sets and provides both keys.
+  const auto spec = scenario::parse_spec_text("partition=dirichlet:0.1");
+  EXPECT_EQ(spec.partition, "dirichlet");
+  EXPECT_EQ(spec.dirichlet_alpha, 0.1);
+  EXPECT_TRUE(spec.provided("partition"));
+  EXPECT_TRUE(spec.provided("dirichlet-alpha"));
+}
+
+TEST(ScenarioSpec, PopulationAndCohortFollowWorkersUntilProvided) {
+  // A finalized spec re-derives population and cohort after a later
+  // workers edit, the way the derived seeds follow seed (the geo-federated
+  // example sets workers=14 on a spec the CLI resolved at 8 workers).
+  ScenarioSpec spec;
+  scenario::finalize_spec(spec);
+  ASSERT_EQ(spec.population, 8u);
+  spec.set("workers", "14");
+  ASSERT_NO_THROW(scenario::finalize_spec(spec));
+  EXPECT_EQ(spec.population, 14u);
+  EXPECT_EQ(spec.cohort, 14u);
+  // Provided values are kept; 0 still means workers.
+  ScenarioSpec pinned;
+  pinned.set("population", "100");
+  pinned.set("cohort", "4");
+  scenario::finalize_spec(pinned);
+  pinned.set("workers", "14");
+  scenario::finalize_spec(pinned);
+  EXPECT_EQ(pinned.population, 100u);
+  EXPECT_EQ(pinned.cohort, 4u);
+  const auto zero = scenario::parse_spec_text("population=0\ncohort=0");
+  EXPECT_EQ(zero.population, zero.workers);
+  EXPECT_EQ(zero.cohort, zero.workers);
+}
+
 // The spec-text oracle's inputs: the key lines of the committed perfbench
 // workloads and bench specs (copied, so the suite reads no file), plus one
 // spec that sets every grammar knob.
@@ -671,8 +721,19 @@ TEST(ScenarioSpec, CoreDescriptorDefaultsAreWhatADefaultSpecPrints) {
     ASSERT_NE(eq, std::string::npos) << line;
     printed[line.substr(0, eq)] = line.substr(eq + 1);
   }
+  // The spec's own keys: every scenario key that no registered algorithm or
+  // workload declares.
+  const auto& reg = Registry::instance();
+  std::set<std::string> registered;
+  for (const auto& key : reg.algorithm_keys()) {
+    for (const auto& d : reg.algorithm(key).params) registered.insert(d.name);
+  }
+  for (const auto& key : reg.workload_keys()) {
+    for (const auto& d : reg.workload(key).params) registered.insert(d.name);
+  }
   std::size_t core = 0;
-  for (const auto& d : scenario::core_spec_params()) {
+  for (const auto& d : scenario::scenario_params()) {
+    if (registered.contains(d.name)) continue;
     SCOPED_TRACE(d.name);
     ++core;
     const auto it = printed.find(d.name);

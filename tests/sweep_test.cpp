@@ -34,13 +34,6 @@ TEST(SweepGrammar, PlainSpecIsOnePointSuite) {
   EXPECT_EQ(spec.epochs, 2u);
 }
 
-TEST(SweepGrammar, HasSweepKeysDetectsAxisLines) {
-  EXPECT_TRUE(has_sweep_keys("workload=mnist\nsweep.saps-c=4,10\n"));
-  EXPECT_FALSE(has_sweep_keys("workload=mnist\nepochs=3\n"));
-  // Commented-out axis lines do not count.
-  EXPECT_FALSE(has_sweep_keys("# sweep.saps-c=4,10\n"));
-}
-
 TEST(SweepGrammar, RoundTripIsLossless) {
   const std::string text =
       "workload=blob\n"
@@ -90,6 +83,20 @@ TEST(SweepGrammar, DirichletShorthandRoundTrips) {
   // The shorthand survives printing (base lines stay raw).
   EXPECT_NE(to_sweep_text(sweep).find("partition=dirichlet:0.25"),
             std::string::npos);
+}
+
+TEST(SweepGrammar, DirichletShorthandCountsAsSettingDirichletAlpha) {
+  // An alpha axis over a shorthand base line is both swept and set; the
+  // point's own spec text names the two lines.
+  EXPECT_EQ(parse_error("workload=blob\npartition=dirichlet:0.1\n"
+                        "sweep.dirichlet-alpha=0.3,0.7\n"),
+            "sweep point 0 (dirichlet-alpha=0.3): spec line 3: duplicate key "
+            "'dirichlet-alpha' (first set on line 2)");
+  // So is a shorthand axis value over a dirichlet-alpha base line.
+  EXPECT_EQ(parse_error("workload=blob\ndirichlet-alpha=0.3\n"
+                        "sweep.partition=iid,dirichlet:0.1\n"),
+            "sweep point 1 (partition=dirichlet:0.1): spec line 3: duplicate "
+            "key 'dirichlet-alpha' (first set on line 2)");
 }
 
 TEST(SweepGrammar, RejectsMalformedAndUnknownLines) {
