@@ -56,24 +56,4 @@ void average_masked_inplace(std::span<float> x,
   }
 }
 
-void scatter_masked_inplace(std::span<float> x,
-                            std::span<const std::uint8_t> mask,
-                            std::span<const float> values) {
-  if (x.size() != mask.size()) {
-    throw std::invalid_argument("scatter_masked_inplace: size mismatch");
-  }
-  std::size_t k = 0;
-  for (std::size_t j = 0; j < mask.size(); ++j) {
-    if (!mask[j]) continue;
-    if (k >= values.size()) {
-      throw std::invalid_argument("scatter_masked_inplace: too few values");
-    }
-    x[j] = values[k];
-    ++k;
-  }
-  if (k != values.size()) {
-    throw std::invalid_argument("scatter_masked_inplace: too many values");
-  }
-}
-
 }  // namespace saps::compress

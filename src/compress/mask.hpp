@@ -32,12 +32,6 @@ void average_masked_inplace(std::span<float> x,
                             std::span<const std::uint8_t> mask,
                             std::span<const float> peer_values);
 
-/// Overwrites masked coordinates with peer values (used by S-FedAvg's
-/// sparsified download, where the server's value replaces the local one).
-void scatter_masked_inplace(std::span<float> x,
-                            std::span<const std::uint8_t> mask,
-                            std::span<const float> values);
-
 /// Wire size in bytes of a masked-values message: 4-byte float per value
 /// plus a 16-byte header (seed + round).  Index-free by construction.
 [[nodiscard]] constexpr double masked_wire_bytes(std::size_t values) noexcept {

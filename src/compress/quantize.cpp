@@ -355,31 +355,4 @@ void unpack_levels(std::span<const std::uint8_t> bytes, std::uint8_t levels,
                   out.data(), done, out.size());
 }
 
-TernEncoded terngrad_encode(std::span<const float> x, Rng& rng) {
-  if (x.empty()) throw std::invalid_argument("terngrad_encode: empty input");
-  float max_abs = 0.0f;
-  for (const float v : x) max_abs = std::max(max_abs, std::abs(v));
-
-  TernEncoded e;
-  e.scale = max_abs;
-  e.signs.resize(x.size());
-  std::fill(e.signs.begin(), e.signs.end(), 0);
-  if (max_abs == 0.0f) return e;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const double p = std::abs(x[i]) / max_abs;  // keep-probability, unbiased
-    if (rng.next_double() < p) {
-      e.signs[i] = x[i] < 0 ? -1 : 1;
-    }
-  }
-  return e;
-}
-
-std::vector<float> terngrad_decode(const TernEncoded& e) {
-  std::vector<float> out(e.signs.size());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = e.scale * static_cast<float>(e.signs[i]);
-  }
-  return out;
-}
-
 }  // namespace saps::compress

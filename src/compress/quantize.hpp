@@ -1,8 +1,8 @@
-// Gradient quantization compressors from the paper's related-work section:
-// QSGD (Alistarh et al. 2017) stochastic uniform quantization and TernGrad
-// (Wen et al. 2017) ternary quantization.  Both achieve at most 32×
-// compression — the paper's argument for preferring sparsification (which
-// reaches 100–1000×) — and the ablation bench quantifies that trade-off.
+// Gradient quantization from the paper's related-work section: QSGD
+// (Alistarh et al. 2017) stochastic uniform quantization.  Quantization
+// achieves at most 32× compression — the paper's argument for preferring
+// sparsification (which reaches 100–1000×) — and the ablation bench
+// quantifies that trade-off.
 #pragma once
 
 #include <cstdint>
@@ -74,21 +74,5 @@ void pack_levels(std::span<const std::int8_t> quantized, std::uint8_t levels,
 /// `bytes` holds fewer than packed_bytes(out.size(), levels) bytes.
 void unpack_levels(std::span<const std::uint8_t> bytes, std::uint8_t levels,
                    std::span<std::int8_t> out);
-
-/// TernGrad: coordinates quantized to {-1, 0, +1} × max|x|, stochastic and
-/// unbiased.
-struct TernEncoded {
-  float scale = 0.0f;
-  std::vector<std::int8_t> signs;  // -1/0/+1
-
-  /// 4-byte scale + 2 bits per coordinate.
-  [[nodiscard]] double wire_bytes() const noexcept {
-    return 4.0 + 2.0 * static_cast<double>(signs.size()) / 8.0;
-  }
-};
-
-[[nodiscard]] TernEncoded terngrad_encode(std::span<const float> x, Rng& rng);
-
-[[nodiscard]] std::vector<float> terngrad_decode(const TernEncoded& e);
 
 }  // namespace saps::compress

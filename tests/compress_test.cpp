@@ -92,16 +92,6 @@ TEST(Mask, AverageRejectsWrongValueCount) {
                std::invalid_argument);
 }
 
-TEST(Mask, ScatterOverwrites) {
-  std::vector<float> x = {1, 2, 3};
-  const std::vector<std::uint8_t> mask = {0, 1, 1};
-  std::vector<float> vals = {10, 20};
-  scatter_masked_inplace(x, mask, vals);
-  EXPECT_FLOAT_EQ(x[0], 1.0f);
-  EXPECT_FLOAT_EQ(x[1], 10.0f);
-  EXPECT_FLOAT_EQ(x[2], 20.0f);
-}
-
 TEST(Mask, WireBytesFormula) {
   EXPECT_DOUBLE_EQ(masked_wire_bytes(0), 16.0);
   EXPECT_DOUBLE_EQ(masked_wire_bytes(100), 416.0);

@@ -218,43 +218,5 @@ TEST(PackedLevels, RejectsBadInput) {
   EXPECT_THROW(unpack_levels(bad_code, 4, out2), std::invalid_argument);
 }
 
-TEST(TernGrad, ValuesAreTernary) {
-  Rng rng(9);
-  std::vector<float> x = {0.5f, -1.5f, 0.0f, 3.0f, -0.1f};
-  const auto e = terngrad_encode(x, rng);
-  EXPECT_FLOAT_EQ(e.scale, 3.0f);
-  for (const auto s : e.signs) {
-    EXPECT_TRUE(s == -1 || s == 0 || s == 1);
-  }
-  const auto back = terngrad_decode(e);
-  for (const auto v : back) {
-    EXPECT_TRUE(v == -3.0f || v == 0.0f || v == 3.0f);
-  }
-}
-
-TEST(TernGrad, UnbiasedInExpectation) {
-  Rng rng(11);
-  const std::vector<float> x = {0.5f, -1.0f, 0.25f, 2.0f};
-  std::vector<double> mean(x.size(), 0.0);
-  const int trials = 20000;
-  for (int t = 0; t < trials; ++t) {
-    const auto back = terngrad_decode(terngrad_encode(x, rng));
-    for (std::size_t i = 0; i < x.size(); ++i) mean[i] += back[i];
-  }
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    EXPECT_NEAR(mean[i] / trials, x[i], 0.05) << "coord " << i;
-  }
-}
-
-TEST(TernGrad, CompressionIsAtMost16x) {
-  // 2 bits per coordinate → 16x vs fp32 (the paper's point: quantization
-  // caps out near 32x, sparsification reaches 100-1000x).
-  Rng rng(13);
-  std::vector<float> x(8000, 0.5f);
-  const auto e = terngrad_encode(x, rng);
-  const double dense = 4.0 * 8000;
-  EXPECT_NEAR(dense / e.wire_bytes(), 16.0, 0.1);
-}
-
 }  // namespace
 }  // namespace saps::compress
