@@ -92,8 +92,8 @@ std::pair<std::size_t, std::size_t> parse_window(const std::string& flag,
 }
 
 std::string format_window(std::size_t from, std::size_t to) {
-  return to == 0 ? format_size(from)
-                 : format_size(from) + '-' + format_size(to);
+  if (to == 0) return format_size(from);
+  return format_size(from) + '-' + format_size(to);
 }
 
 /// '.'-joined worker indices ("0.1.2"); empty entries are skipped.
@@ -121,15 +121,17 @@ void parse_algorithms(ScenarioSpec& s, const std::string& text) {
 }
 
 std::string format_algorithms(const ScenarioSpec& s) {
-  return s.algorithms.empty() ? "paper"
-                              : join(s.algorithms, ',', std::identity{});
+  if (s.algorithms.empty()) return "paper";
+  return join(s.algorithms, ',', std::identity{});
 }
 
 void parse_latency_matrix(ScenarioSpec& s, const std::string& text) {
+  // An empty text unsets the matrix: the scalar latency applies.
+  std::vector<std::string> rows;
+  if (!text.empty()) rows = split(text, ';');
   std::vector<double> matrix;
   std::size_t cols = 0;
-  for (const auto& row : split(text, ';')) {
-    if (text.empty()) break;  // unset: the scalar latency applies
+  for (const auto& row : rows) {
     const auto entries = split(row, ',');
     if (cols == 0) {
       cols = entries.size();
@@ -193,6 +195,23 @@ constexpr std::pair<const char*, sim::ByzantineMode> kByzantineModes[] = {
     {"collusion", sim::ByzantineMode::kCollusion},
 };
 
+sim::ByzantineMode parse_byzantine_mode(const std::string& name) {
+  for (const auto& [mode_name, mode] : kByzantineModes) {
+    if (name == mode_name) return mode;
+  }
+  throw std::invalid_argument(
+      "--byzantine mode must be "
+      "sign-flip|scaled-noise|silent|model-replacement|collusion, got '" +
+      name + "'");
+}
+
+const char* byzantine_mode_name(sim::ByzantineMode mode) {
+  for (const auto& [name, m] : kByzantineModes) {
+    if (m == mode) return name;
+  }
+  return "";
+}
+
 void parse_byzantine(ScenarioSpec& s, const std::string& text) {
   std::vector<sim::ByzantineEvent> events;
   for (const auto& token : split(text, ',')) {
@@ -205,20 +224,9 @@ void parse_byzantine(ScenarioSpec& s, const std::string& text) {
     }
     sim::ByzantineEvent e;
     e.worker = parse_size("byzantine", token.substr(0, at));
-    std::tie(e.from_round, e.to_round) = parse_window(
-        "byzantine", token.substr(at + 1, colon - at - 1), 1);
-    const auto name = token.substr(colon + 1);
-    const auto* mode = std::find_if(
-        std::begin(kByzantineModes), std::end(kByzantineModes),
-        [&](const auto& m) { return name == m.first; });
-    if (mode == std::end(kByzantineModes)) {
-      throw std::invalid_argument(
-          "--byzantine mode must be " +
-          join(kByzantineModes, '|',
-               [](const auto& m) { return std::string(m.first); }) +
-          ", got '" + name + "'");
-    }
-    e.mode = mode->second;
+    std::tie(e.from_round, e.to_round) =
+        parse_window("byzantine", token.substr(at + 1, colon - at - 1), 1);
+    e.mode = parse_byzantine_mode(token.substr(colon + 1));
     events.push_back(e);
   }
   s.byzantine = std::move(events);
@@ -226,38 +234,36 @@ void parse_byzantine(ScenarioSpec& s, const std::string& text) {
 
 std::string format_byzantine(const ScenarioSpec& s) {
   return join(s.byzantine, ',', [](const sim::ByzantineEvent& e) {
-    const auto* mode = std::find_if(
-        std::begin(kByzantineModes), std::end(kByzantineModes),
-        [&](const auto& m) { return e.mode == m.second; });
     return format_size(e.worker) + '@' +
-           format_window(e.from_round, e.to_round) + ':' + mode->first;
+           format_window(e.from_round, e.to_round) + ':' +
+           byzantine_mode_name(e.mode);
   });
 }
 
-// "W.W.W[:K]": the colluding members and the live quorum K (default 2).
-// Bounds and duplicate checks happen in finalize_spec against the resolved
-// population.
+// "W.W.W[:K]": the colluding members and the live quorum K (default 2);
+// an empty text unsets the group.  Bounds and duplicate checks happen in
+// finalize_spec against the resolved population.
 void parse_collude_group(ScenarioSpec& s, const std::string& text) {
-  std::vector<std::size_t> members;
+  if (text.empty()) {
+    s.collude_group.clear();
+    s.collude_min = 2;
+    return;
+  }
   std::size_t min_live = 2;
-  if (!text.empty()) {
-    const auto colon = text.find(':');
-    if (colon != std::string::npos) {
-      min_live = parse_size("collude-group", text.substr(colon + 1));
-    }
-    members = parse_workers("collude-group", text.substr(0, colon));
-    if (members.empty()) {
-      throw std::invalid_argument(
-          "--collude-group expects 'W.W.W[:K]' with at least one worker, "
-          "got '" +
-          text + "'");
-    }
-    if (min_live < 1 || min_live > members.size()) {
-      throw std::invalid_argument(
-          "--collude-group minimum K must be in [1, group size = " +
-          std::to_string(members.size()) + "], got " +
-          std::to_string(min_live));
-    }
+  const auto colon = text.find(':');
+  if (colon != std::string::npos) {
+    min_live = parse_size("collude-group", text.substr(colon + 1));
+  }
+  auto members = parse_workers("collude-group", text.substr(0, colon));
+  if (members.empty()) {
+    throw std::invalid_argument(
+        "--collude-group expects 'W.W.W[:K]' with at least one worker, got '" +
+        text + "'");
+  }
+  if (min_live < 1 || min_live > members.size()) {
+    throw std::invalid_argument(
+        "--collude-group minimum K must be in [1, group size = " +
+        std::to_string(members.size()) + "], got " + std::to_string(min_live));
   }
   s.collude_group = std::move(members);
   s.collude_min = min_live;
@@ -700,8 +706,8 @@ void check_worker(const std::string& flag, std::size_t w,
 
 /// Whether round windows [a_from, a_to) and [b_from, b_to) intersect (an
 /// end of 0 is open).
-bool windows_overlap(std::size_t a_from, std::size_t a_to,
-                     std::size_t b_from, std::size_t b_to) {
+bool windows_overlap(std::size_t a_from, std::size_t a_to, std::size_t b_from,
+                     std::size_t b_to) {
   const auto end = [](std::size_t to) {
     return to == 0 ? static_cast<std::size_t>(-1) : to;
   };
@@ -1000,9 +1006,8 @@ std::vector<SpecLine> scan_spec_lines(const std::string& text,
       throw std::invalid_argument(kind + " line " + std::to_string(lineno) +
                                   ": expected key=value, got '" + line + "'");
     }
-    out.push_back({.lineno = lineno,
-                   .key = trim(line.substr(0, eq)),
-                   .value = trim(line.substr(eq + 1))});
+    const auto key = trim(line.substr(0, eq));
+    out.push_back({lineno, key, trim(line.substr(eq + 1))});
   }
   return out;
 }
@@ -1036,8 +1041,8 @@ std::string to_spec_text(const ScenarioSpec& s) {
 ScenarioSpec spec_from_flags(const Flags& flags) {
   std::vector<SpecLine> lines;
   if (flags.has("spec")) {
-    lines = scan_spec_lines(read_spec_file(flags.get_string("spec", "")),
-                            "spec");
+    const auto text = read_spec_file(flags.get_string("spec", ""));
+    lines = scan_spec_lines(text, "spec");
   }
   std::optional<std::string> full_flag;
   if (flags.has("full")) full_flag = flags.get_string("full", "true");

@@ -100,8 +100,8 @@ SweepSpec parse_sweep_text(const std::string& text) {
         fail(line.lineno, "duplicate key '" + key + "' (first set on line " +
                               std::to_string(it->second) + ")");
       }
-      sweep.base.emplace_back(key,
-                              canonical_at(line.lineno, *desc, line.value));
+      auto canonical = canonical_at(line.lineno, *desc, line.value);
+      sweep.base.emplace_back(key, std::move(canonical));
       continue;
     }
 
