@@ -11,11 +11,12 @@
 //
 // Shape to observe: replica state stays bounded by the cohort (the pool
 // owns `cohort` replicas regardless of population), so peak RSS grows only
-// with the O(population) bookkeeping residue — slot map, frozen records,
-// fabric mailboxes — a few hundred bytes per logical client instead of a
-// full model+optimizer+workspace.  Compare a --cohort=<population> point at
-// the same population to see the materialized cost.  Rounds/sec falls with
-// the per-round O(population) sweeps, not with replica count.
+// with the per-population residue — slot map, fabric mailboxes and frozen
+// records, which keep a parameter vector per deselected worker under SAPS
+// and none under FedAvg (its download overwrites a returning client's
+// parameters).  Compare a --cohort=<population> point at the same
+// population to see the materialized cost.  Rounds/sec falls with the
+// per-round O(population) sweeps, not with replica count.
 //
 // --json=PATH writes a google-benchmark-compatible report so the CI gate
 // (tools/check_kernel_regression.py --filter '^BM_Scale') can compare
@@ -137,6 +138,10 @@ int main(int argc, char** argv) {
   if (!spec.provided("workload")) spec.workload = "blob";
   if (!spec.provided("algorithm")) spec.algorithms = {"fedavg", "saps"};
   if (!spec.provided("epochs")) spec.epochs = 2;
+  // A FedAvg round is three local steps on every workload, so the BM_Scale
+  // rows time the same round whatever the shard size (and keep the rounds
+  // of bench/baselines/BENCH_scale.json).
+  if (!spec.provided("fedavg-steps")) spec.set("fedavg-steps", "3");
   const std::size_t cohort = spec.provided("cohort") ? spec.cohort : 64;
   const std::string json_path = flags.get_string("json", "");
   const double min_seconds = flags.get_double("min-seconds", 0.2);
@@ -203,8 +208,9 @@ int main(int argc, char** argv) {
   std::cout << table.to_aligned() << "\n";
   std::cout << "peak_rss_mb = VmHWM (monotonic; sweep runs ascending): "
                "replica state is bounded by\nthe cohort, so the column grows "
-               "only with O(population) bookkeeping, not with\nmodel state — "
-               "compare a --cohort=<population> point to see the "
+               "only with per-population bookkeeping and frozen\nrecords (a "
+               "parameter vector per deselected SAPS worker, none under "
+               "FedAvg) —\ncompare a --cohort=<population> point to see the "
                "materialized cost.\n";
 
   if (!json_path.empty()) {

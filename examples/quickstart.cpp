@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   //    files override these programmatic defaults.
   auto spec = saps::scenario::scenario_from_flags_or_exit(flags);
   if (!spec.provided("algorithm")) spec.algorithms = {"saps"};
-  if (!spec.provided("saps-c")) spec.params.set("saps-c", "100");
+  if (!spec.provided("saps-c")) spec.set("saps-c", "100");
 
   // 3. The Runner builds the workload + a fresh engine and streams every
   //    evaluation point to the attached sinks.

@@ -60,17 +60,15 @@ sim::RunResult FedAvg::run(sim::Engine& engine) {
   double epoch_progress = 0.0;
   std::size_t round = 0;
   std::vector<float> accum(dim);
-  // Per-participant decoded uploads, bucketed by rank for deterministic
-  // chosen-order aggregation regardless of mailbox arrival order.
-  std::vector<std::vector<float>> uploads(n);
   std::vector<std::size_t> part;
-  part.reserve(n);
   std::vector<std::uint8_t> got_down(n, 0);
-  std::vector<std::uint8_t> got_up(n, 0);
   std::vector<std::size_t> sent;  // participants that got the download
-  sent.reserve(n);
-  std::vector<std::size_t> received;
-  received.reserve(n);
+  // Decoded uploads and their arrival flags by position in `sent`, so they
+  // are sized by the round's participants, not by the population, and
+  // aggregation runs in `sent` order whatever the arrival order was.
+  std::vector<std::vector<float>> uploads;
+  std::vector<std::uint8_t> got_up;
+  std::vector<std::size_t> received;  // positions in `sent`
   std::vector<const float*> inputs;
   std::vector<std::vector<float>> scratch(
       engine.chunk_count(std::max<std::size_t>(dim, 1)));
@@ -79,10 +77,13 @@ sim::RunResult FedAvg::run(sim::Engine& engine) {
     // Sample participants without replacement.  In pooled (cohort) mode the
     // engine's per-round draw IS the participant set — FedAvg's client
     // sampling and the population cohort are the same mechanism, so the
-    // fraction knob defers to the spec's cohort size.
+    // fraction knob defers to the spec's cohort size.  A deselected client
+    // keeps no parameters: the download overwrites them before they are
+    // read.
     std::span<const std::size_t> chosen;
     if (engine.cohort_mode()) {
-      chosen = engine.begin_round_cohort(round);
+      chosen = engine.begin_round_cohort(round,
+                                         sim::Engine::Keep::kAllButParams);
     } else {
       for (std::size_t i = n; i > 1; --i) {
         std::swap(order[i - 1], order[rng.next_below(i)]);
@@ -177,28 +178,28 @@ sim::RunResult FedAvg::run(sim::Engine& engine) {
     }
     fabric.end_round();
 
-    // Server-side decode: bucket the uploads by sender so aggregation runs
-    // in `part` (chosen) order whatever the arrival order was, over whoever
-    // made it (a stale S-FedAvg frame, from another round's mask, is
-    // refused).
-    for (const auto w : sent) got_up[w] = 0;
+    // Server-side decode: bucket the uploads by sender's position so
+    // aggregation runs in `part` (chosen) order whatever the arrival order
+    // was, over whoever made it (a stale S-FedAvg frame, from another
+    // round's mask, is refused).
+    uploads.resize(sent.size());
+    got_up.assign(sent.size(), 0);
     receive_expected(fabric, server, sent, "FedAvg upload",
                      [&](std::size_t k, const sim::Envelope& env) {
-                       const std::size_t w = sent[k];
                        if (sparse_up) {
                          auto up = net::MaskedModelMsg::decode(env.payload);
                          if (up.mask_seed != mask_seed) return false;
-                         uploads[w] = std::move(up.values);
+                         uploads[k] = std::move(up.values);
                        } else {
-                         uploads[w] = std::move(
+                         uploads[k] = std::move(
                              net::FullModelMsg::decode(env.payload).params);
                        }
-                       got_up[w] = 1;
+                       got_up[k] = 1;
                        return true;
                      });
     received.clear();
-    for (const auto w : sent) {
-      if (got_up[w]) received.push_back(w);
+    for (std::size_t k = 0; k < sent.size(); ++k) {
+      if (got_up[k]) received.push_back(k);
     }
 
     if (reputation_) {
@@ -206,8 +207,8 @@ sim::RunResult FedAvg::run(sim::Engine& engine) {
       // `part` (chosen) order, then fold — one serial pass per round.
       const std::vector<float> ref =
           sparse_up ? compress::extract_masked(global, mask) : global;
-      for (const auto w : received) {
-        reputation_->observe(n, w, uploads[w], ref);
+      for (const auto k : received) {
+        reputation_->observe(n, sent[k], uploads[k], ref);
       }
       reputation_->end_round();
     }
@@ -240,7 +241,7 @@ sim::RunResult FedAvg::run(sim::Engine& engine) {
             });
       } else {
         inputs.clear();
-        for (const auto w : received) inputs.push_back(uploads[w].data());
+        for (const auto k : received) inputs.push_back(uploads[k].data());
         engine.parallel_chunks(
             dim, [&](std::size_t chunk, std::size_t begin, std::size_t end) {
               auto& tmp = scratch[chunk];
@@ -263,8 +264,8 @@ sim::RunResult FedAvg::run(sim::Engine& engine) {
       engine.parallel_chunks(
           masked_idx.size(), [&](std::size_t begin, std::size_t end) {
             for (std::size_t k = begin; k < end; ++k) accum[k] = 0.0f;
-            for (const auto w : received) {
-              const auto& v = uploads[w];
+            for (const auto r : received) {
+              const auto& v = uploads[r];
               for (std::size_t k = begin; k < end; ++k) {
                 accum[k] += v[k] - global[masked_idx[k]];
               }
@@ -277,14 +278,13 @@ sim::RunResult FedAvg::run(sim::Engine& engine) {
       const float inv = 1.0f / static_cast<float>(received.size());
       engine.parallel_chunks(dim, [&](std::size_t begin, std::size_t end) {
         for (std::size_t j = begin; j < end; ++j) accum[j] = 0.0f;
-        for (const auto w : received) {
-          const auto& v = uploads[w];
+        for (const auto k : received) {
+          const auto& v = uploads[k];
           for (std::size_t j = begin; j < end; ++j) accum[j] += v[j];
         }
         for (std::size_t j = begin; j < end; ++j) global[j] = accum[j] * inv;
       });
     }
-    for (const auto w : received) uploads[w].clear();
 
     epoch_progress +=
         config_.local_steps > 0

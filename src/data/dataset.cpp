@@ -47,28 +47,19 @@ void Dataset::gather(std::span<const std::size_t> indices, Tensor& x_out,
   }
 }
 
-Dataset Dataset::subset(std::span<const std::size_t> indices) const {
-  std::vector<float> feats;
-  feats.reserve(indices.size() * sample_dim_);
-  std::vector<std::int32_t> labs;
-  labs.reserve(indices.size());
-  for (const auto i : indices) {
-    const auto src = sample(i);
-    feats.insert(feats.end(), src.begin(), src.end());
-    labs.push_back(labels_.at(i));
-  }
-  return Dataset(sample_shape_, std::move(feats), std::move(labs),
-                 num_classes_);
-}
-
 BatchSampler::BatchSampler(const Dataset& dataset, std::size_t batch_size,
                            std::uint64_t seed)
-    : dataset_(&dataset), batch_size_(batch_size), rng_(seed) {
+    : BatchSampler(dataset, {}, batch_size, seed) {}
+
+BatchSampler::BatchSampler(const Dataset& dataset,
+                           std::span<const std::size_t> indices,
+                           std::size_t batch_size, std::uint64_t seed)
+    : dataset_(&dataset), view_(indices), batch_size_(batch_size), rng_(seed) {
   if (batch_size == 0) throw std::invalid_argument("BatchSampler: batch 0");
   if (dataset.empty()) {
     throw std::invalid_argument("BatchSampler: empty dataset");
   }
-  order_.resize(dataset.size());
+  order_.resize(view_.empty() ? dataset.size() : view_.size());
   std::iota(order_.begin(), order_.end(), std::size_t{0});
   reshuffle();
 }
@@ -83,7 +74,7 @@ void BatchSampler::reshuffle() {
 }
 
 void BatchSampler::restore_state(const State& state) {
-  if (state.order.size() != dataset_->size() ||
+  if (state.order.size() != order_.size() ||
       state.cursor > state.order.size()) {
     throw std::invalid_argument("BatchSampler: state/dataset size mismatch");
   }
@@ -93,15 +84,17 @@ void BatchSampler::restore_state(const State& state) {
 }
 
 std::size_t BatchSampler::batches_per_epoch() const noexcept {
-  return (dataset_->size() + batch_size_ - 1) / batch_size_;
+  return (order_.size() + batch_size_ - 1) / batch_size_;
 }
 
 void BatchSampler::next(Tensor& x, std::vector<std::int32_t>& labels) {
   if (cursor_ >= order_.size()) reshuffle();
   const std::size_t take = std::min(batch_size_, order_.size() - cursor_);
-  gatherer_.assign(
-      order_.begin() + static_cast<std::ptrdiff_t>(cursor_),
-      order_.begin() + static_cast<std::ptrdiff_t>(cursor_ + take));
+  gatherer_.resize(take);
+  for (std::size_t b = 0; b < take; ++b) {
+    const std::size_t pos = order_[cursor_ + b];
+    gatherer_[b] = view_.empty() ? pos : view_[pos];
+  }
   cursor_ += take;
   dataset_->gather(gatherer_, x, labels);
 }

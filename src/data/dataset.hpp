@@ -44,9 +44,6 @@ class Dataset {
   void gather(std::span<const std::size_t> indices, Tensor& x_out,
               std::vector<std::int32_t>& labels_out) const;
 
-  /// Dataset restricted to `indices` (copies — workers own their shard).
-  [[nodiscard]] Dataset subset(std::span<const std::size_t> indices) const;
-
  private:
   std::vector<std::size_t> sample_shape_;
   std::size_t sample_dim_ = 0;
@@ -55,11 +52,19 @@ class Dataset {
   std::vector<std::int32_t> labels_;
 };
 
-/// Epoch-based shuffled mini-batch iterator over a Dataset.
+/// Epoch-based shuffled mini-batch iterator over a Dataset, or over a view
+/// of it: an index list (a worker's shard) whose positions the sampler
+/// shuffles and whose samples it gathers, without copying them.
 class BatchSampler {
  public:
   BatchSampler(const Dataset& dataset, std::size_t batch_size,
                std::uint64_t seed);
+  /// Iterates the samples of `dataset` at `indices` (all of them when
+  /// `indices` is empty).  Both are borrowed and must outlive the sampler.
+  /// Draws the same batch stream as a sampler over a copy of those samples
+  /// in that order.
+  BatchSampler(const Dataset& dataset, std::span<const std::size_t> indices,
+               std::size_t batch_size, std::uint64_t seed);
 
   /// Fills `x` and `labels` with the next mini-batch, reshuffling at epoch
   /// boundaries.  The final batch of an epoch may be smaller.
@@ -80,11 +85,12 @@ class BatchSampler {
   };
   [[nodiscard]] State save_state() const { return {rng_, order_, cursor_}; }
   /// Restores a save_state() snapshot taken from a sampler over an
-  /// identically sized dataset; throws on size mismatch.
+  /// identically sized dataset or view; throws on size mismatch.
   void restore_state(const State& state);
 
  private:
   const Dataset* dataset_;
+  std::span<const std::size_t> view_;  // empty: the whole dataset
   std::size_t batch_size_;
   Rng rng_;
   std::vector<std::size_t> order_;

@@ -49,7 +49,14 @@ std::optional<std::string> dirichlet_shorthand(const std::string& key,
 
 // --- Grammar building blocks -------------------------------------------
 
+/// A worker index, round or count.  A leading '-' is refused rather than
+/// wrapped to a huge unsigned value; parse_int bounds the rest to INT64_MAX.
 std::size_t parse_size(const std::string& flag, const std::string& text) {
+  if (text.starts_with('-')) {
+    throw std::invalid_argument("--" + flag +
+                                " expects a non-negative integer, got '" +
+                                text + "'");
+  }
   return static_cast<std::size_t>(parse_int(flag, text));
 }
 
@@ -780,6 +787,15 @@ void finalize_spec(ScenarioSpec& spec) {
   const auto& wl = reg.workload(spec.workload);
   const auto algo_keys = spec.effective_algorithms();
   for (const auto& key : algo_keys) (void)reg.algorithm(key);
+
+  // Every parameter that is not provided() re-derives below, as population
+  // and cohort do: a spec finalized under one workload or scale and then
+  // edited keeps none of the old derived values or defaults.
+  ParamSet provided_params;
+  for (const auto& [key, value] : spec.params.items()) {
+    if (spec.provided(key)) provided_params.set(key, value);
+  }
+  spec.params = std::move(provided_params);
 
   // Participant sampling: population and cohort follow workers unless
   // provided (the legacy fully-materialized engine); gate the combinations

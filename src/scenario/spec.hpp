@@ -20,9 +20,12 @@
 // Resolution order (later wins): struct defaults → --full/fast scale preset
 // → spec-file entries → CLI flags → derivations (population and cohort from
 // workers, fast-mode FedAvg local steps from the RESOLVED samples/batch
-// pair, the three RNG seeds from the top-level seed).  Derivations fill only
-// keys that are not provided(), so a printed spec re-parses to itself and a
-// finalized spec re-derives after a later edit (say of workers).
+// pair, the three RNG seeds from the top-level seed, the defaults of every
+// other parameter).  Derivations fill only keys that are not provided(), and
+// every such key re-derives at each finalize, so a printed spec re-parses to
+// itself and a finalized spec re-derives after a later edit (say of workers
+// or workload).  Set parameters through set(): a value written into
+// `params` directly is not provided() and is re-derived away.
 #pragma once
 
 #include <cstdint>

@@ -60,6 +60,7 @@ Engine::Engine(SimConfig config, const data::Dataset& train,
                std::optional<net::BandwidthMatrix> bandwidth)
     : config_(std::move(config)),
       factory_(factory),
+      train_(&train),
       test_(&test),
       active_(config_.workers, 0),
       fabric_(make_fabric(config_, bandwidth)) {
@@ -83,32 +84,25 @@ Engine::Engine(SimConfig config, const data::Dataset& train,
 
   // Partition the training data over the shard groups (== workers outside
   // population mode, preserving the legacy per-worker partition exactly).
-  std::vector<std::vector<std::size_t>> parts;
   switch (config_.partition) {
     case PartitionKind::kIid:
-      parts = data::iid_partition(train, shard_groups_, config_.seed);
+      shards_ = data::iid_partition(train, shard_groups_, config_.seed);
       break;
     case PartitionKind::kShard:
-      parts = data::shard_partition(train, shard_groups_,
-                                    config_.shards_per_worker, config_.seed);
+      shards_ = data::shard_partition(train, shard_groups_,
+                                      config_.shards_per_worker, config_.seed);
       break;
     case PartitionKind::kDirichlet:
-      parts = data::dirichlet_partition(train, shard_groups_,
-                                        config_.dirichlet_alpha, config_.seed);
+      shards_ = data::dirichlet_partition(
+          train, shard_groups_, config_.dirichlet_alpha, config_.seed);
       break;
   }
-  shards_.reserve(shard_groups_);
-  std::size_t max_batches = 0;
-  for (std::size_t g = 0; g < shard_groups_; ++g) {
-    shards_.push_back(train.subset(parts[g]));
-    if (shards_.back().empty()) {
-      throw std::invalid_argument("Engine: empty shard group");
-    }
-    max_batches = std::max(
-        max_batches, (shards_.back().size() + config_.batch_size - 1) /
-                         config_.batch_size);
+  for (const auto& shard : shards_) {
+    if (shard.empty()) throw std::invalid_argument("Engine: empty shard group");
+    const std::size_t batches =
+        (shard.size() + config_.batch_size - 1) / config_.batch_size;
+    steps_per_epoch_ = std::max(steps_per_epoch_, batches);
   }
-  steps_per_epoch_ = max_batches;
 
   // The replica pool: cohort_size_ slots, initially owned by workers
   // 0..cohort-1 (== every worker outside cohort mode).
@@ -128,7 +122,7 @@ Engine::Engine(SimConfig config, const data::Dataset& train,
   for (std::size_t s = 0; s < cohort_size_; ++s) {
     const std::size_t w = s;  // initial identity assignment
     samplers_.push_back(std::make_unique<data::BatchSampler>(
-        shards_[w % shard_groups_], config_.batch_size,
+        train, shards_[w % shard_groups_], config_.batch_size,
         derive_seed(config_.seed, 0xda7a, w)));
     models_.push_back(std::make_unique<nn::Model>(factory()));
     optimizers_.push_back(std::make_unique<nn::Sgd>(sgd_config));
@@ -196,11 +190,25 @@ std::size_t Engine::shard_size(std::size_t w) const {
   return shards_[w % shard_groups_].size();
 }
 
-void Engine::freeze_worker(std::size_t w) {
+Engine::FrozenBytes Engine::frozen_bytes() const {
+  FrozenBytes bytes;
+  for (const auto& f : frozen_) {
+    if (!f) continue;
+    bytes.params += f->params.capacity() * sizeof(float);
+    const std::size_t floats = f->buffers.capacity() + f->velocity.capacity();
+    bytes.state += sizeof(FrozenWorker) + floats * sizeof(float) +
+                   f->sampler.order.capacity() * sizeof(std::size_t);
+  }
+  return bytes;
+}
+
+void Engine::freeze_worker(std::size_t w, Keep keep) {
   const std::size_t s = slot_of_[w];
   auto f = std::make_unique<FrozenWorker>();
-  const auto p = models_[s]->parameters();
-  f->params.assign(p.begin(), p.end());
+  if (keep == Keep::kAll) {
+    const auto p = models_[s]->parameters();
+    f->params.assign(p.begin(), p.end());
+  }
   const auto b = models_[s]->buffers();
   f->buffers.assign(b.begin(), b.end());
   f->velocity = optimizers_[s]->velocity();
@@ -214,12 +222,13 @@ void Engine::thaw_worker(std::size_t w, std::size_t s) {
   // Rebind the slot's sampler to the worker's shard and seed; a rejoining
   // worker then resumes its exact saved batch stream.
   samplers_[s] = std::make_unique<data::BatchSampler>(
-      shards_[w % shard_groups_], config_.batch_size,
+      *train_, shards_[w % shard_groups_], config_.batch_size,
       derive_seed(config_.seed, 0xda7a, w));
   const auto p = models_[s]->parameters();
   if (auto& f = frozen_[w]) {
     samplers_[s]->restore_state(f->sampler);
-    std::copy(f->params.begin(), f->params.end(), p.begin());
+    const auto& params = f->params.empty() ? init_params_ : f->params;
+    std::copy(params.begin(), params.end(), p.begin());
     models_[s]->set_buffers(f->buffers);
     optimizers_[s]->set_velocity(std::move(f->velocity));
     f.reset();  // resident state lives in the slot again
@@ -232,7 +241,8 @@ void Engine::thaw_worker(std::size_t w, std::size_t s) {
   slot_of_[w] = s;
 }
 
-std::span<const std::size_t> Engine::begin_round_cohort(std::size_t round) {
+std::span<const std::size_t> Engine::begin_round_cohort(std::size_t round,
+                                                        Keep keep) {
   if (!pooled_) return roster_;
 
   // Floyd's algorithm: cohort_size_ distinct uniform draws from the
@@ -258,7 +268,7 @@ std::span<const std::size_t> Engine::begin_round_cohort(std::size_t round) {
   // Freeze departures first (ascending worker order), freeing their slots...
   for (const auto w : roster_) {
     if (!selected(w)) {
-      freeze_worker(w);
+      freeze_worker(w, keep);
       active_[w] = 0;
     }
   }

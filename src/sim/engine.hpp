@@ -1,11 +1,12 @@
 // Deterministic round-based distributed-training engine.
 //
-// The engine owns what every algorithm in the paper's comparison needs:
+// The engine holds what every algorithm in the paper's comparison needs:
 // per-worker model replicas (identical initialization, as the analysis
-// assumes), per-worker data shards and samplers, per-worker SGD state, the
-// test set, and the message plane — a sim::Fabric routing encoded wire
-// messages over an event-driven net::LinkModel for traffic/time accounting.
-// Algorithms (src/algos, src/core) drive it round by round.
+// assumes), per-worker data shards (index lists into the borrowed training
+// set) and samplers, per-worker SGD state, the borrowed test set, and the
+// message plane — a sim::Fabric routing encoded wire messages over an
+// event-driven net::LinkModel for traffic/time accounting.  Algorithms
+// (src/algos, src/core) drive it round by round.
 //
 // Substitution note (docs/ARCHITECTURE.md, "Synthetic stand-ins"): this
 // replaces the paper's 32 TCP-connected machines.  All reported quantities
@@ -47,10 +48,14 @@ struct SimConfig {
   // live model replica in any round.  When cohort < workers the engine runs
   // in pooled mode: each round begin_round_cohort draws a fresh cohort from
   // the population, deselected workers deterministically freeze their state
-  // (parameters, buffers, optimizer velocity, sampler position) and
-  // re-selected ones thaw it, so peak RSS scales with the cohort, not the
-  // population.  The defaults reproduce the legacy fully-materialized engine
-  // bit-for-bit.
+  // and re-selected ones thaw it.  What a frozen record keeps is the
+  // algorithm's call (Engine::Keep): SAPS keeps parameters, buffers,
+  // optimizer velocity and sampler position, since its replica is its
+  // state; FedAvg and S-FedAvg keep all but the parameters, which a
+  // returning client's download overwrites, so their thaw writes the common
+  // initialization instead.  Model state then scales with the cohort, and
+  // with the population only by what a record keeps.  The defaults
+  // reproduce the legacy fully-materialized engine bit-for-bit.
   std::size_t cohort = 0;          // resident replicas (0 = workers)
   std::uint64_t sample_seed = 0;   // cohort-draw seed (pooled mode only)
   // Number of distinct data shards the training set is partitioned into
@@ -120,9 +125,18 @@ using ModelFactory = std::function<nn::Model()>;
 
 class Engine {
  public:
+  /// Borrows `train` and `test`, which must outlive the engine (a temporary
+  /// for either does not compile).  Each worker's shard is the
+  /// partitioner's index list into `train`: the engine copies no sample.
   Engine(SimConfig config, const data::Dataset& train,
          const data::Dataset& test, const ModelFactory& factory,
          std::optional<net::BandwidthMatrix> bandwidth);
+  Engine(SimConfig, data::Dataset&&, const data::Dataset&, const ModelFactory&,
+         std::optional<net::BandwidthMatrix>) = delete;
+  Engine(SimConfig, const data::Dataset&, data::Dataset&&, const ModelFactory&,
+         std::optional<net::BandwidthMatrix>) = delete;
+  Engine(SimConfig, data::Dataset&&, data::Dataset&&, const ModelFactory&,
+         std::optional<net::BandwidthMatrix>) = delete;
   /// Unregisters this engine's pool from ops::set_gemm_pool (only if the
   /// global still points at it, so sequentially constructed engines never
   /// clobber each other).
@@ -150,12 +164,28 @@ class Engine {
   [[nodiscard]] bool resident(std::size_t w) const {
     return slot_of_.at(w) != kNoSlot;
   }
+  /// What a worker deselected by begin_round_cohort keeps until it is drawn
+  /// again.  kAll suits algorithms whose replica is its state (SAPS).
+  /// kAllButParams suits those that overwrite a returning worker's
+  /// parameters before reading them (FedAvg's download): its thaw writes the
+  /// common initialization, and no parameter vector is kept per client.
+  enum class Keep { kAll, kAllButParams };
+
   /// Draws round `round`'s cohort (a pure function of sample_seed and the
   /// round index — identical across reruns and thread counts), freezes the
-  /// state of departing workers and thaws/initializes arrivals, marks the
-  /// cohort active and everyone else inactive, and returns the new roster.
-  /// Outside cohort mode this is a no-op returning the full roster.
-  std::span<const std::size_t> begin_round_cohort(std::size_t round);
+  /// `keep` state of departing workers and thaws/initializes arrivals, marks
+  /// the cohort active and everyone else inactive, and returns the new
+  /// roster.  Outside cohort mode this is a no-op returning the full roster.
+  std::span<const std::size_t> begin_round_cohort(std::size_t round,
+                                                  Keep keep = Keep::kAll);
+
+  /// Heap bytes held by the frozen records of deselected workers (zero
+  /// outside cohort mode), the saved parameters apart from the rest.
+  struct FrozenBytes {
+    std::size_t params = 0;  // saved parameter vectors
+    std::size_t state = 0;   // buffers, velocity and sampler state
+  };
+  [[nodiscard]] FrozenBytes frozen_bytes() const;
 
   /// Worker w's state: parameters(), gradients() (written by
   /// compute_gradient only) and buffers().  The engine never runs a pass on
@@ -345,20 +375,23 @@ class Engine {
   }
 
   /// Everything a deselected worker needs to resume exactly where it left
-  /// off: eval-mode model state plus optimizer and sampler state.
+  /// off: eval-mode model state plus optimizer and sampler state.  `params`
+  /// stays empty under Keep::kAllButParams.
   struct FrozenWorker {
     std::vector<float> params;
     std::vector<float> buffers;
     std::vector<float> velocity;
     data::BatchSampler::State sampler;
   };
-  void freeze_worker(std::size_t w);
+  void freeze_worker(std::size_t w, Keep keep);
   void thaw_worker(std::size_t w, std::size_t s);
 
   SimConfig config_;
   ModelFactory factory_;
+  const data::Dataset* train_;
   const data::Dataset* test_;
-  std::vector<data::Dataset> shards_;  // one per shard group
+  // One index list into *train_ per shard group; samplers view them.
+  std::vector<std::vector<std::size_t>> shards_;
   // Replica pool, one entry per SLOT (cohort_size_ of them); slot_of_ maps
   // logical workers onto slots (kNoSlot = not resident).  Outside cohort
   // mode slot s is permanently owned by worker s.  A slot holds state only:
@@ -376,7 +409,8 @@ class Engine {
   // Lazily allocated per-worker frozen state (pooled mode): only workers
   // that participated at least once and are currently deselected hold one.
   std::vector<std::unique_ptr<FrozenWorker>> frozen_;
-  // The common initialization, for first-time cohort arrivals.
+  // The common initialization, for first-time cohort arrivals (and the
+  // parameters of arrivals whose record kept none).
   std::vector<float> init_params_;
   std::vector<float> init_buffers_;
   std::vector<std::uint8_t> active_;

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "algos/fedavg.hpp"
@@ -25,7 +26,8 @@ constexpr std::size_t kThreadCounts[] = {0, 1, 4};
 // Builds a pooled engine directly (NOT via blob_engine) so an external
 // SAPS_THREADS setting cannot override the thread count under test.
 sim::Engine make_pooled_engine(std::size_t population, std::size_t cohort,
-                               std::size_t shard_groups, std::size_t threads) {
+                               std::size_t shard_groups, std::size_t threads,
+                               std::size_t epochs = 2) {
   const test_util::BlobSpec spec;
   const auto& [train, test] = test_util::blob_data(spec);
   sim::SimConfig cfg;
@@ -33,7 +35,7 @@ sim::Engine make_pooled_engine(std::size_t population, std::size_t cohort,
   cfg.cohort = cohort;
   cfg.shard_groups = shard_groups;
   cfg.sample_seed = 777;
-  cfg.epochs = 2;
+  cfg.epochs = epochs;
   cfg.batch_size = 16;
   cfg.lr = 0.1;
   cfg.seed = 42;
@@ -159,6 +161,44 @@ TEST(CohortPool, SimultaneouslyEvictedAndFailedWorkerStaysConsistent) {
     EXPECT_FALSE(e.resident(outsider));
     EXPECT_THROW((void)e.params(outsider), std::logic_error);
   }
+}
+
+TEST(CohortPool, FedAvgFreezesNoParametersWhileSapsKeepsThem) {
+  // FedAvg's download overwrites a returning client's parameters before
+  // they are read, so its frozen records keep none, and model state stays
+  // bounded by the cohort however many clients a long run draws.  A SAPS
+  // replica is its state: every worker that held a replica and is not
+  // resident keeps one parameter vector.
+  constexpr std::size_t kPopulation = 1000, kCohort = 8, kEpochs = 6;
+  for (const double compression : {0.0, 5.0}) {
+    SCOPED_TRACE(compression > 0.0 ? "S-FedAvg" : "FedAvg");
+    auto engine = make_pooled_engine(kPopulation, kCohort, 8, 0, kEpochs);
+    algos::FedAvgConfig config;
+    config.local_steps = 1;
+    config.upload_compression = compression;
+    algos::FedAvg fedavg(config);
+    const auto result = fedavg.run(engine);
+    ASSERT_GE(result.final().round, 20u);
+    const auto frozen = engine.frozen_bytes();
+    EXPECT_EQ(frozen.params, 0u);
+    EXPECT_GT(frozen.state, 0u);  // the deselected clients' samplers
+  }
+
+  auto engine = make_pooled_engine(kPopulation, kCohort, 8, 0, kEpochs);
+  std::set<std::size_t> held(engine.roster().begin(), engine.roster().end());
+  core::SapsConfig cfg;
+  cfg.compression = 10.0;
+  cfg.strategy = core::SelectionStrategy::kRandomMatch;
+  cfg.on_round = [&held](std::size_t, core::Coordinator&, sim::Engine& eng) {
+    held.insert(eng.roster().begin(), eng.roster().end());
+  };
+  core::SapsPsgd saps(std::move(cfg));
+  const auto result = saps.run(engine);
+  ASSERT_GE(result.final().round, 20u);
+  const std::size_t deselected = held.size() - kCohort;
+  ASSERT_GT(deselected, kCohort);
+  EXPECT_EQ(engine.frozen_bytes().params,
+            deselected * engine.param_count() * sizeof(float));
 }
 
 struct RunSnapshot {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <set>
 
@@ -20,7 +21,7 @@ TEST(Dataset, InvariantChecks) {
                std::invalid_argument);  // zero classes
 }
 
-TEST(Dataset, GatherAndSubset) {
+TEST(Dataset, Gather) {
   Dataset d({2}, {1, 2, 3, 4, 5, 6}, {0, 1, 0}, 2);
   const std::vector<std::size_t> idx = {2, 0};
   Tensor x;
@@ -29,11 +30,6 @@ TEST(Dataset, GatherAndSubset) {
   EXPECT_EQ(x.dim(0), 2u);
   EXPECT_FLOAT_EQ(x.at2(0, 0), 5.0f);
   EXPECT_EQ(y[0], 0);
-
-  const auto sub = d.subset(idx);
-  EXPECT_EQ(sub.size(), 2u);
-  EXPECT_EQ(sub.label(1), 0);
-  EXPECT_FLOAT_EQ(sub.sample(0)[1], 6.0f);
 }
 
 TEST(BatchSampler, CoversEveryIndexEachEpoch) {
@@ -59,6 +55,33 @@ TEST(BatchSampler, DeterministicForSeed) {
     a.next(xa, ya);
     b.next(xb, yb);
     EXPECT_EQ(ya, yb);
+  }
+}
+
+TEST(BatchSampler, IndexViewDrawsTheBatchesOfACopy) {
+  // A sampler over a shard's index list must draw, batch for batch, what a
+  // sampler over a copy of those samples draws: the same RNG stream, the
+  // same order, the same bytes.
+  const auto d = make_blobs(60, 4, 5, 0.5, 1);
+  std::vector<std::size_t> idx;
+  for (std::size_t i = d.size(); i >= 3; i -= 3) idx.push_back(i - 1);
+  Tensor all;
+  std::vector<std::int32_t> labels;
+  d.gather(idx, all, labels);
+  const Dataset copy(d.sample_shape(),
+                     std::vector<float>(all.span().begin(), all.span().end()),
+                     labels, d.num_classes());
+  BatchSampler view(d, idx, 7, 3), owned(copy, 7, 3);
+  EXPECT_EQ(view.batches_per_epoch(), owned.batches_per_epoch());
+  Tensor xv, xo;
+  std::vector<std::int32_t> yv, yo;
+  for (int i = 0; i < 12; ++i) {  // four epochs: reshuffles included
+    view.next(xv, yv);
+    owned.next(xo, yo);
+    ASSERT_EQ(yv, yo) << "batch " << i;
+    ASSERT_TRUE(std::equal(xv.span().begin(), xv.span().end(),
+                           xo.span().begin(), xo.span().end()))
+        << "batch " << i;
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -15,6 +16,18 @@
 
 namespace saps::sim {
 namespace {
+
+// The engine borrows its training and test sets: a temporary for either
+// must not compile, or the engine would outlive the samples it reads.
+using data::Dataset;
+using Bandwidth = std::optional<net::BandwidthMatrix>;
+template <typename Train, typename Test>
+constexpr bool kBuilds = std::is_constructible_v<Engine, SimConfig, Train, Test,
+                                                 ModelFactory, Bandwidth>;
+static_assert(kBuilds<const Dataset&, const Dataset&>);
+static_assert(!kBuilds<Dataset, const Dataset&>);
+static_assert(!kBuilds<const Dataset&, Dataset>);
+static_assert(!kBuilds<Dataset, Dataset>);
 
 Engine make_engine(SimConfig cfg,
                    std::optional<net::BandwidthMatrix> bw = std::nullopt) {

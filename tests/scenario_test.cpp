@@ -11,10 +11,12 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
 #include <sstream>
+#include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -213,6 +215,42 @@ TEST(ScenarioSpec, FastModeDerivesFedavgStepsFromResolvedPair) {
   const auto expl = scenario::spec_from_flags(
       make_flags({"--batch=30", "--fedavg-steps=7"}));
   EXPECT_EQ(expl.params.raw("fedavg-steps"), "7");
+}
+
+TEST(ScenarioSpec, DerivedParametersRederiveAtEachFinalize) {
+  // A spec finalized under mnist derives fedavg-steps from samples/batch
+  // and materializes the defaults; switched to blob (whose size does not
+  // scale with --samples) and finalized again, it must forget both.
+  auto spec = scenario::spec_from_flags(make_flags({"--sfedavg-c=50"}));
+  ASSERT_EQ(spec.params.raw("fedavg-steps"), "3");
+  spec.workload = "blob";
+  spec.full = true;
+  scenario::finalize_spec(spec);
+  EXPECT_EQ(spec.params.raw("fedavg-steps"), "0");  // one local epoch
+  EXPECT_EQ(spec.params.raw("topk-c"), "1000");     // paper ratio again
+  EXPECT_EQ(spec.params.raw("sfedavg-c"), "50");    // provided: kept
+  EXPECT_EQ(spec.params.raw("blob-train"), "640");  // blob defaults filled
+  // The printed spec describes the edited run, so it re-parses to it.
+  const auto printed = scenario::to_spec_text(spec);
+  EXPECT_TRUE(scenario::parse_spec_text(printed).equivalent(spec));
+}
+
+TEST(ScenarioSpec, NegativeGrammarNumbersAreRejected) {
+  // A '-' where a worker index or round belongs is refused, not wrapped to
+  // 2^64 - 1 (a window ending at that round would print back unchanged).
+  for (const char* text : {"workers=4\nbyzantine=1@2--1:sign-flip",
+                           "workers=4\nfailures=1@3--2",
+                           "workers=4\nbyzantine=-1@2:sign-flip"}) {
+    SCOPED_TRACE(text);
+    try {
+      (void)scenario::parse_spec_text(text);
+      ADD_FAILURE() << "parsed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("expects a non-negative integer"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ScenarioSpec, FullPresetAppliesUnlessOverridden) {
@@ -786,6 +824,36 @@ std::string mutate(std::string text, const std::vector<std::string>& corpus,
   return text;
 }
 
+// Every worker index and round-window bound a parsed spec holds.  A value
+// above INT64_MAX is a negative number that wrapped; it prints back as
+// itself, so the round trip alone cannot see it.
+std::vector<std::size_t> grammar_numbers(const ScenarioSpec& s) {
+  std::vector<std::size_t> out(s.collude_group.begin(), s.collude_group.end());
+  for (const auto& e : s.failures) {
+    out.insert(out.end(), {e.worker, e.drop_round, e.rejoin_round});
+  }
+  for (const auto& e : s.byzantine) {
+    out.insert(out.end(), {e.worker, e.from_round, e.to_round});
+  }
+  for (const auto& e : s.net_partition) {
+    out.insert(out.end(), {e.from_round, e.to_round});
+    for (const auto& group : e.groups) {
+      out.insert(out.end(), group.begin(), group.end());
+    }
+  }
+  return out;
+}
+
+constexpr auto kMaxGrammarNumber =
+    static_cast<std::size_t>(std::numeric_limits<std::int64_t>::max());
+
+void expect_no_wrapped_number(const ScenarioSpec& spec,
+                              const std::string& mutant) {
+  for (const auto v : grammar_numbers(spec)) {
+    ASSERT_LE(v, kMaxGrammarNumber) << mutant;
+  }
+}
+
 // The oracle's spec texts, the empty spec first; the sweep fuzzer adds the
 // ablation grid.
 std::vector<std::string> oracle_spec_texts() {
@@ -810,6 +878,7 @@ TEST(SpecFuzz, MutatedSpecTextsRoundTripOrThrowInvalidArgument) {
       FAIL() << "mutant threw " << e.what() << ":\n" << mutant;
     }
     ++parsed;
+    expect_no_wrapped_number(spec, mutant);
     const auto text = scenario::to_spec_text(spec);
     ScenarioSpec again;
     try {
@@ -840,6 +909,9 @@ TEST(SpecFuzz, MutatedSweepTextsRoundTripOrThrowInvalidArgument) {
       FAIL() << "mutant threw " << e.what() << ":\n" << mutant;
     }
     ++parsed;
+    for (std::size_t p = 0; p < sweep.point_count(); ++p) {
+      expect_no_wrapped_number(sweep.point(p), mutant);
+    }
     const auto text = scenario::to_sweep_text(sweep);
     scenario::SweepSpec again;
     try {

@@ -3,10 +3,11 @@
 // scratch, buffer swaps) apart from buffers whose ownership is handed to the
 // caller, a model that alternates between training and evaluation batch
 // sizes must make no large allocation, and neither must an engine's first
-// steps on workers that have not trained before.  Global operator
-// new/new[] are replaced with counting versions for this binary (counting
-// all allocations, and separately the large ones); each test warms its path
-// up, then measures a tight window.
+// steps on workers that have not trained before, nor its construction copy
+// the training set.  Global operator new/new[] are replaced with counting
+// versions for this binary (counting all allocations, separately the large
+// ones, and the bytes requested); each test warms its path up, then
+// measures a tight window.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -34,9 +35,11 @@ namespace {
 constexpr std::size_t kLargeAlloc = 4096;
 std::atomic<std::size_t> g_alloc_count{0};
 std::atomic<std::size_t> g_large_alloc_count{0};
+std::atomic<std::size_t> g_alloc_bytes{0};
 
 void* counted_malloc(std::size_t size) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
   if (size >= kLargeAlloc) {
     g_large_alloc_count.fetch_add(1, std::memory_order_relaxed);
   }
@@ -81,6 +84,10 @@ std::size_t allocations() {
 
 std::size_t large_allocations() {
   return g_large_alloc_count.load(std::memory_order_relaxed);
+}
+
+std::size_t allocated_bytes() {
+  return g_alloc_bytes.load(std::memory_order_relaxed);
 }
 
 TEST(ErrorFeedbackTopK, CompressAllocatesOnlyTheReturnedVectors) {
@@ -420,6 +427,27 @@ TEST(Engine, FirstStepsOfFreshWorkersMakeNoLargeAllocation) {
   for (std::size_t w = 1; w < kWorkers; ++w) (void)engine.sgd_step(w, 0);
   (void)engine.eval_point(1, 1.0);
   EXPECT_EQ(large_allocations() - before, 0u);
+}
+
+TEST(Engine, ConstructionCopiesNoTrainingSample) {
+  // An engine borrows its training set: each shard is the partitioner's
+  // index list into it.  Building one over the cifar stand-in (150 samples
+  // per worker) allocates the index lists, the replica slots and the
+  // fabric, all told fewer bytes than the set's features — a per-shard
+  // copy of the samples alone would allocate as many.
+  constexpr std::size_t kWorkers = 8;
+  const auto train = data::make_cifar_like(kWorkers * 150, 113, 16);
+  const auto test = data::make_cifar_like(100, 113, 16);
+  sim::SimConfig cfg;
+  cfg.workers = kWorkers;
+  cfg.batch_size = 10;
+  cfg.seed = 127;
+  const std::size_t before = allocated_bytes();
+  const sim::Engine engine(
+      cfg, train, test, [] { return nn::make_tiny_cnn(3, 16, 10, 127); },
+      std::nullopt);
+  const std::size_t bytes = allocated_bytes() - before;
+  EXPECT_LT(bytes, train.size() * train.sample_dim() * sizeof(float));
 }
 
 TEST(Gemm, PackScratchIsReusedAcrossCalls) {
