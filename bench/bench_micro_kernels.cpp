@@ -1,8 +1,9 @@
 // google-benchmark micro-benchmarks for the kernels on the training and
 // communication hot paths: mask generation, masked extraction/merge, top-k
-// selection, GEMM, im2col/col2im, the 2×2 max-pool, one tiny-CNN training
-// step, a train/eval batch-size cycle and a serial engine's round-robin
-// local steps, blossom matching, and full gossip-matrix generation.
+// selection, GEMM, Conv2d passes, im2col/col2im, the 2×2 max-pool, one
+// tiny-CNN training step, a train/eval batch-size cycle and a serial
+// engine's round-robin local steps, blossom matching, and full
+// gossip-matrix generation.
 #include <benchmark/benchmark.h>
 
 #include "compress/mask.hpp"
@@ -12,6 +13,7 @@
 #include "gossip/generator.hpp"
 #include "graph/matching.hpp"
 #include "net/bandwidth.hpp"
+#include "nn/conv2d.hpp"
 #include "nn/models.hpp"
 #include "nn/pool.hpp"
 #include "sim/engine.hpp"
@@ -208,44 +210,129 @@ void BM_ParallelGemmConvShape(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelGemmConvShape)->Arg(2)->Arg(4);
 
-// The two 3×3 pad-1 tap shapes of the tiny CNN (make_tiny_cnn at 16×16,
-// width 8): conv1 reads a 3×16×16 image, conv2 an 8×8×8 one.  Args are
-// (channels, height = width).
-void tiny_cnn_tap_args(benchmark::internal::Benchmark* b) {
-  b->Args({3, 16})->Args({8, 8});
+// One nn::Conv2d pass at batch 10 over the stride-1 shapes the models
+// train: the tiny CNN's two 3×3 convs, CIFAR-CNN's two 5×5 convs and
+// ResNet-20's three 3×3 stages.  Args are (in channels, out channels,
+// height = width, kernel, bias); the padding keeps the plane size.  Items
+// are FLOPs: two per tap, output pixel and output channel, per pass.
+constexpr std::int64_t kConvShapes[][5] = {
+    {3, 8, 16, 3, 1},   {8, 16, 8, 3, 1},   {3, 32, 32, 5, 1},
+    {32, 64, 16, 5, 1}, {16, 16, 32, 3, 0}, {32, 32, 16, 3, 0},
+    {64, 64, 8, 3, 0}};
+
+// A bound Conv2d with random weights, input and output gradient.
+struct ConvLayer {
+  explicit ConvLayer(const benchmark::State& state)
+      : in_channels(static_cast<std::size_t>(state.range(0))),
+        kernel(static_cast<std::size_t>(state.range(3))),
+        conv(in_channels, static_cast<std::size_t>(state.range(1)), kernel, 1,
+             kernel / 2, state.range(4) != 0),
+        in({10, in_channels, static_cast<std::size_t>(state.range(2)),
+            static_cast<std::size_t>(state.range(2))}),
+        out(conv.output_shape(in.shape())),
+        dout(out.shape()),
+        params(conv.param_count()),
+        grads(conv.param_count()) {
+    conv.bind(params, grads, {});
+    saps::Rng rng(29);
+    conv.init(rng);
+    for (saps::Tensor* t : {&in, &dout}) {
+      for (std::size_t i = 0; i < t->numel(); ++i) {
+        (*t)[i] = rng.next_float() - 0.5f;
+      }
+    }
+  }
+  [[nodiscard]] std::int64_t flops_per_pass() const {
+    return 2 * static_cast<std::int64_t>(out.numel() * in_channels * kernel *
+                                         kernel);
+  }
+
+  std::size_t in_channels, kernel;
+  saps::nn::Conv2d conv;
+  saps::Tensor in, out, dout;
+  std::vector<float> params, grads;
+};
+
+void BM_Conv2dForward(benchmark::State& state) {
+  ConvLayer l(state);
+  for (auto _ : state) {
+    l.conv.forward(l.in, l.out, /*train=*/true);
+    benchmark::DoNotOptimize(l.out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          l.flops_per_pass());
+}
+BENCHMARK(BM_Conv2dForward)->Apply([](benchmark::internal::Benchmark* b) {
+  for (const auto& s : kConvShapes) b->Args({s[0], s[1], s[2], s[3], s[4]});
+});
+
+// The weight and bias gradients, plus the input gradient when the sixth arg
+// is 1 (a model's first conv skips it).
+void BM_Conv2dBackward(benchmark::State& state) {
+  ConvLayer l(state);
+  const bool want_din = state.range(5) != 0;
+  saps::Tensor din;
+  if (want_din) din.resize(l.in.shape());
+  for (auto _ : state) {
+    l.conv.backward(l.in, l.dout, din);
+    benchmark::DoNotOptimize(l.grads.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          l.flops_per_pass() * (want_din ? 2 : 1));
+}
+BENCHMARK(BM_Conv2dBackward)->Apply([](benchmark::internal::Benchmark* b) {
+  for (const auto& s : kConvShapes) {
+    for (const std::int64_t din : {0, 1}) {
+      b->Args({s[0], s[1], s[2], s[3], s[4], din});
+    }
+  }
+});
+
+// The 3×3 stride-2 pad-1 shapes of ResNet-20's two downsampling convs, the
+// convolutions that still run im2col + GEMM: they read a 16×32×32 and a
+// 32×16×16 input.  Args are (channels, height = width).
+void resnet_downsample_args(benchmark::internal::Benchmark* b) {
+  b->Args({16, 32})->Args({32, 16});
+}
+
+// Taps × output pixels of a 3×3 stride-2 pad-1 conv over a hw × hw input.
+std::size_t downsample_cols(std::size_t c, std::size_t hw) {
+  return c * 9 * (hw / 2) * (hw / 2);
 }
 
 void BM_Im2col(benchmark::State& state) {
   const auto c = static_cast<std::size_t>(state.range(0));
   const auto hw = static_cast<std::size_t>(state.range(1));
   saps::Rng rng(20);
-  std::vector<float> img(c * hw * hw), cols(c * 9 * hw * hw);
+  std::vector<float> img(c * hw * hw), cols(downsample_cols(c, hw));
   for (auto& v : img) v = rng.next_float() - 0.5f;
   for (auto _ : state) {
-    saps::ops::im2col(img, c, hw, hw, 3, 3, 1, 1, cols);
+    saps::ops::im2col(img, c, hw, hw, 3, 3, 2, 1, cols);
     benchmark::DoNotOptimize(cols.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(cols.size()));
 }
-BENCHMARK(BM_Im2col)->Apply(tiny_cnn_tap_args);
+BENCHMARK(BM_Im2col)->Apply(resnet_downsample_args);
 
 void BM_Col2im(benchmark::State& state) {
   const auto c = static_cast<std::size_t>(state.range(0));
   const auto hw = static_cast<std::size_t>(state.range(1));
   saps::Rng rng(21);
-  std::vector<float> cols(c * 9 * hw * hw), img(c * hw * hw, 0.0f);
+  std::vector<float> cols(downsample_cols(c, hw)), img(c * hw * hw, 0.0f);
   for (auto& v : cols) v = rng.next_float() - 0.5f;
   for (auto _ : state) {
-    saps::ops::col2im(cols, c, hw, hw, 3, 3, 1, 1, img);
+    saps::ops::col2im(cols, c, hw, hw, 3, 3, 2, 1, img);
     benchmark::DoNotOptimize(img.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(cols.size()));
 }
-BENCHMARK(BM_Col2im)->Apply(tiny_cnn_tap_args);
+BENCHMARK(BM_Col2im)->Apply(resnet_downsample_args);
 
 // One local SGD step's forward + backward on the tiny CNN the cifar
 // workload trains (3×16×16 input, width 8, batch 10) — the per-step cost

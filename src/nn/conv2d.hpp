@@ -1,4 +1,6 @@
-// 2-D convolution (NCHW) via im2col + GEMM.
+// 2-D convolution (NCHW).  Stride-1 convolutions run the direct kernels
+// (ops::conv_forward, conv_weight_grad, conv_input_grad); strided ones run
+// im2col + GEMM (+ col2im).  Both give the same bits.
 #pragma once
 
 #include "nn/layer.hpp"
@@ -29,8 +31,12 @@ class Conv2d final : public Layer {
   std::size_t in_channels_, out_channels_, kernel_, stride_, pad_;
   bool has_bias_;
   std::span<float> w_, b_, dw_, db_;
-  std::vector<float> cols_;   // im2col scratch, reused across samples/calls
-  std::vector<float> dcols_;  // backward column-gradient scratch, reused too
+  // Reused across samples and calls.  scratch_ holds the im2col columns
+  // (strided) or the padded sample and transposed gradients (stride 1);
+  // din_scratch_ the column gradient or the padded gradient plane, sized
+  // only once an input gradient is wanted.
+  std::vector<float> scratch_;
+  std::vector<float> din_scratch_;
 };
 
 }  // namespace saps::nn

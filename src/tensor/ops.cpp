@@ -104,11 +104,6 @@ void im2col(std::span<const float> img, std::size_t channels,
   require_same(cols.size(), channels * kernel_h * kernel_w * out_h * out_w,
                "im2col cols");
   const std::size_t plane = out_h * out_w;
-  // A stride-1 "same" convolution maps the image onto itself, so each tap
-  // row is the channel plane shifted by (kh - pad, kw - pad): one
-  // contiguous copy, after which the rows and edge columns that fell off
-  // the image (and picked up wrapped neighbours) are zeroed.
-  const bool same = stride == 1 && out_h == height && out_w == width;
   std::size_t row = 0;
   for (std::size_t c = 0; c < channels; ++c) {
     const float* src = img.data() + c * height * width;
@@ -117,17 +112,7 @@ void im2col(std::span<const float> img, std::size_t channels,
       for (std::size_t kw = 0; kw < kernel_w; ++kw, ++row) {
         const ValidRange run = valid_range(out_w, width, kw, stride, pad);
         float* dst = cols.data() + row * plane;
-        if (same) {
-          // The source offset of the shift: kh - pad rows, kw - pad columns.
-          const auto shift = static_cast<std::ptrdiff_t>(kh * width + kw) -
-                             static_cast<std::ptrdiff_t>(pad * (width + 1));
-          const auto n = static_cast<std::ptrdiff_t>(plane);
-          const std::ptrdiff_t begin = std::max<std::ptrdiff_t>(0, -shift);
-          const std::ptrdiff_t end = std::min(n, n - shift);
-          if (begin < end) {
-            std::copy(src + begin + shift, src + end + shift, dst + begin);
-          }
-        } else if (run.lo < run.hi) {
+        if (run.lo < run.hi) {
           const std::size_t len = run.hi - run.lo;
           const std::size_t iw0 = run.lo * stride + kw - pad;
           for (std::size_t oh = rows.lo; oh < rows.hi; ++oh) {

@@ -2,7 +2,8 @@
 //
 // The distributed algorithms treat a model as one flat parameter vector
 // (paper notation x ∈ R^N), so all compression / averaging / SGD arithmetic
-// happens through these span kernels.  GEMM and im2col serve src/nn.
+// happens through these span kernels.  GEMM, im2col and the direct
+// stride-1 convolution kernels serve src/nn.
 //
 // The GEMM family runs on the packed, register- and cache-blocked kernel
 // layer in tensor/gemm.cpp (see docs/ARCHITECTURE.md, "Kernel layer"): a
@@ -19,6 +20,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 namespace saps {
 class ThreadPool;
@@ -146,5 +148,39 @@ void col2im(std::span<const float> cols, std::size_t channels,
             std::size_t height, std::size_t width, std::size_t kernel_h,
             std::size_t kernel_w, std::size_t stride, std::size_t pad,
             std::span<float> img_grad);
+
+// --- direct stride-1 convolution (tensor/conv.cpp) ---------------------------
+//
+// The three passes of a stride-1 convolution over a batch of NCHW samples,
+// without im2col columns or packed panels.  Each is bit-identical to its
+// im2col + GEMM (+ col2im) counterpart on either backend.  `scratch` holds
+// the zero-padded sample or gradient plane; it only grows, so a warm caller
+// makes no allocation.  Weights are (out_channels × channels·kernel²).
+
+/// One sample's input (channels × height × width), out_channels square
+/// kernels, zero padding `pad` on every side.
+struct ConvShape {
+  std::size_t channels, height, width, out_channels, kernel, pad;
+};
+
+/// out(s) = W · im2col(in(s)), plus bias[oc] on output channel oc unless
+/// `bias` is empty: gemm_fused with a row bias (gemm without one).
+void conv_forward(const ConvShape& shape, std::size_t batch,
+                  std::span<const float> in, std::span<const float> weight,
+                  std::span<const float> bias, std::span<float> out,
+                  std::vector<float>& scratch);
+
+/// dweight += dout(s) · im2col(in(s))ᵀ for s ascending: gemm_a_bt_acc per
+/// sample.
+void conv_weight_grad(const ConvShape& shape, std::size_t batch,
+                      std::span<const float> in, std::span<const float> dout,
+                      std::span<float> dweight, std::vector<float>& scratch);
+
+/// din(s) = col2im(Wᵀ · dout(s)) into zeroed images, din overwritten:
+/// gemm_at_b_acc into zeroed columns, then col2im.
+void conv_input_grad(const ConvShape& shape, std::size_t batch,
+                     std::span<const float> weight,
+                     std::span<const float> dout, std::span<float> din,
+                     std::vector<float>& scratch);
 
 }  // namespace saps::ops

@@ -2,12 +2,14 @@
 // the training substrate computes correct derivatives.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
 
+#include "conv_oracle.hpp"
 #include "nn/activation.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/conv2d.hpp"
@@ -388,6 +390,79 @@ TEST(Conv2d, EmptyDinKeepsParameterGradients) {
   expect_empty_din_keeps_param_grads(same, {2, 3, 6, 6});
   Conv2d strided(2, 3, 3, 2, 1, /*bias=*/false);
   expect_empty_din_keeps_param_grads(strided, {2, 2, 7, 5});
+}
+
+TEST(Conv2d, StrideOneRunsMatchIm2colGemmBitForBit) {
+  // A stride-1 Conv2d takes the direct kernels.  Over a batch of 3, its
+  // output, its weight and bias gradients (accumulated onto earlier ones)
+  // and its input gradient must equal the im2col + GEMM path's bits, on both
+  // backends: the tiny CNN's two convs, CIFAR-CNN's 5×5, a bias-free ResNet
+  // conv, and odd widths and channel counts that leave tails everywhere.
+  const ops::ConvShape shapes[] = {{3, 16, 16, 8, 3, 1}, {8, 8, 8, 16, 3, 1},
+                                   {3, 12, 12, 20, 5, 2}, {16, 4, 4, 16, 3, 1},
+                                   {5, 7, 9, 3, 3, 0},    {2, 9, 5, 11, 5, 4},
+                                   {4, 6, 13, 6, 1, 0}};
+  constexpr std::size_t kBatch = 3;
+  for (const auto backend : {ops::GemmBackend::kPortable,
+                             ops::GemmBackend::kAvx2}) {
+    if (!ops::gemm_backend_available(backend)) continue;
+    ops::set_gemm_backend(backend);
+    Rng rng(43);
+    for (const auto& s : shapes) {
+      for (const bool bias : {true, false}) {
+        SCOPED_TRACE(testing::PrintToString(std::array{
+            s.channels, s.height, s.width, s.out_channels, s.kernel, s.pad,
+            std::size_t{bias}, static_cast<std::size_t>(backend)}));
+        const auto d = test_util::conv_dims(s);
+        Conv2d layer(s.channels, s.out_channels, s.kernel, 1, s.pad, bias);
+        const bool nonfinite = !bias;
+        auto params = test_util::conv_test_values(rng, layer.param_count(),
+                                                  nonfinite);
+        auto grads = test_util::conv_test_values(rng, layer.param_count(),
+                                                 nonfinite);
+        const auto grads_before = grads;
+        layer.bind(params, grads, {});
+        const std::vector<std::size_t> in_shape{kBatch, s.channels, s.height,
+                                                s.width};
+        const auto x = test_util::conv_test_values(rng, kBatch * d.in_size,
+                                                   nonfinite);
+        const auto dy = test_util::conv_test_values(rng, kBatch * d.out_size,
+                                                    nonfinite);
+        Tensor in(in_shape, x), out(layer.output_shape(in_shape));
+        Tensor dout(out.shape(), dy), din(in_shape);
+
+        const std::size_t wsize = s.out_channels * d.taps;
+        const std::vector<float> w(params.begin(), params.begin() + wsize);
+        const std::vector<float> b(params.begin() + wsize, params.end());
+        std::vector<float> out_want(out.numel());
+        test_util::oracle_conv_forward(s, kBatch, x, w, b, out_want);
+        layer.forward(in, out, /*train=*/true);
+        EXPECT_TRUE(same_bits(out.data(), out_want.data(), out.numel()));
+
+        std::vector<float> dw_want(grads_before.begin(),
+                                   grads_before.begin() + wsize);
+        test_util::oracle_conv_weight_grad(s, kBatch, x, dy, dw_want);
+        std::vector<float> din_want(din.numel());
+        test_util::oracle_conv_input_grad(s, kBatch, w, dy, din_want);
+        layer.backward(in, dout, din);
+        EXPECT_TRUE(same_bits(grads.data(), dw_want.data(), wsize));
+        EXPECT_TRUE(same_bits(din.data(), din_want.data(), din.numel()));
+        // The bias gradient keeps its per-sample plane sums.
+        for (std::size_t oc = 0; bias && oc < s.out_channels; ++oc) {
+          float db = grads_before[wsize + oc];
+          for (std::size_t n = 0; n < kBatch; ++n) {
+            float sum = 0.0f;
+            for (std::size_t p = 0; p < d.pixels; ++p) {
+              sum += dy[n * d.out_size + oc * d.pixels + p];
+            }
+            db += sum;
+          }
+          EXPECT_TRUE(same_bits(&grads[wsize + oc], &db, 1)) << "db " << oc;
+        }
+      }
+    }
+  }
+  ops::set_gemm_backend(ops::GemmBackend::kAuto);
 }
 
 TEST(BatchNorm2d, EmptyDinKeepsParameterGradients) {

@@ -8,6 +8,7 @@
 #include <tuple>
 #include <vector>
 
+#include "conv_oracle.hpp"
 #include "util/rng.hpp"
 
 namespace saps {
@@ -271,9 +272,9 @@ bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
 }
 
 TEST(Im2col, RunKernelsMatchPerElementOracleBitForBit) {
-  // Every {C, H, W, K, stride, pad} below, including "same" stride-1 shapes
-  // (the shifted-plane copy), pad >= H (taps that never touch the image),
-  // and strided and 1x1 shapes (per-row runs).  Buffers are sized exactly,
+  // Every {C, H, W, K, stride, pad} below, including "same" stride-1
+  // shapes, pad >= H (taps that never touch the image), and strided and 1x1
+  // shapes.  Buffers are sized exactly,
   // so an overrun shows under ASan.  col2im accumulates into a gradient that
   // already holds values of mixed magnitude, so any change in a pixel's
   // accumulation order changes its bits.
@@ -323,6 +324,130 @@ TEST(Im2col, RunKernelsMatchPerElementOracleBitForBit) {
     ops::col2im(cols, c, h, w, k, k, stride, pad, grad_got);
     EXPECT_TRUE(same_bits(grad_got, grad_want)) << "col2im";
   }
+}
+
+// Every stride-1 convolution over the sets below with a non-empty output:
+// C ∈ {1, 3, 8}, H, W ∈ {1, 3, 4, 7, 8, 9, 12, 16, 17} (every pair at
+// C = 1, square planes at C = 3 and 8 to bound the sanitizer build's run
+// time), K ∈ {1, 3, 5} and each pad in [0, K−1].  The output channels
+// cycle through {1, 3, 8, 16, 20}, so each count meets every width and
+// kernel, and every fourth shape draws ±inf and NaN as well as ±0 and
+// denormals.
+struct ConvCase {
+  ops::ConvShape shape;
+  bool nonfinite;
+};
+
+std::vector<ConvCase> direct_conv_cases() {
+  std::vector<ConvCase> cases;
+  const std::size_t extents[] = {1, 3, 4, 7, 8, 9, 12, 16, 17};
+  const std::size_t out_channels[] = {1, 3, 8, 16, 20};
+  for (const std::size_t c : {1, 3, 8}) {
+    for (const std::size_t h : extents) {
+      for (const std::size_t w : extents) {
+        if (c > 1 && h != w) continue;
+        for (const std::size_t k : {1, 3, 5}) {
+          for (std::size_t pad = 0; pad < k; ++pad) {
+            if (h + 2 * pad < k || w + 2 * pad < k) continue;
+            const std::size_t oc = out_channels[cases.size() % 5];
+            cases.push_back({{c, h, w, oc, k, pad}, cases.size() % 4 == 0});
+          }
+        }
+      }
+    }
+  }
+  return cases;
+}
+
+constexpr std::size_t kConvBatch = 2;
+
+// One case's shape and sizes, and its value source.
+struct ConvRun {
+  ops::ConvShape shape;
+  test_util::ConvDims dims;
+  bool nonfinite;
+  Rng& rng;
+  [[nodiscard]] std::vector<float> values(std::size_t n) const {
+    return test_util::conv_test_values(rng, n, nonfinite);
+  }
+};
+
+// Runs `check` over every case on each backend this CPU has, stopping at
+// the first failure, then restores the default backend.
+template <typename F>
+void for_each_conv_case(std::uint64_t seed, F&& check) {
+  const auto cases = direct_conv_cases();
+  for (const auto backend :
+       {ops::GemmBackend::kPortable, ops::GemmBackend::kAvx2}) {
+    if (!ops::gemm_backend_available(backend)) continue;
+    SCOPED_TRACE(backend == ops::GemmBackend::kAvx2 ? "avx2" : "portable");
+    ops::set_gemm_backend(backend);
+    Rng rng(seed);
+    std::vector<float> scratch;
+    for (const auto& [shape, nonfinite] : cases) {
+      SCOPED_TRACE(testing::PrintToString(
+          std::array{shape.channels, shape.height, shape.width,
+                     shape.out_channels, shape.kernel, shape.pad}));
+      check(ConvRun{shape, test_util::conv_dims(shape), nonfinite, rng},
+            scratch);
+      if (testing::Test::HasFailure()) break;
+    }
+  }
+  ops::set_gemm_backend(ops::GemmBackend::kAuto);
+}
+
+TEST(ConvDirect, ForwardMatchesIm2colGemmBitForBit) {
+  EXPECT_EQ(direct_conv_cases().size(), 802u);
+  for_each_conv_case(31, [](const ConvRun& r, std::vector<float>& scratch) {
+    const auto in = r.values(kConvBatch * r.dims.in_size);
+    const auto w = r.values(r.shape.out_channels * r.dims.taps);
+    auto bias = r.values(r.shape.out_channels);
+    if (r.rng() % 2 == 0) bias.clear();
+    std::vector<float> want(kConvBatch * r.dims.out_size, -1.0f);
+    std::vector<float> got(want.size(), -2.0f);
+    test_util::oracle_conv_forward(r.shape, kConvBatch, in, w, bias, want);
+    ops::conv_forward(r.shape, kConvBatch, in, w, bias, got, scratch);
+    EXPECT_TRUE(same_bits(got, want));
+  });
+}
+
+TEST(ConvDirect, WeightGradAccumulatesLikeIm2colGemmBitForBit) {
+  for_each_conv_case(37, [](const ConvRun& r, std::vector<float>& scratch) {
+    const auto in = r.values(kConvBatch * r.dims.in_size);
+    const auto dout = r.values(kConvBatch * r.dims.out_size);
+    // dW already holds a gradient: both paths must seed from it.
+    auto want = r.values(r.shape.out_channels * r.dims.taps);
+    auto got = want;
+    test_util::oracle_conv_weight_grad(r.shape, kConvBatch, in, dout, want);
+    ops::conv_weight_grad(r.shape, kConvBatch, in, dout, got, scratch);
+    EXPECT_TRUE(same_bits(got, want));
+  });
+}
+
+TEST(ConvDirect, InputGradMatchesGemmCol2imBitForBit) {
+  for_each_conv_case(41, [](const ConvRun& r, std::vector<float>& scratch) {
+    const auto w = r.values(r.shape.out_channels * r.dims.taps);
+    const auto dout = r.values(kConvBatch * r.dims.out_size);
+    std::vector<float> want(kConvBatch * r.dims.in_size);
+    // The direct kernel overwrites din, whatever it held.
+    auto got = r.values(want.size());
+    test_util::oracle_conv_input_grad(r.shape, kConvBatch, w, dout, want);
+    ops::conv_input_grad(r.shape, kConvBatch, w, dout, got, scratch);
+    EXPECT_TRUE(same_bits(got, want));
+  });
+}
+
+TEST(ConvDirect, RejectsMismatchedSpans) {
+  const ops::ConvShape shape{2, 4, 4, 3, 3, 1};
+  std::vector<float> in(2 * 16), w(3 * 18), out(3 * 16), scratch;
+  EXPECT_NO_THROW(ops::conv_forward(shape, 1, in, w, {}, out, scratch));
+  EXPECT_THROW(ops::conv_forward(shape, 2, in, w, {}, out, scratch),
+               std::invalid_argument);
+  EXPECT_THROW(ops::conv_forward({2, 4, 4, 3, 7, 1}, 1, in, w, {}, out,
+                                 scratch),
+               std::invalid_argument);
+  EXPECT_THROW(ops::conv_input_grad(shape, 1, w, out, out, scratch),
+               std::invalid_argument);
 }
 
 }  // namespace
