@@ -5,35 +5,55 @@ namespace saps::algos {
 sim::RunResult run_rounds(
     sim::Engine& engine, const char* name,
     const std::function<void(std::size_t, sim::Engine&)>& on_round,
-    const std::function<void(const Round&)>& step) {
-  const std::size_t n = engine.workers();
+    const Schedule& schedule, const std::function<void(const Round&)>& step) {
   const std::size_t steps = engine.steps_per_epoch();
-  const EvalSchedule schedule(engine.config(), steps);
-  const auto eval = [&](std::size_t round) {
-    return engine.eval_point(
-        round, static_cast<double>(round) / static_cast<double>(steps));
-  };
+  const std::size_t epochs = engine.config().epochs;
+  const bool accumulated = schedule.epochs_per_round > 0.0;
+  const EvalSchedule cadence(engine.config(), steps);
 
   sim::RunResult result;
   result.algorithm = name;
-  result.history.push_back(eval(0));
+  const auto eval = [&](std::size_t round, double epoch) {
+    result.history.push_back(
+        engine.eval_point(round, epoch, schedule.eval_params));
+  };
+  const auto synchronous_epoch = [&](std::size_t round) {
+    return static_cast<double>(round) / static_cast<double>(steps);
+  };
+
+  eval(0, 0.0);
   std::vector<std::size_t> active;
-  active.reserve(n);
-  std::size_t round = 0;
-  for (std::size_t epoch = 0; epoch < engine.config().epochs; ++epoch) {
-    for (std::size_t s = 0; s < steps; ++s) {
-      if (on_round) on_round(round, engine);
-      active.clear();
-      for (std::size_t w = 0; w < n; ++w) {
-        if (engine.active(w)) active.push_back(w);
-      }
-      step({.index = round, .epoch = epoch, .active = active});
-      ++round;
-      if (schedule.due(round)) result.history.push_back(eval(round));
+  active.reserve(engine.cohort_size());
+  double progress = 0.0;  // epochs completed, when accumulated
+  std::size_t round = 0;  // rounds completed
+  while (accumulated ? progress < static_cast<double>(epochs)
+                     : round < epochs * steps) {
+    if (engine.cohort_mode()) {
+      engine.begin_round_cohort(round + schedule.cohort_key_offset,
+                                schedule.keep);
+    }
+    if (on_round) on_round(round, engine);
+    active.clear();
+    for (const auto w : engine.roster()) {
+      if (engine.active(w)) active.push_back(w);
+    }
+    step({.index = round,
+          .epoch = accumulated ? static_cast<std::size_t>(progress)
+                               : round / steps,
+          .active = active});
+    ++round;
+    if (accumulated) {
+      // Known defect, a FOUND line of CHANGES.md: the sum can fall just
+      // short of a whole epoch (six rounds of 1/6 make 0.9999999999999999),
+      // and the run then takes one round more than its epoch budget.
+      progress += schedule.epochs_per_round;
+      eval(round, progress);
+    } else if (cadence.due(round)) {
+      eval(round, synchronous_epoch(round));
     }
   }
   if (result.history.back().round != round) {
-    result.history.push_back(eval(round));
+    eval(round, synchronous_epoch(round));
   }
   return result;
 }

@@ -1,7 +1,7 @@
 // Common interface for the distributed-training algorithms of the paper's
 // comparison (Section IV): PSGD, TopK-PSGD, FedAvg, S-FedAvg, D-PSGD,
 // DCD-PSGD (here, in src/algos) and SAPS-PSGD (in src/core), plus the round
-// driver and the receive rule the synchronous ones share.
+// driver every one of them runs on and the receive rule they share.
 #pragma once
 
 #include <cstddef>
@@ -19,18 +19,21 @@
 namespace saps::algos {
 
 /// Scenario dynamics every algorithm honors: a per-round liveness hook (the
-/// registry turns a dropout/rejoin failure schedule into engine set_active
+/// Runner turns a dropout/rejoin failure schedule into engine set_active
 /// flips) plus the merge rule robust aggregation swaps in for the plain
 /// mean.  The default-constructed value is the static run: no hook and
 /// MergeRule::kMean.
 struct Dynamics {
-  /// Called with the 0-based round index before every algorithm round.
+  /// Called by run_rounds with the 0-based round index before every round,
+  /// after the round's cohort draw, so its set_active flips survive it.
   std::function<void(std::size_t round, sim::Engine& engine)> on_round;
+  /// SAPS-PSGD's pairwise merge has no robust form and ignores these two.
   compress::MergeRule merge = compress::MergeRule::kMean;
   double trim_frac = 0.2;
   /// Attack-aware reputation scoring: > 0 runs a core::ReputationMonitor
-  /// with this per-round decay (server-side, observe-only, for detection
-  /// metrics); 0 keeps the run monitor-free.
+  /// with this per-round decay (SAPS workers score their matched peer; the
+  /// FedAvg family scores uploads server-side, observe-only); 0 keeps the
+  /// run monitor-free.
   double reputation_decay = 0.0;
 
   [[nodiscard]] bool robust() const noexcept {
@@ -66,25 +69,44 @@ class EvalSchedule {
   std::size_t interval_;
 };
 
-/// One round of a synchronous run, as run_rounds hands it to the step.
+/// One round, as run_rounds hands it to the step.
 struct Round {
   std::size_t index;                    // 0-based round index
   std::size_t epoch;                    // drives the LR schedule
-  std::span<const std::size_t> active;  // active workers, ascending
+  std::span<const std::size_t> active;  // roster ∩ active, ascending
 };
 
-/// The round driver of the synchronous algorithms (PSGD, D-PSGD, DCD-PSGD,
-/// TopK-PSGD, QSGD-PSGD, SAPS-PSGD).  Evaluates at round 0, then runs
-/// epochs × steps_per_epoch rounds: before each it calls `on_round` (when
-/// set) and lists the active workers, then calls `step`.  Evaluates on the
-/// EvalSchedule cadence, and once more after the last round if the cadence
-/// missed it.  Returns the metric history under `name`.
+/// How run_rounds paces a run, draws its cohorts and what it evaluates.  The
+/// default is the synchronous schedule (PSGD, D-PSGD, DCD-PSGD, TopK-PSGD,
+/// QSGD-PSGD, SAPS-PSGD); FedAvg and S-FedAvg set every field.
+struct Schedule {
+  /// 0: epochs × steps_per_epoch rounds, round r in epoch r /
+  /// steps_per_epoch, evaluated on the EvalSchedule cadence and once more
+  /// after the last round if the cadence missed it.  > 0: each round adds
+  /// this many epochs to an accumulated progress and the run stops when it
+  /// reaches epochs; a round's epoch is the floor of the progress before
+  /// it, and every round is evaluated at the progress after it.
+  double epochs_per_round = 0.0;
+  /// The parameters evaluated (FedAvg: the server model, which must outlive
+  /// the run); empty evaluates the mean of the active workers.
+  std::span<const float> eval_params;
+  /// In cohort mode round r draws begin_round_cohort(r + cohort_key_offset,
+  /// keep).
+  std::size_t cohort_key_offset = 0;
+  sim::Engine::Keep keep = sim::Engine::Keep::kAll;
+};
+
+/// The round driver of all eight algorithms.  Evaluates at round 0, then
+/// runs the rounds `schedule` paces.  Each round, in order: the cohort draw
+/// (cohort mode only), `on_round` (when set), the list of resident active
+/// workers, `step`, and evaluation.  Returns the metric history under
+/// `name`.
 sim::RunResult run_rounds(
     sim::Engine& engine, const char* name,
     const std::function<void(std::size_t, sim::Engine&)>& on_round,
-    const std::function<void(const Round&)>& step);
+    const Schedule& schedule, const std::function<void(const Round&)>& step);
 
-/// The receive rule of every synchronous exchange.  Drains `node`'s mailbox
+/// The receive rule of every exchange.  Drains `node`'s mailbox
 /// to empty.  Each frame fills the first open slot k whose expected sender
 /// senders[k] posted it, if `keep(k, frame)` accepts it (it returns false
 /// for a frame that is not valid this round: from another round, or

@@ -28,7 +28,7 @@ sim::RunResult DPsgd::run(sim::Engine& engine) {
   std::vector<std::vector<float>> next(engine.workers(),
                                        std::vector<float>(dim));
 
-  return run_rounds(engine, name(), dyn_.on_round, [&](const Round& r) {
+  return run_rounds(engine, name(), dyn_.on_round, {}, [&](const Round& r) {
     const auto act = r.active;
     const std::size_t m = act.size();
     engine.for_each_worker(
@@ -131,7 +131,7 @@ sim::RunResult DcdPsgd::run(sim::Engine& engine) {
   std::vector<std::size_t> ring_set(n);
   for (std::size_t w = 0; w < n; ++w) ring_set[w] = w;
 
-  return run_rounds(engine, name(), dyn_.on_round, [&](const Round& r) {
+  return run_rounds(engine, name(), dyn_.on_round, {}, [&](const Round& r) {
     const auto act = r.active;
     const std::size_t m = act.size();
     engine.for_each_worker(
@@ -249,8 +249,8 @@ void register_dpsgd(Registry& r) {
       {.key = "dpsgd",
        .summary = "D-PSGD: full-model averaging on the fixed ring",
        .supports_failures = true,
-       .make = [](const ParamSet&, const AlgoBuildContext& ctx) {
-         return std::make_unique<algos::DPsgd>(make_dynamics(ctx));
+       .make = [](const ParamSet&, algos::Dynamics dyn) {
+         return std::make_unique<algos::DPsgd>(std::move(dyn));
        }});
   r.add_algorithm(
       {.key = "dcd",
@@ -263,10 +263,10 @@ void register_dpsgd(Registry& r) {
                    .max_value = 1e12,
                    .help = "DCD-PSGD compression ratio c (paper 4; c >= 100 "
                            "fails to converge)"}},
-       .make = [](const ParamSet& p, const AlgoBuildContext& ctx) {
+       .make = [](const ParamSet& p, algos::Dynamics dyn) {
          return std::make_unique<algos::DcdPsgd>(
              algos::DcdConfig{.compression = p.get_double("dcd-c")},
-             make_dynamics(ctx));
+             std::move(dyn));
        }});
 }
 

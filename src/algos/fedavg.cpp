@@ -16,9 +16,6 @@ FedAvg::FedAvg(FedAvgConfig config, Dynamics dynamics)
   if (config_.fraction <= 0.0 || config_.fraction > 1.0) {
     throw std::invalid_argument("FedAvg: fraction must be in (0, 1]");
   }
-  if (config_.local_epochs == 0) {
-    throw std::invalid_argument("FedAvg: local_epochs must be >= 1");
-  }
   if (config_.upload_compression < 0.0 ||
       (config_.upload_compression > 0.0 && config_.upload_compression < 1.0)) {
     throw std::invalid_argument("FedAvg: bad upload_compression");
@@ -36,9 +33,6 @@ sim::RunResult FedAvg::run(sim::Engine& engine) {
   const auto participants_per_round = std::max<std::size_t>(
       1, static_cast<std::size_t>(config_.fraction * static_cast<double>(n)));
 
-  sim::RunResult result;
-  result.algorithm = name();
-
   // Server-side reputation scoring: every received upload is compared
   // against the round's global model (observer = the server's lane, n).
   // Observe-only — detection metrics never perturb the aggregate.
@@ -51,14 +45,11 @@ sim::RunResult FedAvg::run(sim::Engine& engine) {
 
   // The global model starts as the common initialization.
   std::vector<float> global(engine.params(0).begin(), engine.params(0).end());
-  result.history.push_back(engine.eval_point(0, 0.0, global));
 
   Rng rng(derive_seed(cfg.seed, 0xfeda49));
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), std::size_t{0});
 
-  double epoch_progress = 0.0;
-  std::size_t round = 0;
   std::vector<float> accum(dim);
   std::vector<std::size_t> part;
   std::vector<std::uint8_t> got_down(n, 0);
@@ -72,33 +63,40 @@ sim::RunResult FedAvg::run(sim::Engine& engine) {
   std::vector<const float*> inputs;
   std::vector<std::vector<float>> scratch(
       engine.chunk_count(std::max<std::size_t>(dim, 1)));
-  while (epoch_progress < static_cast<double>(cfg.epochs)) {
-    ++round;
-    // Sample participants without replacement.  In pooled (cohort) mode the
-    // engine's per-round draw IS the participant set — FedAvg's client
-    // sampling and the population cohort are the same mechanism, so the
-    // fraction knob defers to the spec's cohort size.  A deselected client
-    // keeps no parameters: the download overwrites them before they are
-    // read.
-    std::span<const std::size_t> chosen;
+
+  // A round is `local_steps` local steps per participant (one local epoch
+  // when 0).  Rounds are counted from 1 here, as they always were: the
+  // cohort key, the S-FedAvg mask seed and MaskedModelMsg::round.  A
+  // deselected client keeps no parameters: the download overwrites them
+  // before they are read.
+  const Schedule pace{
+      .epochs_per_round =
+          config_.local_steps > 0
+              ? static_cast<double>(config_.local_steps) /
+                    static_cast<double>(engine.steps_per_epoch())
+              : 1.0,
+      .eval_params = global,
+      .cohort_key_offset = 1,
+      .keep = sim::Engine::Keep::kAllButParams};
+  return run_rounds(engine, name(), dyn_.on_round, pace, [&](const Round& r) {
+    const std::size_t round = r.index + 1;
+    // In pooled (cohort) mode the engine's per-round draw IS the participant
+    // set — FedAvg's client sampling and the population cohort are the same
+    // mechanism, so the fraction knob defers to the spec's cohort size.
+    // Otherwise participants are sampled without replacement, and keep the
+    // sampled order, which fixes the aggregation order.  The draw is NEVER
+    // filtered — a failure schedule must not shift the sampling stream —
+    // but workers currently away sit the round out.
     if (engine.cohort_mode()) {
-      chosen = engine.begin_round_cohort(round,
-                                         sim::Engine::Keep::kAllButParams);
+      part.assign(r.active.begin(), r.active.end());
     } else {
       for (std::size_t i = n; i > 1; --i) {
         std::swap(order[i - 1], order[rng.next_below(i)]);
       }
-      chosen = std::span<const std::size_t>(order.data(),
-                                            participants_per_round);
-    }
-    // The selection draw above is NEVER filtered — a failure schedule must
-    // not shift the sampling stream — but workers currently away sit the
-    // round out.  The hook runs after begin_round_cohort so its set_active
-    // flips survive the cohort reset (same ordering as SAPS).
-    if (dyn_.on_round) dyn_.on_round(round - 1, engine);
-    part.clear();
-    for (const auto w : chosen) {
-      if (engine.active(w)) part.push_back(w);
+      part.clear();
+      for (std::size_t i = 0; i < participants_per_round; ++i) {
+        if (engine.active(order[i])) part.push_back(order[i]);
+      }
     }
 
     // Download phase: server → participants, one FullModelMsg each (encoded
@@ -131,22 +129,20 @@ sim::RunResult FedAvg::run(sim::Engine& engine) {
       if (got_down[w]) sent.push_back(w);
     }
 
-    // Local training: E epochs (or a fixed step count) on each participant
-    // that received the global model.  Participants own disjoint
-    // models/samplers/optimizers, so their whole local schedules run in
-    // parallel.
-    const auto lr_epoch = static_cast<std::size_t>(epoch_progress);
+    // Local training: a fixed step count (or one local epoch) on each
+    // participant that received the global model.  Participants own
+    // disjoint models/samplers/optimizers, so their whole local schedules
+    // run in parallel.
     engine.parallel_for(sent.size(), [&](std::size_t i) {
       const std::size_t w = sent[i];
       const std::size_t local_steps =
           config_.local_steps > 0
               ? config_.local_steps
-              : config_.local_epochs *
-                    std::max<std::size_t>(
-                        1, (engine.shard_size(w) + cfg.batch_size - 1) /
-                               cfg.batch_size);
+              : std::max<std::size_t>(
+                    1, (engine.shard_size(w) + cfg.batch_size - 1) /
+                           cfg.batch_size);
       for (std::size_t s = 0; s < local_steps; ++s) {
-        engine.sgd_step(w, lr_epoch);
+        engine.sgd_step(w, r.epoch);
       }
     });
 
@@ -285,15 +281,7 @@ sim::RunResult FedAvg::run(sim::Engine& engine) {
         for (std::size_t j = begin; j < end; ++j) global[j] = accum[j] * inv;
       });
     }
-
-    epoch_progress +=
-        config_.local_steps > 0
-            ? static_cast<double>(config_.local_steps) /
-                  static_cast<double>(engine.steps_per_epoch())
-            : static_cast<double>(config_.local_epochs);
-    result.history.push_back(engine.eval_point(round, epoch_progress, global));
-  }
-  return result;
+  });
 }
 
 }  // namespace saps::algos
@@ -324,7 +312,6 @@ const std::vector<ParamDesc>& fedavg_shared_params() {
 
 algos::FedAvgConfig fedavg_config(const ParamSet& p) {
   return {.fraction = p.get_double("fedavg-frac"),
-          .local_epochs = 1,
           .local_steps = static_cast<std::size_t>(p.get_int("fedavg-steps"))};
 }
 
@@ -337,9 +324,9 @@ void register_fedavg(Registry& r) {
        .supports_failures = true,
        .supports_cohort = true,
        .params = fedavg_shared_params(),
-       .make = [](const ParamSet& p, const AlgoBuildContext& ctx) {
+       .make = [](const ParamSet& p, algos::Dynamics dyn) {
          return std::make_unique<algos::FedAvg>(fedavg_config(p),
-                                                make_dynamics(ctx));
+                                                std::move(dyn));
        }});
   auto sfedavg_params = fedavg_shared_params();
   sfedavg_params.push_back(
@@ -356,10 +343,10 @@ void register_fedavg(Registry& r) {
        .supports_failures = true,
        .supports_cohort = true,
        .params = std::move(sfedavg_params),
-       .make = [](const ParamSet& p, const AlgoBuildContext& ctx) {
+       .make = [](const ParamSet& p, algos::Dynamics dyn) {
          auto cfg = fedavg_config(p);
          cfg.upload_compression = p.get_double("sfedavg-c");
-         return std::make_unique<algos::FedAvg>(cfg, make_dynamics(ctx));
+         return std::make_unique<algos::FedAvg>(cfg, std::move(dyn));
        }});
 }
 

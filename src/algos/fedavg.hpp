@@ -1,8 +1,12 @@
 // FedAvg (McMahan et al. 2017) and its sparsified variant S-FedAvg
 // (Konečný et al. 2016): a parameter server samples a fraction C of workers
-// per round; participants download the global model, train E local epochs,
-// and upload their model (S-FedAvg: upload only a seeded-random-masked
-// subset of parameters, c = 100 in the paper).
+// per round; participants download the global model, train locally, and
+// upload their model (S-FedAvg: upload only a seeded-random-masked subset of
+// parameters, c = 100 in the paper).  FedAvg supplies only its round step to
+// algos::run_rounds, with its own Schedule: each round adds local_steps /
+// steps_per_epoch epochs (1 for one local epoch) to an accumulated progress,
+// the server model is evaluated after every round, and a cohort run draws
+// the cohort of round index + 1, keeping all but the parameters.
 #pragma once
 
 #include <optional>
@@ -13,12 +17,11 @@
 namespace saps::algos {
 
 struct FedAvgConfig {
-  double fraction = 0.5;        // C — participant ratio (paper: 0.5)
-  std::size_t local_epochs = 1; // E — local passes per round
-  // When > 0, each round runs exactly this many local mini-batch steps
-  // instead of `local_epochs` full passes (finer round granularity; used by
-  // the scaled-down bench mode so the FedAvg family gets several
-  // communication rounds per epoch).
+  double fraction = 0.5;  // C — participant ratio (paper: 0.5)
+  // Local mini-batch steps per round; 0 runs one local epoch (E = 1, the
+  // paper's setting).  > 0 gives finer round granularity: the scaled-down
+  // bench mode derives it so the FedAvg family gets several communication
+  // rounds per epoch.
   std::size_t local_steps = 0;
   // S-FedAvg only: upload compression (values-only wire format, shared
   // per-round seed); 0 disables sparsification (plain FedAvg).

@@ -14,7 +14,7 @@ sim::RunResult PsgdAllReduce::run(sim::Engine& engine) {
   std::vector<const float*> inputs;
   std::vector<std::vector<float>> scratch(engine.chunk_count(dim));
 
-  return run_rounds(engine, name(), dyn_.on_round, [&](const Round& r) {
+  return run_rounds(engine, name(), dyn_.on_round, {}, [&](const Round& r) {
     const auto act = r.active;
     const std::size_t m = act.size();
     engine.for_each_worker(
@@ -83,8 +83,8 @@ void register_psgd(Registry& r) {
       {.key = "psgd",
        .summary = "PSGD with idealized all-reduce (dense baseline)",
        .supports_failures = true,
-       .make = [](const ParamSet&, const AlgoBuildContext& ctx) {
-         return std::make_unique<algos::PsgdAllReduce>(make_dynamics(ctx));
+       .make = [](const ParamSet&, algos::Dynamics dyn) {
+         return std::make_unique<algos::PsgdAllReduce>(std::move(dyn));
        }});
 }
 

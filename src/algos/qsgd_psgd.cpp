@@ -89,11 +89,11 @@ void register_qsgd(Registry& r) {
                    .min_value = 1,
                    .max_value = 127,
                    .help = "QSGD quantization levels s (default 4)"}},
-       .make = [](const ParamSet& p, const AlgoBuildContext& ctx) {
+       .make = [](const ParamSet& p, algos::Dynamics dyn) {
          return std::make_unique<algos::QsgdPsgd>(
              algos::QsgdConfig{
                  .levels = static_cast<std::uint8_t>(p.get_int("qsgd-levels"))},
-             make_dynamics(ctx));
+             std::move(dyn));
        }});
 }
 

@@ -57,7 +57,7 @@ sim::RunResult run_ring_allgather(sim::Engine& engine, const char* name,
                              scratch);
   };
 
-  return run_rounds(engine, name, dyn.on_round, [&](const Round& r) {
+  return run_rounds(engine, name, dyn.on_round, {}, [&](const Round& r) {
     const auto act = r.active;
     const std::size_t m = act.size();
     engine.for_each_worker(

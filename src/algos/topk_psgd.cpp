@@ -71,10 +71,10 @@ void register_topk(Registry& r) {
                    .max_value = 1e12,
                    .help = "TopK-PSGD compression ratio c (paper 1000; fast "
                            "mode shrinks to 100)"}},
-       .make = [](const ParamSet& p, const AlgoBuildContext& ctx) {
+       .make = [](const ParamSet& p, algos::Dynamics dyn) {
          return std::make_unique<algos::TopkPsgd>(
              algos::TopkConfig{.compression = p.get_double("topk-c")},
-             make_dynamics(ctx));
+             std::move(dyn));
        }});
 }
 

@@ -8,12 +8,13 @@
 
 namespace saps::core {
 
-SapsPsgd::SapsPsgd(SapsConfig config) : config_(std::move(config)) {
+SapsPsgd::SapsPsgd(SapsConfig config, algos::Dynamics dynamics)
+    : config_(config), dyn_(std::move(dynamics)) {
   if (config_.compression < 1.0) {
     throw std::invalid_argument("SapsPsgd: compression < 1");
   }
   if (config_.strategy == SelectionStrategy::kAdaptiveReputation &&
-      config_.reputation_decay <= 0.0) {
+      dyn_.reputation_decay <= 0.0) {
     throw std::invalid_argument(
         "SapsPsgd: saps-strategy=reputation needs reputation-decay > 0");
   }
@@ -37,9 +38,9 @@ sim::RunResult SapsPsgd::run(sim::Engine& engine) {
   // update every round; with kAdaptiveReputation the resulting trust also
   // drives the coordinator's matching (suspects are excluded).
   reputation_.reset();
-  if (config_.reputation_decay > 0.0) {
+  if (dyn_.reputation_decay > 0.0) {
     ReputationConfig rep;
-    rep.decay = config_.reputation_decay;
+    rep.decay = dyn_.reputation_decay;
     reputation_.emplace(n, rep);
   }
   if (config_.strategy == SelectionStrategy::kAdaptiveReputation) {
@@ -57,19 +58,12 @@ sim::RunResult SapsPsgd::run(sim::Engine& engine) {
 
   selection_bandwidth_.clear();
   const bool pooled = engine.cohort_mode();
-  // No driver hook: the cohort draw must come before config_.on_round, so
-  // both run inside the step.
-  auto result = algos::run_rounds(engine, name(), {}, [&](const auto& r) {
-    // Population runs: draw this round's cohort first (it resets the
-    // engine's active flags), then let the failure schedule re-assert its
-    // flips, then mirror residency ∩ liveness into the coordinator so the
-    // match never names a worker without a live replica.
-    if (pooled) engine.begin_round_cohort(r.index);
-    if (config_.on_round) config_.on_round(r.index, coordinator, engine);
-    if (pooled) {
-      for (std::size_t w = 0; w < n; ++w) {
-        coordinator.set_active(w, engine.resident(w) && engine.active(w));
-      }
+  const auto step = [&](const algos::Round& r) {
+    // The driver has drawn the round's cohort and run the liveness hook,
+    // both on the engine: mirror residency ∩ liveness into the coordinator
+    // so the match never names a worker without a live replica.
+    for (std::size_t w = 0; w < n; ++w) {
+      coordinator.set_active(w, engine.resident(w) && engine.active(w));
     }
 
     // Algorithm 1 lines 4-6: the coordinator decides (W_t, t, s) and
@@ -140,7 +134,8 @@ sim::RunResult SapsPsgd::run(sim::Engine& engine) {
       const auto done = net::RoundEndMsg::decode(env->payload);
       coordinator.worker_done(done.rank);
     }
-  });
+  };
+  auto result = algos::run_rounds(engine, name(), dyn_.on_round, {}, step);
 
   // Algorithm 1 line 8 / Algorithm 2 line 12: the coordinator collects one
   // full model at the end of training (Table I's server cost of N).  The
@@ -199,7 +194,7 @@ void register_saps(Registry& r) {
                      "(the RandomChoose baseline), or reputation "
                      "(attack-aware; needs reputation-decay > 0)",
              .choices = {"adaptive", "random", "reputation"}}},
-       .make = [](const ParamSet& p, const AlgoBuildContext& ctx) {
+       .make = [](const ParamSet& p, algos::Dynamics dyn) {
          core::SapsConfig cfg;
          cfg.compression = p.get_double("saps-c");
          cfg.bandwidth_threshold = p.get_double("bthres");
@@ -210,22 +205,7 @@ void register_saps(Registry& r) {
                         : strategy == "reputation"
                             ? core::SelectionStrategy::kAdaptiveReputation
                             : core::SelectionStrategy::kAdaptiveBandwidth;
-         cfg.reputation_decay = ctx.reputation_decay;
-         if (!ctx.failures.empty()) {
-           // Dropout/rejoin schedule: a worker leaves at drop_round and
-           // rejoins at rejoin_round; BOTH the coordinator and the engine
-           // must see the flip (see SapsPsgd::run).
-           cfg.on_round = [failures = ctx.failures](
-                              std::size_t round, core::Coordinator& coord,
-                              sim::Engine& eng) {
-             for (const auto& e : failures) {
-               const bool away = failure_away(e, round);
-               coord.set_active(e.worker, !away);
-               eng.set_active(e.worker, !away);
-             }
-           };
-         }
-         return std::make_unique<core::SapsPsgd>(std::move(cfg));
+         return std::make_unique<core::SapsPsgd>(cfg, std::move(dyn));
        }});
 }
 

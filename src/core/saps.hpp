@@ -4,9 +4,14 @@
 // Update rule (Eq. 7):  X_{t+1} = X_t ∘ ¬M_t + (X_t ∘ M_t) W_t − γ G(X_t; ξ_t)
 // realized as: local SGD step, then pairwise averaging of the masked
 // coordinates with the matched peer.
+//
+// SAPS supplies only its round step to algos::run_rounds, with the
+// synchronous Schedule: a cohort run draws the cohort of round index and
+// keeps everything.  The step first mirrors the engine's liveness (resident
+// and active) into the coordinator, so a Dynamics::on_round hook flips only
+// the engine and the match never names a worker without a live replica.
 #pragma once
 
-#include <functional>
 #include <optional>
 
 #include "algos/algorithm.hpp"
@@ -18,23 +23,16 @@ namespace saps::core {
 
 struct SapsConfig {
   double compression = 100.0;  // c (paper: 100)
+  // kAdaptiveReputation needs Dynamics::reputation_decay > 0: the monitor's
+  // trust then feeds the matching.
   SelectionStrategy strategy = SelectionStrategy::kAdaptiveBandwidth;
   double bandwidth_threshold = 0.0;  // B_thres; 0 = median auto
   std::size_t t_thres = 10;          // T_thres RC window
-  // Attack-aware reputation scoring: > 0 runs a ReputationMonitor with this
-  // per-round decay (workers observe their matched peer's masked update).
-  // Required (and fed into the matching) when the strategy is
-  // kAdaptiveReputation; observe-only otherwise.  0 disables the monitor.
-  double reputation_decay = 0.0;
-  // Optional federated-dynamics hook, called before every round with the
-  // round index; use engine/coordinator set_active to drop or rejoin
-  // workers (both must be kept in sync — see SapsPsgd::run).
-  std::function<void(std::size_t round, Coordinator&, sim::Engine&)> on_round;
 };
 
 class SapsPsgd final : public algos::Algorithm {
  public:
-  explicit SapsPsgd(SapsConfig config = {});
+  explicit SapsPsgd(SapsConfig config = {}, algos::Dynamics dynamics = {});
 
   [[nodiscard]] const char* name() const noexcept override {
     switch (config_.strategy) {
@@ -48,8 +46,9 @@ class SapsPsgd final : public algos::Algorithm {
   }
   sim::RunResult run(sim::Engine& engine) override;
 
-  /// The last run's reputation monitor (detection metrics), or nullptr when
-  /// reputation_decay was 0.
+  /// The last run's reputation monitor (workers observe their matched
+  /// peer's masked update; detection metrics), or nullptr when
+  /// Dynamics::reputation_decay was 0.
   [[nodiscard]] const ReputationMonitor* reputation() const noexcept {
     return reputation_ ? &*reputation_ : nullptr;
   }
@@ -65,6 +64,7 @@ class SapsPsgd final : public algos::Algorithm {
 
  private:
   SapsConfig config_;
+  algos::Dynamics dyn_;
   std::vector<double> selection_bandwidth_;
   std::optional<ReputationMonitor> reputation_;
   double control_bytes_ = 0.0;

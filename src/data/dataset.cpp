@@ -53,15 +53,22 @@ BatchSampler::BatchSampler(const Dataset& dataset, std::size_t batch_size,
 
 BatchSampler::BatchSampler(const Dataset& dataset,
                            std::span<const std::size_t> indices,
-                           std::size_t batch_size, std::uint64_t seed)
+                           std::size_t batch_size, std::uint64_t seed,
+                           State state)
     : dataset_(&dataset), view_(indices), batch_size_(batch_size), rng_(seed) {
   if (batch_size == 0) throw std::invalid_argument("BatchSampler: batch 0");
   if (dataset.empty()) {
     throw std::invalid_argument("BatchSampler: empty dataset");
   }
   order_.resize(view_.empty() ? dataset.size() : view_.size());
+  if (state.cursor > order_.size()) {
+    throw std::invalid_argument(
+        "BatchSampler: state cursor past the end of the order");
+  }
   std::iota(order_.begin(), order_.end(), std::size_t{0});
-  reshuffle();
+  for (std::size_t e = 0; e <= state.epoch; ++e) reshuffle();
+  epoch_ = state.epoch;
+  cursor_ = state.cursor;
 }
 
 void BatchSampler::reshuffle() {
@@ -73,22 +80,15 @@ void BatchSampler::reshuffle() {
   cursor_ = 0;
 }
 
-void BatchSampler::restore_state(const State& state) {
-  if (state.order.size() != order_.size() ||
-      state.cursor > state.order.size()) {
-    throw std::invalid_argument("BatchSampler: state/dataset size mismatch");
-  }
-  rng_ = state.rng;
-  order_ = state.order;
-  cursor_ = state.cursor;
-}
-
 std::size_t BatchSampler::batches_per_epoch() const noexcept {
   return (order_.size() + batch_size_ - 1) / batch_size_;
 }
 
 void BatchSampler::next(Tensor& x, std::vector<std::int32_t>& labels) {
-  if (cursor_ >= order_.size()) reshuffle();
+  if (cursor_ >= order_.size()) {
+    reshuffle();
+    ++epoch_;
+  }
   const std::size_t take = std::min(batch_size_, order_.size() - cursor_);
   gatherer_.resize(take);
   for (std::size_t b = 0; b < take; ++b) {

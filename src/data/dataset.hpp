@@ -59,12 +59,27 @@ class BatchSampler {
  public:
   BatchSampler(const Dataset& dataset, std::size_t batch_size,
                std::uint64_t seed);
+  /// Iteration state: the current epoch's index and the position within
+  /// its order.  Each epoch's order is a shuffle of the previous one, in
+  /// place, so a sampler rebuilds it by replaying every shuffle from its
+  /// seed: a restore costs the shuffles the saved sampler already did, and
+  /// the state is two integers whatever the dataset size.  The engine's
+  /// replica pool keeps it so a worker that leaves and rejoins the cohort
+  /// resumes its batch stream mid-epoch as if it had never been evicted.
+  /// The value-initialized state is a fresh sampler's.
+  struct State {
+    std::size_t epoch;
+    std::size_t cursor;
+  };
+
   /// Iterates the samples of `dataset` at `indices` (all of them when
   /// `indices` is empty).  Both are borrowed and must outlive the sampler.
   /// Draws the same batch stream as a sampler over a copy of those samples
-  /// in that order.
+  /// in that order.  A `state` saved from a sampler with the same dataset or
+  /// view, batch size and seed resumes that sampler's stream; throws when
+  /// its cursor lies past the end of the order.
   BatchSampler(const Dataset& dataset, std::span<const std::size_t> indices,
-               std::size_t batch_size, std::uint64_t seed);
+               std::size_t batch_size, std::uint64_t seed, State state = {});
 
   /// Fills `x` and `labels` with the next mini-batch, reshuffling at epoch
   /// boundaries.  The final batch of an epoch may be smaller.
@@ -73,20 +88,7 @@ class BatchSampler {
   [[nodiscard]] std::size_t batches_per_epoch() const noexcept;
   [[nodiscard]] std::size_t batch_size() const noexcept { return batch_size_; }
 
-  /// Complete iteration state: the RNG, the current epoch's shuffled order
-  /// and the position within it.  save_state/restore_state round-trip a
-  /// sampler exactly — the engine's replica pool uses them so a worker that
-  /// leaves and rejoins the cohort resumes its batch stream mid-epoch as if
-  /// it had never been evicted.
-  struct State {
-    Rng rng;
-    std::vector<std::size_t> order;
-    std::size_t cursor = 0;
-  };
-  [[nodiscard]] State save_state() const { return {rng_, order_, cursor_}; }
-  /// Restores a save_state() snapshot taken from a sampler over an
-  /// identically sized dataset or view; throws on size mismatch.
-  void restore_state(const State& state);
+  [[nodiscard]] State save_state() const { return {epoch_, cursor_}; }
 
  private:
   const Dataset* dataset_;
@@ -95,6 +97,7 @@ class BatchSampler {
   Rng rng_;
   std::vector<std::size_t> order_;
   std::vector<std::size_t> gatherer_;  // scratch for the current batch indices
+  std::size_t epoch_ = 0;
   std::size_t cursor_ = 0;
 
   void reshuffle();

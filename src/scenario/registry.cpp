@@ -139,22 +139,6 @@ std::vector<ParamDesc> Registry::workload_params() const {
   return out;
 }
 
-algos::Dynamics make_dynamics(const AlgoBuildContext& ctx) {
-  algos::Dynamics dyn;
-  dyn.merge = ctx.merge;
-  dyn.trim_frac = ctx.trim_frac;
-  dyn.reputation_decay = ctx.reputation_decay;
-  if (!ctx.failures.empty()) {
-    dyn.on_round = [failures = ctx.failures](std::size_t round,
-                                             sim::Engine& engine) {
-      for (const auto& e : failures) {
-        engine.set_active(e.worker, !failure_away(e, round));
-      }
-    };
-  }
-  return dyn;
-}
-
 ParamSet resolve_entry_params(const std::vector<ParamDesc>& descs,
                               const ParamSet& provided) {
   ParamSet out;

@@ -5,7 +5,10 @@
 // its typed parameter descriptors FROM ITS OWN translation unit, so adding a
 // new algorithm touches exactly one .cpp: the registration carries the key,
 // the --help text, the parameter ranges and the construction logic, and
-// every bench/example/test then sees it through the registry.  Registration
+// every bench/example/test then sees it through the registry.  A factory
+// gets the entry's resolved parameters and the scenario's algos::Dynamics
+// (failure-schedule hook, merge rule, reputation decay), which the Runner
+// builds from the spec, so no algorithm reads the spec itself.  Registration
 // happens through the explicit module manifest in registry.cpp (one line per
 // owning TU) rather than static-initializer objects: saps_core is a static
 // archive, and a static registrar in an otherwise-unreferenced object file
@@ -43,40 +46,20 @@ struct FailureEvent {
          (e.rejoin_round == 0 || round < e.rejoin_round);
 }
 
-/// Scenario state an algorithm factory may honor beyond its own parameters.
-struct AlgoBuildContext {
-  std::vector<FailureEvent> failures;  // empty = static membership
-  // Robust aggregation (the spec's `aggregation=` / `trim-frac=` knobs);
-  // kMean keeps every algorithm's legacy float path verbatim.
-  compress::MergeRule merge = compress::MergeRule::kMean;
-  double trim_frac = 0.2;
-  // Attack-aware reputation scoring (the spec's `reputation-decay=` knob):
-  // > 0 enables a ReputationMonitor in the algorithms that support one
-  // (SAPS workers score their matched peer; the FedAvg family scores
-  // uploads server-side, observe-only).  0 keeps every run monitor-free.
-  double reputation_decay = 0.0;
-};
-
-/// Builds the algos::Dynamics value a factory hands its algorithm: the
-/// failure schedule becomes an engine-side active-flag hook (empty schedule
-/// = no hook, so the default run never pays a per-round callback) and the
-/// merge rule / trim fraction are copied through.
-[[nodiscard]] algos::Dynamics make_dynamics(const AlgoBuildContext& ctx);
-
 struct AlgorithmEntry {
   std::string key;      // registry / spec-file key, e.g. "saps"
   std::string summary;  // one-line help
   // Part of the paper's seven-algorithm comparison (Fig. 3/4/6, Tables
   // III/IV)?  QSGD is registered but compared only in the ablation bench.
   bool in_paper_comparison = true;
-  // Can honor an AlgoBuildContext failure schedule (dropout/rejoin rounds)?
+  // Can honor a failure schedule (dropout/rejoin rounds)?
   bool supports_failures = false;
   // Can consume the engine's per-round cohort draw (population runs where
   // cohort < population and only the cohort owns live replicas)?
   bool supports_cohort = false;
   std::vector<ParamDesc> params;
   std::function<std::unique_ptr<algos::Algorithm>(const ParamSet&,
-                                                  const AlgoBuildContext&)>
+                                                  algos::Dynamics)>
       make;
 };
 

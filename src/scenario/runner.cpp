@@ -102,13 +102,21 @@ RunRecord Runner::run(const std::string& algo_key, SinkList* sinks) {
         "algorithm '" + algo_key +
         "' does not support per-round cohort sampling (cohort < population)");
   }
-  AlgoBuildContext ctx;
-  ctx.failures = spec_.failures;
-  ctx.merge = compress::parse_merge_rule(spec_.aggregation);
-  ctx.trim_frac = spec_.trim_frac;
-  ctx.reputation_decay = spec_.reputation_decay;
-  auto algorithm =
-      entry.make(resolve_entry_params(entry.params, spec_.params), ctx);
+  algos::Dynamics dyn;
+  dyn.merge = compress::parse_merge_rule(spec_.aggregation);
+  dyn.trim_frac = spec_.trim_frac;
+  dyn.reputation_decay = spec_.reputation_decay;
+  if (!spec_.failures.empty()) {
+    // A static run installs no hook, so it never pays a per-round callback.
+    dyn.on_round = [failures = spec_.failures](std::size_t round,
+                                               sim::Engine& engine) {
+      for (const auto& e : failures) {
+        engine.set_active(e.worker, !failure_away(e, round));
+      }
+    };
+  }
+  auto algorithm = entry.make(
+      resolve_entry_params(entry.params, spec_.params), std::move(dyn));
 
   auto engine = make_engine();
   RunMeta meta;

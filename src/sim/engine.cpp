@@ -196,8 +196,7 @@ Engine::FrozenBytes Engine::frozen_bytes() const {
     if (!f) continue;
     bytes.params += f->params.capacity() * sizeof(float);
     const std::size_t floats = f->buffers.capacity() + f->velocity.capacity();
-    bytes.state += sizeof(FrozenWorker) + floats * sizeof(float) +
-                   f->sampler.order.capacity() * sizeof(std::size_t);
+    bytes.state += sizeof(FrozenWorker) + floats * sizeof(float);
   }
   return bytes;
 }
@@ -220,13 +219,14 @@ void Engine::freeze_worker(std::size_t w, Keep keep) {
 
 void Engine::thaw_worker(std::size_t w, std::size_t s) {
   // Rebind the slot's sampler to the worker's shard and seed; a rejoining
-  // worker then resumes its exact saved batch stream.
+  // worker resumes its exact saved batch stream, a first-time one starts it.
+  auto& f = frozen_[w];
   samplers_[s] = std::make_unique<data::BatchSampler>(
       *train_, shards_[w % shard_groups_], config_.batch_size,
-      derive_seed(config_.seed, 0xda7a, w));
+      derive_seed(config_.seed, 0xda7a, w),
+      f ? f->sampler : data::BatchSampler::State{});
   const auto p = models_[s]->parameters();
-  if (auto& f = frozen_[w]) {
-    samplers_[s]->restore_state(f->sampler);
+  if (f) {
     const auto& params = f->params.empty() ? init_params_ : f->params;
     std::copy(params.begin(), params.end(), p.begin());
     models_[s]->set_buffers(f->buffers);

@@ -1,5 +1,10 @@
-// Behaviour and accounting tests for the six baseline algorithms.
+// Behaviour and accounting tests for the six baseline algorithms and the
+// round driver all eight algorithm keys run on.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "algos/d_psgd.hpp"
 #include "algos/fedavg.hpp"
@@ -8,12 +13,79 @@
 #include "algos/topk_psgd.hpp"
 #include "data/synthetic.hpp"
 #include "nn/models.hpp"
+#include "scenario/registry.hpp"
 #include "test_util.hpp"
 
 namespace saps::algos {
 namespace {
 
 using test_util::blob_engine;
+
+// Builds a registry key's algorithm from its default parameters.
+std::unique_ptr<Algorithm> make_default(const std::string& key,
+                                        Dynamics dynamics) {
+  const auto& entry = scenario::Registry::instance().algorithm(key);
+  return entry.make(scenario::resolve_entry_params(entry.params, {}),
+                    std::move(dynamics));
+}
+
+// The driver owns every algorithm's round: Dynamics::on_round fires once per
+// round, with indices 0…R−1 in order.  A synchronous run has epochs ×
+// steps_per_epoch rounds; a FedAvg-family run (one local epoch per round by
+// default) has one per epoch.
+TEST(RoundDriver, OnRoundFiresOncePerRoundInOrderForEveryKey) {
+  for (const auto& key : scenario::Registry::instance().algorithm_keys()) {
+    SCOPED_TRACE(key);
+    auto engine = blob_engine(4, 2);
+    const bool fedavg = key == "fedavg" || key == "sfedavg";
+    const std::size_t total_rounds =
+        (fedavg ? 1 : engine.steps_per_epoch()) * engine.config().epochs;
+    std::vector<std::size_t> seen;
+    Dynamics dyn;
+    dyn.on_round = [&](std::size_t round, sim::Engine&) {
+      seen.push_back(round);
+    };
+    const auto result = make_default(key, std::move(dyn))->run(engine);
+    ASSERT_EQ(seen.size(), total_rounds);
+    EXPECT_EQ(result.final().round, total_rounds);
+    for (std::size_t r = 0; r < seen.size(); ++r) EXPECT_EQ(seen[r], r);
+  }
+}
+
+// On a pooled engine the hook runs after the round's cohort draw, so the
+// roster it sees is the draw of the algorithm's cohort key: round index for
+// SAPS-PSGD, index + 1 for the FedAvg family (which counts rounds from 1).
+TEST(RoundDriver, OnRoundSeesTheCohortOfEachAlgorithmsKey) {
+  const std::pair<const char*, std::size_t> keys[] = {
+      {"saps", 0}, {"fedavg", 1}, {"sfedavg", 1}};
+  for (const auto& [key, offset] : keys) {
+    SCOPED_TRACE(key);
+    sim::SimConfig cfg;
+    cfg.workers = 16;
+    cfg.cohort = 4;
+    cfg.sample_seed = 777;
+    cfg.epochs = 2;
+    cfg.batch_size = 16;
+    cfg.lr = 0.1;
+    auto engine = blob_engine(cfg);
+    auto twin = blob_engine(cfg);
+    std::vector<std::vector<std::size_t>> rosters;
+    Dynamics dyn;
+    dyn.on_round = [&](std::size_t round, sim::Engine& eng) {
+      EXPECT_EQ(round, rosters.size());
+      rosters.emplace_back(eng.roster().begin(), eng.roster().end());
+    };
+    const auto result = make_default(key, std::move(dyn))->run(engine);
+    ASSERT_EQ(rosters.size(), result.final().round);
+    ASSERT_GT(rosters.size(), 1u);
+    for (std::size_t r = 0; r < rosters.size(); ++r) {
+      const auto drawn = twin.begin_round_cohort(r + offset);
+      EXPECT_TRUE(std::equal(rosters[r].begin(), rosters[r].end(),
+                             drawn.begin(), drawn.end()))
+          << "round " << r;
+    }
+  }
+}
 
 TEST(Psgd, ConvergesAndKeepsReplicasInSync) {
   auto engine = blob_engine(4, 3);
@@ -62,7 +134,7 @@ TEST(TopkPsgd, TrafficScalesWithWorkerCount) {
 
 TEST(FedAvg, ConvergesOnIidBlobs) {
   auto engine = blob_engine(4, 4);
-  FedAvg algo({.fraction = 0.5, .local_epochs = 1});
+  FedAvg algo({.fraction = 0.5});
   const auto result = algo.run(engine);
   EXPECT_EQ(result.algorithm, "FedAvg");
   EXPECT_GT(result.final().accuracy, 0.85);
@@ -70,7 +142,7 @@ TEST(FedAvg, ConvergesOnIidBlobs) {
 
 TEST(FedAvg, RoundTrafficIsTwoModelsPerParticipant) {
   auto engine = blob_engine(4, 2);
-  FedAvg algo({.fraction = 0.5, .local_epochs = 1});
+  FedAvg algo({.fraction = 0.5});
   const auto result = algo.run(engine);
   const double n_bytes = 4.0 * static_cast<double>(engine.param_count());
   // 2 participants/round × 2N each; mean over the 4 workers = N per round.
@@ -85,9 +157,8 @@ TEST(SFedAvg, SparsifiedUploadIsSmaller) {
   // accuracy bar here reflects the coverage 1-(1-1/c)^rounds.
   auto plain_engine = blob_engine(4, 6);
   auto sparse_engine = blob_engine(4, 6);
-  FedAvg plain({.fraction = 0.5, .local_epochs = 1});
-  FedAvg sparse(
-      {.fraction = 0.5, .local_epochs = 1, .upload_compression = 5.0});
+  FedAvg plain({.fraction = 0.5});
+  FedAvg sparse({.fraction = 0.5, .upload_compression = 5.0});
   plain.run(plain_engine);
   const auto rs = sparse.run(sparse_engine);
   EXPECT_EQ(rs.algorithm, "S-FedAvg");
@@ -99,10 +170,7 @@ TEST(SFedAvg, SparsifiedUploadIsSmaller) {
 TEST(FedAvg, RejectsBadConfig) {
   EXPECT_THROW(FedAvg({.fraction = 0.0}), std::invalid_argument);
   EXPECT_THROW(FedAvg({.fraction = 1.5}), std::invalid_argument);
-  EXPECT_THROW(FedAvg({.fraction = 0.5, .local_epochs = 0}),
-               std::invalid_argument);
-  EXPECT_THROW(FedAvg({.fraction = 0.5, .local_epochs = 1,
-                       .upload_compression = 0.5}),
+  EXPECT_THROW(FedAvg({.fraction = 0.5, .upload_compression = 0.5}),
                std::invalid_argument);
 }
 

@@ -131,8 +131,7 @@ TEST(Churn, FedAvgSpecFailuresMatchManualSetActiveWiring) {
   check_spec_matches_manual(
       "fedavg",
       std::make_unique<algos::FedAvg>(
-          algos::FedAvgConfig{
-              .fraction = 0.5, .local_epochs = 1, .local_steps = 1},
+          algos::FedAvgConfig{.fraction = 0.5, .local_steps = 1},
           manual_churn()));
 }
 
@@ -141,7 +140,6 @@ TEST(Churn, SparseFedAvgSpecFailuresMatchManualSetActiveWiring) {
       "sfedavg",
       std::make_unique<algos::FedAvg>(
           algos::FedAvgConfig{.fraction = 0.5,
-                              .local_epochs = 1,
                               .local_steps = 1,
                               .upload_compression = 5.0},
           manual_churn()));

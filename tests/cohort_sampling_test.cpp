@@ -186,19 +186,37 @@ TEST(CohortPool, FedAvgFreezesNoParametersWhileSapsKeepsThem) {
 
   auto engine = make_pooled_engine(kPopulation, kCohort, 8, 0, kEpochs);
   std::set<std::size_t> held(engine.roster().begin(), engine.roster().end());
-  core::SapsConfig cfg;
-  cfg.compression = 10.0;
-  cfg.strategy = core::SelectionStrategy::kRandomMatch;
-  cfg.on_round = [&held](std::size_t, core::Coordinator&, sim::Engine& eng) {
+  algos::Dynamics dyn;
+  dyn.on_round = [&held](std::size_t, sim::Engine& eng) {
     held.insert(eng.roster().begin(), eng.roster().end());
   };
-  core::SapsPsgd saps(std::move(cfg));
+  core::SapsPsgd saps(
+      {.compression = 10.0, .strategy = core::SelectionStrategy::kRandomMatch},
+      std::move(dyn));
   const auto result = saps.run(engine);
   ASSERT_GE(result.final().round, 20u);
   const std::size_t deselected = held.size() - kCohort;
   ASSERT_GT(deselected, kCohort);
   EXPECT_EQ(engine.frozen_bytes().params,
             deselected * engine.param_count() * sizeof(float));
+}
+
+TEST(CohortPool, FrozenSamplerStateDoesNotGrowWithTheShard) {
+  // A frozen record keeps its sampler's epoch index and cursor, not the
+  // epoch's order: two engines that draw the same cohorts over shards of 80
+  // and 320 samples hold the same frozen bytes.
+  auto small = make_pooled_engine(1000, 8, 8, 0);
+  auto large = make_pooled_engine(1000, 8, 2, 0);
+  ASSERT_EQ(small.shard_size(0) * 4, large.shard_size(0));
+  for (std::size_t round = 1; round <= 10; ++round) {
+    for (auto* engine : {&small, &large}) {
+      engine->begin_round_cohort(round, sim::Engine::Keep::kAllButParams);
+      engine->for_each_worker([&](std::size_t w) { engine->sgd_step(w, 0); });
+    }
+  }
+  const auto frozen = small.frozen_bytes();
+  EXPECT_GT(frozen.state, 0u);
+  EXPECT_EQ(frozen.state, large.frozen_bytes().state);
 }
 
 struct RunSnapshot {
@@ -244,7 +262,7 @@ TEST(CohortInvariance, FedAvgBitIdenticalAcrossThreadCounts) {
   check_population_invariance(
       [] {
         return std::make_unique<algos::FedAvg>(
-            algos::FedAvgConfig{.fraction = 0.5, .local_epochs = 1});
+            algos::FedAvgConfig{.fraction = 0.5});
       },
       /*population=*/500, /*cohort=*/8);
 }
@@ -253,9 +271,7 @@ TEST(CohortInvariance, SparseFedAvgBitIdenticalAcrossThreadCounts) {
   check_population_invariance(
       [] {
         return std::make_unique<algos::FedAvg>(
-            algos::FedAvgConfig{.fraction = 0.5,
-                                .local_epochs = 1,
-                                .upload_compression = 5.0});
+            algos::FedAvgConfig{.fraction = 0.5, .upload_compression = 5.0});
       },
       /*population=*/500, /*cohort=*/8);
 }
@@ -277,18 +293,16 @@ TEST(CohortInvariance, SapsWithFailuresBitIdenticalAcrossThreadCounts) {
   // across thread counts through both conditions.
   check_population_invariance(
       [] {
-        core::SapsConfig cfg{
-            .compression = 10.0,
-            .strategy = core::SelectionStrategy::kRandomMatch};
-        cfg.on_round = [](std::size_t round, core::Coordinator& coord,
-                          sim::Engine& eng) {
+        algos::Dynamics dyn;
+        dyn.on_round = [](std::size_t round, sim::Engine& eng) {
           const bool away = round >= 2 && round < 5;
-          for (const std::size_t w : {3u, 7u}) {
-            coord.set_active(w, !away);
-            eng.set_active(w, !away);
-          }
+          for (const std::size_t w : {3u, 7u}) eng.set_active(w, !away);
         };
-        return std::make_unique<core::SapsPsgd>(std::move(cfg));
+        return std::make_unique<core::SapsPsgd>(
+            core::SapsConfig{
+                .compression = 10.0,
+                .strategy = core::SelectionStrategy::kRandomMatch},
+            std::move(dyn));
       },
       /*population=*/100, /*cohort=*/8);
 }

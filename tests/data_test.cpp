@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <set>
+#include <string>
 
 #include "data/partition.hpp"
 #include "data/synthetic.hpp"
@@ -83,6 +84,43 @@ TEST(BatchSampler, IndexViewDrawsTheBatchesOfACopy) {
                            xo.span().begin(), xo.span().end()))
         << "batch " << i;
   }
+}
+
+TEST(BatchSampler, RestoredStateDrawsTheSameNextEpochs) {
+  // A sampler rebuilt from a saved state (epoch index and cursor) must
+  // draw what the original draws next: after k whole epochs plus none,
+  // some or all of the next epoch's batches ("all" leaves a reshuffle
+  // pending), for the next two epochs.
+  const auto d = make_blobs(60, 4, 5, 0.5, 1);
+  std::vector<std::size_t> idx;
+  for (std::size_t i = 0; i < d.size(); i += 2) idx.push_back(i);
+  constexpr std::size_t kBatch = 7;
+  const std::size_t per_epoch = BatchSampler(d, idx, kBatch, 3)
+                                    .batches_per_epoch();  // ceil(30/7) = 5
+  Tensor xa, xb;
+  std::vector<std::int32_t> ya, yb;
+  for (const std::size_t k : {0u, 1u, 3u}) {
+    for (const std::size_t extra : {std::size_t{0}, std::size_t{2},
+                                    per_epoch}) {
+      SCOPED_TRACE("k=" + std::to_string(k) + " extra=" +
+                   std::to_string(extra));
+      BatchSampler original(d, idx, kBatch, 3);
+      for (std::size_t b = 0; b < k * per_epoch + extra; ++b) {
+        original.next(xa, ya);
+      }
+      BatchSampler restored(d, idx, kBatch, 3, original.save_state());
+      for (std::size_t b = 0; b < 2 * per_epoch; ++b) {
+        original.next(xa, ya);
+        restored.next(xb, yb);
+        ASSERT_EQ(ya, yb) << "batch " << b;
+        ASSERT_TRUE(std::equal(xa.span().begin(), xa.span().end(),
+                               xb.span().begin(), xb.span().end()))
+            << "batch " << b;
+      }
+    }
+  }
+  EXPECT_THROW(BatchSampler(d, idx, kBatch, 3, {.epoch = 0, .cursor = 31}),
+               std::invalid_argument);
 }
 
 TEST(Synthetic, BlobsShapesAndDeterminism) {

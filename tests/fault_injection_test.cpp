@@ -186,8 +186,7 @@ using AlgoFactory = std::function<std::unique_ptr<algos::Algorithm>()>;
 // Every algorithm key, configured as the chaos and transparency tests run
 // it.
 std::vector<std::pair<std::string, AlgoFactory>> all_algorithms() {
-  const algos::FedAvgConfig fed{.fraction = 0.5, .local_epochs = 1,
-                                .local_steps = 1};
+  const algos::FedAvgConfig fed{.fraction = 0.5, .local_steps = 1};
   auto sfed = fed;
   sfed.upload_compression = 5.0;
   return {
@@ -444,8 +443,7 @@ TEST(FaultInjection, AttackerScheduleInvariantUnderDefenseChoice) {
                        .mode = sim::ByzantineMode::kModelReplacement},
                       {.worker = 4, .from_round = 2, .to_round = 0,
                        .mode = sim::ByzantineMode::kSilent}};
-  const algos::FedAvgConfig fed{.fraction = 1.0, .local_epochs = 1,
-                                .local_steps = 1};
+  const algos::FedAvgConfig fed{.fraction = 1.0, .local_steps = 1};
 
   algos::FedAvg plain_algo(fed);
   const auto undefended = run_faulted(plain_algo, 0, attack);
@@ -478,8 +476,7 @@ TEST(FaultInjection, ModelReplacementDegradesAndDefensesRecover) {
                        .mode = sim::ByzantineMode::kModelReplacement},
                       {.worker = 6, .from_round = 1, .to_round = 0,
                        .mode = sim::ByzantineMode::kModelReplacement}};
-  const algos::FedAvgConfig fed{.fraction = 1.0, .local_epochs = 1,
-                                .local_steps = 1};
+  const algos::FedAvgConfig fed{.fraction = 1.0, .local_steps = 1};
 
   algos::FedAvg clean_algo(fed);
   const auto clean = run_faulted(clean_algo, 0, sim::FaultSpec{});
@@ -548,8 +545,7 @@ TEST(FaultInjection, SapsCollusionDegradesAndReputationSelectionRecovers) {
   // within a round or two, and the matching then isolates them.
   auto defended_cfg = saps;
   defended_cfg.strategy = core::SelectionStrategy::kAdaptiveReputation;
-  defended_cfg.reputation_decay = 0.5;
-  core::SapsPsgd defended_algo(defended_cfg);
+  core::SapsPsgd defended_algo(defended_cfg, {.reputation_decay = 0.5});
   const auto defended = run_faulted(defended_algo, 0, attack);
   const double defended_acc = defended.result.final().accuracy;
   EXPECT_GE(defended_acc, attacked_acc + 0.5 * (clean_acc - attacked_acc));
@@ -573,8 +569,7 @@ TEST(FaultInjection, SignFlipAttackDegradesAndRobustAggregationRecovers) {
   attack.fault_seed = 5;
   attack.byzantine = {{.worker = 1, .from_round = 1, .to_round = 0,
                        .mode = sim::ByzantineMode::kSignFlip}};
-  const algos::FedAvgConfig fed{.fraction = 1.0, .local_epochs = 1,
-                                .local_steps = 1};
+  const algos::FedAvgConfig fed{.fraction = 1.0, .local_steps = 1};
 
   algos::FedAvg clean_algo(fed);
   const auto clean = run_faulted(clean_algo, 0, sim::FaultSpec{});

@@ -178,16 +178,12 @@ TEST(FailureDynamics, SpecFileDropoutRejoinMatchesManualWiringBitForBit) {
   cfg.seed = 21;
   auto engine = test_util::blob_engine(
       cfg, blob, net::random_uniform_bandwidth(8, 13));
-  core::SapsConfig manual_cfg{.compression = 20.0};
-  manual_cfg.on_round = [&](std::size_t round, core::Coordinator& coord,
-                            sim::Engine& eng) {
+  algos::Dynamics manual_dyn;
+  manual_dyn.on_round = [&](std::size_t round, sim::Engine& eng) {
     const bool away = round >= kDrop && round < kRejoin;
-    for (const std::size_t w : {2u, 5u}) {
-      coord.set_active(w, !away);
-      eng.set_active(w, !away);
-    }
+    for (const std::size_t w : {2u, 5u}) eng.set_active(w, !away);
   };
-  core::SapsPsgd manual(manual_cfg);
+  core::SapsPsgd manual({.compression = 20.0}, std::move(manual_dyn));
   const auto manual_result = manual.run(engine);
 
   ASSERT_EQ(from_spec.result.history.size(), manual_result.history.size());

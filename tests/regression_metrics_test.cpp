@@ -125,11 +125,11 @@ std::unique_ptr<algos::Algorithm> make_algorithm(const std::string& key) {
   }
   if (key == "fedavg") {
     return std::make_unique<algos::FedAvg>(
-        algos::FedAvgConfig{.fraction = 0.5, .local_epochs = 1});
+        algos::FedAvgConfig{.fraction = 0.5});
   }
   if (key == "sfedavg") {
-    return std::make_unique<algos::FedAvg>(algos::FedAvgConfig{
-        .fraction = 0.5, .local_epochs = 1, .upload_compression = 5.0});
+    return std::make_unique<algos::FedAvg>(
+        algos::FedAvgConfig{.fraction = 0.5, .upload_compression = 5.0});
   }
   if (key == "dpsgd") return std::make_unique<algos::DPsgd>();
   if (key == "dcd") {

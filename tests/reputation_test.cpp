@@ -153,8 +153,7 @@ TEST(Reputation, FedAvgServerMonitorFlagsExactlyTheAttackers) {
 
   algos::Dynamics dyn;
   dyn.reputation_decay = 0.5;
-  algos::FedAvg algo({.fraction = 1.0, .local_epochs = 1, .local_steps = 1},
-                     std::move(dyn));
+  algos::FedAvg algo({.fraction = 1.0, .local_steps = 1}, std::move(dyn));
   (void)algo.run(engine);
 
   const auto* monitor = algo.reputation();
@@ -199,8 +198,7 @@ DefendedSnapshot run_defended_saps(std::size_t threads) {
 
   core::SapsConfig saps{.compression = 10.0};
   saps.strategy = core::SelectionStrategy::kAdaptiveReputation;
-  saps.reputation_decay = 0.5;
-  core::SapsPsgd algo(saps);
+  core::SapsPsgd algo(saps, {.reputation_decay = 0.5});
   const auto result = algo.run(engine);
 
   DefendedSnapshot snap;

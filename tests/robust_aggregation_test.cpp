@@ -236,8 +236,7 @@ TEST(RobustAggregation, MedianPsgdBitIdenticalAcrossThreadCounts) {
 TEST(RobustAggregation, TrimmedFedAvgBitIdenticalAcrossThreadCounts) {
   check_thread_invariance([] {
     return std::make_unique<algos::FedAvg>(
-        algos::FedAvgConfig{
-            .fraction = 1.0, .local_epochs = 1, .local_steps = 1},
+        algos::FedAvgConfig{.fraction = 1.0, .local_steps = 1},
         robust_dynamics(MergeRule::kTrimmedMean));
   });
 }
@@ -247,7 +246,6 @@ TEST(RobustAggregation, MedianSparseFedAvgBitIdenticalAcrossThreadCounts) {
   check_thread_invariance([] {
     return std::make_unique<algos::FedAvg>(
         algos::FedAvgConfig{.fraction = 1.0,
-                            .local_epochs = 1,
                             .local_steps = 1,
                             .upload_compression = 5.0},
         robust_dynamics(MergeRule::kMedian));

@@ -109,17 +109,13 @@ TEST(Robustness, AllButTwoWorkersDropped) {
   cfg.batch_size = 16;
   cfg.lr = 0.1;
   auto engine = blob_engine(cfg);
-  core::SapsConfig scfg{.compression = 10.0};
-  scfg.on_round = [](std::size_t round, core::Coordinator& coord,
-                     sim::Engine& eng) {
+  algos::Dynamics dyn;
+  dyn.on_round = [](std::size_t round, sim::Engine& eng) {
     if (round == 5) {
-      for (std::size_t w = 2; w < 6; ++w) {
-        coord.set_active(w, false);
-        eng.set_active(w, false);
-      }
+      for (std::size_t w = 2; w < 6; ++w) eng.set_active(w, false);
     }
   };
-  core::SapsPsgd algo(scfg);
+  core::SapsPsgd algo({.compression = 10.0}, std::move(dyn));
   const auto result = algo.run(engine);
   // Training continues on the surviving pair.
   EXPECT_GT(result.final().accuracy, 0.8);

@@ -148,57 +148,43 @@ TEST(SapsPsgd, RandomStrategyWorksToo) {
 
 TEST(SapsPsgd, SurvivesWorkerDropoutAndRejoin) {
   auto engine = blob_engine(8, 4);
-  SapsConfig cfg{.compression = 10.0};
-  cfg.on_round = [](std::size_t round, Coordinator& coord, sim::Engine& eng) {
+  algos::Dynamics dyn;
+  dyn.on_round = [](std::size_t round, sim::Engine& eng) {
     // Workers 5 and 6 leave for rounds [20, 60), then rejoin.
     const bool away = round >= 20 && round < 60;
-    for (const std::size_t w : {5u, 6u}) {
-      coord.set_active(w, !away);
-      eng.set_active(w, !away);
-    }
+    for (const std::size_t w : {5u, 6u}) eng.set_active(w, !away);
   };
-  SapsPsgd algo(cfg);
+  SapsPsgd algo({.compression = 10.0}, std::move(dyn));
   const auto result = algo.run(engine);
   EXPECT_GT(result.final().accuracy, 0.8);  // training survives the churn
 }
 
-TEST(SapsPsgd, OnRoundFiresOncePerRoundInOrder) {
-  auto engine = blob_engine(4, 2);
-  const std::size_t total_rounds =
-      engine.steps_per_epoch() * engine.config().epochs;
-  std::vector<std::size_t> seen;
-  SapsConfig cfg{.compression = 10.0};
-  cfg.on_round = [&](std::size_t round, Coordinator&, sim::Engine&) {
-    seen.push_back(round);
-  };
-  SapsPsgd(cfg).run(engine);
-  ASSERT_EQ(seen.size(), total_rounds);
-  for (std::size_t r = 0; r < seen.size(); ++r) EXPECT_EQ(seen[r], r);
-}
-
 TEST(SapsPsgd, OnRoundDropoutKeepsCoordinatorAndEngineInSync) {
-  // The documented contract of SapsConfig::on_round: dropping or rejoining a
-  // worker must flip BOTH coordinator and engine set_active. Verify that a
-  // hook doing so keeps the two views agreeing at every round, and that the
-  // dropped worker is truly frozen (it neither trains nor gossips, so its
-  // parameters are bit-identical across the away window).
+  // A Dynamics::on_round hook flips only the engine; SAPS mirrors the
+  // engine's liveness into its coordinator every round.  The control ledger
+  // shows the mirror: every round notifies all n workers (24 bytes each),
+  // and only the workers the engine had active send ROUND_END (12 bytes
+  // each).  The dropped worker is truly frozen: it neither trains nor
+  // gossips, so its parameters are bit-identical across the away window.
   auto engine = blob_engine(6, 3);
+  const std::size_t n = engine.workers();
   const std::size_t total_rounds =
       engine.steps_per_epoch() * engine.config().epochs;
   ASSERT_GE(total_rounds, 8u);
   constexpr std::size_t kAway = 3;
   const std::size_t kLeave = total_rounds / 4;
   const std::size_t kReturn = (3 * total_rounds) / 4;
-  bool flags_in_sync = true;
+  std::size_t rounds = 0;
+  std::size_t engine_active = 0;  // summed over rounds
   std::vector<float> frozen;
   bool frozen_unchanged = true;
-  SapsConfig cfg{.compression = 10.0};
-  cfg.on_round = [&](std::size_t round, Coordinator& coord, sim::Engine& eng) {
+  algos::Dynamics dyn;
+  dyn.on_round = [&](std::size_t round, sim::Engine& eng) {
     const bool away = round >= kLeave && round < kReturn;
-    coord.set_active(kAway, !away);
     eng.set_active(kAway, !away);
+    ++rounds;
     for (std::size_t w = 0; w < eng.workers(); ++w) {
-      flags_in_sync = flags_in_sync && coord.active(w) == eng.active(w);
+      engine_active += eng.active(w) ? 1 : 0;
     }
     const auto p = eng.params(kAway);
     if (round == kLeave) frozen.assign(p.begin(), p.end());
@@ -208,9 +194,13 @@ TEST(SapsPsgd, OnRoundDropoutKeepsCoordinatorAndEngineInSync) {
       }
     }
   };
-  SapsPsgd algo(cfg);
+  SapsPsgd algo({.compression = 10.0}, std::move(dyn));
   const auto result = algo.run(engine);
-  EXPECT_TRUE(flags_in_sync);
+  ASSERT_EQ(rounds, total_rounds);
+  ASSERT_LT(engine_active, total_rounds * n);  // kAway was away
+  EXPECT_EQ(algo.control_bytes(),
+            kNotifyWireBytes * static_cast<double>(total_rounds * n) +
+                kRoundEndWireBytes * static_cast<double>(engine_active));
   ASSERT_FALSE(frozen.empty());
   EXPECT_TRUE(frozen_unchanged);
   EXPECT_GT(result.final().accuracy, 0.8);

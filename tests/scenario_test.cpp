@@ -65,7 +65,7 @@ TEST(Registry, EveryAlgorithmKeyConstructsFromDefaults) {
     const auto& entry = reg.algorithm(key);
     const auto params =
         scenario::resolve_entry_params(entry.params, scenario::ParamSet{});
-    const auto algo = entry.make(params, scenario::AlgoBuildContext{});
+    const auto algo = entry.make(params, {});
     ASSERT_NE(algo, nullptr);
     EXPECT_STRNE(algo->name(), "");
   }

@@ -175,7 +175,7 @@ TEST(ThreadInvariance, FedAvgBitIdenticalAcrossThreadCounts) {
   check_invariance(
       [] {
         return std::make_unique<algos::FedAvg>(
-            algos::FedAvgConfig{.fraction = 0.5, .local_epochs = 1});
+            algos::FedAvgConfig{.fraction = 0.5});
       },
       /*with_bandwidth=*/false);
 }
@@ -185,9 +185,7 @@ TEST(ThreadInvariance, SparseFedAvgBitIdenticalAcrossThreadCounts) {
   check_invariance(
       [] {
         return std::make_unique<algos::FedAvg>(
-            algos::FedAvgConfig{.fraction = 0.5,
-                                .local_epochs = 1,
-                                .upload_compression = 5.0});
+            algos::FedAvgConfig{.fraction = 0.5, .upload_compression = 5.0});
       },
       /*with_bandwidth=*/false);
 }
