@@ -8,14 +8,15 @@ sim::RunResult run_rounds(
     const Schedule& schedule, const std::function<void(const Round&)>& step) {
   const std::size_t steps = engine.steps_per_epoch();
   const std::size_t epochs = engine.config().epochs;
+  const double budget = static_cast<double>(epochs);
   const bool accumulated = schedule.epochs_per_round > 0.0;
   const EvalSchedule cadence(engine.config(), steps);
 
   sim::RunResult result;
   result.algorithm = name;
   const auto eval = [&](std::size_t round, double epoch) {
-    result.history.push_back(
-        engine.eval_point(round, epoch, schedule.eval_params));
+    const auto params = schedule.eval_params;
+    result.history.push_back(engine.eval_point(round, epoch, params));
   };
   const auto synchronous_epoch = [&](std::size_t round) {
     return static_cast<double>(round) / static_cast<double>(steps);
@@ -26,21 +27,19 @@ sim::RunResult run_rounds(
   active.reserve(engine.cohort_size());
   double progress = 0.0;  // epochs completed, when accumulated
   std::size_t round = 0;  // rounds completed
-  while (accumulated ? progress < static_cast<double>(epochs)
-                     : round < epochs * steps) {
+  while (accumulated ? progress < budget : round < epochs * steps) {
     if (engine.cohort_mode()) {
-      engine.begin_round_cohort(round + schedule.cohort_key_offset,
-                                schedule.keep);
+      const std::size_t key = round + schedule.cohort_key_offset;
+      engine.begin_round_cohort(key, schedule.keep);
     }
     if (on_round) on_round(round, engine);
     active.clear();
     for (const auto w : engine.roster()) {
       if (engine.active(w)) active.push_back(w);
     }
-    step({.index = round,
-          .epoch = accumulated ? static_cast<std::size_t>(progress)
-                               : round / steps,
-          .active = active});
+    const std::size_t epoch =
+        accumulated ? static_cast<std::size_t>(progress) : round / steps;
+    step({.index = round, .epoch = epoch, .active = active});
     ++round;
     if (accumulated) {
       // Known defect, a FOUND line of CHANGES.md: the sum can fall just

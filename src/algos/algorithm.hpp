@@ -106,14 +106,14 @@ sim::RunResult run_rounds(
     const std::function<void(std::size_t, sim::Engine&)>& on_round,
     const Schedule& schedule, const std::function<void(const Round&)>& step);
 
-/// The receive rule of every exchange.  Drains `node`'s mailbox
-/// to empty.  Each frame fills the first open slot k whose expected sender
-/// senders[k] posted it, if `keep(k, frame)` accepts it (it returns false
-/// for a frame that is not valid this round: from another round, or
-/// carrying the wrong origin); every other frame is dropped.  A sender
-/// listed twice fills both slots, in arrival order.  On a transparent
-/// fabric exactly the expected frames must arrive, each once and valid;
-/// anything else throws std::logic_error naming `what`.
+/// The receive rule of every exchange.  Drains `node`'s mailbox to empty.
+/// Each frame fills the first open slot k whose expected sender senders[k]
+/// posted it, if `keep(k, frame)` accepts it (it returns false for a frame
+/// that is not valid this round: from another round, or carrying the wrong
+/// origin); every other frame is dropped.  A sender listed twice fills both
+/// slots, in arrival order.  On a transparent fabric exactly the expected
+/// frames must arrive, each once and valid; anything else throws
+/// std::logic_error naming `what`.
 template <typename Keep>
 void receive_expected(sim::Fabric& fabric, std::size_t node,
                       std::span<const std::size_t> senders, const char* what,

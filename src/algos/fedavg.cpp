@@ -69,15 +69,15 @@ sim::RunResult FedAvg::run(sim::Engine& engine) {
   // cohort key, the S-FedAvg mask seed and MaskedModelMsg::round.  A
   // deselected client keeps no parameters: the download overwrites them
   // before they are read.
-  const Schedule pace{
-      .epochs_per_round =
-          config_.local_steps > 0
-              ? static_cast<double>(config_.local_steps) /
-                    static_cast<double>(engine.steps_per_epoch())
-              : 1.0,
-      .eval_params = global,
-      .cohort_key_offset = 1,
-      .keep = sim::Engine::Keep::kAllButParams};
+  Schedule pace;
+  pace.epochs_per_round = 1.0;
+  if (config_.local_steps > 0) {
+    const auto steps = static_cast<double>(engine.steps_per_epoch());
+    pace.epochs_per_round = static_cast<double>(config_.local_steps) / steps;
+  }
+  pace.eval_params = global;
+  pace.cohort_key_offset = 1;
+  pace.keep = sim::Engine::Keep::kAllButParams;
   return run_rounds(engine, name(), dyn_.on_round, pace, [&](const Round& r) {
     const std::size_t round = r.index + 1;
     // In pooled (cohort) mode the engine's per-round draw IS the participant
@@ -135,12 +135,10 @@ sim::RunResult FedAvg::run(sim::Engine& engine) {
     // run in parallel.
     engine.parallel_for(sent.size(), [&](std::size_t i) {
       const std::size_t w = sent[i];
+      const std::size_t batches =
+          (engine.shard_size(w) + cfg.batch_size - 1) / cfg.batch_size;
       const std::size_t local_steps =
-          config_.local_steps > 0
-              ? config_.local_steps
-              : std::max<std::size_t>(
-                    1, (engine.shard_size(w) + cfg.batch_size - 1) /
-                           cfg.batch_size);
+          config_.local_steps > 0 ? config_.local_steps : batches;
       for (std::size_t s = 0; s < local_steps; ++s) {
         engine.sgd_step(w, r.epoch);
       }

@@ -59,8 +59,7 @@ struct AlgorithmEntry {
   bool supports_cohort = false;
   std::vector<ParamDesc> params;
   std::function<std::unique_ptr<algos::Algorithm>(const ParamSet&,
-                                                  algos::Dynamics)>
-      make;
+                                                  algos::Dynamics)> make;
 };
 
 /// A built workload: datasets + deterministic model factory + the paper's

@@ -115,8 +115,8 @@ RunRecord Runner::run(const std::string& algo_key, SinkList* sinks) {
       }
     };
   }
-  auto algorithm = entry.make(
-      resolve_entry_params(entry.params, spec_.params), std::move(dyn));
+  const auto params = resolve_entry_params(entry.params, spec_.params);
+  auto algorithm = entry.make(params, std::move(dyn));
 
   auto engine = make_engine();
   RunMeta meta;

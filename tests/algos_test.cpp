@@ -2,7 +2,7 @@
 // round driver all eight algorithm keys run on.
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -22,11 +22,10 @@ namespace {
 using test_util::blob_engine;
 
 // Builds a registry key's algorithm from its default parameters.
-std::unique_ptr<Algorithm> make_default(const std::string& key,
-                                        Dynamics dynamics) {
+std::unique_ptr<Algorithm> make_default(const std::string& key, Dynamics dyn) {
   const auto& entry = scenario::Registry::instance().algorithm(key);
-  return entry.make(scenario::resolve_entry_params(entry.params, {}),
-                    std::move(dynamics));
+  const auto params = scenario::resolve_entry_params(entry.params, {});
+  return entry.make(params, std::move(dyn));
 }
 
 // The driver owns every algorithm's round: Dynamics::on_round fires once per
@@ -56,10 +55,9 @@ TEST(RoundDriver, OnRoundFiresOncePerRoundInOrderForEveryKey) {
 // roster it sees is the draw of the algorithm's cohort key: round index for
 // SAPS-PSGD, index + 1 for the FedAvg family (which counts rounds from 1).
 TEST(RoundDriver, OnRoundSeesTheCohortOfEachAlgorithmsKey) {
-  const std::pair<const char*, std::size_t> keys[] = {
-      {"saps", 0}, {"fedavg", 1}, {"sfedavg", 1}};
-  for (const auto& [key, offset] : keys) {
+  for (const std::string key : {"saps", "fedavg", "sfedavg"}) {
     SCOPED_TRACE(key);
+    const std::size_t offset = key == "saps" ? 0 : 1;
     sim::SimConfig cfg;
     cfg.workers = 16;
     cfg.cohort = 4;
@@ -79,10 +77,9 @@ TEST(RoundDriver, OnRoundSeesTheCohortOfEachAlgorithmsKey) {
     ASSERT_EQ(rosters.size(), result.final().round);
     ASSERT_GT(rosters.size(), 1u);
     for (std::size_t r = 0; r < rosters.size(); ++r) {
-      const auto drawn = twin.begin_round_cohort(r + offset);
-      EXPECT_TRUE(std::equal(rosters[r].begin(), rosters[r].end(),
-                             drawn.begin(), drawn.end()))
-          << "round " << r;
+      const auto cohort = twin.begin_round_cohort(r + offset);
+      const std::vector<std::size_t> drawn(cohort.begin(), cohort.end());
+      EXPECT_EQ(rosters[r], drawn) << "round " << r;
     }
   }
 }

@@ -145,7 +145,7 @@ TEST(CohortPool, SimultaneouslyEvictedAndFailedWorkerStaysConsistent) {
       ++outsider;
     }
     // A failure schedule naming both an evicted worker and a drawn one
-    // flips them inactive, the way make_dynamics wires it.
+    // flips them inactive, the way the Runner's failure hook wires it.
     e.set_active(outsider, false);
     e.set_active(roster[0], false);
     EXPECT_FALSE(e.resident(outsider));
@@ -186,13 +186,14 @@ TEST(CohortPool, FedAvgFreezesNoParametersWhileSapsKeepsThem) {
 
   auto engine = make_pooled_engine(kPopulation, kCohort, 8, 0, kEpochs);
   std::set<std::size_t> held(engine.roster().begin(), engine.roster().end());
+  core::SapsConfig cfg;
+  cfg.compression = 10.0;
+  cfg.strategy = core::SelectionStrategy::kRandomMatch;
   algos::Dynamics dyn;
   dyn.on_round = [&held](std::size_t, sim::Engine& eng) {
     held.insert(eng.roster().begin(), eng.roster().end());
   };
-  core::SapsPsgd saps(
-      {.compression = 10.0, .strategy = core::SelectionStrategy::kRandomMatch},
-      std::move(dyn));
+  core::SapsPsgd saps(cfg, std::move(dyn));
   const auto result = saps.run(engine);
   ASSERT_GE(result.final().round, 20u);
   const std::size_t deselected = held.size() - kCohort;
@@ -293,16 +294,15 @@ TEST(CohortInvariance, SapsWithFailuresBitIdenticalAcrossThreadCounts) {
   // across thread counts through both conditions.
   check_population_invariance(
       [] {
+        core::SapsConfig cfg{
+            .compression = 10.0,
+            .strategy = core::SelectionStrategy::kRandomMatch};
         algos::Dynamics dyn;
         dyn.on_round = [](std::size_t round, sim::Engine& eng) {
           const bool away = round >= 2 && round < 5;
           for (const std::size_t w : {3u, 7u}) eng.set_active(w, !away);
         };
-        return std::make_unique<core::SapsPsgd>(
-            core::SapsConfig{
-                .compression = 10.0,
-                .strategy = core::SelectionStrategy::kRandomMatch},
-            std::move(dyn));
+        return std::make_unique<core::SapsPsgd>(cfg, std::move(dyn));
       },
       /*population=*/100, /*cohort=*/8);
 }

@@ -94,22 +94,20 @@ TEST(BatchSampler, RestoredStateDrawsTheSameNextEpochs) {
   const auto d = make_blobs(60, 4, 5, 0.5, 1);
   std::vector<std::size_t> idx;
   for (std::size_t i = 0; i < d.size(); i += 2) idx.push_back(i);
-  constexpr std::size_t kBatch = 7;
-  const std::size_t per_epoch = BatchSampler(d, idx, kBatch, 3)
-                                    .batches_per_epoch();  // ceil(30/7) = 5
+  // 30 samples in batches of 7: five batches an epoch.
+  constexpr std::size_t kBatch = 7, kPerEpoch = 5;
+  ASSERT_EQ(BatchSampler(d, idx, kBatch, 3).batches_per_epoch(), kPerEpoch);
   Tensor xa, xb;
   std::vector<std::int32_t> ya, yb;
   for (const std::size_t k : {0u, 1u, 3u}) {
-    for (const std::size_t extra : {std::size_t{0}, std::size_t{2},
-                                    per_epoch}) {
-      SCOPED_TRACE("k=" + std::to_string(k) + " extra=" +
-                   std::to_string(extra));
+    for (const std::size_t extra : {0u, 2u, 5u}) {  // none, some, all
+      SCOPED_TRACE(std::to_string(k) + " epochs + " + std::to_string(extra));
       BatchSampler original(d, idx, kBatch, 3);
-      for (std::size_t b = 0; b < k * per_epoch + extra; ++b) {
+      for (std::size_t b = 0; b < k * kPerEpoch + extra; ++b) {
         original.next(xa, ya);
       }
       BatchSampler restored(d, idx, kBatch, 3, original.save_state());
-      for (std::size_t b = 0; b < 2 * per_epoch; ++b) {
+      for (std::size_t b = 0; b < 2 * kPerEpoch; ++b) {
         original.next(xa, ya);
         restored.next(xb, yb);
         ASSERT_EQ(ya, yb) << "batch " << b;
@@ -119,7 +117,8 @@ TEST(BatchSampler, RestoredStateDrawsTheSameNextEpochs) {
       }
     }
   }
-  EXPECT_THROW(BatchSampler(d, idx, kBatch, 3, {.epoch = 0, .cursor = 31}),
+  const BatchSampler::State past_end{.epoch = 0, .cursor = 31};
+  EXPECT_THROW(BatchSampler(d, idx, kBatch, 3, past_end),
                std::invalid_argument);
 }
 

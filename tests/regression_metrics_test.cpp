@@ -54,12 +54,14 @@ std::uint64_t fnv1a(std::span<const float> values, std::uint64_t hash) {
 // round (as 64 bits), epoch, loss, accuracy, worker_mb, comm_seconds.
 std::uint64_t history_digest(const std::vector<sim::MetricPoint>& history) {
   std::uint64_t hash = kFnvBasis;
+  const auto add = [&](const auto& v) { hash = fnv1a(&v, sizeof v, hash); };
   for (const auto& p : history) {
-    const std::uint64_t round = p.round;
-    const double fields[] = {p.epoch,     p.loss,         p.accuracy,
-                             p.worker_mb, p.comm_seconds};
-    hash = fnv1a(&round, sizeof round, hash);
-    hash = fnv1a(fields, sizeof fields, hash);
+    add(static_cast<std::uint64_t>(p.round));
+    add(p.epoch);
+    add(p.loss);
+    add(p.accuracy);
+    add(p.worker_mb);
+    add(p.comm_seconds);
   }
   return hash;
 }

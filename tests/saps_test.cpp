@@ -198,9 +198,11 @@ TEST(SapsPsgd, OnRoundDropoutKeepsCoordinatorAndEngineInSync) {
   const auto result = algo.run(engine);
   ASSERT_EQ(rounds, total_rounds);
   ASSERT_LT(engine_active, total_rounds * n);  // kAway was away
-  EXPECT_EQ(algo.control_bytes(),
-            kNotifyWireBytes * static_cast<double>(total_rounds * n) +
-                kRoundEndWireBytes * static_cast<double>(engine_active));
+  const double notifies = static_cast<double>(total_rounds * n);
+  const double round_ends = static_cast<double>(engine_active);
+  const double expected =
+      kNotifyWireBytes * notifies + kRoundEndWireBytes * round_ends;
+  EXPECT_EQ(algo.control_bytes(), expected);
   ASSERT_FALSE(frozen.empty());
   EXPECT_TRUE(frozen_unchanged);
   EXPECT_GT(result.final().accuracy, 0.8);
