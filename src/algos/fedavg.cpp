@@ -65,10 +65,10 @@ sim::RunResult FedAvg::run(sim::Engine& engine) {
       engine.chunk_count(std::max<std::size_t>(dim, 1)));
 
   // A round is `local_steps` local steps per participant (one local epoch
-  // when 0).  Rounds are counted from 1 here, as they always were: the
-  // cohort key, the S-FedAvg mask seed and MaskedModelMsg::round.  A
-  // deselected client keeps no parameters: the download overwrites them
-  // before they are read.
+  // when 0).  FedAvg counts rounds from 1 in its cohort key, the S-FedAvg
+  // mask seed and MaskedModelMsg::round; a 0-based count would draw other
+  // cohorts and masks.  A deselected client keeps no parameters: the
+  // download overwrites them before they are read.
   Schedule pace;
   pace.epochs_per_round = 1.0;
   if (config_.local_steps > 0) {
