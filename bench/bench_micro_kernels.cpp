@@ -20,7 +20,6 @@
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
 #include "util/rng.hpp"
-#include "util/threadpool.hpp"
 
 namespace {
 
@@ -186,29 +185,6 @@ void BM_GemmPortableBackend(benchmark::State& state) {
   set_gemm_counters(state, m, k, n);
 }
 BENCHMARK(BM_GemmPortableBackend);
-
-// Intra-op parallel GEMM on the headline conv shape: a pool of range(0)
-// workers is registered via ops::set_gemm_pool, so the single gemm() call
-// fans its N-panels out across threads.  Named outside the BM_Gemm* gate
-// prefix on purpose — the speedup depends on the runner's core count, which
-// would make a cross-machine regression ratio meaningless.
-void BM_ParallelGemmConvShape(benchmark::State& state) {
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  const std::size_t m = 16, k = 144, n = 1024;
-  saps::Rng rng(15);
-  std::vector<float> a(m * k), b(k * n), c(m * n);
-  for (auto& v : a) v = rng.next_float();
-  for (auto& v : b) v = rng.next_float();
-  saps::ThreadPool pool(threads);
-  saps::ops::set_gemm_pool(&pool);
-  for (auto _ : state) {
-    saps::ops::gemm(a, b, c, m, k, n);
-    benchmark::DoNotOptimize(c.data());
-  }
-  saps::ops::set_gemm_pool(nullptr);
-  set_gemm_counters(state, m, k, n);
-}
-BENCHMARK(BM_ParallelGemmConvShape)->Arg(2)->Arg(4);
 
 // One nn::Conv2d pass at batch 10 over the stride-1 shapes the models
 // train: the tiny CNN's two 3×3 convs, CIFAR-CNN's two 5×5 convs and

@@ -144,10 +144,4 @@ inline net::FullModelMsg replica_msg(sim::Engine& engine, std::size_t w) {
           .params = {p.begin(), p.end()}};
 }
 
-/// Bytes of one dense float32 parameter vector on the wire.
-[[nodiscard]] inline double dense_model_bytes(
-    std::size_t param_count) noexcept {
-  return 4.0 * static_cast<double>(param_count);
-}
-
 }  // namespace saps::algos

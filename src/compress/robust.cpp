@@ -13,18 +13,6 @@ MergeRule parse_merge_rule(const std::string& name) {
                               name + "'");
 }
 
-const char* merge_rule_name(MergeRule rule) {
-  switch (rule) {
-    case MergeRule::kMean:
-      return "plain";
-    case MergeRule::kTrimmedMean:
-      return "trimmed";
-    case MergeRule::kMedian:
-      return "median";
-  }
-  return "plain";
-}
-
 std::size_t trim_count(std::size_t m, double trim_frac) {
   if (m == 0) return 0;
   auto k = static_cast<std::size_t>(trim_frac * static_cast<double>(m));

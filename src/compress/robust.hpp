@@ -36,9 +36,6 @@ enum class MergeRule {
 /// std::invalid_argument on anything else.
 [[nodiscard]] MergeRule parse_merge_rule(const std::string& name);
 
-/// Canonical spec-knob spelling of a rule.
-[[nodiscard]] const char* merge_rule_name(MergeRule rule);
-
 /// Number of elements trimmed from EACH tail for m contributions: k =
 /// floor(trim_frac * m), clamped to keep at least one element ((m-1)/2).
 [[nodiscard]] std::size_t trim_count(std::size_t m, double trim_frac);

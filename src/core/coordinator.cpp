@@ -32,13 +32,6 @@ Coordinator::Coordinator(std::size_t workers,
   }
 }
 
-const char* Coordinator::strategy_name() const noexcept {
-  if (config_.strategy == SelectionStrategy::kAdaptiveReputation) {
-    return "adaptive-reputation";
-  }
-  return generator_ ? "adaptive-bandwidth" : "random-match";
-}
-
 void Coordinator::refresh_trust() {
   if (config_.strategy != SelectionStrategy::kAdaptiveReputation) return;
   if (!trust_provider_) {
@@ -107,13 +100,11 @@ RoundPlan Coordinator::begin_round() {
       plan.gossip = gossip::GossipMatrix(match);
     }
   }
-  control_bytes_ += kNotifyWireBytes * static_cast<double>(workers_);
   return plan;
 }
 
 void Coordinator::worker_done(std::size_t worker) {
   if (worker >= workers_) throw std::out_of_range("Coordinator::worker_done");
-  control_bytes_ += kRoundEndWireBytes;
 }
 
 void Coordinator::set_active(std::size_t worker, bool active) {

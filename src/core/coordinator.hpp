@@ -5,8 +5,9 @@
 // matrix W_t via adaptive peer selection, (2) draws the mask seed s that all
 // workers use to regenerate the identical sparsification mask, (3) notifies
 // workers, and (4) waits for their ROUND_END messages.  Only small control
-// messages flow through it; the final full model is collected once at the
-// end of training.
+// messages flow through it, and the fabric's control ledger counts them
+// (sim::Fabric::control_bytes); the final full model is collected once at
+// the end of training.
 #pragma once
 
 #include <cstdint>
@@ -30,14 +31,6 @@ enum class SelectionStrategy {
   // the complete active graph.
   kAdaptiveReputation,
 };
-
-/// Control-plane wire sizes.  The (W_t, t, s) notification is a peer id +
-/// round + seed per worker; ROUND_END is a tag + round + rank.  Pinned equal
-/// to net::NotifyMsg/RoundEndMsg encode().size() by
-/// tests/message_plane_test.cpp, so the coordinator's ledger cannot drift
-/// from the encoding.
-inline constexpr double kNotifyWireBytes = 24.0;
-inline constexpr double kRoundEndWireBytes = 12.0;
 
 struct CoordinatorConfig {
   SelectionStrategy strategy = SelectionStrategy::kAdaptiveBandwidth;
@@ -63,13 +56,12 @@ class Coordinator {
               CoordinatorConfig config);
 
   [[nodiscard]] std::size_t workers() const noexcept { return workers_; }
-  [[nodiscard]] const char* strategy_name() const noexcept;
 
-  /// Generates the plan for the next round and accounts the coordinator →
-  /// worker control broadcast.
+  /// Generates the plan (W_t, t, s) for the next round.
   [[nodiscard]] RoundPlan begin_round();
 
-  /// Worker bookkeeping for the ROUND_END message (Algorithm 2, line 11).
+  /// Takes a worker's ROUND_END (Algorithm 2, line 11); throws
+  /// std::out_of_range on a rank outside the population.
   void worker_done(std::size_t worker);
 
   /// Federated dynamics: workers joining/leaving mid-training.
@@ -94,13 +86,6 @@ class Coordinator {
   [[nodiscard]] double bottleneck_bandwidth(
       const gossip::GossipMatrix& w) const;
 
-  /// Cumulative control-plane traffic in bytes (status messages only; the
-  /// paper's plots exclude it because it is negligible next to the model
-  /// traffic — we track it to show exactly that).
-  [[nodiscard]] double control_bytes() const noexcept { return control_bytes_; }
-
-  [[nodiscard]] std::size_t rounds_issued() const noexcept { return round_; }
-
  private:
   /// Trust-weighted jittered matching over the complete active graph — the
   /// reputation strategy's fallback when there is no bandwidth to adapt to.
@@ -118,7 +103,6 @@ class Coordinator {
   Rng seed_rng_;
   Rng trust_rng_;  // jitter stream of the no-bandwidth reputation matching
   std::size_t round_ = 0;
-  double control_bytes_ = 0.0;
 };
 
 }  // namespace saps::core

@@ -33,6 +33,7 @@ sim::RunResult SapsPsgd::run(sim::Engine& engine) {
 
   auto& fabric = engine.fabric();
   const std::size_t coord_node = engine.server_node();
+  const double control_before = fabric.control_bytes();
 
   // Attack-aware scoring: workers observe their matched peer's masked
   // update every round; with kAdaptiveReputation the resulting trust also
@@ -153,7 +154,7 @@ sim::RunResult SapsPsgd::run(sim::Engine& engine) {
         return net::FullModelMsg::decode(env.payload).params.size() == dim;
       });
 
-  control_bytes_ = coordinator.control_bytes();
+  control_bytes_ = fabric.control_bytes() - control_before;
   return result;
 }
 

@@ -10,6 +10,8 @@
 // keeps everything.  The step first mirrors the engine's liveness (resident
 // and active) into the coordinator, so a Dynamics::on_round hook flips only
 // the engine and the match never names a worker without a live replica.
+// Each round the coordinator notifies every resident worker and every
+// active worker answers with ROUND_END, all on the fabric's control plane.
 #pragma once
 
 #include <optional>
@@ -59,7 +61,8 @@ class SapsPsgd final : public algos::Algorithm {
       const noexcept {
     return selection_bandwidth_;
   }
-  /// Cumulative coordinator control-plane bytes observed in the last run.
+  /// Control-plane bytes of the last run (notifications and ROUND_ENDs):
+  /// how much the fabric's control ledger grew during it.
   [[nodiscard]] double control_bytes() const noexcept { return control_bytes_; }
 
  private:

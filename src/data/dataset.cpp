@@ -80,10 +80,6 @@ void BatchSampler::reshuffle() {
   cursor_ = 0;
 }
 
-std::size_t BatchSampler::batches_per_epoch() const noexcept {
-  return (order_.size() + batch_size_ - 1) / batch_size_;
-}
-
 void BatchSampler::next(Tensor& x, std::vector<std::int32_t>& labels) {
   if (cursor_ >= order_.size()) {
     reshuffle();

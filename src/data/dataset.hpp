@@ -31,7 +31,6 @@ class Dataset {
   [[nodiscard]] const std::vector<std::size_t>& sample_shape() const noexcept {
     return sample_shape_;
   }
-  [[nodiscard]] std::size_t sample_dim() const noexcept { return sample_dim_; }
 
   [[nodiscard]] std::int32_t label(std::size_t i) const {
     return labels_.at(i);
@@ -85,7 +84,6 @@ class BatchSampler {
   /// boundaries.  The final batch of an epoch may be smaller.
   void next(Tensor& x, std::vector<std::int32_t>& labels);
 
-  [[nodiscard]] std::size_t batches_per_epoch() const noexcept;
   [[nodiscard]] std::size_t batch_size() const noexcept { return batch_size_; }
 
   [[nodiscard]] State save_state() const { return {epoch_, cursor_}; }

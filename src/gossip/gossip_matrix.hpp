@@ -27,7 +27,6 @@ class GossipMatrix {
 
   /// Peer of worker v this round, or v itself if unmatched (self-loop).
   [[nodiscard]] std::size_t peer(std::size_t v) const;
-  [[nodiscard]] bool is_matched(std::size_t v) const { return peer(v) != v; }
 
   [[nodiscard]] std::vector<std::pair<std::size_t, std::size_t>> pairs() const;
 

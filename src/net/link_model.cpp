@@ -1,8 +1,6 @@
 #include "net/link_model.hpp"
 
 #include <algorithm>
-#include <limits>
-#include <set>
 #include <stdexcept>
 
 #include "util/rng.hpp"
@@ -129,8 +127,6 @@ double LinkModel::finish_round() {
   // pins); keep the arithmetic shape identical.
   if ((!bandwidth_ || pending_.empty()) && !timing_extras() &&
       !pending_extra_) {
-    round_bottleneck_.push_back(0.0);
-    round_mean_.push_back(0.0);
     return 0.0;
   }
 
@@ -139,9 +135,6 @@ double LinkModel::finish_round() {
   // the synchronous round open.
   for (const double r : ready_) round_seconds = std::max(round_seconds, r);
 
-  double min_bw = std::numeric_limits<double>::infinity();
-  double sum_bw = 0.0;
-  std::set<std::pair<std::size_t, std::size_t>> links;
   for (const auto& tr : pending_) {
     // Event chain: serialize-and-send starts once src's compute is done,
     // the wire adds propagation latency, then bytes drain at link bandwidth;
@@ -154,22 +147,10 @@ double LinkModel::finish_round() {
             "LinkModel: transfer over a zero-bandwidth link");
       }
       seconds += tr.bytes / (bw * 1e6);
-      const auto link = std::minmax(tr.src, tr.dst);
-      if (links.insert({link.first, link.second}).second) {
-        min_bw = std::min(min_bw, bw);
-        sum_bw += bw;
-      }
     }
     round_seconds = std::max(round_seconds, seconds);
   }
   total_seconds_ += round_seconds;
-  if (links.empty()) {
-    round_bottleneck_.push_back(0.0);
-    round_mean_.push_back(0.0);
-  } else {
-    round_bottleneck_.push_back(min_bw);
-    round_mean_.push_back(sum_bw / static_cast<double>(links.size()));
-  }
   return round_seconds;
 }
 
@@ -192,15 +173,6 @@ void LinkModel::set_stat_worker_count(std::size_t count) {
     throw std::invalid_argument("LinkModel::set_stat_worker_count");
   }
   stat_workers_ = count;
-}
-
-double LinkModel::max_worker_bytes() const {
-  const std::size_t k = stat_workers_ == 0 ? workers_ : stat_workers_;
-  double best = 0.0;
-  for (std::size_t w = 0; w < k; ++w) {
-    best = std::max(best, worker_bytes(w));
-  }
-  return best;
 }
 
 double LinkModel::mean_worker_bytes() const {

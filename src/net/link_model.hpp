@@ -2,12 +2,14 @@
 // and a per-worker compute-time (straggler) model on top of the bandwidth
 // matrix.  Replaces the old synchronous-round NetworkSim.
 //
-// The paper reports three network-level quantities, all reproduced from this
-// accounting layer:
+// Two of the paper's network-level quantities come from this accounting
+// layer:
 //  - Fig. 4 / Table IV "traffic": cumulative bytes sent+received per worker;
-//  - Fig. 5 "bandwidth utilization": per-round bottleneck (minimum) bandwidth
-//    over the links active in that round;
 //  - Fig. 6 / Table IV "communication time": the round's elapsed time.
+// Fig. 5's per-round bottleneck bandwidth is not measured here: it is the
+// slowest link of the round's matching or ring, from
+// core::Coordinator::bottleneck_bandwidth and
+// gossip::RingTopology::bottleneck_bandwidth.
 //
 // Round time is the critical path over a small event timeline.  Within one
 // start_round()/finish_round() window each node first finishes its local
@@ -66,7 +68,7 @@ class LinkModel {
   }
   [[nodiscard]] const LinkOptions& options() const noexcept { return options_; }
 
-  /// Restricts the per-worker statistics (mean/max worker bytes) to the
+  /// Restricts the per-worker statistic (mean worker bytes) to the
   /// first `count` nodes — used when the node set includes a virtual
   /// parameter server whose traffic must not pollute worker-side numbers.
   void set_stat_worker_count(std::size_t count);
@@ -102,22 +104,9 @@ class LinkModel {
   [[nodiscard]] double down_bytes(std::size_t worker) const;
   /// sent + received for one worker.
   [[nodiscard]] double worker_bytes(std::size_t worker) const;
-  /// Maximum over workers of worker_bytes (the paper's "on a training
-  /// worker" is the per-worker traffic; max = worst case).
-  [[nodiscard]] double max_worker_bytes() const;
   [[nodiscard]] double mean_worker_bytes() const;
   [[nodiscard]] double total_seconds() const noexcept { return total_seconds_; }
   [[nodiscard]] std::size_t rounds() const noexcept { return rounds_; }
-
-  /// Bottleneck (minimum) bandwidth among links active in round r, MB/s.
-  [[nodiscard]] const std::vector<double>& round_bottleneck_mbps()
-      const noexcept {
-    return round_bottleneck_;
-  }
-  /// Mean bandwidth among links active in round r, MB/s.
-  [[nodiscard]] const std::vector<double>& round_mean_mbps() const noexcept {
-    return round_mean_;
-  }
 
   /// One-way latency of src → dst under the options (matrix entry when both
   /// endpoints are covered, the uniform scalar otherwise).
@@ -149,8 +138,6 @@ class LinkModel {
   bool in_round_ = false;
   double total_seconds_ = 0.0;
   std::size_t rounds_ = 0;
-  std::vector<double> round_bottleneck_;
-  std::vector<double> round_mean_;
 };
 
 /// Index of the node with the highest mean link bandwidth to all others —

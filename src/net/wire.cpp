@@ -112,8 +112,7 @@ void check_count(const ByteReader& r, std::size_t count,
 }  // namespace
 
 std::vector<std::uint8_t> NotifyMsg::encode() const {
-  // type + 3 pad + round + seed + peer + 4 reserved = 24 bytes, the
-  // coordinator's kNotifyWireBytes.
+  // type + 3 pad + round + seed + peer + 4 reserved = 24 bytes.
   ByteWriter w;
   w.u8(static_cast<std::uint8_t>(MsgType::kNotify));
   pad(w, 3);
@@ -137,8 +136,7 @@ NotifyMsg NotifyMsg::decode(std::span<const std::uint8_t> bytes) {
 }
 
 std::vector<std::uint8_t> RoundEndMsg::encode() const {
-  // type + 3 pad + round + rank = 12 bytes, the coordinator's
-  // kRoundEndWireBytes.
+  // type + 3 pad + round + rank = 12 bytes.
   ByteWriter w;
   w.u8(static_cast<std::uint8_t>(MsgType::kRoundEnd));
   pad(w, 3);

@@ -5,8 +5,8 @@
 // wire_bytes().  For the control-plane and sparsified messages (NotifyMsg,
 // RoundEndMsg, MaskedModelMsg, SparseDeltaMsg) the charge IS encode().size()
 // — the cross-check suite in tests/message_plane_test.cpp pins that equality
-// against compress::masked_wire_bytes, SparseVector::wire_bytes and the
-// coordinator control-plane constants across dimensions.  Two message types
+// against compress::masked_wire_bytes and SparseVector::wire_bytes across
+// dimensions, and the control messages at 24 and 12 bytes.  Two message types
 // charge less than their physical encoding, matching the paper's accounting:
 // FullModelMsg charges payload floats only (Table I counts model parameters
 // moved, not framing), and QuantGradMsg charges the information-theoretic
@@ -92,7 +92,7 @@ enum class MsgType : std::uint8_t {
 };
 
 /// (W_t, t, s) for one worker: its peer for the round plus the shared seed.
-/// Encodes to exactly 24 bytes (= core::kNotifyWireBytes).
+/// Encodes to exactly 24 bytes.
 struct NotifyMsg {
   std::uint32_t round = 0;
   std::uint64_t mask_seed = 0;
@@ -104,7 +104,7 @@ struct NotifyMsg {
   static NotifyMsg decode(std::span<const std::uint8_t> bytes);
 };
 
-/// Encodes to exactly 12 bytes (= core::kRoundEndWireBytes).
+/// ROUND_END from one worker.  Encodes to exactly 12 bytes.
 struct RoundEndMsg {
   std::uint32_t round = 0;
   std::uint32_t rank = 0;

@@ -20,16 +20,6 @@ std::size_t flat_dim(const std::vector<std::size_t>& shape) {
 }
 }  // namespace
 
-Model make_logreg(std::vector<std::size_t> input_shape, std::size_t classes,
-                  std::uint64_t seed) {
-  Model m;
-  const std::size_t in = flat_dim(input_shape);
-  m.add(std::make_unique<Flatten>());
-  m.add(std::make_unique<Linear>(in, classes));
-  m.build(std::move(input_shape), seed);
-  return m;
-}
-
 Model make_mlp(std::vector<std::size_t> input_shape,
                const std::vector<std::size_t>& hidden, std::size_t classes,
                std::uint64_t seed) {

@@ -13,11 +13,8 @@
 
 namespace saps::nn {
 
-/// Logistic regression: Flatten + Linear.  For fast tests.
-Model make_logreg(std::vector<std::size_t> input_shape, std::size_t classes,
-                  std::uint64_t seed);
-
-/// MLP with ReLU hidden layers.  For fast tests and quickstart.
+/// MLP with ReLU hidden layers (none: logistic regression).  For fast
+/// tests and quickstart.
 Model make_mlp(std::vector<std::size_t> input_shape,
                const std::vector<std::size_t>& hidden, std::size_t classes,
                std::uint64_t seed);

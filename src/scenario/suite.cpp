@@ -153,10 +153,6 @@ std::vector<SuitePointResult> SuiteRunner::run() {
     results[i].index = i;
     results[i].label = sweep_.point_label(i);
     results[i].spec = sweep_.point(i);
-    // Pin engine threads per point: results are thread-count invariant, and
-    // concurrent engines must stay off the process-global intra-op GEMM
-    // pool (see ops::set_gemm_pool).  Suite-level parallelism is the knob.
-    results[i].spec.threads = 0;
   }
 
   // Build each distinct workload once, serially and in first-use order, so

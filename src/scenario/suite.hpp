@@ -5,15 +5,12 @@
 // Determinism contract.  Every grid point is an independent Runner over its
 // own finalized spec — no state is shared between points except read-only
 // workloads — so executing points concurrently is bit-identical to running
-// them serially in any order.  Two mechanisms keep the OBSERVABLE output
-// deterministic too:
-//   - engine threads are pinned to 0 per point (results are thread-count
-//     invariant by the repo contract, so this changes nothing — and it keeps
-//     concurrent engines off the process-global intra-op GEMM pool, which is
-//     registration-racy by design);
-//   - ordered sinks (table/csv/jsonl) never see interleaved runs: each
-//     point's sink events are buffered and flushed in grid order as the
-//     completed prefix advances, so the byte stream equals the serial run's.
+// them serially in any order.  A point's `threads=` runs its own engine
+// pool (results are thread-count invariant by the repo contract).  The
+// OBSERVABLE output stays deterministic too: ordered sinks
+// (table/csv/jsonl) never see interleaved runs, because each point's sink
+// events are buffered and flushed in grid order as the completed prefix
+// advances, so the byte stream equals the serial run's.
 //
 // Liveness comes from Telemetry instead: a thread-safe counter/gauge bag the
 // suite and its TelemetrySink update AS POINTS RUN (points done/running,

@@ -6,7 +6,6 @@
 
 #include "data/partition.hpp"
 #include "sim/faulty_fabric.hpp"
-#include "tensor/ops.hpp"
 
 namespace saps::sim {
 
@@ -170,18 +169,6 @@ Engine::Engine(SimConfig config, const data::Dataset& train,
 
   if (config_.threads > 0) {
     pool_ = std::make_unique<ThreadPool>(config_.threads);
-    // Intra-op GEMM parallelism rides the same pool: calls made from the
-    // main thread (full-model eval, few-worker rounds via the single-task
-    // inline path) fan their macro-panels out, while calls made FROM pool
-    // workers stay serial (ThreadPool::on_worker_thread) — bit-identical
-    // either way.
-    ops::set_gemm_pool(pool_.get());
-  }
-}
-
-Engine::~Engine() {
-  if (pool_ != nullptr && ops::gemm_pool() == pool_.get()) {
-    ops::set_gemm_pool(nullptr);
   }
 }
 

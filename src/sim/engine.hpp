@@ -76,9 +76,10 @@ struct SimConfig {
   std::size_t eval_batch = 256;
   std::size_t eval_every_rounds = 0;   // 0 = once per epoch
   // 0 = fully serial; >= 1 runs the per-worker hot loops (local SGD,
-  // compression, gossip merges, eval batches) on a pool of that many
-  // threads.  Results are bit-identical for every value (see
-  // docs/ARCHITECTURE.md, "Threading model").
+  // compression, gossip merges, eval blocks) on a pool of that many
+  // threads, each GEMM on the thread that calls it.  Results are
+  // bit-identical for every value (see docs/ARCHITECTURE.md, "Threading
+  // model").
   std::size_t threads = 0;
   // Message-plane timing knobs (net::LinkOptions).  The all-zero defaults
   // reproduce the legacy zero-latency synchronous-round accounting
@@ -137,10 +138,6 @@ class Engine {
          std::optional<net::BandwidthMatrix>) = delete;
   Engine(SimConfig, data::Dataset&&, data::Dataset&&, const ModelFactory&,
          std::optional<net::BandwidthMatrix>) = delete;
-  /// Unregisters this engine's pool from ops::set_gemm_pool (only if the
-  /// global still points at it, so sequentially constructed engines never
-  /// clobber each other).
-  ~Engine();
 
   [[nodiscard]] const SimConfig& config() const noexcept { return config_; }
   [[nodiscard]] std::size_t workers() const noexcept { return config_.workers; }
@@ -416,7 +413,7 @@ class Engine {
   std::vector<std::uint8_t> active_;
   // Owned through a pointer for two reasons: the fabric is polymorphic
   // (FaultyFabric overrides post), and the engine must stay movable while
-  // Transport holds non-movable mailbox mutexes.
+  // the fabric's mailboxes hold non-movable mutexes.
   std::unique_ptr<Fabric> fabric_;
   std::size_t steps_per_epoch_ = 0;
   std::unique_ptr<ThreadPool> pool_;

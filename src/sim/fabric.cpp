@@ -6,9 +6,13 @@ namespace saps::sim {
 
 Fabric::Fabric(net::LinkModel link)
     : link_(std::move(link)),
-      transport_(link_.workers()),
+      mailboxes_(link_.workers()),
       lanes_(link_.workers()),
       compute_staged_(link_.workers(), 0.0) {}
+
+Fabric::~Fabric() {
+  for (auto& box : mailboxes_) delete box.load(std::memory_order_relaxed);
+}
 
 void Fabric::begin_round() {
   if (in_round_) throw std::logic_error("Fabric: round already open");
@@ -46,11 +50,37 @@ void Fabric::post_control(std::size_t src, std::size_t dst, double charged,
     throw std::invalid_argument("Fabric: bad endpoints");
   }
   control_bytes_ += charged;
-  transport_.send(src, dst, std::move(payload));
+  deliver(src, dst, std::move(payload));
+}
+
+void Fabric::deliver(std::size_t src, std::size_t dst,
+                     std::vector<std::uint8_t> payload) {
+  auto& slot = mailboxes_[dst];
+  Mailbox* box = slot.load(std::memory_order_acquire);
+  if (box == nullptr) {
+    // First touch, checked again under the lock: concurrent first senders
+    // to one node (say, uploads to the server) must publish one mailbox.
+    std::lock_guard lock(alloc_mutex_);
+    box = slot.load(std::memory_order_relaxed);
+    if (box == nullptr) {
+      box = new Mailbox();
+      slot.store(box, std::memory_order_release);
+    }
+  }
+  std::lock_guard lock(box->mutex);
+  box->queue.push(Envelope{src, std::move(payload)});
 }
 
 std::optional<Envelope> Fabric::recv(std::size_t node) {
-  return transport_.try_recv(node);
+  if (node >= nodes()) throw std::out_of_range("Fabric::recv");
+  // A never-touched mailbox holds no mail; popping it allocates nothing.
+  Mailbox* box = mailboxes_[node].load(std::memory_order_acquire);
+  if (box == nullptr) return std::nullopt;
+  std::lock_guard lock(box->mutex);
+  if (box->queue.empty()) return std::nullopt;
+  Envelope env = std::move(box->queue.front());
+  box->queue.pop();
+  return env;
 }
 
 double Fabric::end_round() {

@@ -3,36 +3,44 @@
 // (net/wire.hpp), with traffic charged from the message's own wire_bytes()
 // instead of hand-computed byte constants at call sites.
 //
-// The fabric composes the two existing transport layers:
-//  - sim::Transport is the DELIVERY backend: send() serializes the message
-//    and places the bytes in the destination mailbox; receivers decode with
-//    the matching MsgType.
-//  - net::LinkModel is the ACCOUNTING backend: charges are staged per source
-//    during the round and applied in fixed (source, send-order) order at
+// The fabric owns two things:
+//  - DELIVERY: one FIFO mailbox per node.  send() serializes the message and
+//    pushes the bytes into the destination's mailbox; recv() pops without
+//    blocking and the receiver decodes with the matching MsgType.
+//  - ACCOUNTING over a net::LinkModel: charges are staged per source during
+//    the round and applied in fixed (source, send-order) order at
 //    end_round(), so traffic sums and the event-timeline round time are
 //    bit-identical for every thread count.
 //
 // Concurrency contract (mirrors docs/ARCHITECTURE.md "Threading model"):
 // data-plane send()/recv() may be called from engine parallel sections as
 // long as each task owns a DISJOINT set of source nodes (and of receiving
-// mailboxes) — e.g. one task per gossip pair or per worker.  Mailbox
-// delivery is internally thread-safe; the per-source staging lanes are
-// race-free exactly under that ownership discipline.  The control plane
+// mailboxes) — e.g. one task per gossip pair or per worker.  Each mailbox is
+// guarded by its own mutex; the per-source staging lanes are race-free
+// exactly under that ownership discipline.  The control plane
 // (send_control) is serial coordinator-side code; control bytes are counted
 // separately and never enter worker traffic or round time, matching the
 // paper's accounting (control traffic is reported only to show it is
 // negligible).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <optional>
+#include <queue>
 #include <span>
 #include <vector>
 
 #include "net/link_model.hpp"
-#include "sim/transport.hpp"
 
 namespace saps::sim {
+
+/// One delivered frame: the sending node and the encoded bytes.
+struct Envelope {
+  std::size_t from = 0;
+  std::vector<std::uint8_t> payload;
+};
 
 /// A message encoded once for repeated sending: the byte frame plus the
 /// traffic charge captured from wire_bytes() at encode time.  Ring
@@ -54,14 +62,13 @@ template <typename Msg>
 class Fabric {
  public:
   explicit Fabric(net::LinkModel link);
-  virtual ~Fabric() = default;
+  virtual ~Fabric();
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
 
   [[nodiscard]] std::size_t nodes() const noexcept { return link_.workers(); }
   [[nodiscard]] net::LinkModel& link() noexcept { return link_; }
   [[nodiscard]] const net::LinkModel& link() const noexcept { return link_; }
-  [[nodiscard]] Transport& transport() noexcept { return transport_; }
 
   /// True when every data frame is delivered exactly once, unmodified, with
   /// its exact charge — i.e. the plain fabric, or a fault wrapper whose
@@ -116,7 +123,8 @@ class Fabric {
     post_control(src, dst, msg.wire_bytes(), msg.encode());
   }
 
-  /// Non-blocking mailbox pop for `node`; nullopt when empty.
+  /// Non-blocking pop of `node`'s oldest frame; nullopt when its mailbox is
+  /// empty or was never touched.  Throws std::out_of_range on a bad node.
   [[nodiscard]] std::optional<Envelope> recv(std::size_t node);
 
   /// Closes the round: applies staged compute and transfer charges to the
@@ -147,11 +155,9 @@ class Fabric {
     lanes_[src].push_back({dst, bytes, extra_seconds});
   }
 
-  /// Places payload bytes in dst's mailbox (thread-safe).
+  /// Pushes payload bytes into dst's mailbox (thread-safe).
   void deliver(std::size_t src, std::size_t dst,
-               std::vector<std::uint8_t> payload) {
-    transport_.send(src, dst, std::move(payload));
-  }
+               std::vector<std::uint8_t> payload);
 
  private:
   struct Staged {
@@ -160,11 +166,20 @@ class Fabric {
     double extra_seconds;
   };
 
+  struct Mailbox {
+    std::mutex mutex;
+    std::queue<Envelope> queue;
+  };
+
   void post_control(std::size_t src, std::size_t dst, double charged,
                     std::vector<std::uint8_t> payload);
 
   net::LinkModel link_;
-  Transport transport_;
+  // One mailbox per node, allocated on its first delivery: a population-
+  // scale fabric has a node per client, but only the cohort exchanges
+  // frames.  A published mailbox lives until ~Fabric.
+  std::vector<std::atomic<Mailbox*>> mailboxes_;
+  std::mutex alloc_mutex_;  // serializes first deliveries
   std::vector<std::vector<Staged>> lanes_;  // per-source data-plane charges
   std::vector<double> compute_staged_;      // per-node compute seconds
   double control_bytes_ = 0.0;

@@ -8,14 +8,9 @@
 //       for ic over m in kMc rows:         A block      → packed, L2
 //         for jr, ir over the block:       4×16 micro-tile, C in registers
 //
-// Intra-op parallelism: when a pool is registered (ops::set_gemm_pool) and
-// the caller is NOT itself a pool worker (the engine's per-worker hot loops
-// run ON the pool; nesting would deadlock the queue), large calls partition
-// C into disjoint macro-panel chunks — kNr-aligned column ranges first,
-// kMr-aligned row ranges when N is narrow — and run the serial driver on
-// each chunk with per-thread pack buffers.  Every C element is still
-// computed by exactly one thread as the same k-ascending fma chain, so the
-// parallel path is bit-identical to the serial one for any pool size.
+// Every call runs on the calling thread: the engine parallelizes across
+// workers and eval blocks, never inside one GEMM.  Pack buffers are
+// thread_local, so concurrent calls from different threads share nothing.
 //
 // Both inputs are repacked into contiguous micro-panels (kMr-row panels of A,
 // kNr-column panels of B, k-major within a panel, zero-padded at the edges),
@@ -29,9 +24,8 @@
 //     c = relu(c + bias)               (fused epilogue, final panel only)
 // independent of blocking (panel boundaries round-trip C through memory
 // exactly), of tile position (edge tiles run the same kernel on a padded
-// buffer), of backend (std::fma and vfmadd are both correctly rounded, so
-// the portable and AVX2 paths are bit-identical), and of thread count (the
-// parallel split assigns whole C elements, never partial k ranges).
+// buffer), and of backend (std::fma and vfmadd are both correctly rounded,
+// so the portable and AVX2 paths are bit-identical).
 #include <algorithm>
 #include <atomic>
 #include <cmath>
@@ -43,7 +37,6 @@
 
 #include "tensor/ops.hpp"
 #include "util/logging.hpp"
-#include "util/threadpool.hpp"
 
 #if defined(__x86_64__) || defined(_M_X64)
 #define SAPS_GEMM_X86 1
@@ -381,10 +374,10 @@ constexpr std::size_t kSmallK = 16;
 constexpr std::size_t kSmallKMaxN = 512;
 
 void small_k_portable(const MatLayout& a, const MatLayout& b, float* c,
-                      std::size_t ldc, std::size_t m, std::size_t k,
-                      std::size_t n, bool accumulate) {
+                      std::size_t m, std::size_t k, std::size_t n,
+                      bool accumulate) {
   for (std::size_t i = 0; i < m; ++i) {
-    float* crow = c + i * ldc;
+    float* crow = c + i * n;
     if (!accumulate) std::fill(crow, crow + n, 0.0f);
     for (std::size_t kk = 0; kk < k; ++kk) {
       const float aval = a.at(i, kk);
@@ -401,14 +394,13 @@ void small_k_portable(const MatLayout& a, const MatLayout& b, float* c,
 // rows×2 ymm accumulators live across the whole k loop — the packed
 // micro-kernel's register tile, fed by strided loads instead of panels.
 __attribute__((target("avx2,fma"))) void small_k_avx2_strip(
-    const MatLayout& a, const MatLayout& b, float* c, std::size_t ldc,
-    std::size_t i0, std::size_t rows, std::size_t k, std::size_t n,
-    bool accumulate) {
+    const MatLayout& a, const MatLayout& b, float* c, std::size_t i0,
+    std::size_t rows, std::size_t k, std::size_t n, bool accumulate) {
   std::size_t j = 0;
   for (; j + 16 <= n; j += 16) {
     __m256 acc[kMr][2];
     for (std::size_t i = 0; i < rows; ++i) {
-      float* crow = c + (i0 + i) * ldc + j;
+      float* crow = c + (i0 + i) * n + j;
       if (accumulate) {
         acc[i][0] = _mm256_loadu_ps(crow);
         acc[i][1] = _mm256_loadu_ps(crow + 8);
@@ -429,7 +421,7 @@ __attribute__((target("avx2,fma"))) void small_k_avx2_strip(
       }
     }
     for (std::size_t i = 0; i < rows; ++i) {
-      float* crow = c + (i0 + i) * ldc + j;
+      float* crow = c + (i0 + i) * n + j;
       _mm256_storeu_ps(crow, acc[i][0]);
       _mm256_storeu_ps(crow + 8, acc[i][1]);
     }
@@ -437,7 +429,7 @@ __attribute__((target("avx2,fma"))) void small_k_avx2_strip(
   for (; j + 8 <= n; j += 8) {
     __m256 acc[kMr];
     for (std::size_t i = 0; i < rows; ++i) {
-      acc[i] = accumulate ? _mm256_loadu_ps(c + (i0 + i) * ldc + j)
+      acc[i] = accumulate ? _mm256_loadu_ps(c + (i0 + i) * n + j)
                           : _mm256_setzero_ps();
     }
     for (std::size_t kk = 0; kk < k; ++kk) {
@@ -449,13 +441,13 @@ __attribute__((target("avx2,fma"))) void small_k_avx2_strip(
       }
     }
     for (std::size_t i = 0; i < rows; ++i) {
-      _mm256_storeu_ps(c + (i0 + i) * ldc + j, acc[i]);
+      _mm256_storeu_ps(c + (i0 + i) * n + j, acc[i]);
     }
   }
   for (; j + 4 <= n; j += 4) {
     __m128 acc[kMr];
     for (std::size_t i = 0; i < rows; ++i) {
-      acc[i] = accumulate ? _mm_loadu_ps(c + (i0 + i) * ldc + j)
+      acc[i] = accumulate ? _mm_loadu_ps(c + (i0 + i) * n + j)
                           : _mm_setzero_ps();
     }
     for (std::size_t kk = 0; kk < k; ++kk) {
@@ -466,28 +458,28 @@ __attribute__((target("avx2,fma"))) void small_k_avx2_strip(
       }
     }
     for (std::size_t i = 0; i < rows; ++i) {
-      _mm_storeu_ps(c + (i0 + i) * ldc + j, acc[i]);
+      _mm_storeu_ps(c + (i0 + i) * n + j, acc[i]);
     }
   }
   for (; j < n; ++j) {
     for (std::size_t i = 0; i < rows; ++i) {
-      float acc = accumulate ? c[(i0 + i) * ldc + j] : 0.0f;
+      float acc = accumulate ? c[(i0 + i) * n + j] : 0.0f;
       for (std::size_t kk = 0; kk < k; ++kk) {
         acc = std::fma(a.at(i0 + i, kk), b.p[kk * b.rs + j], acc);
       }
-      c[(i0 + i) * ldc + j] = acc;
+      c[(i0 + i) * n + j] = acc;
     }
   }
 }
 
 __attribute__((target("avx2,fma"))) void small_k_avx2(
-    const MatLayout& a, const MatLayout& b, float* c, std::size_t ldc,
-    std::size_t m, std::size_t k, std::size_t n, bool accumulate) {
+    const MatLayout& a, const MatLayout& b, float* c, std::size_t m,
+    std::size_t k, std::size_t n, bool accumulate) {
   std::size_t i = 0;
   for (; i + kMr <= m; i += kMr) {
-    small_k_avx2_strip(a, b, c, ldc, i, kMr, k, n, accumulate);
+    small_k_avx2_strip(a, b, c, i, kMr, k, n, accumulate);
   }
-  if (i < m) small_k_avx2_strip(a, b, c, ldc, i, m - i, k, n, accumulate);
+  if (i < m) small_k_avx2_strip(a, b, c, i, m - i, k, n, accumulate);
 }
 #endif  // SAPS_GEMM_X86
 
@@ -504,19 +496,17 @@ float apply_epilogue_scalar(float v, const GemmEpilogue& ep, std::size_t row,
   return v;
 }
 
-// The serial blocked driver over one C region.  `ldc` is the C row stride —
-// equal to n for a whole-problem call, larger when the region is one
-// column-chunk of a parallel decomposition.
+// The blocked driver: C(m×n, row-major) = or += A·B, then the epilogue.
 void gemm_driver(const MatLayout& a, const MatLayout& b, float* c,
-                 std::size_t ldc, std::size_t m, std::size_t k, std::size_t n,
-                 bool accumulate, const GemmEpilogue* ep) {
+                 std::size_t m, std::size_t k, std::size_t n, bool accumulate,
+                 const GemmEpilogue* ep) {
   if (m == 0 || n == 0) return;
   if (k == 0) {
     // No k panels would run: materialize the seed + epilogue directly.
     if (!accumulate) {
       for (std::size_t i = 0; i < m; ++i) {
         for (std::size_t j = 0; j < n; ++j) {
-          c[i * ldc + j] =
+          c[i * n + j] =
               ep ? apply_epilogue_scalar(0.0f, *ep, i, j) : 0.0f;
         }
       }
@@ -531,11 +521,11 @@ void gemm_driver(const MatLayout& a, const MatLayout& b, float* c,
 #if SAPS_GEMM_X86
     if (resolve(g_backend.load(std::memory_order_relaxed)) ==
         GemmBackend::kAvx2) {
-      small_k_avx2(a, b, c, ldc, m, k, n, accumulate);
+      small_k_avx2(a, b, c, m, k, n, accumulate);
       return;
     }
 #endif
-    small_k_portable(a, b, c, ldc, m, k, n, accumulate);
+    small_k_portable(a, b, c, m, k, n, accumulate);
     return;
   }
 
@@ -568,7 +558,7 @@ void gemm_driver(const MatLayout& a, const MatLayout& b, float* c,
             const std::size_t rows = std::min(kMr, mb - ir);
             const float* ap =
                 apack.data() + ir / kMr * (kb * kMr + kPanelPad);
-            float* ctile = c + (ic + ir) * ldc + (jc + jr);
+            float* ctile = c + (ic + ir) * n + (jc + jr);
             if (rows == kMr && cols == kNr) {
               TileEpilogue te;
               const TileEpilogue* tep = nullptr;
@@ -583,7 +573,7 @@ void gemm_driver(const MatLayout& a, const MatLayout& b, float* c,
                 te.relu = tile_ep->relu;
                 tep = &te;
               }
-              kernel(kb, ap, bp, ctile, ldc, load_c, tep);
+              kernel(kb, ap, bp, ctile, n, load_c, tep);
             } else {
               // Edge tile: run the same kernel on a kMr×kNr buffer seeded
               // from C (zero-padded), then copy the valid region back with
@@ -593,7 +583,7 @@ void gemm_driver(const MatLayout& a, const MatLayout& b, float* c,
               for (std::size_t i = 0; i < kMr; ++i) {
                 for (std::size_t j = 0; j < kNr; ++j) {
                   buf[i * kNr + j] = (load_c && i < rows && j < cols)
-                                         ? ctile[i * ldc + j]
+                                         ? ctile[i * n + j]
                                          : 0.0f;
                 }
               }
@@ -605,7 +595,7 @@ void gemm_driver(const MatLayout& a, const MatLayout& b, float* c,
                     v = apply_epilogue_scalar(v, *tile_ep, ic + ir + i,
                                               jc + jr + j);
                   }
-                  ctile[i * ldc + j] = v;
+                  ctile[i * n + j] = v;
                 }
               }
             }
@@ -614,75 +604,6 @@ void gemm_driver(const MatLayout& a, const MatLayout& b, float* c,
       }
     }
   }
-}
-
-// --- intra-op parallel dispatch ---------------------------------------------
-
-std::atomic<ThreadPool*> g_pool{nullptr};
-
-// Minimum FLOPs per parallel chunk: below this, the enqueue/wake/wait
-// round-trip on the pool costs more than the arithmetic it distributes.
-// Doubles as the serial gate — fewer than two chunks' worth of work never
-// leaves the calling thread.
-constexpr double kMinChunkFlops = 256.0 * 1024.0;
-
-void gemm_dispatch(const MatLayout& a, const MatLayout& b, float* c,
-                   std::size_t m, std::size_t k, std::size_t n,
-                   bool accumulate, const GemmEpilogue* ep) {
-  ThreadPool* const pool = g_pool.load(std::memory_order_relaxed);
-  std::size_t chunks = 0;
-  std::size_t units = 0;
-  bool split_n = true;
-  if (pool != nullptr && pool->size() >= 2 &&
-      !ThreadPool::on_worker_thread()) {
-    // Split the dimension with more micro-tile units, N-panels first (ties
-    // go to N: a column chunk shares the whole packed-A block and keeps the
-    // fused column bias a simple subspan).  Chunk boundaries are kNr/kMr
-    // aligned, so every interior/edge tile sees the same geometry as in the
-    // serial run.
-    const std::size_t n_units = (n + kNr - 1) / kNr;
-    const std::size_t m_units = (m + kMr - 1) / kMr;
-    split_n = n_units >= m_units;
-    units = split_n ? n_units : m_units;
-    const double flops =
-        2.0 * static_cast<double>(m) * static_cast<double>(k) *
-        static_cast<double>(n);
-    chunks = std::min({pool->size(), units,
-                       static_cast<std::size_t>(flops / kMinChunkFlops)});
-  }
-  if (chunks < 2) {
-    gemm_driver(a, b, c, n, m, k, n, accumulate, ep);
-    return;
-  }
-
-  const std::size_t unit = split_n ? kNr : kMr;
-  const std::size_t dim = split_n ? n : m;
-  const std::size_t base = units / chunks, extra = units % chunks;
-  pool->run_tasks(chunks, [&](std::size_t t) {
-    const std::size_t u0 = t * base + std::min(t, extra);
-    const std::size_t u1 = u0 + base + (t < extra ? 1 : 0);
-    const std::size_t lo = u0 * unit;
-    const std::size_t len = std::min(dim, u1 * unit) - lo;
-    // The chunk sees a chunk-local epilogue: the bias axis that follows the
-    // split dimension is re-based onto the chunk, the other passes through.
-    GemmEpilogue chunk_ep;
-    const GemmEpilogue* cep = nullptr;
-    if (ep != nullptr) {
-      chunk_ep = *ep;
-      const bool bias_on_split_axis =
-          !ep->bias.empty() &&
-          ((ep->bias_axis == GemmEpilogue::BiasAxis::kCol) == split_n);
-      if (bias_on_split_axis) chunk_ep.bias = ep->bias.subspan(lo, len);
-      cep = &chunk_ep;
-    }
-    if (split_n) {
-      const MatLayout b_chunk{b.p + lo * b.cs, b.rs, b.cs};
-      gemm_driver(a, b_chunk, c + lo, n, m, k, len, accumulate, cep);
-    } else {
-      const MatLayout a_chunk{a.p + lo * a.rs, a.rs, a.cs};
-      gemm_driver(a_chunk, b, c + lo * n, n, len, k, n, accumulate, cep);
-    }
-  });
 }
 
 void check_epilogue(const GemmEpilogue& ep, std::size_t m, std::size_t n,
@@ -718,21 +639,13 @@ GemmBackend gemm_backend() noexcept {
   return resolve(g_backend.load(std::memory_order_relaxed));
 }
 
-void set_gemm_pool(ThreadPool* pool) noexcept {
-  g_pool.store(pool, std::memory_order_relaxed);
-}
-
-ThreadPool* gemm_pool() noexcept {
-  return g_pool.load(std::memory_order_relaxed);
-}
-
 void gemm(std::span<const float> a, std::span<const float> b,
           std::span<float> c, std::size_t m, std::size_t k, std::size_t n) {
   require_same(a.size(), m * k, "gemm A");
   require_same(b.size(), k * n, "gemm B");
   require_same(c.size(), m * n, "gemm C");
-  gemm_dispatch({a.data(), k, 1}, {b.data(), n, 1}, c.data(), m, k, n,
-                /*accumulate=*/false, nullptr);
+  gemm_driver({a.data(), k, 1}, {b.data(), n, 1}, c.data(), m, k, n,
+              /*accumulate=*/false, nullptr);
 }
 
 void gemm_fused(std::span<const float> a, std::span<const float> b,
@@ -742,8 +655,8 @@ void gemm_fused(std::span<const float> a, std::span<const float> b,
   require_same(b.size(), k * n, "gemm_fused B");
   require_same(c.size(), m * n, "gemm_fused C");
   check_epilogue(epilogue, m, n, "gemm_fused bias");
-  gemm_dispatch({a.data(), k, 1}, {b.data(), n, 1}, c.data(), m, k, n,
-                /*accumulate=*/false, &epilogue);
+  gemm_driver({a.data(), k, 1}, {b.data(), n, 1}, c.data(), m, k, n,
+              /*accumulate=*/false, &epilogue);
 }
 
 void gemm_acc(std::span<const float> a, std::span<const float> b,
@@ -751,8 +664,8 @@ void gemm_acc(std::span<const float> a, std::span<const float> b,
   require_same(a.size(), m * k, "gemm_acc A");
   require_same(b.size(), k * n, "gemm_acc B");
   require_same(c.size(), m * n, "gemm_acc C");
-  gemm_dispatch({a.data(), k, 1}, {b.data(), n, 1}, c.data(), m, k, n,
-                /*accumulate=*/true, nullptr);
+  gemm_driver({a.data(), k, 1}, {b.data(), n, 1}, c.data(), m, k, n,
+              /*accumulate=*/true, nullptr);
 }
 
 void gemm_at_b_acc(std::span<const float> a, std::span<const float> b,
@@ -762,8 +675,8 @@ void gemm_at_b_acc(std::span<const float> a, std::span<const float> b,
   require_same(b.size(), k * n, "gemm_at_b B");
   require_same(c.size(), m * n, "gemm_at_b C");
   // Logical A(m×k) is stored (k×m): swap the strides; packing absorbs it.
-  gemm_dispatch({a.data(), 1, m}, {b.data(), n, 1}, c.data(), m, k, n,
-                /*accumulate=*/true, nullptr);
+  gemm_driver({a.data(), 1, m}, {b.data(), n, 1}, c.data(), m, k, n,
+              /*accumulate=*/true, nullptr);
 }
 
 void gemm_a_bt_acc(std::span<const float> a, std::span<const float> b,
@@ -773,8 +686,8 @@ void gemm_a_bt_acc(std::span<const float> a, std::span<const float> b,
   require_same(b.size(), n * k, "gemm_a_bt B");
   require_same(c.size(), m * n, "gemm_a_bt C");
   // Logical B(k×n) is stored (n×k): swap the strides.
-  gemm_dispatch({a.data(), k, 1}, {b.data(), 1, k}, c.data(), m, k, n,
-                /*accumulate=*/true, nullptr);
+  gemm_driver({a.data(), k, 1}, {b.data(), 1, k}, c.data(), m, k, n,
+              /*accumulate=*/true, nullptr);
 }
 
 void gemm_a_bt_fused(std::span<const float> a, std::span<const float> b,
@@ -784,8 +697,8 @@ void gemm_a_bt_fused(std::span<const float> a, std::span<const float> b,
   require_same(b.size(), n * k, "gemm_a_bt_fused B");
   require_same(c.size(), m * n, "gemm_a_bt_fused C");
   check_epilogue(epilogue, m, n, "gemm_a_bt_fused bias");
-  gemm_dispatch({a.data(), k, 1}, {b.data(), 1, k}, c.data(), m, k, n,
-                /*accumulate=*/false, &epilogue);
+  gemm_driver({a.data(), k, 1}, {b.data(), 1, k}, c.data(), m, k, n,
+              /*accumulate=*/false, &epilogue);
 }
 
 }  // namespace saps::ops

@@ -1,4 +1,4 @@
-// Weight initialization schemes (He / Xavier), driven by a saps::Rng so that
+// Weight initialization (He-normal), driven by a saps::Rng so that
 // model initialization is reproducible and identical across simulated workers
 // when they share a seed (the paper assumes identical initial models, which
 // makes the consensus term ‖X₀ − X̄₀1ᵀ‖² vanish — see Section III-C).
@@ -14,13 +14,6 @@ namespace saps {
 inline void init_he_normal(std::span<float> w, std::size_t fan_in, Rng& rng) {
   const double std_dev = std::sqrt(2.0 / static_cast<double>(fan_in));
   for (auto& v : w) v = static_cast<float>(rng.next_normal() * std_dev);
-}
-
-/// Xavier-uniform: U(-a, a), a = sqrt(6 / (fan_in + fan_out)).
-inline void init_xavier_uniform(std::span<float> w, std::size_t fan_in,
-                                std::size_t fan_out, Rng& rng) {
-  const double a = std::sqrt(6.0 / static_cast<double>(fan_in + fan_out));
-  for (auto& v : w) v = static_cast<float>(rng.uniform(-a, a));
 }
 
 }  // namespace saps

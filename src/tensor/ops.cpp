@@ -1,7 +1,6 @@
 #include "tensor/ops.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace saps::ops {
@@ -13,12 +12,6 @@ void require_same(std::size_t a, std::size_t b, const char* what) {
   }
 }
 }  // namespace
-
-void axpy(float alpha, std::span<const float> x, std::span<float> y) {
-  require_same(x.size(), y.size(), "axpy");
-  const std::size_t n = x.size();
-  for (std::size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
-}
 
 void scale(std::span<float> x, float alpha) noexcept {
   for (auto& v : x) v *= alpha;
@@ -40,14 +33,6 @@ void sub(std::span<const float> a, std::span<const float> b,
   for (std::size_t i = 0; i < n; ++i) out[i] = a[i] - b[i];
 }
 
-void hadamard(std::span<const float> a, std::span<const float> b,
-              std::span<float> out) {
-  require_same(a.size(), b.size(), "hadamard");
-  require_same(a.size(), out.size(), "hadamard");
-  const std::size_t n = a.size();
-  for (std::size_t i = 0; i < n; ++i) out[i] = a[i] * b[i];
-}
-
 double dot(std::span<const float> a, std::span<const float> b) {
   require_same(a.size(), b.size(), "dot");
   double acc = 0.0;
@@ -56,16 +41,6 @@ double dot(std::span<const float> a, std::span<const float> b) {
     acc += static_cast<double>(a[i]) * static_cast<double>(b[i]);
   }
   return acc;
-}
-
-double norm2_sq(std::span<const float> x) noexcept {
-  double acc = 0.0;
-  for (float v : x) acc += static_cast<double>(v) * static_cast<double>(v);
-  return acc;
-}
-
-double norm2(std::span<const float> x) noexcept {
-  return std::sqrt(norm2_sq(x));
 }
 
 // The gemm / gemm_fused / gemm_acc / gemm_at_b_acc / gemm_a_bt_acc /

@@ -12,9 +12,8 @@
 // path and an AVX2 intrinsics path.
 // Both paths perform the IDENTICAL per-element operation sequence
 // (strictly k-ascending fma into the output element), so results are
-// bit-identical for every backend, every tile size and every thread count —
-// including the intra-op parallel path, which partitions C into disjoint
-// macro-panel chunks (each element still owned by exactly one thread).
+// bit-identical for every backend and every tile size.  A GEMM always runs
+// on the thread that calls it.
 #pragma once
 
 #include <cstddef>
@@ -22,14 +21,7 @@
 #include <span>
 #include <vector>
 
-namespace saps {
-class ThreadPool;
-}  // namespace saps
-
 namespace saps::ops {
-
-/// y += alpha * x
-void axpy(float alpha, std::span<const float> x, std::span<float> y);
 
 /// x *= alpha
 void scale(std::span<float> x, float alpha) noexcept;
@@ -42,17 +34,7 @@ void add(std::span<const float> a, std::span<const float> b,
 void sub(std::span<const float> a, std::span<const float> b,
          std::span<float> out);
 
-/// out = a ∘ b (Hadamard)
-void hadamard(std::span<const float> a, std::span<const float> b,
-              std::span<float> out);
-
 [[nodiscard]] double dot(std::span<const float> a, std::span<const float> b);
-
-/// squared l2 norm
-[[nodiscard]] double norm2_sq(std::span<const float> x) noexcept;
-
-/// l2 norm
-[[nodiscard]] double norm2(std::span<const float> x) noexcept;
 
 // --- blocked GEMM kernel layer ---------------------------------------------
 
@@ -77,20 +59,6 @@ void set_gemm_backend(GemmBackend backend);
 /// resolution — the CI hook for forcing portable-path coverage on AVX2
 /// hosts.  An explicit set_gemm_backend() always wins over the environment.
 [[nodiscard]] GemmBackend gemm_backend() noexcept;
-
-/// Registers a pool for intra-op GEMM parallelism: large calls partition
-/// their macro-panels (N-panels first, M-panels when N is narrow) across the
-/// pool's threads with per-thread pack buffers.  Results are bit-identical
-/// to the serial path for every pool size — each C element is still one
-/// strictly k-ascending fma chain computed by exactly one thread.  Calls
-/// made FROM a pool worker (the engine's per-worker hot loops) or below the
-/// parallel work threshold run serially, so nullptr / no-pool / zero-thread
-/// configurations are untouched.  Not thread-safe against concurrent GEMMs;
-/// intended for engine startup/teardown and tests.
-void set_gemm_pool(ThreadPool* pool) noexcept;
-
-/// The currently registered intra-op pool (nullptr = serial).
-[[nodiscard]] ThreadPool* gemm_pool() noexcept;
 
 /// Fused epilogue applied to C after the final k panel of a non-accumulating
 /// GEMM: optional bias (broadcast along a row or a column of C) followed by

@@ -108,9 +108,6 @@ class Rng {
     return u * mul;
   }
 
-  /// Bernoulli trial with success probability p.
-  bool next_bernoulli(double p) noexcept { return next_double() < p; }
-
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));

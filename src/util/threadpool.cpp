@@ -5,12 +5,6 @@
 
 namespace saps {
 
-namespace {
-thread_local bool t_on_worker = false;
-}  // namespace
-
-bool ThreadPool::on_worker_thread() noexcept { return t_on_worker; }
-
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
@@ -31,7 +25,6 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::worker_loop() {
-  t_on_worker = true;
   for (;;) {
     std::function<void()> task;
     {
@@ -49,9 +42,7 @@ void ThreadPool::run_tasks(std::size_t tasks,
                            const std::function<void(std::size_t)>& fn) {
   if (tasks == 0) return;
   if (tasks == 1) {
-    // Inline: no queue round-trip, and the caller keeps its non-worker
-    // identity so fn can fan out nested work onto this pool.
-    fn(0);
+    fn(0);  // inline: no queue round-trip
     return;
   }
   std::size_t remaining = tasks;

@@ -29,13 +29,6 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
 
-  /// True when the calling thread is a worker of ANY ThreadPool.  Nested
-  /// fan-out from inside a pool task would enqueue-and-wait on a queue that
-  /// the waiting thread itself is supposed to drain (deadlock once every
-  /// worker waits); intra-op users (ops::set_gemm_pool) check this and fall
-  /// back to the serial path when already on a worker.
-  [[nodiscard]] static bool on_worker_thread() noexcept;
-
   /// Runs fn(i) for i in [0, n) across the pool and blocks until all finish.
   /// Indices are batched into contiguous blocks internally, so call sites
   /// never hand-roll task batching.  Exceptions from tasks are rethrown
@@ -53,10 +46,9 @@ class ThreadPool {
 
   /// Enqueues fn(t) for t in [0, tasks) and blocks until all complete;
   /// rethrows the first exception observed.  A single task runs inline on
-  /// the caller (no queue round-trip) — which also leaves the caller OFF the
-  /// worker-thread flag, so one-block parallel_for bodies can themselves
-  /// fan out intra-op work onto the pool.  The primitive behind
-  /// parallel_for / parallel_chunks and the intra-op GEMM chunk fan-out.
+  /// the caller (no queue round-trip).  The primitive behind parallel_for
+  /// and parallel_chunks.  A task must not fan out onto its own pool: it
+  /// would wait on a queue that the waiting workers are meant to drain.
   void run_tasks(std::size_t tasks, const std::function<void(std::size_t)>& fn);
 
  private:

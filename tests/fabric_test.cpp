@@ -1,7 +1,7 @@
-// sim::Fabric unit tests: typed-message routing over the Transport backend,
-// wire-derived traffic charging (staged per source, applied in fixed order),
-// the separated control plane, and the event-timeline round clock with
-// latency and modeled compute.
+// sim::Fabric unit tests: typed-message routing through per-node FIFO
+// mailboxes, wire-derived traffic charging (staged per source, applied in
+// fixed order), the separated control plane, and the event-timeline round
+// clock with latency and modeled compute.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -44,6 +44,37 @@ TEST(Fabric, RoutesEncodedMessageAndChargesWireBytes) {
   // Accounting: the charge is the message's wire size (= encoded size here).
   EXPECT_DOUBLE_EQ(fabric.link().up_bytes(0), msg.wire_bytes());
   EXPECT_DOUBLE_EQ(fabric.link().down_bytes(1), msg.wire_bytes());
+}
+
+TEST(Fabric, SendRecvFifo) {
+  // A node's mailbox pops frames in arrival order, whoever sent them.
+  Fabric fabric(net::LinkModel(std::size_t{3}));
+  fabric.begin_round();
+  fabric.send(0, 1, net::RoundEndMsg{.round = 0, .rank = 0});
+  fabric.send(2, 1, net::RoundEndMsg{.round = 1, .rank = 2});
+  fabric.send(0, 1, net::RoundEndMsg{.round = 2, .rank = 0});
+  fabric.end_round();
+  for (const std::uint32_t round : {0u, 1u, 2u}) {
+    const auto env = fabric.recv(1);
+    ASSERT_TRUE(env.has_value());
+    EXPECT_EQ(env->from, round == 1 ? 2u : 0u);
+    EXPECT_EQ(net::RoundEndMsg::decode(env->payload).round, round);
+  }
+  EXPECT_FALSE(fabric.recv(1).has_value());
+}
+
+TEST(Fabric, RecvOnEmptyIsNull) {
+  // A never-touched mailbox and a drained one both pop nothing.
+  Fabric fabric(net::LinkModel(std::size_t{1000}));
+  EXPECT_FALSE(fabric.recv(999).has_value());
+  fabric.send_control(3, 7, net::RoundEndMsg{.round = 0, .rank = 3});
+  EXPECT_TRUE(fabric.recv(7).has_value());
+  EXPECT_FALSE(fabric.recv(7).has_value());
+}
+
+TEST(Fabric, RecvOnBadNodeThrows) {
+  Fabric fabric(net::LinkModel(std::size_t{2}));
+  EXPECT_THROW((void)fabric.recv(2), std::out_of_range);
 }
 
 TEST(Fabric, FullModelChargeExcludesFrame) {
@@ -119,7 +150,6 @@ TEST(Fabric, StagedChargesApplyInFixedOrderAcrossThreads) {
   struct Snapshot {
     double seconds;
     std::vector<double> traffic;
-    double bottleneck, mean;
   };
   auto run = [&](bool threaded) {
     Fabric fabric(net::LinkModel(uniform_bw(n, 2.0)));
@@ -148,8 +178,6 @@ TEST(Fabric, StagedChargesApplyInFixedOrderAcrossThreads) {
     for (std::size_t w = 0; w < n; ++w) {
       snap.traffic.push_back(fabric.link().worker_bytes(w));
     }
-    snap.bottleneck = fabric.link().round_bottleneck_mbps().back();
-    snap.mean = fabric.link().round_mean_mbps().back();
     return snap;
   };
   const auto serial = run(false);
@@ -157,8 +185,6 @@ TEST(Fabric, StagedChargesApplyInFixedOrderAcrossThreads) {
     const auto threaded = run(true);
     EXPECT_EQ(serial.seconds, threaded.seconds);
     EXPECT_EQ(serial.traffic, threaded.traffic);
-    EXPECT_EQ(serial.bottleneck, threaded.bottleneck);
-    EXPECT_EQ(serial.mean, threaded.mean);
   }
 }
 

@@ -137,7 +137,7 @@ TEST_P(RandomGraphMatchingTest, MatchesBruteForceOnRandomGraphs) {
     AdjMatrix g(n);
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = i + 1; j < n; ++j) {
-        if (rng.next_bernoulli(0.45)) g.set(i, j);
+        if (rng.next_double() < 0.45) g.set(i, j);
       }
     }
     const auto m = max_matching(g);

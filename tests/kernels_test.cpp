@@ -15,7 +15,6 @@
 
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
-#include "util/threadpool.hpp"
 
 namespace saps::ops {
 namespace {
@@ -234,80 +233,6 @@ TEST(GemmBackend, RejectsUnavailableBackend) {
     GTEST_SKIP() << "all backends available on this CPU";
   }
   EXPECT_THROW(set_gemm_backend(GemmBackend::kAvx2), std::invalid_argument);
-}
-
-// Intra-op parallelism must never change results: every GEMM variant is
-// bit-identical with no pool, a 1-thread pool, and a 4-thread pool, on both
-// backends.  Shapes cover the wide-N split (conv forward), the small-k
-// no-pack decomposition (300×8×512 engages the N-split with k below the
-// packing cutoff), tails in every dimension under the chunked split, and one
-// below-threshold shape that must stay serial yet still match.
-TEST(ParallelGemm, BitIdenticalAcrossThreadCountsAndBackends) {
-  const Shape par_shapes[] = {
-      {16, 144, 1024}, {300, 8, 512}, {301, 9, 517}, {64, 576, 64}, {5, 17, 9},
-  };
-  const GemmBackend backends[] = {GemmBackend::kAvx2, GemmBackend::kPortable};
-  ASSERT_EQ(gemm_pool(), nullptr);  // tests own the global registration
-  for (const auto& s : par_shapes) {
-    auto a = random_vec(s.m * s.k, 107);
-    auto at = random_vec(s.k * s.m, 109);  // stored (k×m)
-    auto b = random_vec(s.k * s.n, 113);
-    auto bt = random_vec(s.n * s.k, 127);  // stored (n×k)
-    auto bias_m = random_vec(s.m, 131);
-    auto bias_n = random_vec(s.n, 137);
-    auto c0 = random_vec(s.m * s.n, 139);
-    const GemmEpilogue row_ep{.bias = bias_m,
-                              .bias_axis = GemmEpilogue::BiasAxis::kRow,
-                              .relu = true};
-    const GemmEpilogue col_ep{.bias = bias_n,
-                              .bias_axis = GemmEpilogue::BiasAxis::kCol};
-    const auto run_all = [&] {
-      std::vector<std::vector<float>> r(6, c0);
-      gemm(a, b, r[0], s.m, s.k, s.n);
-      gemm_acc(a, b, r[1], s.m, s.k, s.n);
-      gemm_at_b_acc(at, b, r[2], s.m, s.k, s.n);
-      gemm_a_bt_acc(a, bt, r[3], s.m, s.k, s.n);
-      gemm_fused(a, b, r[4], s.m, s.k, s.n, row_ep);
-      gemm_a_bt_fused(a, bt, r[5], s.m, s.k, s.n, col_ep);
-      return r;
-    };
-    for (const GemmBackend be : backends) {
-      if (!gemm_backend_available(be)) continue;
-      set_gemm_backend(be);
-      const auto want = run_all();  // serial reference: no pool registered
-      for (const std::size_t threads : {1u, 4u}) {
-        ThreadPool pool(threads);
-        set_gemm_pool(&pool);
-        const auto got = run_all();
-        set_gemm_pool(nullptr);
-        for (std::size_t v = 0; v < want.size(); ++v) {
-          expect_bit_equal(got[v], want[v], s);
-        }
-      }
-    }
-    set_gemm_backend(GemmBackend::kAuto);
-  }
-}
-
-// A GEMM issued FROM a pool task (nested fan-out) must fall back to the
-// serial path instead of deadlocking on its own queue — and still match.
-TEST(ParallelGemm, NestedCallOnWorkerRunsSerialAndMatches) {
-  const Shape s{16, 144, 1024};
-  auto a = random_vec(s.m * s.k, 149);
-  auto b = random_vec(s.k * s.n, 151);
-  std::vector<float> want(s.m * s.n);
-  gemm(a, b, want, s.m, s.k, s.n);
-
-  ThreadPool pool(2);
-  set_gemm_pool(&pool);
-  std::vector<std::vector<float>> got(2,
-                                      std::vector<float>(s.m * s.n, 0.0f));
-  pool.parallel_for(2, [&](std::size_t i) {
-    gemm(a, b, got[i], s.m, s.k, s.n);
-  });
-  set_gemm_pool(nullptr);
-  expect_bit_equal(got[0], want, s);
-  expect_bit_equal(got[1], want, s);
 }
 
 }  // namespace

@@ -1,17 +1,15 @@
 // Cross-check suite for the message plane: the traffic charge of every wire
 // message (wire_bytes(), what sim::Fabric bills) is pinned against the
 // byte-level encoding and against the accounting helpers that predate the
-// fabric — compress::masked_wire_bytes, compress::SparseVector::wire_bytes,
-// compress::QsgdEncoded::wire_bytes, algos::dense_model_bytes and the
-// coordinator control-plane constants — across dimensions, plus
-// truncated-input decode tests for every message type.
+// fabric — compress::masked_wire_bytes, compress::SparseVector::wire_bytes
+// and compress::QsgdEncoded::wire_bytes — across dimensions, the control
+// messages at their 24- and 12-byte sizes, plus truncated-input decode tests
+// for every message type.
 #include <gtest/gtest.h>
 
-#include "algos/algorithm.hpp"
 #include "compress/mask.hpp"
 #include "compress/quantize.hpp"
 #include "compress/topk.hpp"
-#include "core/coordinator.hpp"
 #include "net/wire.hpp"
 #include "util/rng.hpp"
 
@@ -22,16 +20,14 @@ constexpr std::size_t kDims[] = {0, 1, 3, 17, 256, 4096};
 
 TEST(ChargeCrossCheck, NotifyMatchesControlPlaneConstant) {
   const NotifyMsg msg{.round = 7, .mask_seed = 0xFEEDULL, .peer = 3};
-  EXPECT_DOUBLE_EQ(static_cast<double>(msg.encode().size()),
-                   core::kNotifyWireBytes);
-  EXPECT_DOUBLE_EQ(msg.wire_bytes(), core::kNotifyWireBytes);
+  EXPECT_EQ(msg.encode().size(), 24u);
+  EXPECT_DOUBLE_EQ(msg.wire_bytes(), 24.0);
 }
 
 TEST(ChargeCrossCheck, RoundEndMatchesControlPlaneConstant) {
   const RoundEndMsg msg{.round = 7, .rank = 3};
-  EXPECT_DOUBLE_EQ(static_cast<double>(msg.encode().size()),
-                   core::kRoundEndWireBytes);
-  EXPECT_DOUBLE_EQ(msg.wire_bytes(), core::kRoundEndWireBytes);
+  EXPECT_EQ(msg.encode().size(), 12u);
+  EXPECT_DOUBLE_EQ(msg.wire_bytes(), 12.0);
 }
 
 TEST(ChargeCrossCheck, MaskedModelMatchesMaskedWireBytesAcrossDims) {
@@ -79,7 +75,7 @@ TEST(ChargeCrossCheck, FullModelChargesPaperPayloadPlusPinnedFrame) {
     FullModelMsg msg;
     msg.rank = 1;
     msg.params.assign(n, 0.5f);
-    EXPECT_DOUBLE_EQ(msg.wire_bytes(), algos::dense_model_bytes(n));
+    EXPECT_DOUBLE_EQ(msg.wire_bytes(), 4.0 * static_cast<double>(n));
     EXPECT_EQ(msg.encode().size(),
               static_cast<std::size_t>(msg.wire_bytes()) +
                   FullModelMsg::kFrameBytes)

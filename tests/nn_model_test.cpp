@@ -83,7 +83,7 @@ TEST(Model, DifferentSeedsDiffer) {
 
 TEST(Model, ParamCounts) {
   // logreg on 784 → 10: 784*10 + 10.
-  auto lr = make_logreg({784}, 10, 1);
+  auto lr = make_mlp({784}, {}, 10, 1);
   EXPECT_EQ(lr.param_count(), 7850u);
   // ResNet-20 ≈ 272k params (paper reports 269,722 for its variant).
   auto rn = make_resnet20(1);
@@ -122,7 +122,7 @@ TEST(Model, MlpLearnsBlobs) {
 
 TEST(Model, TrainReducesLoss) {
   const auto train = data::make_blobs(256, 6, 2, 0.4, 11);
-  auto model = make_logreg({6}, 2, 3);
+  auto model = make_mlp({6}, {}, 2, 3);
   Sgd sgd({.lr = 0.2});
   Tensor x;
   std::vector<std::int32_t> y;
@@ -142,7 +142,7 @@ TEST(Model, TrainReducesLoss) {
 }
 
 TEST(Model, RejectsBadInput) {
-  auto model = make_logreg({6}, 2, 3);
+  auto model = make_mlp({6}, {}, 2, 3);
   Tensor bad({2, 7});
   std::vector<std::int32_t> y = {0, 1};
   EXPECT_THROW(model.evaluate_batch(bad, y), std::invalid_argument);

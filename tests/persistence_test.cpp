@@ -55,7 +55,7 @@ TEST_F(CheckpointTest, CorruptMagicThrows) {
 }
 
 TEST_F(CheckpointTest, TruncatedPayloadThrows) {
-  auto model = nn::make_logreg({4}, 2, 1);
+  auto model = nn::make_mlp({4}, {}, 2, 1);
   const auto path = (dir_ / "trunc.ckpt").string();
   nn::save_checkpoint(path, model.parameters());
   std::filesystem::resize_file(path, std::filesystem::file_size(path) - 6);

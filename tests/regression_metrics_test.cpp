@@ -604,11 +604,26 @@ TEST(MessagePlaneRegression, ComputeJitterStrictlyLengthensCommTime) {
 }
 
 TEST(MessagePlaneRegression, FabricControlLedgerMatchesCoordinator) {
-  auto engine = make_engine();
-  core::SapsPsgd algo({.compression = 10.0});
-  (void)algo.run(engine);
-  EXPECT_DOUBLE_EQ(engine.fabric().control_bytes(), algo.control_bytes());
-  EXPECT_GT(algo.control_bytes(), 0.0);
+  // The coordinator notifies only resident workers in a cohort run, so its
+  // control traffic does not grow with the population: cohort 8 over 10
+  // rounds is 10 × 8 × (24 + 12) bytes at population 16 and at 1,000.
+  for (const std::size_t population : {16u, 1000u}) {
+    SCOPED_TRACE(population);
+    sim::SimConfig cfg;
+    cfg.workers = population;
+    cfg.cohort = 8;
+    cfg.shard_groups = 8;  // 80 samples a shard: 5 rounds an epoch
+    cfg.epochs = 2;
+    cfg.batch_size = 16;
+    cfg.lr = 0.1;
+    cfg.seed = 42;
+    auto engine = test_util::blob_engine(cfg);
+    ASSERT_EQ(engine.steps_per_epoch() * cfg.epochs, 10u);
+    core::SapsPsgd algo({.compression = 10.0});
+    (void)algo.run(engine);
+    EXPECT_EQ(algo.control_bytes(), 2880.0);
+    EXPECT_EQ(engine.fabric().control_bytes(), 2880.0);
+  }
 }
 
 }  // namespace

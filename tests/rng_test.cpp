@@ -84,14 +84,6 @@ TEST(Rng, NormalMomentsApproximatelyStandard) {
   EXPECT_NEAR(var, 1.0, 0.03);
 }
 
-TEST(Rng, BernoulliFrequencyMatchesP) {
-  Rng rng(31);
-  const int n = 100000;
-  int hits = 0;
-  for (int i = 0; i < n; ++i) hits += rng.next_bernoulli(0.01) ? 1 : 0;
-  EXPECT_NEAR(static_cast<double>(hits) / n, 0.01, 0.002);
-}
-
 TEST(DeriveSeed, Deterministic) {
   EXPECT_EQ(derive_seed(1, 2, 3), derive_seed(1, 2, 3));
 }

@@ -17,7 +17,6 @@ using test_util::blob_engine;
 
 TEST(Coordinator, RandomFallbackWithoutBandwidth) {
   Coordinator coord(8, std::nullopt, {});
-  EXPECT_STREQ(coord.strategy_name(), "random-match");
   const auto plan = coord.begin_round();
   EXPECT_EQ(plan.round, 0u);
   EXPECT_EQ(plan.gossip.pairs().size(), 4u);
@@ -26,7 +25,6 @@ TEST(Coordinator, RandomFallbackWithoutBandwidth) {
 TEST(Coordinator, AdaptiveWithBandwidth) {
   const auto bw = net::random_uniform_bandwidth(8, 5);
   Coordinator coord(8, bw, {});
-  EXPECT_STREQ(coord.strategy_name(), "adaptive-bandwidth");
   const auto plan = coord.begin_round();
   EXPECT_EQ(plan.gossip.pairs().size(), 4u);
   EXPECT_GT(coord.bottleneck_bandwidth(plan.gossip), 0.0);
@@ -41,15 +39,13 @@ TEST(Coordinator, SeedsDifferAcrossRounds) {
 }
 
 TEST(Coordinator, ControlBytesAreTiny) {
-  Coordinator coord(32, std::nullopt, {});
-  for (int t = 0; t < 100; ++t) {
-    (void)coord.begin_round();
-    for (std::size_t w = 0; w < 32; ++w) coord.worker_done(w);
-  }
-  // 100 rounds × 32 workers of status traffic stays under ~1 MB of control
+  // A 32-worker SAPS run's status traffic stays under ~1 MB of control
   // data — the "lightweight coordinator" claim.
-  EXPECT_LT(coord.control_bytes(), 1e6);
-  EXPECT_GT(coord.control_bytes(), 0.0);
+  auto engine = blob_engine(32, 3);
+  SapsPsgd algo({.compression = 10.0});
+  (void)algo.run(engine);
+  EXPECT_LT(algo.control_bytes(), 1e6);
+  EXPECT_GT(algo.control_bytes(), 0.0);
 }
 
 TEST(Coordinator, DropoutExcludesWorkerFromPlans) {
@@ -200,8 +196,7 @@ TEST(SapsPsgd, OnRoundDropoutKeepsCoordinatorAndEngineInSync) {
   ASSERT_LT(engine_active, total_rounds * n);  // kAway was away
   const double notifies = static_cast<double>(total_rounds * n);
   const double round_ends = static_cast<double>(engine_active);
-  const double expected =
-      kNotifyWireBytes * notifies + kRoundEndWireBytes * round_ends;
+  const double expected = 24.0 * notifies + 12.0 * round_ends;
   EXPECT_EQ(algo.control_bytes(), expected);
   ASSERT_FALSE(frozen.empty());
   EXPECT_TRUE(frozen_unchanged);

@@ -4,7 +4,8 @@
 // caller, a model that alternates between training and evaluation batch
 // sizes must make no large allocation, and neither must an engine's first
 // steps on workers that have not trained before, nor its construction copy
-// the training set.  Global operator new/new[] are replaced with counting
+// the training set, and a fabric allocates no mailbox until its first
+// delivery.  Global operator new/new[] are replaced with counting
 // versions for this binary (counting all allocations, separately the large
 // ones, and the bytes requested); each test warms its path up, then
 // measures a tight window.
@@ -25,6 +26,7 @@
 #include "nn/conv2d.hpp"
 #include "nn/models.hpp"
 #include "sim/engine.hpp"
+#include "sim/fabric.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
 #include "util/rng.hpp"
@@ -447,7 +449,23 @@ TEST(Engine, ConstructionCopiesNoTrainingSample) {
       cfg, train, test, [] { return nn::make_tiny_cnn(3, 16, 10, 127); },
       std::nullopt);
   const std::size_t bytes = allocated_bytes() - before;
-  EXPECT_LT(bytes, train.size() * train.sample_dim() * sizeof(float));
+  EXPECT_LT(bytes, train.size() * train.sample(0).size() * sizeof(float));
+}
+
+TEST(Fabric, ConstructionAllocatesAtMost64BytesPerNode) {
+  // A population-scale fabric has a node per client, but only the cohort
+  // exchanges frames.  Building one allocates the link counters, staging
+  // lanes and mailbox slots, 64 bytes a node; a mailbox (about 700 bytes)
+  // waits for its node's first delivery, and popping a never-touched node
+  // allocates nothing.
+  for (const std::size_t nodes : {std::size_t{1000}, std::size_t{100000}}) {
+    const std::size_t before = allocated_bytes();
+    sim::Fabric fabric{net::LinkModel(nodes)};
+    const std::size_t built = allocated_bytes();
+    EXPECT_LE(built - before, 64 * nodes) << nodes << " nodes";
+    EXPECT_FALSE(fabric.recv(nodes - 1).has_value());
+    EXPECT_EQ(allocated_bytes(), built) << nodes << " nodes";
+  }
 }
 
 TEST(Gemm, PackScratchIsReusedAcrossCalls) {

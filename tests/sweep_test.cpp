@@ -180,7 +180,8 @@ struct SuiteOutput {
   std::string jsonl;
 };
 
-SuiteOutput run_suite(std::size_t threads, Telemetry* telemetry = nullptr) {
+SuiteOutput run_suite(std::size_t threads, Telemetry* telemetry = nullptr,
+                      const std::string& text = kSuiteText) {
   SuiteOutput out;
   std::ostringstream jsonl;
   SinkList sinks;
@@ -189,7 +190,7 @@ SuiteOutput run_suite(std::size_t threads, Telemetry* telemetry = nullptr) {
   options.threads = threads;
   options.sinks = &sinks;
   options.telemetry = telemetry;
-  SuiteRunner runner(parse_sweep_text(kSuiteText), options);
+  SuiteRunner runner(parse_sweep_text(text), options);
   out.points = runner.run();
   out.jsonl = jsonl.str();
   return out;
@@ -221,18 +222,14 @@ TEST(SuiteRunner, ParallelIsBitIdenticalToSerial) {
   }
 }
 
-TEST(SuiteRunner, PinsEngineThreadsPerPoint) {
-  SuiteOptions options;
-  options.threads = 2;
-  SuiteRunner runner(
-      parse_sweep_text("workload=blob\nalgorithm=saps\nepochs=1\n"
-                       "samples=48\ntest-samples=32\nworkers=4\nthreads=8\n"),
-      options);
-  const auto points = runner.run();
-  ASSERT_EQ(points.size(), 1u);
-  // The suite owns the parallelism; per-point engines must stay off the
-  // process-global GEMM pool (results are thread-count invariant anyway).
-  EXPECT_EQ(points[0].spec.threads, 0u);
+TEST(SuiteRunner, PointsKeepTheirEngineThreads) {
+  // A point's threads= runs its own engine pool inside the suite's pool.
+  // Results are thread-count invariant, so the sink bytes do not move.
+  const std::string text = std::string(kSuiteText) + "threads=2\n";
+  const auto pooled = run_suite(2, nullptr, text);
+  ASSERT_EQ(pooled.points.size(), 4u);
+  for (const auto& point : pooled.points) EXPECT_EQ(point.spec.threads, 2u);
+  EXPECT_EQ(pooled.jsonl, run_suite(1, nullptr, text).jsonl);
 }
 
 TEST(SuiteRunner, TelemetryCountsTheSuite) {
