@@ -169,6 +169,7 @@ std::vector<SuitePointResult> SuiteRunner::run() {
             std::make_unique<Workload>(build_workload(results[i].spec)));
       }
       workload_of[i] = it->second;
+      results[i].workload_name = workloads[it->second]->display_name;
     }
   }
 

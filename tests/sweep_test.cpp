@@ -209,6 +209,7 @@ TEST(SuiteRunner, ParallelIsBitIdenticalToSerial) {
       const auto& b = parallel.points[i];
       EXPECT_EQ(b.index, a.index);
       EXPECT_EQ(b.label, a.label);
+      EXPECT_EQ(b.workload_name, "Blob-MLP");
       ASSERT_EQ(b.runs.size(), a.runs.size());
       for (std::size_t r = 0; r < a.runs.size(); ++r) {
         EXPECT_EQ(b.runs[r].name, a.runs[r].name);
