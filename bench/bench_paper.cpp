@@ -54,13 +54,13 @@ void print_fig3(Points points) {
     std::vector<std::string> header = {"epoch"};
     for (const auto& r : pt.runs) header.push_back(r.name);
     Table table(header);
-    const auto& rows = pt.runs.front().result.history;
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      std::vector<std::string> row = {Table::num(rows[i].epoch, 1)};
+    // Rows are the first algorithm's eval epochs; each cell is the
+    // algorithm's latest point at that epoch (FedAvg evaluates more often).
+    for (const auto& at : pt.runs.front().result.history) {
+      std::vector<std::string> row = {Table::num(at.epoch, 1)};
       for (const auto& r : pt.runs) {
-        const auto& h = r.result.history;
-        const auto& p = i < h.size() ? h[i] : h.back();
-        row.push_back(Table::num(p.accuracy * 100.0, 2));
+        const auto* p = r.result.last_at_epoch(at.epoch);
+        row.push_back(p == nullptr ? "n/a" : Table::num(p->accuracy * 100, 2));
       }
       table.add_row(row);
     }

@@ -16,6 +16,14 @@ const MetricPoint* RunResult::first_reaching(double accuracy) const {
   return nullptr;
 }
 
+const MetricPoint* RunResult::last_at_epoch(double epoch) const {
+  const MetricPoint* last = nullptr;
+  for (const auto& p : history) {
+    if (p.epoch <= epoch + 1e-9) last = &p;
+  }
+  return last;
+}
+
 namespace {
 // Salt of the per-round cohort draw stream (see begin_round_cohort).
 constexpr std::uint64_t kCohortSalt = 0xc047;

@@ -115,6 +115,10 @@ struct RunResult {
   [[nodiscard]] const MetricPoint& final() const { return history.back(); }
   /// First point reaching `accuracy`, if any.
   [[nodiscard]] const MetricPoint* first_reaching(double accuracy) const;
+  /// Last point whose epoch is at most `epoch` + 1e-9, if any.  The slack
+  /// absorbs float epoch sums: FedAvg's point at epoch 1 can read
+  /// 0.9999999999999999 or 1.0000000000000002.
+  [[nodiscard]] const MetricPoint* last_at_epoch(double epoch) const;
 };
 
 /// Builds a fresh model; must produce identical weights on every call (seed

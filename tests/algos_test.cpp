@@ -242,5 +242,24 @@ TEST(RunResult, FirstReaching) {
   EXPECT_EQ(r.first_reaching(0.95), nullptr);
 }
 
+TEST(RunResult, LastAtEpoch) {
+  // Points every 0.2 epoch, as FedAvg evaluates, with its float epoch sums.
+  sim::RunResult r;
+  r.history = {{0, 0.0, 1.0, 0.1, 0.0, 0.0},
+               {1, 0.2, 1.0, 0.2, 0.0, 0.0},
+               {2, 0.4, 1.0, 0.3, 0.0, 0.0},
+               {3, 0.6000000000000001, 1.0, 0.4, 0.0, 0.0},
+               {4, 0.8, 1.0, 0.5, 0.0, 0.0},
+               {5, 0.9999999999999999, 1.0, 0.6, 0.0, 0.0},
+               {6, 1.2, 1.0, 0.7, 0.0, 0.0}};
+  EXPECT_EQ(r.last_at_epoch(0.0)->round, 0u);
+  EXPECT_EQ(r.last_at_epoch(0.5)->round, 2u);
+  EXPECT_EQ(r.last_at_epoch(0.6)->round, 3u);
+  EXPECT_EQ(r.last_at_epoch(1.0)->round, 5u);
+  EXPECT_EQ(r.last_at_epoch(1.1)->round, 5u);
+  EXPECT_EQ(r.last_at_epoch(6.0)->round, 6u);
+  EXPECT_EQ(r.last_at_epoch(-0.5), nullptr);
+}
+
 }  // namespace
 }  // namespace saps::algos
