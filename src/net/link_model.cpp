@@ -29,20 +29,12 @@ std::size_t checked_matrix_side(const LinkOptions& options,
   return side;
 }
 
-bool any_positive(const std::vector<double>& m) {
-  for (const double v : m) {
-    if (v > 0.0) return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 LinkModel::LinkModel(std::size_t workers, LinkOptions options)
     : workers_(workers),
       options_(std::move(options)),
       matrix_side_(checked_matrix_side(options_, workers_)),
-      matrix_positive_(any_positive(options_.latency_matrix)),
       up_(workers, 0.0),
       down_(workers, 0.0),
       ready_(workers, 0.0) {
@@ -53,7 +45,6 @@ LinkModel::LinkModel(BandwidthMatrix bandwidth, LinkOptions options)
     : workers_(bandwidth.size()),
       options_(std::move(options)),
       matrix_side_(checked_matrix_side(options_, workers_)),
-      matrix_positive_(any_positive(options_.latency_matrix)),
       bandwidth_(std::move(bandwidth)),
       up_(workers_, 0.0),
       down_(workers_, 0.0),
@@ -75,8 +66,8 @@ void LinkModel::start_round() {
   if (in_round_) throw std::logic_error("LinkModel: round already open");
   in_round_ = true;
   pending_.clear();
-  pending_extra_ = false;
   std::fill(ready_.begin(), ready_.end(), 0.0);
+  last_ready_ = 0.0;
 }
 
 void LinkModel::compute(std::size_t node, double seconds) {
@@ -84,6 +75,7 @@ void LinkModel::compute(std::size_t node, double seconds) {
   if (node >= workers_) throw std::out_of_range("LinkModel::compute");
   if (seconds < 0.0) throw std::invalid_argument("LinkModel: negative compute");
   ready_[node] += seconds;
+  last_ready_ = std::max(last_ready_, ready_[node]);
 }
 
 double LinkModel::modeled_compute(std::size_t node) const {
@@ -113,7 +105,6 @@ void LinkModel::transfer(std::size_t src, std::size_t dst, double bytes,
   if (bytes == 0.0) return;
   up_[src] += bytes;
   down_[dst] += bytes;
-  if (extra_seconds > 0.0) pending_extra_ = true;
   pending_.push_back({src, dst, bytes, extra_seconds});
 }
 
@@ -122,18 +113,9 @@ double LinkModel::finish_round() {
   in_round_ = false;
   ++rounds_;
 
-  // Legacy fast path: with no latency/compute events the timeline is the old
-  // synchronous-round model, and bit-identity with it matters (regression
-  // pins); keep the arithmetic shape identical.
-  if ((!bandwidth_ || pending_.empty()) && !timing_extras() &&
-      !pending_extra_) {
-    return 0.0;
-  }
-
-  double round_seconds = 0.0;
   // Compute-only critical path: a straggler that sends nothing still holds
   // the synchronous round open.
-  for (const double r : ready_) round_seconds = std::max(round_seconds, r);
+  double round_seconds = last_ready_;
 
   for (const auto& tr : pending_) {
     // Event chain: serialize-and-send starts once src's compute is done,

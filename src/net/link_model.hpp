@@ -89,14 +89,13 @@ class LinkModel {
 
   /// Records a directional transfer src → dst of `bytes` within the current
   /// round.  src == dst is invalid.  `extra_seconds` adds fixed in-flight
-  /// time to this one transfer's completion (fault-injected frame delay);
-  /// zero (the default) keeps the legacy fast-path accounting untouched.
+  /// time to this one transfer's completion (fault-injected frame delay).
   void transfer(std::size_t src, std::size_t dst, double bytes,
                 double extra_seconds = 0.0);
 
   /// Ends the round.  Returns the round's elapsed seconds: the event-
-  /// timeline critical path (0 when nothing was sent, no latency/compute is
-  /// configured, or no bandwidth matrix is present in the legacy mode).
+  /// timeline critical path (0 when the round has no compute, latency,
+  /// delay, or transfer over a bandwidth matrix).
   double finish_round();
 
   // --- cumulative statistics -----------------------------------------------
@@ -113,12 +112,6 @@ class LinkModel {
   [[nodiscard]] double link_latency(std::size_t src, std::size_t dst) const;
 
  private:
-  [[nodiscard]] bool timing_extras() const noexcept {
-    return options_.latency_seconds > 0.0 ||
-           options_.compute_base_seconds > 0.0 ||
-           options_.compute_jitter_seconds > 0.0 || matrix_positive_;
-  }
-
   struct Transfer {
     std::size_t src, dst;
     double bytes;
@@ -128,13 +121,12 @@ class LinkModel {
   std::size_t workers_;
   std::size_t stat_workers_ = 0;  // 0 = all
   LinkOptions options_;
-  std::size_t matrix_side_ = 0;    // 0 = no latency matrix
-  bool matrix_positive_ = false;  // any matrix entry > 0
+  std::size_t matrix_side_ = 0;  // 0 = no latency matrix
   std::optional<BandwidthMatrix> bandwidth_;
   std::vector<double> up_, down_;
   std::vector<double> ready_;  // per-node compute-finish time, current round
+  double last_ready_ = 0.0;    // max over ready_
   std::vector<Transfer> pending_;
-  bool pending_extra_ = false;  // any pending transfer has injected delay
   bool in_round_ = false;
   double total_seconds_ = 0.0;
   std::size_t rounds_ = 0;

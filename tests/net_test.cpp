@@ -207,12 +207,14 @@ TEST(LinkModel, ComputeDelaysTransferStart) {
 }
 
 TEST(LinkModel, ComputeOnlyRoundHoldsTheClock) {
-  // A straggler that sends nothing still holds the synchronous round open.
-  LinkModel sim(three_node_matrix());
-  sim.start_round();
-  sim.compute(1, 3.0);
-  sim.transfer(0, 2, 1e6);  // 0.1 s
-  EXPECT_NEAR(sim.finish_round(), 3.0, 1e-12);
+  // A straggler that sends nothing still holds the synchronous round open,
+  // with or without a bandwidth matrix.
+  for (auto sim : {LinkModel(three_node_matrix()), LinkModel(std::size_t{3})}) {
+    sim.start_round();
+    sim.compute(1, 3.0);
+    sim.transfer(0, 2, 1e6);  // 0.1 s over the matrix
+    EXPECT_NEAR(sim.finish_round(), 3.0, 1e-12);
+  }
 }
 
 TEST(LinkModel, ModeledComputeIsDeterministicAndBounded) {
