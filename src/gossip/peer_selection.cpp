@@ -46,15 +46,4 @@ double RingTopology::bottleneck_bandwidth(
   return min_bw;
 }
 
-std::vector<double> RingTopology::dense_gossip() const {
-  std::vector<double> w(workers * workers, 0.0);
-  const double third = 1.0 / 3.0;
-  for (std::size_t v = 0; v < workers; ++v) {
-    w[v * workers + v] = third;
-    w[v * workers + left(v)] = third;
-    w[v * workers + right(v)] = third;
-  }
-  return w;
-}
-
 }  // namespace saps::gossip

@@ -1,61 +1,28 @@
-// Peer-selection strategies compared in Fig. 5:
-//  - AdaptiveSelector: the paper's bandwidth-aware Algorithm 3
-//    (GossipGenerator);
+// Peer-selection strategies compared in Fig. 5, beside the paper's
+// bandwidth-aware Algorithm 3 (GossipGenerator):
 //  - RandomMatchSelector: "RandomChoose" — a uniformly random maximum
 //    matching on the complete graph every round;
-//  - FixedRingSelector: the D-PSGD / DCD-PSGD ring 1→2→…→n→1.  A ring is a
-//    degree-2 topology, not a matching, so it exposes neighbor lists rather
+//  - RingTopology: the D-PSGD / DCD-PSGD ring 1→2→…→n→1.  A ring is a
+//    degree-2 topology, not a matching, so it exposes neighbors rather
 //    than a GossipMatrix.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <vector>
 
-#include "gossip/generator.hpp"
 #include "gossip/gossip_matrix.hpp"
 #include "net/bandwidth.hpp"
 #include "util/rng.hpp"
 
 namespace saps::gossip {
 
-/// Single-peer selection interface (SAPS-PSGD and RandomChoose).
-class PeerSelector {
- public:
-  virtual ~PeerSelector() = default;
-  [[nodiscard]] virtual GossipMatrix select(std::size_t round) = 0;
-  [[nodiscard]] virtual const char* name() const noexcept = 0;
-};
-
-/// The paper's adaptive selection (wraps GossipGenerator).
-class AdaptiveSelector final : public PeerSelector {
- public:
-  AdaptiveSelector(const net::BandwidthMatrix& bandwidth,
-                   GeneratorConfig config)
-      : generator_(bandwidth, std::move(config)) {}
-
-  [[nodiscard]] GossipMatrix select(std::size_t round) override {
-    return generator_.generate(round);
-  }
-  [[nodiscard]] const char* name() const noexcept override {
-    return "SAPS-adaptive";
-  }
-  [[nodiscard]] GossipGenerator& generator() noexcept { return generator_; }
-
- private:
-  GossipGenerator generator_;
-};
-
 /// Uniformly random perfect matching over all workers (RandomChoose in
 /// Fig. 5): shuffle and pair consecutive workers.
-class RandomMatchSelector final : public PeerSelector {
+class RandomMatchSelector {
  public:
   RandomMatchSelector(std::size_t workers, std::uint64_t seed);
 
-  [[nodiscard]] GossipMatrix select(std::size_t round) override;
-  [[nodiscard]] const char* name() const noexcept override {
-    return "RandomChoose";
-  }
+  [[nodiscard]] GossipMatrix select(std::size_t round);
 
  private:
   std::size_t workers_;
@@ -76,10 +43,6 @@ struct RingTopology {
   /// Bottleneck (minimum) bandwidth over all ring edges (Fig. 5 metric).
   [[nodiscard]] double bottleneck_bandwidth(
       const net::BandwidthMatrix& bandwidth) const;
-
-  /// Dense doubly-stochastic gossip matrix with 1/3 weights on self and the
-  /// two neighbors (the standard D-PSGD ring matrix).
-  [[nodiscard]] std::vector<double> dense_gossip() const;
 
   std::size_t workers;
 };

@@ -163,8 +163,6 @@ Model::EvalResult Model::evaluate_batch(const Tensor& x,
           correct_count(logits, labels)};
 }
 
-const Tensor& Model::predict(const Tensor& x) { return forward(x, false); }
-
 void Model::set_buffers(std::span<const float> state) {
   if (state.size() != buffers_.size()) {
     throw std::invalid_argument("Model::set_buffers: state size mismatch");

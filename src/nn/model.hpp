@@ -62,8 +62,8 @@ class Model {
 
   /// Forward + loss + backward on one mini-batch; gradients are ACCUMULATED
   /// into gradients() (call zero_grad() first).  `x` is (B, ...input_shape),
-  /// labels has length B.  Returns the mean loss.  Every forward pass
-  /// (here, evaluate_batch, predict) throws std::invalid_argument when x's
+  /// labels has length B.  Returns the mean loss.  Both forward passes
+  /// (here and evaluate_batch) throw std::invalid_argument when x's
   /// per-sample shape is not input_shape().
   double train_batch(const Tensor& x, std::span<const std::int32_t> labels);
 
@@ -74,9 +74,6 @@ class Model {
   };
   EvalResult evaluate_batch(const Tensor& x,
                             std::span<const std::int32_t> labels);
-
-  /// Forward in eval mode, returning logits (for inspection/examples).
-  const Tensor& predict(const Tensor& x);
 
   [[nodiscard]] const std::vector<std::size_t>& input_shape() const noexcept {
     return input_shape_;
@@ -118,8 +115,8 @@ class Model {
 
   // acts_[i] is the output of layer i (layer 0 reads the external input).
   // dacts_[i] is the loss gradient with respect to acts_[i]; only
-  // train_batch sizes it, so forward-only passes (evaluate_batch, predict)
-  // never hold gradient storage at their batch size.  Both keep their
+  // train_batch sizes it, so evaluate_batch's forward-only passes never
+  // hold gradient storage at their batch size.  Both keep their
   // storage across batch sizes (Tensor::resize).
   std::vector<Tensor> acts_;
   std::vector<Tensor> dacts_;

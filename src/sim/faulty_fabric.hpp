@@ -58,10 +58,6 @@ class FaultyFabric final : public Fabric {
 
   void begin_round() override;
 
-  /// 1-based index of the current (or most recently opened) data round —
-  /// the round coordinate of every fault window.
-  [[nodiscard]] std::size_t fault_round() const noexcept { return round_; }
-
   /// Injection counters, for tests; aggregated over sources.
   struct Tally {
     std::size_t dropped = 0;
@@ -102,7 +98,7 @@ class FaultyFabric final : public Fabric {
   [[nodiscard]] bool partition_cut(std::size_t src, std::size_t dst) const;
 
   FaultSpec spec_;
-  std::size_t round_ = 0;
+  std::size_t round_ = 0;  // 1-based data round: every fault window's clock
   std::size_t fanin_estimate_ = 0;
   std::function<std::size_t()> colluder_liveness_;
   // Snapshot of the colluder-liveness count, taken serially in

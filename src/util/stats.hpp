@@ -1,12 +1,9 @@
-// Small statistics helpers: Welford running moments and percentiles.
+// Welford running moments.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <span>
-#include <stdexcept>
-#include <vector>
 
 namespace saps {
 
@@ -39,20 +36,5 @@ class RunningStat {
   double min_ = 0.0;
   double max_ = 0.0;
 };
-
-/// Linear-interpolated percentile, p in [0, 100].  Copies the input.
-[[nodiscard]] inline double percentile(std::span<const double> xs, double p) {
-  if (xs.empty()) throw std::invalid_argument("percentile: empty input");
-  if (p < 0.0 || p > 100.0) {
-    throw std::invalid_argument("percentile: p out of range");
-  }
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-  const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const auto hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
 
 }  // namespace saps

@@ -158,7 +158,8 @@ TEST(Model, RejectsNewSampleShapeAfterWarmCall) {
   EXPECT_THROW(model.evaluate_batch(Tensor({2, 4096}), y),
                std::invalid_argument);
   EXPECT_THROW(model.train_batch(Tensor({2, 4096}), y), std::invalid_argument);
-  EXPECT_THROW(model.predict(Tensor({2, 8, 1})), std::invalid_argument);
+  EXPECT_THROW(model.evaluate_batch(Tensor({2, 8, 1}), y),
+               std::invalid_argument);
   EXPECT_NO_THROW(model.train_batch(Tensor({2, 8}), y));
 }
 

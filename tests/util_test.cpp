@@ -95,16 +95,6 @@ TEST(RunningStat, MeanAndVariance) {
   EXPECT_DOUBLE_EQ(s.max(), 9.0);
 }
 
-TEST(Percentile, InterpolatesAndBounds) {
-  const std::vector<double> xs = {1.0, 2.0, 3.0, 4.0};
-  EXPECT_DOUBLE_EQ(percentile(xs, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile(xs, 100.0), 4.0);
-  EXPECT_DOUBLE_EQ(percentile(xs, 50.0), 2.5);
-  EXPECT_THROW((void)percentile(std::span<const double>{}, 50.0),
-               std::invalid_argument);
-  EXPECT_THROW((void)percentile(xs, 101.0), std::invalid_argument);
-}
-
 TEST(ThreadPool, RunsAllIndices) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(100);
