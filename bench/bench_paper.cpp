@@ -41,10 +41,11 @@
 
 namespace {
 
+namespace scenario = saps::scenario;
 using saps::Table;
-using saps::scenario::RunRecord;
-using saps::scenario::SuitePointResult;
-using Points = std::span<const SuitePointResult>;
+using saps::sim::MetricPoint;
+using scenario::RunRecord;
+using Points = std::span<const scenario::SuitePointResult>;
 
 void print_fig3(Points points) {
   for (const auto& pt : points) {
@@ -68,30 +69,37 @@ void print_fig3(Points points) {
   }
 }
 
-/// The cost axis of an accuracy-vs-cost figure: Fig. 4 charts traffic,
-/// Fig. 6 communication time.
+using PointCost = double MetricPoint::*;
+using RunCost = double RunRecord::*;
+
+/// The cost axis of an accuracy-vs-cost figure.
 struct CostAxis {
   const char* figure;
   const char* title;
   const char* column;
   int precision;
-  double saps::sim::MetricPoint::*point_cost;
-  double RunRecord::*total_cost;
+  PointCost point_cost;
+  RunCost total_cost;
 };
 
-constexpr CostAxis kTraffic = {"Fig. 4", "per-worker traffic [MB]",
-                               "traffic_mb", 4,
-                               &saps::sim::MetricPoint::worker_mb,
-                               &RunRecord::traffic_mb};
-constexpr CostAxis kTime = {"Fig. 6", "communication time [s]",
-                            "comm_seconds", 3,
-                            &saps::sim::MetricPoint::comm_seconds,
-                            &RunRecord::comm_seconds};
+constexpr CostAxis kTraffic = {.figure = "Fig. 4",
+                               .title = "per-worker traffic [MB]",
+                               .column = "traffic_mb",
+                               .precision = 4,
+                               .point_cost = &MetricPoint::worker_mb,
+                               .total_cost = &RunRecord::traffic_mb};
+constexpr CostAxis kTime = {.figure = "Fig. 6",
+                            .title = "communication time [s]",
+                            .column = "comm_seconds",
+                            .precision = 3,
+                            .point_cost = &MetricPoint::comm_seconds,
+                            .total_cost = &RunRecord::comm_seconds};
 
 void print_cost_figure(Points points, const CostAxis& axis) {
+  const std::string total_column = std::string("total_") + axis.column;
   for (const auto& pt : points) {
-    std::cout << "=== " << axis.figure << " (" << pt.workload_name
-              << "): " << axis.title << " → accuracy [%] ===\n";
+    std::cout << "=== " << axis.figure << " (" << pt.workload_name << "): ";
+    std::cout << axis.title << " → accuracy [%] ===\n";
     Table table({"algorithm", "point", axis.column, "accuracy_pct"});
     for (const auto& r : pt.runs) {
       const auto& h = r.result.history;
@@ -103,12 +111,11 @@ void print_cost_figure(Points points, const CostAxis& axis) {
     }
     std::cout << table.to_csv() << "\n";
 
-    Table summary({"algorithm", "final_accuracy_pct",
-                   std::string("total_") + axis.column});
+    Table summary({"algorithm", "final_accuracy_pct", total_column});
     for (const auto& r : pt.runs) {
-      summary.add_row({r.name,
-                       Table::num(r.result.final().accuracy * 100.0, 2),
-                       Table::num(r.*axis.total_cost, axis.precision)});
+      const auto final_pct = Table::num(r.result.final().accuracy * 100.0, 2);
+      const auto total = Table::num(r.*axis.total_cost, axis.precision);
+      summary.add_row({r.name, final_pct, total});
     }
     std::cout << summary.to_aligned() << "\n";
   }
@@ -146,8 +153,8 @@ void print_table4(Points points, const saps::Flags& flags) {
     }
     const double target =
         flags.get_double("target-" + pt.spec.workload, best * target_frac);
-    std::cout << pt.workload_name << " (target "
-              << Table::num(target * 100, 1) << "%)\n";
+    const auto pct = Table::num(target * 100, 1);
+    std::cout << pt.workload_name << " (target " << pct << "%)\n";
     Table table({"Algorithm", "Traffic [MB]", "Time [s]"});
     for (const auto& r : pt.runs) {
       const auto* p = r.result.first_reaching(target);
@@ -166,23 +173,23 @@ void print_table4(Points points, const saps::Flags& flags) {
 
 int main(int argc, char** argv) {
   saps::Flags flags(argc, argv);
-  saps::scenario::describe_scenario_flags(flags);
-  saps::scenario::describe_suite_flags(flags);
+  scenario::describe_scenario_flags(flags);
+  scenario::describe_suite_flags(flags);
   flags.describe("target-frac",
                  "Table IV target accuracy as a fraction of the best final "
                  "accuracy (default 0.9)");
   const auto workloads =
-      saps::scenario::Registry::instance().workload_keys(/*paper_only=*/true);
+      scenario::Registry::instance().workload_keys(/*paper_only=*/true);
   for (const auto& key : workloads) {
-    flags.describe("target-" + key, "absolute Table IV target accuracy for "
-                                    "the " + key + " workload");
+    flags.describe("target-" + key,
+                   "absolute Table IV target for the " + key + " workload");
   }
   saps::exit_on_help_or_unknown(flags, argv[0]);
   // Read as one scenario first: a --spec file with `sweep.` lines is
   // refused here, and provided() names the keys the grid must not sweep.
-  const auto spec = saps::scenario::scenario_from_flags_or_exit(flags);
-  auto sinks = saps::scenario::sinks_from_flags_or_exit(flags);
-  auto sweep = saps::scenario::sweep_from_flags_or_exit(flags, "");
+  const auto spec = scenario::scenario_from_flags_or_exit(flags);
+  auto sinks = scenario::sinks_from_flags_or_exit(flags);
+  auto sweep = scenario::sweep_from_flags_or_exit(flags, "");
   const bool both_bandwidths = !spec.provided("bandwidth");
   if (both_bandwidths) {
     sweep.axes.push_back({.key = "bandwidth", .values = {"none", "uniform"}});
@@ -190,21 +197,19 @@ int main(int argc, char** argv) {
   if (!spec.provided("workload")) {
     sweep.axes.push_back({.key = "workload", .values = workloads});
   }
-  try {  // validates every grid point (say, a population over `uniform`)
-    sweep = saps::scenario::parse_sweep_text(to_sweep_text(sweep));
+  try {  // validates every grid point, say a population under `uniform`
+    sweep = scenario::parse_sweep_text(scenario::to_sweep_text(sweep));
   } catch (const std::exception& e) {
     std::cerr << e.what() << "\n";
     return 2;
   }
-  auto options = saps::scenario::suite_options_from_flags(flags);
+  auto options = scenario::suite_options_from_flags(flags);
   options.sinks = &sinks;
-  const auto points =
-      saps::scenario::SuiteRunner(std::move(sweep), options).run();
+  const auto points = scenario::SuiteRunner(std::move(sweep), options).run();
 
   // The bandwidth axis is the outer one: its `none` half, then `uniform`.
   const Points all(points);
-  const Points untimed =
-      both_bandwidths ? all.first(all.size() / 2) : all;
+  const Points untimed = both_bandwidths ? all.first(all.size() / 2) : all;
   const Points timed = both_bandwidths ? all.last(all.size() / 2) : all;
   print_fig3(untimed);
   print_cost_figure(untimed, kTraffic);

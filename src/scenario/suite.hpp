@@ -75,9 +75,9 @@ class TelemetrySink final : public MetricSink {
 /// One executed grid point.
 struct SuitePointResult {
   std::size_t index = 0;
-  std::string label;  // SweepSpec::point_label
-  ScenarioSpec spec;  // finalized
-  std::string workload_name;  // Workload::display_name
+  std::string label;            // SweepSpec::point_label
+  ScenarioSpec spec;            // finalized
+  std::string workload_name;    // Workload::display_name
   std::vector<RunRecord> runs;  // Runner::run_all order
 };
 

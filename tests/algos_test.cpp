@@ -243,15 +243,16 @@ TEST(RunResult, FirstReaching) {
 }
 
 TEST(RunResult, LastAtEpoch) {
-  // Points every 0.2 epoch, as FedAvg evaluates, with its float epoch sums.
+  // Points every 0.2 epoch, summed in floats as FedAvg sums its epochs: the
+  // fourth reads 0.6000000000000001.  The point meant for epoch 1 reads
+  // 0.9999999999999999, as six steps of 1/6 do.
   sim::RunResult r;
-  r.history = {{0, 0.0, 1.0, 0.1, 0.0, 0.0},
-               {1, 0.2, 1.0, 0.2, 0.0, 0.0},
-               {2, 0.4, 1.0, 0.3, 0.0, 0.0},
-               {3, 0.6000000000000001, 1.0, 0.4, 0.0, 0.0},
-               {4, 0.8, 1.0, 0.5, 0.0, 0.0},
-               {5, 0.9999999999999999, 1.0, 0.6, 0.0, 0.0},
-               {6, 1.2, 1.0, 0.7, 0.0, 0.0}};
+  double epoch = 0.0;
+  for (std::size_t round = 0; round < 7; ++round, epoch += 0.2) {
+    r.history.push_back({.round = round, .epoch = epoch});
+  }
+  r.history[5].epoch = 0.9999999999999999;
+  ASSERT_GT(r.history[3].epoch, 0.6);
   EXPECT_EQ(r.last_at_epoch(0.0)->round, 0u);
   EXPECT_EQ(r.last_at_epoch(0.5)->round, 2u);
   EXPECT_EQ(r.last_at_epoch(0.6)->round, 3u);
