@@ -141,11 +141,10 @@ void print_table3(Points points) {
   std::cout << table.to_aligned();
 }
 
-void print_table4(Points points, const saps::Flags& flags) {
+void print_table4(Points points, const saps::Flags& flags, double target_frac) {
   std::cout << "=== Table IV: traffic (MB) and time (s) at target accuracy, "
             << points.front().spec.workers
             << " workers, bandwidth included ===\n\n";
-  const double target_frac = flags.get_double("target-frac", 0.9);
   for (const auto& pt : points) {
     double best = 0.0;
     for (const auto& r : pt.runs) {
@@ -190,6 +189,7 @@ int main(int argc, char** argv) {
   const auto spec = scenario::scenario_from_flags_or_exit(flags);
   auto sinks = scenario::sinks_from_flags_or_exit(flags);
   auto sweep = scenario::sweep_from_flags_or_exit(flags, "");
+  const double target_frac = flags.get_double("target-frac", 0.9);
   const bool both_bandwidths = !spec.provided("bandwidth");
   if (both_bandwidths) {
     sweep.axes.push_back({.key = "bandwidth", .values = {"none", "uniform"}});
@@ -215,6 +215,6 @@ int main(int argc, char** argv) {
   print_cost_figure(untimed, kTraffic);
   print_table3(untimed);
   print_cost_figure(timed, kTime);
-  print_table4(timed, flags);
+  print_table4(timed, flags, target_frac);
   return 0;
 }
