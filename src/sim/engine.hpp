@@ -116,8 +116,8 @@ struct RunResult {
   /// First point reaching `accuracy`, if any.
   [[nodiscard]] const MetricPoint* first_reaching(double accuracy) const;
   /// Last point whose epoch is at most `epoch` + 1e-9, if any.  The slack
-  /// absorbs float epoch sums: FedAvg's point at epoch 1 can read
-  /// 0.9999999999999999 or 1.0000000000000002.
+  /// absorbs float epoch sums such as FedAvg's: three steps of 0.2 read
+  /// 0.6000000000000001, and six of 1/6 read 0.9999999999999999.
   [[nodiscard]] const MetricPoint* last_at_epoch(double epoch) const;
 };
 
