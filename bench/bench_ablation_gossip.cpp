@@ -45,6 +45,21 @@ constexpr const char* kBthresSweep =
     "bandwidth=uniform\n"
     "sweep.bthres=0.001,1,2,3,4\n";
 
+const std::vector<saps::scenario::ParamDesc>& bench_params() {
+  using enum saps::scenario::ParamType;
+  static const std::vector<saps::scenario::ParamDesc> descs = {
+      {.name = "gossip-rounds",
+       .type = kInt,
+       .default_value = "400",
+       .min_value = 1,
+       .help = "analytic-ablation gossip rounds (ablations 3-4 only; "
+               "default 400, >= 1)"},
+      // The scenario flag --seed, read as its key's type with the analytic
+      // ablations' own default.
+      {.name = "seed", .type = kUint, .default_value = "1"}};
+  return descs;
+}
+
 /// Mean of the engine's per-round bottleneck-bandwidth record; NaN when the
 /// run was not SAPS or had no bandwidth matrix.
 double mean_selection_bandwidth(const saps::scenario::RunRecord& run) {
@@ -103,19 +118,17 @@ int main(int argc, char** argv) {
   saps::Flags flags(argc, argv);
   saps::scenario::describe_scenario_flags(flags);
   saps::scenario::describe_suite_flags(flags);
-  flags.describe("gossip-rounds",
-                 "analytic-ablation gossip rounds (ablations 3-4 only; "
-                 "default 400)");
+  // describe_scenario_flags already lists --seed.
+  saps::scenario::describe_params(flags, {bench_params().front()});
   saps::exit_on_help_or_unknown(flags, argv[0]);
+  const auto p = saps::scenario::resolve_params_or_exit(flags, bench_params());
+  const auto rounds = static_cast<std::size_t>(p.get_int("gossip-rounds"));
+  const auto seed = p.get_uint("seed");
   auto sinks = saps::scenario::sinks_from_flags_or_exit(flags);
   auto options = saps::scenario::suite_options_from_flags(flags);
   options.sinks = &sinks;
   saps::scenario::Telemetry telemetry;
   options.telemetry = &telemetry;
-  const auto rounds =
-      static_cast<std::size_t>(flags.get_int("gossip-rounds", 400));
-  const auto seed =
-      static_cast<std::uint64_t>(flags.get_int("seed", 1));
 
   if (flags.has("spec")) {
     // A user grid replaces the two built-in training ablations.

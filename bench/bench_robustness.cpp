@@ -64,6 +64,18 @@ constexpr Attack kAttacks[] = {
 
 constexpr const char* kAggregations[] = {"plain", "trimmed", "median"};
 
+const std::vector<saps::scenario::ParamDesc>& bench_params() {
+  static const std::vector<saps::scenario::ParamDesc> descs = {
+      {.name = "grid",
+       .type = saps::scenario::ParamType::kString,
+       .default_value = "all",
+       .help = "which sweep to run: classic (attack x aggregation over all "
+               "algorithms), adaptive (adaptive adversaries x defenses on "
+               "fedavg/saps), or all (default)",
+       .choices = {"classic", "adaptive", "all"}}};
+  return descs;
+}
+
 // Half/half partition spec text for a given worker count, e.g.
 // "0.1.2.3|4.5.6.7@2-6" for 8 workers.
 std::string half_partition(std::size_t workers) {
@@ -137,37 +149,26 @@ int main(int argc, char** argv) {
                  "(names BM_Robustness/<algo>/<attack>/<aggregation>, "
                  "items_per_second = final accuracy) for "
                  "tools/check_kernel_regression.py");
-  flags.describe("grid",
-                 "which sweep to run: classic (attack x aggregation over all "
-                 "algorithms), adaptive (adaptive adversaries x defenses on "
-                 "fedavg/saps), or all (default)");
+  saps::scenario::describe_params(flags, bench_params());
   saps::exit_on_help_or_unknown(flags, argv[0]);
-  auto spec = saps::scenario::scenario_from_flags_or_exit(flags);
-  auto sinks = saps::scenario::sinks_from_flags_or_exit(flags);
+  const auto p = saps::scenario::resolve_params_or_exit(flags, bench_params());
+  const std::string grid = p.get_string("grid");
 
   // Bench defaults (overridable): the blob preset is the test suites' fast
-  // workload; full participation and one local step make the fedavg family
-  // the textbook dense-aggregation byzantine setting.
-  if (!spec.provided("workload")) spec.workload = "blob";
-  if (!spec.provided("algorithm")) {
-    spec.algorithms = saps::scenario::Registry::instance().algorithm_keys();
+  // workload, every registered algorithm runs, and full participation and
+  // one local step make the fedavg family the textbook dense-aggregation
+  // byzantine setting.
+  const auto& registry = saps::scenario::Registry::instance();
+  std::string algorithms;
+  for (const auto& key : registry.algorithm_keys()) {
+    algorithms += (algorithms.empty() ? "" : ",") + key;
   }
-  if (!spec.provided("epochs")) spec.epochs = 2;
-  if (!spec.provided("fedavg-frac")) spec.set("fedavg-frac", "1.0");
-  if (!spec.provided("fedavg-steps")) spec.set("fedavg-steps", "1");
+  const auto spec = saps::scenario::scenario_from_flags_or_exit(
+      flags, "workload=blob\nalgorithm=" + algorithms +
+                 "\nepochs=2\nfedavg-frac=1.0\nfedavg-steps=1\n");
+  auto sinks = saps::scenario::sinks_from_flags_or_exit(flags);
   const bool user_trim = spec.provided("trim-frac");
-  if (!user_trim) spec.set("trim-frac", "0.2");
   const std::string json_path = flags.get_string("json", "");
-  const std::string grid = flags.get_string("grid", "all");
-  if (grid != "classic" && grid != "adaptive" && grid != "all") {
-    std::cerr << "--grid must be classic, adaptive, or all (got '" << grid
-              << "')\n";
-    return 2;
-  }
-  if (spec.workers < 2) {
-    std::cerr << "bench_robustness needs at least 2 workers\n";
-    return 2;
-  }
 
   saps::scenario::Runner base(spec);
   const auto& workload = base.workload();

@@ -28,6 +28,7 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -59,32 +60,44 @@ double peak_rss_mb() {
   return static_cast<double>(ru.ru_maxrss) / 1024.0;  // Linux: kilobytes
 }
 
+// Each entry is a `population` value, where 0 (= workers) is no sweep point.
 std::vector<std::size_t> parse_populations(const std::string& csv) {
+  auto desc = *saps::scenario::find_param("population");
+  desc.name = "populations";
+  desc.min_value = 1;
   std::vector<std::size_t> out;
-  std::istringstream iss(csv);
-  std::string token;
-  while (std::getline(iss, token, ',')) {
+  for (const auto& token : saps::scenario::split(csv, ',')) {
     if (token.empty()) continue;
-    std::size_t pos = 0;
-    unsigned long long v = 0;
-    try {
-      v = std::stoull(token, &pos);
-    } catch (const std::exception&) {
-      pos = 0;
-    }
-    if (pos != token.size() || v == 0) {
-      std::cerr << "--populations: '" << token
-                << "' is not a positive integer\n";
-      std::exit(2);
-    }
-    out.push_back(static_cast<std::size_t>(v));
+    const auto entry = saps::scenario::canonical_value(desc, token);
+    out.push_back(saps::scenario::parse_uint(desc.name, entry));
   }
-  if (out.empty()) {
-    std::cerr << "--populations: empty sweep\n";
-    std::exit(2);
-  }
+  if (out.empty()) throw std::invalid_argument("--populations: empty sweep");
   return out;
 }
+
+const std::vector<saps::scenario::ParamDesc>& bench_params() {
+  static const std::vector<saps::scenario::ParamDesc> descs = {
+      {.name = "min-seconds",
+       .type = saps::scenario::ParamType::kDouble,
+       .default_value = "0.2",
+       .min_value = 0,
+       .help = "repeat each (population, algorithm) run until this much "
+               "wall time accumulates (default 0.2, >= 0) so the small "
+               "sweep entries aren't timed from one sub-millisecond run"}};
+  return descs;
+}
+
+// Bench defaults (overridable): the synthetic blob workload keeps the sweep
+// about the engine, not dataset I/O; fedavg + saps are the two
+// cohort-capable protocol shapes (server round-trip vs. pairwise gossip).  A
+// FedAvg round is three local steps on every workload, so the BM_Scale rows
+// time the same round whatever the shard size (and keep the rounds of
+// bench/baselines/BENCH_scale.json).
+constexpr const char* kDefaults =
+    "workload=blob\n"
+    "algorithm=fedavg,saps\n"
+    "epochs=2\n"
+    "fedavg-steps=3\n";
 
 }  // namespace
 
@@ -99,57 +112,42 @@ int main(int argc, char** argv) {
                  "write a google-benchmark-compatible JSON report to PATH "
                  "(names BM_Scale/<algo>/<population>, items_per_second = "
                  "rounds/sec) for tools/check_kernel_regression.py");
-  flags.describe("min-seconds",
-                 "repeat each (population, algorithm) run until this much "
-                 "wall time accumulates (default 0.2) so the small sweep "
-                 "entries aren't timed from one sub-millisecond run");
+  saps::scenario::describe_params(flags, bench_params());
   saps::exit_on_help_or_unknown(flags, argv[0]);
+  const auto bench = saps::scenario::resolve_params_or_exit(
+      flags, bench_params());
+  const double min_seconds = bench.get_double("min-seconds");
   std::vector<std::size_t> populations;
   if (flags.has("populations")) {
-    populations = parse_populations(flags.get_string("populations", ""));
+    populations = saps::scenario::or_exit([&] {
+      return parse_populations(flags.get_string("populations", ""));
+    });
   }
 
-  // `--cohort=64` alone is legal for the sweep (each entry clamps the cohort
-  // to its population), but spec finalization validates cohort against the
-  // CLI-resolved population before the sweep runs — seed the base spec with
-  // the sweep maximum so it parses, then override population per entry.
-  std::vector<std::string> args(argv, argv + argc);
-  bool injected_population = false;
-  if (flags.has("cohort") && !flags.has("population")) {
-    auto seed_population = static_cast<std::size_t>(flags.get_int("cohort", 2));
-    for (const auto p : populations) {
-      seed_population = std::max(seed_population, p);
-    }
-    args.push_back("--population=" + std::to_string(seed_population));
-    injected_population = true;
+  // `--cohort=N` alone is legal for the sweep (each entry sets its own
+  // population and clamps the cohort to it), but the spec validates cohort
+  // against its own population first: seed that, under any --spec
+  // population, with the key's maximum, which fits every cohort and worker
+  // count.
+  std::string defaults = kDefaults;
+  const bool seeded = flags.has("cohort") && !flags.has("population");
+  const auto seed_population = static_cast<std::size_t>(
+      saps::scenario::find_param("population")->max_value);
+  if (seeded) {
+    defaults += "population=" + std::to_string(seed_population) + "\n";
   }
-  std::vector<char*> argp;
-  argp.reserve(args.size());
-  for (auto& a : args) argp.push_back(a.data());
-  saps::Flags spec_flags(static_cast<int>(argp.size()), argp.data());
-  saps::scenario::describe_scenario_flags(spec_flags);
-  auto spec = saps::scenario::scenario_from_flags_or_exit(spec_flags);
+  const auto spec = saps::scenario::scenario_from_flags_or_exit(
+      flags, defaults);
   auto sinks = saps::scenario::sinks_from_flags_or_exit(flags);
-
-  // Bench defaults (overridable): the synthetic blob workload keeps the
-  // sweep about the engine, not dataset I/O; fedavg + saps are the two
-  // cohort-capable protocol shapes (server round-trip vs. pairwise gossip);
   // cohort=64 matches the acceptance scenario `population=100000 cohort=64`.
-  if (!spec.provided("workload")) spec.workload = "blob";
-  if (!spec.provided("algorithm")) spec.algorithms = {"fedavg", "saps"};
-  if (!spec.provided("epochs")) spec.epochs = 2;
-  // A FedAvg round is three local steps on every workload, so the BM_Scale
-  // rows time the same round whatever the shard size (and keep the rounds
-  // of bench/baselines/BENCH_scale.json).
-  if (!spec.provided("fedavg-steps")) spec.set("fedavg-steps", "3");
   const std::size_t cohort = spec.provided("cohort") ? spec.cohort : 64;
   const std::string json_path = flags.get_string("json", "");
-  const double min_seconds = flags.get_double("min-seconds", 0.2);
   if (populations.empty()) {
-    // No --populations: a spec-provided population runs alone (the CI smoke
-    // path); otherwise sweep from the legacy materialized engine up to the
-    // acceptance scale.
-    if (spec.provided("population") && !injected_population) {
+    // No --populations: a population from --population or --spec runs alone
+    // (the CI smoke path); otherwise sweep from the legacy materialized
+    // engine up to the acceptance scale.
+    if (spec.provided("population") &&
+        !(seeded && spec.population == seed_population)) {
       populations = {spec.population};
     } else {
       populations = {8, 1000, 10000, 100000};

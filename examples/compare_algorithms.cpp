@@ -13,9 +13,9 @@ int main(int argc, char** argv) {
   saps::Flags flags(argc, argv);
   saps::scenario::describe_scenario_flags(flags);
   saps::exit_on_help_or_unknown(flags, argv[0]);
-  auto spec = saps::scenario::scenario_from_flags_or_exit(flags);
+  const auto spec = saps::scenario::scenario_from_flags_or_exit(
+      flags, "bandwidth=uniform");
   auto sinks = saps::scenario::sinks_from_flags_or_exit(flags);
-  if (!spec.provided("bandwidth")) spec.bandwidth = "uniform";
 
   saps::scenario::Runner runner(spec);
   std::cout << "Comparing 7 algorithms on " << runner.workload().display_name

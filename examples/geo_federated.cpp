@@ -24,13 +24,11 @@ int main(int argc, char** argv) {
   saps::scenario::describe_scenario_flags(flags);
   saps::exit_on_help_or_unknown(flags, argv[0]);
 
-  auto spec = saps::scenario::scenario_from_flags_or_exit(flags);
-  if (!spec.provided("workers")) spec.set("workers", "14");  // 14 cities
-  if (!spec.provided("bandwidth")) spec.set("bandwidth", "cities");
-  if (!spec.provided("partition")) spec.set("partition", "shard");
-  if (!spec.provided("epochs")) spec.set("epochs", "8");
-  if (!spec.provided("seed")) spec.set("seed", "7");
-  spec.algorithms = {"saps"};
+  // 14 cities on the Fig. 1 matrix, label shards.
+  std::string defaults =
+      "workers=14\nbandwidth=cities\npartition=shard\nepochs=8\nseed=7\n"
+      "algorithm=saps\n";
+  auto spec = saps::scenario::scenario_from_flags_or_exit(flags, defaults);
 
   const auto& cities = saps::net::fig1_city_names();
   // Rounds per epoch, clamped so the dropout window stays valid (rejoin
@@ -42,25 +40,16 @@ int main(int argc, char** argv) {
   const std::size_t rejoin_at = 2 * drop_at;
   if (!spec.provided("failures")) {
     // Mumbai (9) and SaoPaulo (13) leave for a third of the run, rejoin.
-    spec.set("failures", "9@" + std::to_string(drop_at) + "-" +
-                             std::to_string(rejoin_at) + ",13@" +
-                             std::to_string(drop_at) + "-" +
-                             std::to_string(rejoin_at));
+    // The window depends on the resolved epochs, samples and batch, so the
+    // spec resolves once more with it.
+    const auto window =
+        std::to_string(drop_at) + "-" + std::to_string(rejoin_at);
+    defaults += "failures=9@" + window + ",13@" + window + "\n";
+    spec = saps::scenario::scenario_from_flags_or_exit(flags, defaults);
   }
 
   std::cout << "Geo-federated run: " << spec.workers
             << " city workers, non-IID shards, Fig. 1 bandwidths\n\n";
-
-  // The programmatic spec edits above (workers=14 for the city matrix) are
-  // re-validated when the Runner finalizes its copy — keep the friendly
-  // exit-2 contract for combinations the edits invalidate (e.g. a CLI
-  // --latency-matrix sized for the default worker count).
-  try {
-    saps::scenario::finalize_spec(spec);
-  } catch (const std::exception& e) {
-    std::cerr << e.what() << "\n";
-    return 2;
-  }
 
   // Adaptive selection with mid-training churn.
   saps::scenario::Runner adaptive_runner(spec);

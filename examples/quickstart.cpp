@@ -20,11 +20,10 @@ int main(int argc, char** argv) {
   saps::exit_on_help_or_unknown(flags, argv[0]);
 
   // 2. A declarative scenario: the MNIST stand-in workload, SAPS-PSGD with
-  //    the paper's c=100 sparsification, 8 workers.  CLI flags and --spec
-  //    files override these programmatic defaults.
-  auto spec = saps::scenario::scenario_from_flags_or_exit(flags);
-  if (!spec.provided("algorithm")) spec.algorithms = {"saps"};
-  if (!spec.provided("saps-c")) spec.set("saps-c", "100");
+  //    the paper's c=100 sparsification (its default), 8 workers.  --spec
+  //    files and CLI flags override this binary's defaults text.
+  const auto spec = saps::scenario::scenario_from_flags_or_exit(
+      flags, "algorithm=saps");
 
   // 3. The Runner builds the workload + a fresh engine and streams every
   //    evaluation point to the attached sinks.

@@ -22,11 +22,8 @@ int main(int argc, char** argv) {
   flags.describe("checkpoint", "output checkpoint path");
   saps::exit_on_help_or_unknown(flags, argv[0]);
 
-  auto spec = saps::scenario::scenario_from_flags_or_exit(flags);
-  spec.workload = "real-mnist";
-  spec.algorithms = {"saps"};
-  if (!spec.provided("epochs")) spec.set("epochs", "4");
-  if (!spec.provided("samples")) spec.set("samples", "200");
+  const auto spec = saps::scenario::scenario_from_flags_or_exit(
+      flags, "workload=real-mnist\nalgorithm=saps\nepochs=4\nsamples=200");
   const auto out = flags.get_string("checkpoint", "saps_mnist.ckpt");
 
   saps::scenario::Runner runner(spec);

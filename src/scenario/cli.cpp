@@ -1,7 +1,6 @@
 #include "scenario/cli.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <iostream>
 #include <stdexcept>
 
@@ -44,6 +43,23 @@ SweepSpec sweep_from_flags(const Flags& flags,
   return parse_sweep_text(to_sweep_text(sweep));
 }
 
+const std::vector<ParamDesc>& suite_params() {
+  static const std::vector<ParamDesc> descs = {
+      {.name = "suite-threads",
+       .type = ParamType::kInt,
+       .default_value = "0",
+       .min_value = 0,
+       .max_value = 1024,
+       .help = "concurrent sweep points (0/1 = serial; results and sink "
+               "bytes are identical for every value)"},
+      {.name = "progress",
+       .type = ParamType::kBool,
+       .default_value = "false",
+       .help = "write one progress line per finished sweep point to stderr"},
+  };
+  return descs;
+}
+
 }  // namespace
 
 void describe_scenario_flags(Flags& flags) {
@@ -60,64 +76,29 @@ void describe_scenario_flags(Flags& flags) {
                 "jsonl[:PATH] (no PATH = stdout)");
 }
 
-ScenarioSpec scenario_from_flags_or_exit(const Flags& flags) {
-  try {
-    return spec_from_flags(flags);
-  } catch (const std::exception& e) {
-    // Same contract as util/flags strict mode — but never preempt --help,
-    // which exits in exit_on_help_or_unknown.
-    if (!flags.help_requested()) {
-      std::cerr << e.what() << "\n";
-      std::exit(2);
-    }
-    return ScenarioSpec{};
-  }
+ScenarioSpec scenario_from_flags_or_exit(const Flags& flags,
+                                         const std::string& defaults) {
+  return or_exit([&] { return spec_from_flags(flags, defaults); });
 }
 
 SinkList sinks_from_flags_or_exit(const Flags& flags) {
-  try {
-    return make_sinks(flags.get_string("sink", ""));
-  } catch (const std::exception& e) {
-    if (!flags.help_requested()) {
-      std::cerr << e.what() << "\n";
-      std::exit(2);
-    }
-    return SinkList{};
-  }
-}
-
-std::vector<std::string> workloads_to_run(const ScenarioSpec& spec) {
-  if (spec.provided("workload")) return {spec.workload};
-  return Registry::instance().workload_keys(/*paper_only=*/true);
+  return or_exit([&] { return make_sinks(flags.get_string("sink", "")); });
 }
 
 void describe_suite_flags(Flags& flags) {
-  flags
-      .describe("suite-threads",
-                "concurrent sweep points (0/1 = serial; results and sink "
-                "bytes are identical for every value)")
-      .describe("progress",
-                "write one progress line per finished sweep point to stderr");
+  describe_params(flags, suite_params());
 }
 
 SweepSpec sweep_from_flags_or_exit(const Flags& flags,
                                    const std::string& fallback_sweep_text) {
-  try {
-    return sweep_from_flags(flags, fallback_sweep_text);
-  } catch (const std::exception& e) {
-    if (!flags.help_requested()) {
-      std::cerr << e.what() << "\n";
-      std::exit(2);
-    }
-    return SweepSpec{};
-  }
+  return or_exit([&] { return sweep_from_flags(flags, fallback_sweep_text); });
 }
 
 SuiteOptions suite_options_from_flags(const Flags& flags) {
+  const auto p = resolve_params_or_exit(flags, suite_params());
   SuiteOptions options;
-  options.threads =
-      static_cast<std::size_t>(flags.get_int("suite-threads", 0));
-  if (flags.has("progress")) options.progress = &std::cerr;
+  options.threads = static_cast<std::size_t>(p.get_int("suite-threads"));
+  if (p.get_bool("progress")) options.progress = &std::cerr;
   return options;
 }
 

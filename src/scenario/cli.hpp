@@ -4,20 +4,26 @@
 //
 //   saps::Flags flags(argc, argv);
 //   saps::scenario::describe_scenario_flags(flags);
-//   flags.describe(...bench-specific flags...);
+//   saps::scenario::describe_params(flags, bench_params());
 //   saps::exit_on_help_or_unknown(flags, argv[0]);
-//   auto spec = saps::scenario::scenario_from_flags_or_exit(flags);
+//   auto spec = saps::scenario::scenario_from_flags_or_exit(
+//       flags, "workload=blob\nepochs=2\n");  // the binary's defaults
 //   auto sinks = saps::scenario::sinks_from_flags_or_exit(flags);
+//   const auto p = saps::scenario::resolve_params_or_exit(flags,
+//                                                         bench_params());
 //
 // --help output is GENERATED from the registry's parameter descriptors (one
 // line per registered algorithm/workload parameter plus the spec's core
 // keys), so a newly registered algorithm shows up in every bench's help with
-// zero per-binary wiring.  Validation failures follow the util/flags
-// contract: friendly message to stderr, exit 2.
+// zero per-binary wiring.  Every value from the command line is parsed and
+// checked once, by a descriptor; a bad one prints a friendly message to
+// stderr and exits 2 (params.hpp's or_exit).
+//
+// Precondition of every `_or_exit` reader: exit_on_help_or_unknown already
+// ran, so --help has printed and exited and no unknown flag is left.
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "scenario/sinks.hpp"
 #include "scenario/spec.hpp"
@@ -34,18 +40,14 @@ namespace saps::scenario {
 /// --sink meta-flags.
 void describe_scenario_flags(Flags& flags);
 
-/// spec_from_flags with the exit-2 contract (help-aware: with --help pending
-/// it returns defaults so exit_on_help_or_unknown can print the help).
-[[nodiscard]] ScenarioSpec scenario_from_flags_or_exit(const Flags& flags);
+/// spec_from_flags(flags, defaults) with the exit-2 contract.  `defaults` is
+/// the binary's own defaults, in spec-file syntax, under --spec and flags.
+[[nodiscard]] ScenarioSpec scenario_from_flags_or_exit(
+    const Flags& flags, const std::string& defaults = "");
 
 /// Builds the sinks named by --sink (empty list when absent); exit-2 on an
 /// unknown sink kind or unopenable path.
 [[nodiscard]] SinkList sinks_from_flags_or_exit(const Flags& flags);
-
-/// Workloads a figure bench iterates: the explicitly selected one, or the
-/// paper's Table II set when --workload/spec left it at the default.
-[[nodiscard]] std::vector<std::string> workloads_to_run(
-    const ScenarioSpec& spec);
 
 /// Registers --help lines for the suite meta-flags (--suite-threads,
 /// --progress) on top of describe_scenario_flags.
@@ -56,13 +58,14 @@ void describe_suite_flags(Flags& flags);
 /// `fallback_sweep_text`.  Explicitly provided scenario flags then override
 /// or extend the BASE lines, so `--epochs=1` rescales a committed sweep file
 /// without editing it; a flag naming a swept key is rejected (drop the flag
-/// or the axis).  Exit-2 contract, help-aware like scenario_from_flags.
+/// or the axis).  Exit-2 contract.
 [[nodiscard]] SweepSpec sweep_from_flags_or_exit(
     const Flags& flags, const std::string& fallback_sweep_text);
 
-/// SuiteOptions from --suite-threads / --progress (progress lines go to
-/// stderr so stdout tables stay clean).  Sinks/telemetry stay null — wire
-/// those at the call site.
+/// SuiteOptions from --suite-threads (in [0, 1024], like `threads`) and
+/// --progress (a bool; progress lines go to stderr so stdout tables stay
+/// clean).  Exit-2 contract.  Sinks/telemetry stay null — wire those at the
+/// call site.
 [[nodiscard]] SuiteOptions suite_options_from_flags(const Flags& flags);
 
 }  // namespace saps::scenario

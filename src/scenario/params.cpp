@@ -172,28 +172,21 @@ void describe_params(Flags& flags, const std::vector<ParamDesc>& descs) {
   for (const auto& d : descs) flags.describe(d.name, d.help);
 }
 
+void exit_two(const std::exception& error) {
+  std::cerr << error.what() << "\n";
+  std::exit(2);
+}
+
 ParamSet resolve_params_or_exit(const Flags& flags,
                                 const std::vector<ParamDesc>& descs) {
-  ParamSet defaults;
-  for (const auto& d : descs) {
-    defaults.set(d.name, canonical_value(d, d.default_value));
-  }
-  ParamSet out = defaults;
-  try {
+  return or_exit([&] {
+    ParamSet out;
     for (const auto& d : descs) {
-      if (!flags.has(d.name)) continue;
-      out.set(d.name, canonical_value(d, flags.get_string(d.name, "")));
+      out.set(d.name,
+              canonical_value(d, flags.get_string(d.name, d.default_value)));
     }
-  } catch (const std::exception& e) {
-    // Same contract as util/flags strict mode: friendly message + exit 2 —
-    // but never preempt --help, which exits in exit_on_help_or_unknown.
-    if (!flags.help_requested()) {
-      std::cerr << e.what() << "\n";
-      std::exit(2);
-    }
-    return defaults;
-  }
-  return out;
+    return out;
+  });
 }
 
 }  // namespace saps::scenario

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <limits>
 #include <map>
 #include <string>
@@ -90,11 +91,24 @@ class ParamSet {
 /// Registers one --help line per descriptor on `flags` (registration order).
 void describe_params(Flags& flags, const std::vector<ParamDesc>& descs);
 
+/// Prints `error`'s message to stderr and exits(2): the util/flags
+/// strict-mode contract for a bad value from the command line.
+[[noreturn]] void exit_two(const std::exception& error);
+
+/// `parse()`, or exit_two with what it throws.  Every `_or_exit` reader of
+/// the command line goes through this one catch.
+template <class Parse>
+auto or_exit(Parse&& parse) -> decltype(parse()) {
+  try {
+    return parse();
+  } catch (const std::exception& e) {
+    exit_two(e);
+  }
+}
+
 /// Defaults ∪ command line for a self-contained descriptor table (the
-/// non-training benches' flag sets), with the util/flags exit-2 contract:
-/// prints the friendly message and exits(2) on a type/range violation —
-/// unless --help is pending, in which case defaults are returned so
-/// exit_on_help_or_unknown can print the help.
+/// non-training benches' flag sets and every bench-only number), with the
+/// exit-2 contract of or_exit on a type/range violation.
 [[nodiscard]] ParamSet resolve_params_or_exit(
     const Flags& flags, const std::vector<ParamDesc>& descs);
 

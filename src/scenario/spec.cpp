@@ -670,24 +670,17 @@ void apply_scale_preset(ScenarioSpec& s) {
   if (!s.provided("batch")) s.batch = 50;
 }
 
-/// Defaults → the scale preset → a spec file's lines, each key set once
-/// (the dirichlet: shorthand sets dirichlet-alpha too).  `full` applies
-/// before the preset: the given value (the CLI flag), else the file's
-/// `full` line.
-ScenarioSpec spec_from_lines(const std::vector<SpecLine>& lines,
-                             std::optional<std::string> full) {
-  ScenarioSpec spec;
-  for (const auto& line : lines) {
-    if (!full && line.key == "full") full = line.value;
-  }
-  if (full) spec.set("full", *full);
-  apply_scale_preset(spec);
+/// The lines of `text` (see scan_spec_lines), each key set once; the
+/// dirichlet: shorthand sets dirichlet-alpha too.
+std::vector<SpecLine> unique_spec_lines(const std::string& text,
+                                        const std::string& kind) {
+  auto lines = scan_spec_lines(text, kind);
   std::map<std::string, std::size_t> first_line;
   const auto claim = [&](const std::string& key, std::size_t lineno) {
     const auto [it, inserted] = first_line.emplace(key, lineno);
     if (!inserted) {
       throw std::invalid_argument(
-          "spec line " + std::to_string(lineno) + ": duplicate key '" + key +
+          kind + " line " + std::to_string(lineno) + ": duplicate key '" + key +
           "' (first set on line " + std::to_string(it->second) + ")");
     }
   };
@@ -696,6 +689,24 @@ ScenarioSpec spec_from_lines(const std::vector<SpecLine>& lines,
     if (dirichlet_shorthand(line.key, line.value)) {
       claim("dirichlet-alpha", line.lineno);
     }
+  }
+  return lines;
+}
+
+/// Defaults → the scale preset → `lines` in order, so a later line replaces
+/// an earlier line's value of its key.  `full` applies before the preset:
+/// the given value (the CLI flag), else the last `full` line.
+ScenarioSpec spec_from_lines(const std::vector<SpecLine>& lines,
+                             std::optional<std::string> full) {
+  ScenarioSpec spec;
+  if (!full) {
+    for (const auto& line : lines) {
+      if (line.key == "full") full = line.value;
+    }
+  }
+  if (full) spec.set("full", *full);
+  apply_scale_preset(spec);
+  for (const auto& line : lines) {
     if (line.key != "full") spec.set(line.key, line.value);
   }
   return spec;
@@ -1039,7 +1050,7 @@ std::string read_spec_file(const std::string& path) {
 }
 
 ScenarioSpec parse_spec_text(const std::string& text) {
-  auto spec = spec_from_lines(scan_spec_lines(text, "spec"), std::nullopt);
+  auto spec = spec_from_lines(unique_spec_lines(text, "spec"), std::nullopt);
   finalize_spec(spec);
   return spec;
 }
@@ -1054,11 +1065,13 @@ std::string to_spec_text(const ScenarioSpec& s) {
   return out;
 }
 
-ScenarioSpec spec_from_flags(const Flags& flags) {
-  std::vector<SpecLine> lines;
+ScenarioSpec spec_from_flags(const Flags& flags, const std::string& defaults) {
+  // The defaults lead the file's lines, so a file line replaces them.
+  auto lines = unique_spec_lines(defaults, "defaults");
   if (flags.has("spec")) {
-    const auto text = read_spec_file(flags.get_string("spec", ""));
-    lines = scan_spec_lines(text, "spec");
+    const auto file = unique_spec_lines(
+        read_spec_file(flags.get_string("spec", "")), "spec");
+    lines.insert(lines.end(), file.begin(), file.end());
   }
   std::optional<std::string> full_flag;
   if (flags.has("full")) full_flag = flags.get_string("full", "true");

@@ -18,11 +18,13 @@
 // finalize_spec's bound checks need the resolved worker count.
 //
 // Resolution order (later wins): struct defaults → --full/fast scale preset
-// → spec-file entries → CLI flags → derivations (population and cohort from
-// workers, fast-mode FedAvg local steps from the RESOLVED samples/batch
-// pair, the three RNG seeds from the top-level seed, the defaults of every
-// other parameter).  Derivations fill only keys that are not provided(), and
-// every such key re-derives at each finalize, so a printed spec re-parses to
+// → the binary's defaults text → spec-file entries → CLI flags → one
+// finalize_spec, whose derivations fill population and cohort from workers,
+// fast-mode FedAvg local steps from the RESOLVED samples/batch pair, the
+// three RNG seeds from the top-level seed, and the defaults of every other
+// parameter.  A defaults line counts as provided, as if the spec file began
+// with it.  Derivations fill only keys that are not provided(), and every
+// such key re-derives at each finalize, so a printed spec re-parses to
 // itself and a finalized spec re-derives after a later edit (say of workers
 // or workload).  Set parameters through set(): a value written into
 // `params` directly is not provided() and is re-derived away.
@@ -128,9 +130,9 @@ struct ScenarioSpec : ScenarioFields {
   /// invalid values, grammar knobs' syntax errors included.
   void set(const std::string& key, const std::string& value);
 
-  /// True when `key` was explicitly set (spec file, CLI, or set()) — the
-  /// benches use this to install per-bench defaults without overriding the
-  /// user, and derivations use it to never clobber explicit values.
+  /// True when `key` was explicitly set (a binary's defaults text, spec
+  /// file, CLI, or set()) — derivations use it to never clobber explicit
+  /// values.
   [[nodiscard]] bool provided(const std::string& key) const {
     return provided_.contains(key);
   }
@@ -194,9 +196,12 @@ struct SpecLine {
 /// Lossless reproducibility header.
 [[nodiscard]] std::string to_spec_text(const ScenarioSpec& spec);
 
-/// Full CLI pipeline: defaults → preset → --spec file → flags → finalize.
-/// Throws std::invalid_argument (benches wrap via scenario_from_flags_or_exit
-/// in cli.hpp for the exit-2 contract).
-[[nodiscard]] ScenarioSpec spec_from_flags(const Flags& flags);
+/// Full CLI pipeline: struct defaults → preset → `defaults` (a spec file's
+/// text, each key once) → --spec file → flags → finalize.  A file line or a
+/// flag replaces the default of its key.  Throws std::invalid_argument
+/// (benches wrap via scenario_from_flags_or_exit in cli.hpp for the exit-2
+/// contract).
+[[nodiscard]] ScenarioSpec spec_from_flags(const Flags& flags,
+                                           const std::string& defaults = "");
 
 }  // namespace saps::scenario

@@ -34,25 +34,6 @@ std::string Flags::get_string(const std::string& key,
   return it == values_.end() ? fallback : it->second;
 }
 
-std::int64_t Flags::get_int(const std::string& key,
-                            std::int64_t fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  return std::stoll(it->second);
-}
-
-double Flags::get_double(const std::string& key, double fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  return std::stod(it->second);
-}
-
-bool Flags::get_bool(const std::string& key, bool fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
-}
-
 Flags& Flags::describe(std::string key, std::string help_line) {
   described_.emplace_back(std::move(key), std::move(help_line));
   return *this;

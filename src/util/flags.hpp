@@ -1,12 +1,13 @@
 // Tiny --key=value command-line parser shared by benches and examples.
 //
 // We deliberately avoid a dependency: benches need ~5 flags each, all of the
-// form --name=value with typed defaults.  Binaries register their flags with
-// describe() so --help prints a usage table and check_unknown() can reject
-// typos (strict mode); exit_on_help_or_unknown() bundles both.
+// form --name=value.  Flags holds the raw text; every typed value is parsed
+// and range-checked by its descriptor (scenario/params.hpp), so a bad one
+// exits 2.  Binaries register their flags with describe() so --help prints a
+// usage table and check_unknown() can reject typos (strict mode);
+// exit_on_help_or_unknown() bundles both.
 #pragma once
 
-#include <cstdint>
 #include <map>
 #include <string>
 #include <string_view>
@@ -24,11 +25,6 @@ class Flags {
   [[nodiscard]] bool has(const std::string& key) const;
   [[nodiscard]] std::string get_string(const std::string& key,
                                        const std::string& fallback) const;
-  [[nodiscard]] std::int64_t get_int(const std::string& key,
-                                     std::int64_t fallback) const;
-  [[nodiscard]] double get_double(const std::string& key,
-                                  double fallback) const;
-  [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const;
 
   /// Registers `key` as a known flag with a one-line description (shown by
   /// help(), accepted by check_unknown()).  Returns *this for chaining.

@@ -198,6 +198,33 @@ TEST(ScenarioSpecDeathTest, CliViolationsExitTwoWithFriendlyMessage) {
       { (void)scenario::sinks_from_flags_or_exit(
             make_flags({"--sink=carrier-pigeon"})); },
       ::testing::ExitedWithCode(2), "unknown sink");
+  // A binary's defaults are validated with the flags, once: a population
+  // under the default bandwidth=uniform is refused at parse.
+  EXPECT_EXIT(
+      { (void)scenario::scenario_from_flags_or_exit(
+            make_flags({"--population=64", "--cohort=8"}),
+            "bandwidth=uniform"); },
+      ::testing::ExitedWithCode(2), "bandwidth");
+  // Bench-only numbers go through their descriptors.
+  const std::vector<ParamDesc> bench = {{.name = "target-frac",
+                                         .type = ParamType::kDouble,
+                                         .default_value = "0.9",
+                                         .min_value = 0,
+                                         .max_value = 1}};
+  EXPECT_EXIT(
+      { (void)scenario::resolve_params_or_exit(
+            make_flags({"--target-frac=abc"}), bench); },
+      ::testing::ExitedWithCode(2), "--target-frac expects a finite number");
+  EXPECT_EXIT(
+      { (void)scenario::resolve_params_or_exit(
+            make_flags({"--target-frac=1.5"}), bench); },
+      ::testing::ExitedWithCode(2), "--target-frac must be in \\[0, 1\\]");
+  // Parse only: suite_options_from_flags builds no pool.
+  for (const char* threads : {"--suite-threads=-1", "--suite-threads=1025"}) {
+    EXPECT_EXIT(
+        { (void)scenario::suite_options_from_flags(make_flags({threads})); },
+        ::testing::ExitedWithCode(2), "suite-threads must be in");
+  }
 }
 
 TEST(ScenarioSpec, FastModeDerivesFedavgStepsFromResolvedPair) {
@@ -283,6 +310,42 @@ TEST(ScenarioSpec, FlagsOverrideSpecFileWhichOverridesDefaults) {
   EXPECT_EQ(spec.epochs, 2u);                   // CLI wins
   EXPECT_EQ(spec.params.raw("saps-c"), "33");   // file value
   EXPECT_EQ(spec.batch, 10u);                   // default survives
+}
+
+TEST(ScenarioSpec, BinaryDefaultsSitUnderTheSpecFileAndFlags) {
+  const auto path = ::testing::TempDir() + "/scenario_test_defaults.spec";
+  {
+    std::ofstream out(path);
+    out << "epochs=9\nsamples=60\npartition=dirichlet:0.3\n";
+  }
+  const std::string defaults =
+      "epochs=2\nsamples=40\nbatch=20\npartition=shard\n"
+      "dirichlet-alpha=2\nworkload=blob\n";
+  const auto spec = scenario::spec_from_flags(
+      make_flags({"--spec=" + path, "--samples=80"}), defaults);
+  EXPECT_EQ(spec.batch, 20u);        // default
+  EXPECT_EQ(spec.epochs, 9u);        // the file replaces the default
+  EXPECT_EQ(spec.samples, 80u);      // the flag replaces both
+  EXPECT_EQ(spec.workload, "blob");  // default
+  // A default counts as provided, so derivations leave it alone.
+  EXPECT_TRUE(spec.provided("batch"));
+  EXPECT_TRUE(spec.provided("workload"));
+  EXPECT_FALSE(spec.provided("lr"));
+  // The dirichlet shorthand in the file replaces both partition defaults.
+  EXPECT_EQ(spec.partition, "dirichlet");
+  EXPECT_DOUBLE_EQ(spec.dirichlet_alpha, 0.3);
+  // Without the file the defaults stand.
+  const auto bare = scenario::spec_from_flags(make_flags({}), defaults);
+  EXPECT_EQ(bare.epochs, 2u);
+  EXPECT_EQ(bare.partition, "shard");
+  EXPECT_DOUBLE_EQ(bare.dirichlet_alpha, 2.0);
+  // A key set twice inside the defaults throws, like one in a spec file.
+  const auto twice = [](const std::string& text) {
+    return scenario::spec_from_flags(make_flags({}), text);
+  };
+  EXPECT_THROW((void)twice("epochs=2\nepochs=3"), std::invalid_argument);
+  EXPECT_THROW((void)twice("partition=dirichlet:0.3\ndirichlet-alpha=2"),
+               std::invalid_argument);
 }
 
 TEST(Sinks, CsvAndJsonlCarryEveryPointAndTheSpecHeader) {

@@ -43,10 +43,10 @@ TEST(Table, NumFormatting) {
 TEST(Flags, ParsesKeyValue) {
   const char* argv[] = {"prog", "--workers=32", "--lr=0.05", "--verbose"};
   Flags f(4, const_cast<char**>(argv));
-  EXPECT_EQ(f.get_int("workers", 0), 32);
-  EXPECT_DOUBLE_EQ(f.get_double("lr", 0.0), 0.05);
-  EXPECT_TRUE(f.get_bool("verbose", false));
-  EXPECT_EQ(f.get_int("missing", 7), 7);
+  EXPECT_EQ(f.get_string("workers", ""), "32");
+  EXPECT_EQ(f.get_string("lr", ""), "0.05");
+  EXPECT_EQ(f.get_string("verbose", ""), "true");  // bare flag
+  EXPECT_EQ(f.get_string("missing", "7"), "7");
 }
 
 TEST(Flags, RejectsMalformedToken) {
