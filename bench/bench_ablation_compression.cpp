@@ -40,9 +40,7 @@ void print_points(const std::vector<saps::scenario::SuitePointResult>& points) {
 }
 
 std::vector<saps::scenario::SuitePointResult> run_suite(
-    const saps::Flags& flags, const char* fallback,
-    saps::scenario::SuiteOptions options) {
-  auto sweep = saps::scenario::sweep_from_flags_or_exit(flags, fallback);
+    saps::scenario::SweepSpec sweep, saps::scenario::SuiteOptions options) {
   saps::scenario::SuiteRunner runner(std::move(sweep), options);
   return runner.run();
 }
@@ -62,27 +60,32 @@ int main(int argc, char** argv) {
 
   if (flags.has("spec")) {
     // A user grid: run it as-is, one table.
-    const auto points = run_suite(flags, "", options);
+    const auto points =
+        run_suite(saps::scenario::sweep_from_flags_or_exit(flags, ""), options);
     std::cout << "=== Sweep suite (" << points.size() << " points) ===\n";
     print_points(points);
     return 0;
   }
+  // All three grids are read before the first one trains.
+  auto saps_sweep = saps::scenario::sweep_from_flags_or_exit(flags, kSapsSweep);
+  auto dcd_sweep = saps::scenario::sweep_from_flags_or_exit(flags, kDcdSweep);
+  auto qsgd_sweep = saps::scenario::sweep_from_flags_or_exit(flags, kQsgdSweep);
 
   std::cout << "=== Ablation: compression ratio c vs final accuracy and "
                "traffic ===\n\n";
 
   std::cout << "SAPS-PSGD (seeded random mask, values-only wire format):\n";
-  print_points(run_suite(flags, kSapsSweep, options));
+  print_points(run_suite(std::move(saps_sweep), options));
 
   std::cout << "\nDCD-PSGD (top-k difference compression on the ring):\n";
-  print_points(run_suite(flags, kDcdSweep, options));
+  print_points(run_suite(std::move(dcd_sweep), options));
   std::cout << "(paper: DCD loses accuracy for c > 4 and does not converge "
                "at c = 100/1000, while SAPS holds at c = 100)\n\n";
 
   // Quantization family (related work): compression is capped near 32x
   // (1-bit), versus the 100-1000x sparsification reaches above.
   std::cout << "QSGD-PSGD (stochastic quantization, all-gather):\n";
-  print_points(run_suite(flags, kQsgdSweep, options));
+  print_points(run_suite(std::move(qsgd_sweep), options));
   std::cout << "(even 1-level QSGD moves more bytes than SAPS at c = 100 — "
                "the paper's case for sparsification over quantization)\n";
   return 0;

@@ -15,14 +15,13 @@
 // the matrices the training loop actually used — swap the grid with --spec.
 // Ablations 3-4 stay analytic (no training; rho estimation is O(n^3)).
 #include <cmath>
-#include <functional>
 #include <iostream>
 
 #include "compress/mask.hpp"
 #include "core/saps.hpp"
 #include "gossip/generator.hpp"
 #include "gossip/peer_selection.hpp"
-#include "graph/spectral.hpp"
+#include "graph/matching.hpp"
 #include "net/bandwidth.hpp"
 #include "scenario/cli.hpp"
 #include "util/flags.hpp"
@@ -32,7 +31,9 @@
 
 namespace {
 
+using saps::gossip::estimate_rho;
 using saps::gossip::GossipMatrix;
+using saps::gossip::selected_bandwidth;
 
 constexpr const char* kTthresSweep =
     "workload=mnist\n"
@@ -95,23 +96,6 @@ std::vector<saps::scenario::SuitePointResult> run_suite(
   return runner.run();
 }
 
-double estimate_rho(const std::function<GossipMatrix(std::size_t)>& sel,
-                    std::size_t n, std::size_t samples) {
-  std::vector<double> ewtw(n * n, 0.0);
-  for (std::size_t s = 0; s < samples; ++s) {
-    const auto w = sel(s).dense();
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        double acc = 0.0;
-        for (std::size_t k = 0; k < n; ++k) acc += w[k * n + i] * w[k * n + j];
-        ewtw[i * n + j] += acc;
-      }
-    }
-  }
-  for (auto& v : ewtw) v /= static_cast<double>(samples);
-  return saps::graph::second_largest_eigenvalue(ewtw, n);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -161,7 +145,7 @@ int main(int argc, char** argv) {
     saps::gossip::GossipGenerator gen2(bw_small, {.t_thres = 10, .seed = seed});
     saps::RunningStat stat;
     for (std::size_t t = 0; t < rounds; ++t) {
-      stat.add(gen.bottleneck_bandwidth(gen.generate(t)));
+      stat.add(selected_bandwidth(gen.generate(t), bw_small).min);
     }
     const double rho = estimate_rho(
         [&](std::size_t t) { return gen2.generate(t); }, n_small, 300);
@@ -181,10 +165,7 @@ int main(int argc, char** argv) {
     }
     const auto m = saps::graph::greedy_weight_matching(complete, weight);
     const GossipMatrix w(m);
-    double mb = 1e300;
-    for (const auto& [i, j] : w.pairs()) {
-      mb = std::min(mb, bw_small.get(i, j));
-    }
+    const double mb = selected_bandwidth(w, bw_small).min;
     // Greedy weighted matching is deterministic → W is constant → E[WᵀW]=WᵀW
     // and ρ = 1 (a fixed matching alone never mixes across pairs).
     const double rho =
@@ -197,11 +178,7 @@ int main(int argc, char** argv) {
     saps::gossip::RandomMatchSelector sel2(n_small, seed);
     saps::RunningStat stat;
     for (std::size_t t = 0; t < rounds; ++t) {
-      double mn = 1e300;
-      for (const auto& [i, j] : sel.select(t).pairs()) {
-        mn = std::min(mn, bw_small.get(i, j));
-      }
-      stat.add(mn);
+      stat.add(selected_bandwidth(sel.select(t), bw_small).min);
     }
     const double rho = estimate_rho(
         [&](std::size_t t) { return sel2.select(t); }, n_small, 300);

@@ -154,6 +154,19 @@ int main(int argc, char** argv) {
     }
   }
 
+  // The dataset is sharded by --workers regardless of population, so the
+  // workload stays shareable; population only widens the sampling frame.
+  // Every entry is checked before the first one runs.
+  std::vector<saps::scenario::ScenarioSpec> entries;
+  for (const auto p : populations) {
+    auto& s = entries.emplace_back(spec);
+    s.set("population", std::to_string(std::max(p, s.workers)));
+    s.set("cohort", std::to_string(std::min(cohort, s.population)));
+    saps::scenario::or_exit([&] {
+      saps::scenario::check_algorithm_support(s, s.effective_algorithms());
+    });
+  }
+
   saps::scenario::Runner base(spec);
   const auto& workload = base.workload();
   std::cout << "=== Population sweep (" << workload.display_name
@@ -165,12 +178,7 @@ int main(int argc, char** argv) {
     double seconds, rps, rss_mb;
   };
   std::vector<Row> rows;
-  for (const auto p : populations) {
-    auto s = spec;
-    // The dataset is sharded by --workers regardless of population, so the
-    // workload stays shareable; population only widens the sampling frame.
-    s.set("population", std::to_string(std::max(p, s.workers)));
-    s.set("cohort", std::to_string(std::min(cohort, s.population)));
+  for (const auto& s : entries) {
     saps::scenario::Runner runner(s, workload);
     for (const auto& algo : s.effective_algorithms()) {
       // Runs are deterministic (fresh engine per run), so repetitions are

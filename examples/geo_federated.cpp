@@ -29,6 +29,7 @@ int main(int argc, char** argv) {
       "workers=14\nbandwidth=cities\npartition=shard\nepochs=8\nseed=7\n"
       "algorithm=saps\n";
   auto spec = saps::scenario::scenario_from_flags_or_exit(flags, defaults);
+  saps::scenario::require_algorithm_or_exit(spec, "saps");
 
   const auto& cities = saps::net::fig1_city_names();
   // Rounds per epoch, clamped so the dropout window stays valid (rejoin

@@ -16,6 +16,8 @@
 
 namespace {
 
+using saps::gossip::selected_bandwidth;
+
 const std::vector<saps::scenario::ParamDesc>& demo_params() {
   using enum saps::scenario::ParamType;
   static const std::vector<saps::scenario::ParamDesc> descs = {
@@ -63,7 +65,7 @@ int main(int argc, char** argv) {
     const auto w = gen.generate(t);
     std::cout << "round " << std::setw(2) << t
               << "  (bottleneck " << std::setprecision(2) << std::setw(5)
-              << gen.bottleneck_bandwidth(w) << " MB/s): ";
+              << selected_bandwidth(w, bw).min << " MB/s): ";
     for (const auto& [i, j] : w.pairs()) {
       std::cout << cities[i] << "<->" << cities[j] << " ("
                 << bw.get(i, j) << ") ";
@@ -78,12 +80,8 @@ int main(int argc, char** argv) {
   const saps::gossip::RingTopology ring(14);
   saps::RunningStat adaptive_stat, random_stat;
   for (std::size_t t = 0; t < horizon; ++t) {
-    adaptive_stat.add(gen2.bottleneck_bandwidth(gen2.generate(t)));
-    double mn = 1e300;
-    for (const auto& [i, j] : rnd.select(t).pairs()) {
-      mn = std::min(mn, bw.get(i, j));
-    }
-    random_stat.add(mn);
+    adaptive_stat.add(selected_bandwidth(gen2.generate(t), bw).min);
+    random_stat.add(selected_bandwidth(rnd.select(t), bw).min);
   }
   std::cout << "\nmean bottleneck bandwidth over " << horizon << " rounds:\n"
             << "  SAPS adaptive: " << adaptive_stat.mean() << " MB/s\n"

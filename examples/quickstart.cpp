@@ -24,6 +24,7 @@ int main(int argc, char** argv) {
   //    files and CLI flags override this binary's defaults text.
   const auto spec = saps::scenario::scenario_from_flags_or_exit(
       flags, "algorithm=saps");
+  saps::scenario::require_algorithm_or_exit(spec, "saps");
 
   // 3. The Runner builds the workload + a fresh engine and streams every
   //    evaluation point to the attached sinks.

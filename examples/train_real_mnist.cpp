@@ -24,6 +24,7 @@ int main(int argc, char** argv) {
 
   const auto spec = saps::scenario::scenario_from_flags_or_exit(
       flags, "workload=real-mnist\nalgorithm=saps\nepochs=4\nsamples=200");
+  saps::scenario::require_algorithm_or_exit(spec, "saps");
   const auto out = flags.get_string("checkpoint", "saps_mnist.ckpt");
 
   saps::scenario::Runner runner(spec);

@@ -248,14 +248,12 @@ void register_dpsgd(Registry& r) {
   r.add_algorithm(
       {.key = "dpsgd",
        .summary = "D-PSGD: full-model averaging on the fixed ring",
-       .supports_failures = true,
        .make = [](const ParamSet&, algos::Dynamics dyn) {
          return std::make_unique<algos::DPsgd>(std::move(dyn));
        }});
   r.add_algorithm(
       {.key = "dcd",
        .summary = "DCD-PSGD: top-k compressed differences on the ring",
-       .supports_failures = true,
        .params = {{.name = "dcd-c",
                    .type = ParamType::kDouble,
                    .default_value = "4",

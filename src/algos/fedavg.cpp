@@ -319,7 +319,6 @@ void register_fedavg(Registry& r) {
   r.add_algorithm(
       {.key = "fedavg",
        .summary = "FedAvg: server-coordinated local SGD (McMahan et al.)",
-       .supports_failures = true,
        .supports_cohort = true,
        .params = fedavg_shared_params(),
        .make = [](const ParamSet& p, algos::Dynamics dyn) {
@@ -338,7 +337,6 @@ void register_fedavg(Registry& r) {
   r.add_algorithm(
       {.key = "sfedavg",
        .summary = "S-FedAvg: FedAvg with seeded-random-masked uploads",
-       .supports_failures = true,
        .supports_cohort = true,
        .params = std::move(sfedavg_params),
        .make = [](const ParamSet& p, algos::Dynamics dyn) {

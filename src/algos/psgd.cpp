@@ -82,7 +82,6 @@ void register_psgd(Registry& r) {
   r.add_algorithm(
       {.key = "psgd",
        .summary = "PSGD with idealized all-reduce (dense baseline)",
-       .supports_failures = true,
        .make = [](const ParamSet&, algos::Dynamics dyn) {
          return std::make_unique<algos::PsgdAllReduce>(std::move(dyn));
        }});

@@ -82,7 +82,6 @@ void register_qsgd(Registry& r) {
        .summary = "QSGD-PSGD: stochastically quantized gradient all-gather "
                   "(ablation baseline, not in the paper comparison)",
        .in_paper_comparison = false,
-       .supports_failures = true,
        .params = {{.name = "qsgd-levels",
                    .type = ParamType::kInt,
                    .default_value = "4",

@@ -63,7 +63,6 @@ void register_topk(Registry& r) {
   r.add_algorithm(
       {.key = "topk",
        .summary = "TopK-PSGD: error-feedback top-k gradient all-gather",
-       .supports_failures = true,
        .params = {{.name = "topk-c",
                    .type = ParamType::kDouble,
                    .default_value = "1000",

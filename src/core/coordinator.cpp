@@ -127,15 +127,7 @@ bool Coordinator::active(std::size_t worker) const {
 }
 
 double Coordinator::bottleneck_bandwidth(const gossip::GossipMatrix& w) const {
-  if (!bandwidth_) return 0.0;
-  double min_bw = 0.0;
-  bool any = false;
-  for (const auto& [i, j] : w.pairs()) {
-    const double bw = bandwidth_->get(i, j);
-    min_bw = any ? std::min(min_bw, bw) : bw;
-    any = true;
-  }
-  return any ? min_bw : 0.0;
+  return bandwidth_ ? gossip::selected_bandwidth(w, *bandwidth_).min : 0.0;
 }
 
 }  // namespace saps::core

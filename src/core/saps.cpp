@@ -167,7 +167,6 @@ void register_saps(Registry& r) {
       {.key = "saps",
        .summary = "SAPS-PSGD: sparsified gossip with adaptive peer selection "
                   "(the paper's algorithm)",
-       .supports_failures = true,
        .supports_cohort = true,
        .params =
            {{.name = "saps-c",

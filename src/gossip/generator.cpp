@@ -1,7 +1,6 @@
 #include "gossip/generator.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 
 namespace saps::gossip {
@@ -221,16 +220,6 @@ GossipMatrix GossipGenerator::generate(std::size_t t) {
   }
 
   return GossipMatrix(match);
-}
-
-double GossipGenerator::bottleneck_bandwidth(const GossipMatrix& w) const {
-  double min_bw = std::numeric_limits<double>::infinity();
-  bool any = false;
-  for (const auto& [i, j] : w.pairs()) {
-    min_bw = std::min(min_bw, bandwidth_->get(i, j));
-    any = true;
-  }
-  return any ? min_bw : 0.0;
 }
 
 }  // namespace saps::gossip

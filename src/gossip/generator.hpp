@@ -68,9 +68,6 @@ class GossipGenerator {
     return b_star_;
   }
 
-  /// Lowest bandwidth among the pairs of a gossip matrix (Fig. 5 metric).
-  [[nodiscard]] double bottleneck_bandwidth(const GossipMatrix& w) const;
-
  private:
   /// RandomlyMaxMatch with bandwidth preference: greedy maximum-weight
   /// matching on jittered link speeds (weight × U(0.7, 1.3)).  The jitter

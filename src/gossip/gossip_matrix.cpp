@@ -3,6 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "graph/spectral.hpp"
+
 namespace saps::gossip {
 
 GossipMatrix::GossipMatrix(std::size_t n) : peer_(n) {
@@ -89,6 +91,23 @@ void GossipMatrix::apply(const GossipMatrix& w,
       b[j] = avg;
     }
   }
+}
+
+double estimate_rho(const std::function<GossipMatrix(std::size_t)>& draw,
+                    std::size_t n, std::size_t samples) {
+  std::vector<double> ewtw(n * n, 0.0);
+  for (std::size_t s = 0; s < samples; ++s) {
+    const auto w = draw(s).dense();
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        double acc = 0.0;
+        for (std::size_t k = 0; k < n; ++k) acc += w[k * n + i] * w[k * n + j];
+        ewtw[i * n + j] += acc;
+      }
+    }
+  }
+  for (auto& v : ewtw) v /= static_cast<double>(samples);
+  return graph::second_largest_eigenvalue(ewtw, n);
 }
 
 }  // namespace saps::gossip

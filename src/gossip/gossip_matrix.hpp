@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <vector>
 
 #include "graph/matching.hpp"
@@ -45,5 +46,11 @@ class GossipMatrix {
  private:
   std::vector<std::size_t> peer_;
 };
+
+/// ρ = λ₂(E[WᵀW]) of Assumption 3, estimated by Monte-Carlo over the n-worker
+/// matrices draw(0), …, draw(samples − 1).  O(samples · n³).
+[[nodiscard]] double estimate_rho(
+    const std::function<GossipMatrix(std::size_t)>& draw, std::size_t n,
+    std::size_t samples);
 
 }  // namespace saps::gossip

@@ -46,4 +46,18 @@ double RingTopology::bottleneck_bandwidth(
   return min_bw;
 }
 
+SelectedBandwidth selected_bandwidth(const GossipMatrix& w,
+                                     const net::BandwidthMatrix& bandwidth) {
+  const auto pairs = w.pairs();
+  if (pairs.empty()) return {};
+  double min_bw = std::numeric_limits<double>::infinity();
+  double sum = 0.0;
+  for (const auto& [i, j] : pairs) {
+    const double bw = bandwidth.get(i, j);
+    min_bw = std::min(min_bw, bw);
+    sum += bw;
+  }
+  return {.min = min_bw, .mean = sum / static_cast<double>(pairs.size())};
+}
+
 }  // namespace saps::gossip

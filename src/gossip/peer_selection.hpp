@@ -5,6 +5,8 @@
 //  - RingTopology: the D-PSGD / DCD-PSGD ring 1→2→…→n→1.  A ring is a
 //    degree-2 topology, not a matching, so it exposes neighbors rather
 //    than a GossipMatrix.
+// selected_bandwidth is the figure's metric for a matching, whichever
+// strategy drew it.
 #pragma once
 
 #include <cstddef>
@@ -46,5 +48,16 @@ struct RingTopology {
 
   std::size_t workers;
 };
+
+/// Bandwidth of the links a matching selects (Fig. 5 metric).
+struct SelectedBandwidth {
+  double min = 0.0;   // the bottleneck a synchronous round waits on
+  double mean = 0.0;  // how good the chosen peers are on average
+};
+
+/// The min and mean of `bandwidth` over `w.pairs()`, in that order; both 0
+/// when `w` matches nobody.
+[[nodiscard]] SelectedBandwidth selected_bandwidth(
+    const GossipMatrix& w, const net::BandwidthMatrix& bandwidth);
 
 }  // namespace saps::gossip

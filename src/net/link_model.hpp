@@ -8,8 +8,8 @@
 //  - Fig. 6 / Table IV "communication time": the round's elapsed time.
 // Fig. 5's per-round bottleneck bandwidth is not measured here: it is the
 // slowest link of the round's matching or ring, from
-// core::Coordinator::bottleneck_bandwidth and
-// gossip::RingTopology::bottleneck_bandwidth.
+// gossip::selected_bandwidth (which core::Coordinator::bottleneck_bandwidth
+// forwards to) and gossip::RingTopology::bottleneck_bandwidth.
 //
 // Round time is the critical path over a small event timeline.  Within one
 // start_round()/finish_round() window each node first finishes its local

@@ -39,8 +39,14 @@ SweepSpec sweep_from_flags(const Flags& flags,
     }
   }
   // Re-parse the merged text: canonicalizes the raw flag values and re-runs
-  // the full per-point validation over the final grid.
-  return parse_sweep_text(to_sweep_text(sweep));
+  // the full per-point validation over the final grid.  A point that names
+  // an algorithm it cannot run fails here, not midway through the suite.
+  sweep = parse_sweep_text(to_sweep_text(sweep));
+  for (std::size_t i = 0; i < sweep.point_count(); ++i) {
+    const auto point = sweep.point(i);
+    check_algorithm_support(point, point.effective_algorithms());
+  }
+  return sweep;
 }
 
 const std::vector<ParamDesc>& suite_params() {
@@ -78,7 +84,21 @@ void describe_scenario_flags(Flags& flags) {
 
 ScenarioSpec scenario_from_flags_or_exit(const Flags& flags,
                                          const std::string& defaults) {
-  return or_exit([&] { return spec_from_flags(flags, defaults); });
+  return or_exit([&] {
+    auto spec = spec_from_flags(flags, defaults);
+    check_algorithm_support(spec, spec.effective_algorithms());
+    return spec;
+  });
+}
+
+void require_algorithm_or_exit(const ScenarioSpec& spec,
+                               const std::string& algo_key) {
+  const auto keys = spec.effective_algorithms();
+  if (keys.size() != 1 || keys.front() != algo_key) {
+    exit_two(std::invalid_argument("--algorithm: this binary runs only " +
+                                   algo_key + "; drop the flag or set "
+                                   "--algorithm=" + algo_key));
+  }
 }
 
 SinkList sinks_from_flags_or_exit(const Flags& flags) {

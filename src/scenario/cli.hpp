@@ -42,8 +42,15 @@ void describe_scenario_flags(Flags& flags);
 
 /// spec_from_flags(flags, defaults) with the exit-2 contract.  `defaults` is
 /// the binary's own defaults, in spec-file syntax, under --spec and flags.
+/// Every effective algorithm must pass check_algorithm_support.
 [[nodiscard]] ScenarioSpec scenario_from_flags_or_exit(
     const Flags& flags, const std::string& defaults = "");
+
+/// Exits 2 unless `spec` runs exactly `algo_key`: a binary that runs one
+/// algorithm by key refuses any other --algorithm list instead of ignoring
+/// it.
+void require_algorithm_or_exit(const ScenarioSpec& spec,
+                               const std::string& algo_key);
 
 /// Builds the sinks named by --sink (empty list when absent); exit-2 on an
 /// unknown sink kind or unopenable path.
@@ -58,7 +65,8 @@ void describe_suite_flags(Flags& flags);
 /// `fallback_sweep_text`.  Explicitly provided scenario flags then override
 /// or extend the BASE lines, so `--epochs=1` rescales a committed sweep file
 /// without editing it; a flag naming a swept key is rejected (drop the flag
-/// or the axis).  Exit-2 contract.
+/// or the axis).  Every grid point's effective algorithms must pass
+/// check_algorithm_support.  Exit-2 contract.
 [[nodiscard]] SweepSpec sweep_from_flags_or_exit(
     const Flags& flags, const std::string& fallback_sweep_text);
 

@@ -52,8 +52,6 @@ struct AlgorithmEntry {
   // Part of the paper's seven-algorithm comparison (Fig. 3/4/6, Tables
   // III/IV)?  QSGD is registered but compared only in the ablation bench.
   bool in_paper_comparison = true;
-  // Can honor a failure schedule (dropout/rejoin rounds)?
-  bool supports_failures = false;
   // Can consume the engine's per-round cohort draw (population runs where
   // cohort < population and only the cohort owns live replicas)?
   bool supports_cohort = false;

@@ -1,6 +1,5 @@
 #include "scenario/runner.hpp"
 
-#include <stdexcept>
 #include <utility>
 
 #include "compress/robust.hpp"
@@ -92,16 +91,7 @@ sim::Engine Runner::make_engine() const {
 
 RunRecord Runner::run(const std::string& algo_key, SinkList* sinks) {
   const auto& entry = Registry::instance().algorithm(algo_key);
-  if (!spec_.failures.empty() && !entry.supports_failures) {
-    throw std::invalid_argument(
-        "algorithm '" + algo_key +
-        "' does not support a failure schedule (dropout/rejoin rounds)");
-  }
-  if (spec_.cohort < spec_.population && !entry.supports_cohort) {
-    throw std::invalid_argument(
-        "algorithm '" + algo_key +
-        "' does not support per-round cohort sampling (cohort < population)");
-  }
+  check_algorithm_support(spec_, {algo_key});
   algos::Dynamics dyn;
   dyn.merge = compress::parse_merge_rule(spec_.aggregation);
   dyn.trim_frac = spec_.trim_frac;

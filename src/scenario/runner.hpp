@@ -64,8 +64,8 @@ class Runner {
   [[nodiscard]] sim::Engine make_engine() const;
 
   /// Runs one registered algorithm.  Throws std::invalid_argument on an
-  /// unknown key, an out-of-range parameter, or a failure schedule the
-  /// algorithm cannot honor.
+  /// unknown key, an out-of-range parameter, or a cohort the algorithm
+  /// cannot sample (check_algorithm_support).
   [[nodiscard]] RunRecord run(const std::string& algo_key,
                               SinkList* sinks = nullptr);
 

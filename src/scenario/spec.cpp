@@ -831,9 +831,9 @@ void finalize_spec(ScenarioSpec& spec) {
         "--bandwidth matrices are sized by workers; population runs require "
         "bandwidth=none");
   }
-  // Algorithm support for cohort < population is checked per run
-  // (Runner::run), like the failure schedule: a spec may carry a population
-  // while the caller runs only the supporting algorithms by key.
+  // Whether each algorithm can sample a cohort is the caller's check
+  // (check_algorithm_support): a spec may carry a population while its
+  // caller runs only the supporting algorithms by key.
 
   if (!spec.latency_matrix.empty() && spec.population != spec.workers) {
     throw std::invalid_argument(
@@ -850,9 +850,7 @@ void finalize_spec(ScenarioSpec& spec) {
 
   // Worker indices are validated here, at spec-resolution time, so a bad
   // spec file fails before any engine is built — against the RESOLVED
-  // population (== workers outside population runs).  Algorithm support is
-  // checked per run (Runner::run), because a spec may carry a schedule while
-  // the caller runs only the supporting algorithms by key.
+  // population (== workers outside population runs).
   for (const auto& e : spec.failures) {
     check_worker("failures", e.worker, spec.population);
   }
@@ -1014,6 +1012,18 @@ void finalize_spec(ScenarioSpec& spec) {
       if (!spec.params.has(d.name)) {
         spec.params.set(d.name, canonical_value(d, d.default_value));
       }
+    }
+  }
+}
+
+void check_algorithm_support(const ScenarioSpec& spec,
+                             const std::vector<std::string>& algo_keys) {
+  if (spec.cohort >= spec.population) return;
+  for (const auto& key : algo_keys) {
+    if (!Registry::instance().algorithm(key).supports_cohort) {
+      throw std::invalid_argument(
+          "algorithm '" + key +
+          "' does not support per-round cohort sampling (cohort < population)");
     }
   }
 }

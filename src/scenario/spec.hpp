@@ -169,6 +169,15 @@ struct ScenarioSpec : ScenarioFields {
 /// spec prints complete.  Idempotent; Runner calls it on its copy.
 void finalize_spec(ScenarioSpec& spec);
 
+/// Throws std::invalid_argument when one of `algo_keys` cannot run `spec`:
+/// a cohort below the population needs an algorithm with cohort support.
+/// finalize_spec leaves this to the caller, because a spec may carry a
+/// population while its caller runs only supporting algorithms by key:
+/// Runner::run checks the key it runs, and the command-line readers (cli.hpp)
+/// check every effective algorithm before anything runs.
+void check_algorithm_support(const ScenarioSpec& spec,
+                             const std::vector<std::string>& algo_keys);
+
 /// One `key=value` line of a spec or sweep file (1-based line number; key
 /// and value trimmed).
 struct SpecLine {

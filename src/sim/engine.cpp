@@ -119,12 +119,8 @@ Engine::Engine(SimConfig config, const data::Dataset& train,
   slot_of_.assign(config_.workers, kNoSlot);
   slot_worker_.assign(cohort_size_, kNoSlot);
 
-  nn::SgdConfig sgd_config;
-  sgd_config.lr = config_.lr;
-  sgd_config.momentum = config_.momentum;
-  sgd_config.weight_decay = config_.weight_decay;
-  sgd_config.decay_epochs = config_.decay_epochs;
-  sgd_config.decay_factor = config_.decay_factor;
+  const nn::SgdConfig sgd_config{.lr = config_.lr,
+                                 .momentum = config_.momentum};
 
   for (std::size_t s = 0; s < cohort_size_; ++s) {
     const std::size_t w = s;  // initial identity assignment

@@ -66,9 +66,6 @@ struct SimConfig {
   std::size_t epochs = 10;
   double lr = 0.05;
   double momentum = 0.0;
-  double weight_decay = 0.0;
-  std::vector<std::size_t> decay_epochs;
-  double decay_factor = 0.1;
   std::uint64_t seed = 42;
   PartitionKind partition = PartitionKind::kIid;
   std::size_t shards_per_worker = 2;   // for kShard

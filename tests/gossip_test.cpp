@@ -1,13 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <functional>
 #include <set>
 
 #include "gossip/generator.hpp"
 #include "gossip/gossip_matrix.hpp"
 #include "gossip/peer_selection.hpp"
-#include "graph/spectral.hpp"
 #include "net/bandwidth.hpp"
 #include "util/rng.hpp"
 
@@ -41,6 +39,25 @@ TEST(GossipMatrix, FromMatchingIsDoublyStochastic) {
   EXPECT_DOUBLE_EQ(d[0 * 5 + 0], 0.5);
   EXPECT_DOUBLE_EQ(d[0 * 5 + 3], 0.5);
   EXPECT_DOUBLE_EQ(d[2 * 5 + 2], 1.0);
+
+  // The selected links' bandwidth: only the two matched pairs count, not
+  // the faster links to the unmatched worker 2.
+  net::BandwidthMatrix bw(5);
+  for (std::size_t i = 0; i < 5; ++i) {
+    for (std::size_t j = 0; j < 5; ++j) {
+      if (i != j) bw.set(i, j, 4.0);
+    }
+  }
+  bw.set(0, 3, 1.5);
+  bw.set(3, 0, 1.5);
+  bw.set(1, 4, 2.5);
+  bw.set(4, 1, 2.5);
+  const auto selected = selected_bandwidth(w, bw);
+  EXPECT_DOUBLE_EQ(selected.min, 1.5);
+  EXPECT_DOUBLE_EQ(selected.mean, 2.0);
+  const auto none = selected_bandwidth(GossipMatrix(5), bw);
+  EXPECT_DOUBLE_EQ(none.min, 0.0);
+  EXPECT_DOUBLE_EQ(none.mean, 0.0);
 }
 
 TEST(GossipMatrix, RejectsMalformedMatching) {
@@ -150,12 +167,8 @@ TEST(Generator, PrefersHighBandwidthPairsWhenConnected) {
   double adaptive_sum = 0.0, random_sum = 0.0;
   const std::size_t rounds = 200;
   for (std::size_t t = 0; t < rounds; ++t) {
-    adaptive_sum += gen.bottleneck_bandwidth(gen.generate(t));
-    double rnd_min = 1e18;
-    for (const auto& [i, j] : rnd.select(t).pairs()) {
-      rnd_min = std::min(rnd_min, bw.get(i, j));
-    }
-    random_sum += rnd_min;
+    adaptive_sum += selected_bandwidth(gen.generate(t), bw).min;
+    random_sum += selected_bandwidth(rnd.select(t), bw).min;
   }
   EXPECT_GT(adaptive_sum / rounds, 2.0 * random_sum / rounds);
 }
@@ -182,25 +195,6 @@ TEST(Generator, InactiveWorkersNeverMatched) {
 TEST(Generator, RejectsZeroWindow) {
   auto bw = net::random_uniform_bandwidth(4, 1);
   EXPECT_THROW(GossipGenerator(bw, {.t_thres = 0}), std::invalid_argument);
-}
-
-/// Estimates ρ = λ₂(E[WᵀW]) by Monte-Carlo over the distribution of the
-/// matrices `select(round)` draws.
-double estimate_rho(const std::function<GossipMatrix(std::size_t)>& select,
-                    std::size_t n, std::size_t samples) {
-  std::vector<double> ewtw(n * n, 0.0);
-  for (std::size_t s = 0; s < samples; ++s) {
-    const auto w = select(s).dense();
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        double acc = 0.0;
-        for (std::size_t k = 0; k < n; ++k) acc += w[k * n + i] * w[k * n + j];
-        ewtw[i * n + j] += acc;
-      }
-    }
-  }
-  for (auto& v : ewtw) v /= static_cast<double>(samples);
-  return graph::second_largest_eigenvalue(ewtw, n);
 }
 
 TEST(Assumption3, RandomMatchingHasRhoBelowOne) {
@@ -256,7 +250,7 @@ TEST(Fig1Environment, AdaptiveBeatsRingOn14Cities) {
   double adaptive = 0.0;
   const std::size_t rounds = 100;
   for (std::size_t t = 0; t < rounds; ++t) {
-    adaptive += gen.bottleneck_bandwidth(gen.generate(t));
+    adaptive += selected_bandwidth(gen.generate(t), bw).min;
   }
   EXPECT_GT(adaptive / rounds, ring_bw);
 }

@@ -205,6 +205,27 @@ TEST(ScenarioSpecDeathTest, CliViolationsExitTwoWithFriendlyMessage) {
             make_flags({"--population=64", "--cohort=8"}),
             "bandwidth=uniform"); },
       ::testing::ExitedWithCode(2), "bandwidth");
+  // A cohort below the population needs cohort support from every algorithm
+  // the spec names, here the default paper seven, and from every grid
+  // point's (point 0 runs fedavg and passes).  Both are refused at parse.
+  EXPECT_EXIT(
+      { (void)scenario::scenario_from_flags_or_exit(make_flags(
+            {"--population=64", "--cohort=8", "--workload=blob"})); },
+      ::testing::ExitedWithCode(2),
+      "algorithm 'psgd' does not support per-round cohort sampling");
+  EXPECT_EXIT(
+      { (void)scenario::sweep_from_flags_or_exit(
+            make_flags({"--population=64", "--cohort=8"}),
+            "workload=blob\nsweep.algorithm=fedavg,dcd\n"); },
+      ::testing::ExitedWithCode(2),
+      "algorithm 'dcd' does not support per-round cohort sampling");
+  // A binary that runs one algorithm by key refuses any other list.
+  EXPECT_EXIT(
+      { scenario::require_algorithm_or_exit(
+            scenario::scenario_from_flags_or_exit(
+                make_flags({"--algorithm=psgd"}), "algorithm=saps"),
+            "saps"); },
+      ::testing::ExitedWithCode(2), "--algorithm");
   // Bench-only numbers go through their descriptors.
   const std::vector<ParamDesc> bench = {{.name = "target-frac",
                                          .type = ParamType::kDouble,
@@ -395,11 +416,6 @@ TEST(Sinks, CsvAndJsonlCarryEveryPointAndTheSpecHeader) {
 TEST(Runner, EveryAlgorithmAcceptsAFailureSchedule) {
   // Dropout/rejoin was once SAPS-only; the Dynamics hook lifted the
   // restriction to every registered algorithm.
-  const auto& reg = Registry::instance();
-  for (const auto& key : reg.algorithm_keys()) {
-    SCOPED_TRACE(key);
-    EXPECT_TRUE(reg.algorithm(key).supports_failures);
-  }
   ScenarioSpec spec;
   spec.set("workload", "blob");
   spec.set("workers", "4");
@@ -408,8 +424,11 @@ TEST(Runner, EveryAlgorithmAcceptsAFailureSchedule) {
   spec.set("blob-test", "32");
   spec.set("failures", "1@2-4");
   scenario::Runner runner(spec);
-  const auto rec = runner.run("dpsgd");
-  EXPECT_FALSE(rec.result.history.empty());
+  for (const auto& key : Registry::instance().algorithm_keys()) {
+    SCOPED_TRACE(key);
+    const auto rec = runner.run(key);
+    EXPECT_FALSE(rec.result.history.empty());
+  }
 }
 
 TEST(ScenarioSpec, FaultKnobsRoundTripLosslessly) {
