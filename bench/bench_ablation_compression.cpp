@@ -39,15 +39,10 @@ void print_points(const std::vector<saps::scenario::SuitePointResult>& points) {
   std::cout << table.to_aligned();
 }
 
-std::vector<saps::scenario::SuitePointResult> run_suite(
-    saps::scenario::SweepSpec sweep, saps::scenario::SuiteOptions options) {
-  saps::scenario::SuiteRunner runner(std::move(sweep), options);
-  return runner.run();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  using saps::scenario::SuiteRunner;
   saps::Flags flags(argc, argv);
   saps::scenario::describe_scenario_flags(flags);
   saps::scenario::describe_suite_flags(flags);
@@ -60,8 +55,8 @@ int main(int argc, char** argv) {
 
   if (flags.has("spec")) {
     // A user grid: run it as-is, one table.
-    const auto points =
-        run_suite(saps::scenario::sweep_from_flags_or_exit(flags, ""), options);
+    auto sweep = saps::scenario::sweep_from_flags_or_exit(flags, "");
+    const auto points = SuiteRunner(std::move(sweep), options).run();
     std::cout << "=== Sweep suite (" << points.size() << " points) ===\n";
     print_points(points);
     return 0;
@@ -75,17 +70,17 @@ int main(int argc, char** argv) {
                "traffic ===\n\n";
 
   std::cout << "SAPS-PSGD (seeded random mask, values-only wire format):\n";
-  print_points(run_suite(std::move(saps_sweep), options));
+  print_points(SuiteRunner(std::move(saps_sweep), options).run());
 
   std::cout << "\nDCD-PSGD (top-k difference compression on the ring):\n";
-  print_points(run_suite(std::move(dcd_sweep), options));
+  print_points(SuiteRunner(std::move(dcd_sweep), options).run());
   std::cout << "(paper: DCD loses accuracy for c > 4 and does not converge "
                "at c = 100/1000, while SAPS holds at c = 100)\n\n";
 
   // Quantization family (related work): compression is capped near 32x
   // (1-bit), versus the 100-1000x sparsification reaches above.
   std::cout << "QSGD-PSGD (stochastic quantization, all-gather):\n";
-  print_points(run_suite(std::move(qsgd_sweep), options));
+  print_points(SuiteRunner(std::move(qsgd_sweep), options).run());
   std::cout << "(even 1-level QSGD moves more bytes than SAPS at c = 100 — "
                "the paper's case for sparsification over quantization)\n";
   return 0;

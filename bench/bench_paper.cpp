@@ -71,13 +71,14 @@ using saps::sim::MetricPoint;
 using scenario::RunRecord;
 using Points = std::span<const scenario::SuitePointResult>;
 
-// The paper's settings for Figs. 1 and 5 and Table I.
+// The paper's settings for Figs. 1 and 5 and Table I, whose N is the
+// MNIST-CNN's parameter count.
 constexpr std::size_t kUniformWorkers = 32;  // the (0, 5] MB/s environment
 constexpr std::uint64_t kFig1Seed = 7;
 constexpr std::size_t kFig5Iterations = 400;
 constexpr std::uint64_t kFig5Seed = 17;
 constexpr std::size_t kFig5RingMatrices = 5000;
-constexpr saps::core::CostInputs kTable1 = {.model_size = 6653628,  // MNIST
+constexpr saps::core::CostInputs kTable1 = {.model_size = 6653628,
                                             .workers = 32,
                                             .rounds = 1000,
                                             .compression = 100,
