@@ -50,8 +50,6 @@ int main(int argc, char** argv) {
   auto sinks = saps::scenario::sinks_from_flags_or_exit(flags);
   auto options = saps::scenario::suite_options_from_flags(flags);
   options.sinks = &sinks;
-  saps::scenario::Telemetry telemetry;
-  options.telemetry = &telemetry;
 
   if (flags.has("spec")) {
     // A user grid: run it as-is, one table.

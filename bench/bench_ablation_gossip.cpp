@@ -10,15 +10,14 @@
 //       (q + pρ²) for several sparsification ratios c.
 //
 // Ablations 1-2 are sweep suites over REAL training runs (scenario/sweep):
-// the selected-link quality is read back from the engine's per-round
-// bottleneck record (SapsPsgd::selection_bandwidth), so the numbers reflect
+// the selected-link quality is read back from each run's per-round
+// bottleneck record (RunResult::selected_bandwidth), so the numbers reflect
 // the matrices the training loop actually used — swap the grid with --spec.
 // Ablations 3-4 stay analytic (no training; rho estimation is O(n^3)).
 #include <cmath>
 #include <iostream>
 
 #include "compress/mask.hpp"
-#include "core/saps.hpp"
 #include "gossip/generator.hpp"
 #include "gossip/peer_selection.hpp"
 #include "graph/matching.hpp"
@@ -61,16 +60,13 @@ const std::vector<saps::scenario::ParamDesc>& bench_params() {
   return descs;
 }
 
-/// Mean of the engine's per-round bottleneck-bandwidth record; NaN when the
+/// Mean of the run's per-round bottleneck-bandwidth record; NaN when the
 /// run was not SAPS or had no bandwidth matrix.
-double mean_selection_bandwidth(const saps::scenario::RunRecord& run) {
-  const auto* engine =
-      dynamic_cast<const saps::core::SapsPsgd*>(run.algorithm.get());
-  if (engine == nullptr || engine->selection_bandwidth().empty()) {
-    return std::nan("");
-  }
+double mean_selected_bandwidth(const saps::scenario::RunRecord& run) {
+  const auto& series = run.result.selected_bandwidth;
+  if (series.empty()) return std::nan("");
   saps::RunningStat stat;
-  for (const double bw : engine->selection_bandwidth()) stat.add(bw);
+  for (const double bw : series) stat.add(bw);
   return stat.mean();
 }
 
@@ -79,7 +75,7 @@ void print_suite(const std::vector<saps::scenario::SuitePointResult>& points) {
                      "final_accuracy_pct"});
   for (const auto& pt : points) {
     for (const auto& run : pt.runs) {
-      const double mb = mean_selection_bandwidth(run);
+      const double mb = mean_selected_bandwidth(run);
       table.add_row({pt.label, run.name,
                      std::isnan(mb) ? "n/a" : saps::Table::num(mb, 3),
                      saps::Table::num(run.result.final().accuracy * 100, 2)});
@@ -88,17 +84,10 @@ void print_suite(const std::vector<saps::scenario::SuitePointResult>& points) {
   std::cout << table.to_aligned();
 }
 
-std::vector<saps::scenario::SuitePointResult> run_suite(
-    const saps::Flags& flags, const char* fallback,
-    saps::scenario::SuiteOptions options) {
-  auto sweep = saps::scenario::sweep_from_flags_or_exit(flags, fallback);
-  saps::scenario::SuiteRunner runner(std::move(sweep), options);
-  return runner.run();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  using saps::scenario::SuiteRunner;
   saps::Flags flags(argc, argv);
   saps::scenario::describe_scenario_flags(flags);
   saps::scenario::describe_suite_flags(flags);
@@ -111,28 +100,32 @@ int main(int argc, char** argv) {
   auto sinks = saps::scenario::sinks_from_flags_or_exit(flags);
   auto options = saps::scenario::suite_options_from_flags(flags);
   options.sinks = &sinks;
-  saps::scenario::Telemetry telemetry;
-  options.telemetry = &telemetry;
 
   if (flags.has("spec")) {
     // A user grid replaces the two built-in training ablations.
-    const auto points = run_suite(flags, "", options);
+    auto sweep = saps::scenario::sweep_from_flags_or_exit(flags, "");
+    const auto points = SuiteRunner(std::move(sweep), options).run();
     std::cout << "=== Sweep suite (" << points.size() << " points) ===\n";
     print_suite(points);
     return 0;
   }
+  // Both grids are read before the first one trains.
+  auto tthres_sweep =
+      saps::scenario::sweep_from_flags_or_exit(flags, kTthresSweep);
+  auto bthres_sweep =
+      saps::scenario::sweep_from_flags_or_exit(flags, kBthresSweep);
 
   // (1) T_thres sweep: train at each window, read back the bandwidth the
   // adaptive selector actually achieved.
   std::cout
       << "=== Ablation 1: T_thres (RC window) vs selected bandwidth ===\n";
-  print_suite(run_suite(flags, kTthresSweep, options));
+  print_suite(SuiteRunner(std::move(tthres_sweep), options).run());
   std::cout << "\n";
 
   // (2) B_thres sweep (absolute MBps; uniform links are U(0, 5] so 0.001
   // keeps every edge and 4 keeps only the top fifth of links).
   std::cout << "=== Ablation 2: B_thres filter vs selected bandwidth ===\n";
-  print_suite(run_suite(flags, kBthresSweep, options));
+  print_suite(SuiteRunner(std::move(bthres_sweep), options).run());
   std::cout << "\n";
 
   // (3) Matching strategies: bandwidth and ρ.

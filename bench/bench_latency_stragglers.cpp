@@ -46,8 +46,6 @@ int main(int argc, char** argv) {
   auto sweep = saps::scenario::sweep_from_flags_or_exit(flags, kFallbackSweep);
   auto options = saps::scenario::suite_options_from_flags(flags);
   options.sinks = &sinks;
-  saps::scenario::Telemetry telemetry;
-  options.telemetry = &telemetry;
 
   // Baseline (instantaneous links, uniform compute) for the inflation
   // column: the first grid point's spec with every timing knob zeroed.

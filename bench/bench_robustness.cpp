@@ -39,9 +39,8 @@
 #include <string>
 #include <vector>
 
-#include "algos/fedavg.hpp"
-#include "core/saps.hpp"
 #include "scenario/cli.hpp"
+#include "scenario/params.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
 #include "util/flags.hpp"
@@ -122,17 +121,6 @@ AdaptiveAttack collusion_attack() {
           .attackers = {0, 1, 2}};
 }
 
-const saps::core::ReputationMonitor* monitor_of(
-    const saps::algos::Algorithm* algo) {
-  if (const auto* f = dynamic_cast<const saps::algos::FedAvg*>(algo)) {
-    return f->reputation();
-  }
-  if (const auto* s = dynamic_cast<const saps::core::SapsPsgd*>(algo)) {
-    return s->reputation();
-  }
-  return nullptr;
-}
-
 double l2_norm(const std::vector<float>& v) {
   double acc = 0.0;
   for (const float x : v) acc += static_cast<double>(x) * x;
@@ -163,9 +151,22 @@ int main(int argc, char** argv) {
   for (const auto& key : registry.algorithm_keys()) {
     algorithms += (algorithms.empty() ? "" : ",") + key;
   }
-  const auto spec = saps::scenario::scenario_from_flags_or_exit(
-      flags, "workload=blob\nalgorithm=" + algorithms +
-                 "\nepochs=2\nfedavg-frac=1.0\nfedavg-steps=1\n");
+  const auto spec = saps::scenario::or_exit([&] {
+    return saps::scenario::spec_from_flags(
+        flags, "workload=blob\nalgorithm=" + algorithms +
+                   "\nepochs=2\nfedavg-frac=1.0\nfedavg-steps=1\n");
+  });
+  // Only the algorithms a selected grid runs must support the spec's
+  // cohort: the classic grid runs every effective one, the adaptive grid
+  // fedavg and saps.
+  std::vector<std::string> adaptive_keys;
+  for (const auto& k : spec.effective_algorithms()) {
+    if (k == "fedavg" || k == "saps") adaptive_keys.push_back(k);
+  }
+  saps::scenario::or_exit([&] {
+    saps::scenario::check_algorithm_support(
+        spec, grid == "adaptive" ? adaptive_keys : spec.effective_algorithms());
+  });
   auto sinks = saps::scenario::sinks_from_flags_or_exit(flags);
   const bool user_trim = spec.provided("trim-frac");
   const std::string json_path = flags.get_string("json", "");
@@ -258,15 +259,11 @@ int main(int argc, char** argv) {
   const std::size_t adaptive_first_row = rows.size();
   std::vector<std::string> adaptive_names;  // display names, insertion order
   if (grid != "classic") {
-    std::vector<std::string> keys;
-    for (const auto& k : spec.effective_algorithms()) {
-      if (k == "fedavg" || k == "saps") keys.push_back(k);
-    }
     if (spec.workers < 8) {
       std::cout << "(adaptive grid skipped: needs workers >= 8 so a 20% "
                    "model-replacement squad and a\n 3-worker collusion ring "
                    "both leave an honest majority)\n";
-      keys.clear();
+      adaptive_keys.clear();
     }
     std::vector<AdaptiveAttack> attacks{model_replace_attack(spec.workers),
                                         collusion_attack()};
@@ -278,7 +275,7 @@ int main(int argc, char** argv) {
       adaptive.adapt = 0.5;
       attacks.push_back(std::move(adaptive));
     }
-    for (const auto& key : keys) {
+    for (const auto& key : adaptive_keys) {
       // Clean reference: also probes the model norm the clip defense uses
       // (clip every delivered frame to the clean run's final parameter L2 —
       // honest uploads pass, a boosted substitution shrinks to honest size).
@@ -323,8 +320,8 @@ int main(int argc, char** argv) {
           const auto& fin = rec.result.final();
           Row row{display, attack.name, defense, fin.accuracy, fin.loss,
                   rec.traffic_mb};
-          if (const auto* monitor = monitor_of(rec.algorithm.get())) {
-            const auto suspects = monitor->suspects();
+          if (!rec.result.reputation.empty()) {
+            const auto& suspects = rec.result.suspects;
             std::size_t hits = 0;
             for (const auto w : suspects) {
               if (std::find(attack.attackers.begin(), attack.attackers.end(),

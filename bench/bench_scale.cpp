@@ -128,7 +128,8 @@ int main(int argc, char** argv) {
   // population and clamps the cohort to it), but the spec validates cohort
   // against its own population first: seed that, under any --spec
   // population, with the key's maximum, which fits every cohort and worker
-  // count.
+  // count.  So only the entries, not this base spec, are checked for cohort
+  // support.
   std::string defaults = kDefaults;
   const bool seeded = flags.has("cohort") && !flags.has("population");
   const auto seed_population = static_cast<std::size_t>(
@@ -136,8 +137,8 @@ int main(int argc, char** argv) {
   if (seeded) {
     defaults += "population=" + std::to_string(seed_population) + "\n";
   }
-  const auto spec = saps::scenario::scenario_from_flags_or_exit(
-      flags, defaults);
+  const auto spec = saps::scenario::or_exit(
+      [&] { return saps::scenario::spec_from_flags(flags, defaults); });
   auto sinks = saps::scenario::sinks_from_flags_or_exit(flags);
   // cohort=64 matches the acceptance scenario `population=100000 cohort=64`.
   const std::size_t cohort = spec.provided("cohort") ? spec.cohort : 64;

@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <iostream>
 
-#include "core/saps.hpp"
 #include "net/bandwidth.hpp"
 #include "scenario/cli.hpp"
 #include "scenario/runner.hpp"
@@ -54,9 +53,7 @@ int main(int argc, char** argv) {
 
   // Adaptive selection with mid-training churn.
   saps::scenario::Runner adaptive_runner(spec);
-  auto result_a = adaptive_runner.run("saps");
-  const auto* adaptive =
-      dynamic_cast<const saps::core::SapsPsgd*>(result_a.algorithm.get());
+  const auto result_a = adaptive_runner.run("saps");
 
   // Random peer selection, same budget, no dropout.
   auto random_spec = spec;
@@ -67,7 +64,7 @@ int main(int argc, char** argv) {
   const auto result_r = random_runner.run("saps");
 
   saps::RunningStat bw_a;
-  for (const auto v : adaptive->selection_bandwidth()) bw_a.add(v);
+  for (const auto v : result_a.result.selected_bandwidth) bw_a.add(v);
 
   const auto& fa = result_a.result.final();
   std::cout << "adaptive peer selection (with dropout of " << cities[9]
@@ -77,7 +74,7 @@ int main(int argc, char** argv) {
             << "  per-worker traffic:      " << fa.worker_mb << " MB\n"
             << "  communication time:      " << fa.comm_seconds << " s\n"
             << "  mean bottleneck link:    " << bw_a.mean() << " MB/s\n"
-            << "  coordinator control:     " << adaptive->control_bytes() / 1e3
+            << "  coordinator control:     " << result_a.control_bytes / 1e3
             << " KB (vs " << fa.worker_mb * 1e3
             << " KB of model traffic per worker)\n\n";
 

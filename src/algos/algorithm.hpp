@@ -48,8 +48,9 @@ class Algorithm {
   [[nodiscard]] virtual const char* name() const noexcept = 0;
 
   /// Runs the full training schedule (engine.config().epochs) and returns
-  /// the metric history (one point per evaluation).
-  virtual sim::RunResult run(sim::Engine& engine) = 0;
+  /// the metric history (one point per evaluation) with everything else the
+  /// run measured.  An algorithm object keeps no per-run state.
+  virtual sim::RunResult run(sim::Engine& engine) const = 0;
 };
 
 /// Shared evaluation cadence helper: evaluates at round 0, every

@@ -22,7 +22,7 @@ std::array<std::size_t, 2> ring_neighbors(std::span<const std::size_t> act,
 
 }  // namespace
 
-sim::RunResult DPsgd::run(sim::Engine& engine) {
+sim::RunResult DPsgd::run(sim::Engine& engine) const {
   const std::size_t dim = engine.param_count();
   auto& fabric = engine.fabric();
   std::vector<std::vector<float>> next(engine.workers(),
@@ -101,7 +101,7 @@ sim::RunResult DPsgd::run(sim::Engine& engine) {
   });
 }
 
-sim::RunResult DcdPsgd::run(sim::Engine& engine) {
+sim::RunResult DcdPsgd::run(sim::Engine& engine) const {
   const std::size_t n = engine.workers();
   const std::size_t dim = engine.param_count();
   auto& fabric = engine.fabric();

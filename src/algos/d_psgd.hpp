@@ -16,7 +16,7 @@ class DPsgd final : public Algorithm {
   explicit DPsgd(Dynamics dynamics = {}) : dyn_(std::move(dynamics)) {}
 
   [[nodiscard]] const char* name() const noexcept override { return "D-PSGD"; }
-  sim::RunResult run(sim::Engine& engine) override;
+  sim::RunResult run(sim::Engine& engine) const override;
 
  private:
   Dynamics dyn_;
@@ -35,7 +35,7 @@ class DcdPsgd final : public Algorithm {
   [[nodiscard]] const char* name() const noexcept override {
     return "DCD-PSGD";
   }
-  sim::RunResult run(sim::Engine& engine) override;
+  sim::RunResult run(sim::Engine& engine) const override;
 
  private:
   DcdConfig config_;

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 
 #include "compress/mask.hpp"
+#include "core/reputation.hpp"
 #include "net/wire.hpp"
 #include "scenario/registry.hpp"
 #include "util/rng.hpp"
@@ -22,7 +24,7 @@ FedAvg::FedAvg(FedAvgConfig config, Dynamics dynamics)
   }
 }
 
-sim::RunResult FedAvg::run(sim::Engine& engine) {
+sim::RunResult FedAvg::run(sim::Engine& engine) const {
   const auto& cfg = engine.config();
   const std::size_t n = engine.workers();
   const std::size_t server = engine.server_node();
@@ -36,11 +38,11 @@ sim::RunResult FedAvg::run(sim::Engine& engine) {
   // Server-side reputation scoring: every received upload is compared
   // against the round's global model (observer = the server's lane, n).
   // Observe-only — detection metrics never perturb the aggregate.
-  reputation_.reset();
+  std::optional<core::ReputationMonitor> reputation;
   if (dyn_.reputation_decay > 0.0) {
     core::ReputationConfig rep;
     rep.decay = dyn_.reputation_decay;
-    reputation_.emplace(n, rep);
+    reputation.emplace(n, rep);
   }
 
   // The global model starts as the common initialization.
@@ -78,7 +80,7 @@ sim::RunResult FedAvg::run(sim::Engine& engine) {
   pace.eval_params = global;
   pace.cohort_key_offset = 1;
   pace.keep = sim::Engine::Keep::kAllButParams;
-  return run_rounds(engine, name(), dyn_.on_round, pace, [&](const Round& r) {
+  const auto step = [&](const Round& r) {
     const std::size_t round = r.index + 1;
     // In pooled (cohort) mode the engine's per-round draw IS the participant
     // set — FedAvg's client sampling and the population cohort are the same
@@ -196,15 +198,15 @@ sim::RunResult FedAvg::run(sim::Engine& engine) {
       if (got_up[k]) received.push_back(k);
     }
 
-    if (reputation_) {
+    if (reputation) {
       // Score each upload against the pre-aggregation global model, in
       // `part` (chosen) order, then fold — one serial pass per round.
       const std::vector<float> ref =
           sparse_up ? compress::extract_masked(global, mask) : global;
       for (const auto k : received) {
-        reputation_->observe(n, sent[k], uploads[k], ref);
+        reputation->observe(n, sent[k], uploads[k], ref);
       }
-      reputation_->end_round();
+      reputation->end_round();
     }
 
     // Server aggregation over the received uploads (all of them on the
@@ -279,7 +281,13 @@ sim::RunResult FedAvg::run(sim::Engine& engine) {
         for (std::size_t j = begin; j < end; ++j) global[j] = accum[j] * inv;
       });
     }
-  });
+  };
+  auto result = run_rounds(engine, name(), dyn_.on_round, pace, step);
+  if (reputation) {
+    result.reputation = reputation->scores();
+    result.suspects = reputation->suspects();
+  }
+  return result;
 }
 
 }  // namespace saps::algos

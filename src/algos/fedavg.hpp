@@ -9,10 +9,7 @@
 // the cohort of round index + 1, keeping all but the parameters.
 #pragma once
 
-#include <optional>
-
 #include "algos/algorithm.hpp"
-#include "core/reputation.hpp"
 
 namespace saps::algos {
 
@@ -35,19 +32,14 @@ class FedAvg final : public Algorithm {
   [[nodiscard]] const char* name() const noexcept override {
     return config_.upload_compression > 0.0 ? "S-FedAvg" : "FedAvg";
   }
-  sim::RunResult run(sim::Engine& engine) override;
-
-  /// The last run's server-side reputation monitor (observe-only — it never
-  /// changes the aggregate; bench_robustness reads its suspect list for
-  /// detection precision/recall), or nullptr when reputation_decay was 0.
-  [[nodiscard]] const core::ReputationMonitor* reputation() const noexcept {
-    return reputation_ ? &*reputation_ : nullptr;
-  }
+  /// With Dynamics::reputation_decay > 0 the server scores every upload
+  /// (observe-only: it never changes the aggregate), and the result carries
+  /// the reputation scores and suspects.
+  sim::RunResult run(sim::Engine& engine) const override;
 
  private:
   FedAvgConfig config_;
   Dynamics dyn_;
-  std::optional<core::ReputationMonitor> reputation_;
 };
 
 }  // namespace saps::algos

@@ -7,7 +7,7 @@
 
 namespace saps::algos {
 
-sim::RunResult PsgdAllReduce::run(sim::Engine& engine) {
+sim::RunResult PsgdAllReduce::run(sim::Engine& engine) const {
   const std::size_t dim = engine.param_count();
   auto& fabric = engine.fabric();
   std::vector<float> merged(dim);

@@ -12,7 +12,7 @@ class PsgdAllReduce final : public Algorithm {
   explicit PsgdAllReduce(Dynamics dynamics = {}) : dyn_(std::move(dynamics)) {}
 
   [[nodiscard]] const char* name() const noexcept override { return "PSGD"; }
-  sim::RunResult run(sim::Engine& engine) override;
+  sim::RunResult run(sim::Engine& engine) const override;
 
  private:
   Dynamics dyn_;

@@ -67,7 +67,7 @@ struct QsgdCodec {
 
 }  // namespace
 
-sim::RunResult QsgdPsgd::run(sim::Engine& engine) {
+sim::RunResult QsgdPsgd::run(sim::Engine& engine) const {
   QsgdCodec codec(engine, config_.levels);
   return run_ring_allgather(engine, name(), dyn_, codec);
 }

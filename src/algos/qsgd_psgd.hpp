@@ -22,7 +22,7 @@ class QsgdPsgd final : public Algorithm {
   [[nodiscard]] const char* name() const noexcept override {
     return "QSGD-PSGD";
   }
-  sim::RunResult run(sim::Engine& engine) override;
+  sim::RunResult run(sim::Engine& engine) const override;
 
  private:
   QsgdConfig config_;

@@ -49,7 +49,7 @@ struct TopkCodec {
 
 }  // namespace
 
-sim::RunResult TopkPsgd::run(sim::Engine& engine) {
+sim::RunResult TopkPsgd::run(sim::Engine& engine) const {
   TopkCodec codec(engine.workers(), engine.param_count(),
                   config_.compression);
   return run_ring_allgather(engine, name(), dyn_, codec);

@@ -22,7 +22,7 @@ class TopkPsgd final : public Algorithm {
   [[nodiscard]] const char* name() const noexcept override {
     return "TopK-PSGD";
   }
-  sim::RunResult run(sim::Engine& engine) override;
+  sim::RunResult run(sim::Engine& engine) const override;
 
  private:
   TopkConfig config_;

@@ -64,8 +64,11 @@ class ReputationMonitor {
   /// round, serially.
   void end_round();
 
-  [[nodiscard]] std::size_t workers() const noexcept { return score_.size(); }
   [[nodiscard]] double score(std::size_t peer) const;
+  /// Every peer's score, by peer index.
+  [[nodiscard]] const std::vector<double>& scores() const noexcept {
+    return score_;
+  }
   [[nodiscard]] bool suspected(std::size_t peer) const;
   /// Multiplicative selection weight in (0, 1]: 1 / (1 + score).
   [[nodiscard]] double trust(std::size_t peer) const;

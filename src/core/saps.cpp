@@ -1,5 +1,6 @@
 #include "core/saps.hpp"
 
+#include <optional>
 #include <stdexcept>
 
 #include "compress/mask.hpp"
@@ -20,7 +21,7 @@ SapsPsgd::SapsPsgd(SapsConfig config, algos::Dynamics dynamics)
   }
 }
 
-sim::RunResult SapsPsgd::run(sim::Engine& engine) {
+sim::RunResult SapsPsgd::run(sim::Engine& engine) const {
   const std::size_t n = engine.workers();
   const std::size_t dim = engine.param_count();
 
@@ -33,20 +34,19 @@ sim::RunResult SapsPsgd::run(sim::Engine& engine) {
 
   auto& fabric = engine.fabric();
   const std::size_t coord_node = engine.server_node();
-  const double control_before = fabric.control_bytes();
 
   // Attack-aware scoring: workers observe their matched peer's masked
   // update every round; with kAdaptiveReputation the resulting trust also
   // drives the coordinator's matching (suspects are excluded).
-  reputation_.reset();
+  std::optional<ReputationMonitor> reputation;
   if (dyn_.reputation_decay > 0.0) {
     ReputationConfig rep;
     rep.decay = dyn_.reputation_decay;
-    reputation_.emplace(n, rep);
+    reputation.emplace(n, rep);
   }
   if (config_.strategy == SelectionStrategy::kAdaptiveReputation) {
-    coordinator.set_trust_provider([this](std::size_t w) {
-      return reputation_->suspected(w) ? 0.0 : reputation_->trust(w);
+    coordinator.set_trust_provider([&reputation](std::size_t w) {
+      return reputation->suspected(w) ? 0.0 : reputation->trust(w);
     });
   }
 
@@ -54,10 +54,10 @@ sim::RunResult SapsPsgd::run(sim::Engine& engine) {
   workers.reserve(n);
   for (std::size_t w = 0; w < n; ++w) {
     workers.emplace_back(engine, w, config_.compression);
-    if (reputation_) workers.back().set_reputation(&*reputation_);
+    if (reputation) workers.back().set_reputation(&*reputation);
   }
 
-  selection_bandwidth_.clear();
+  std::vector<double> selected_bandwidth;
   const bool pooled = engine.cohort_mode();
   const auto step = [&](const algos::Round& r) {
     // The driver has drawn the round's cohort and run the liveness hook,
@@ -71,7 +71,7 @@ sim::RunResult SapsPsgd::run(sim::Engine& engine) {
     // broadcasts one NotifyMsg per worker over the control plane.
     const RoundPlan plan = coordinator.begin_round();
     if (engine.network().has_bandwidth()) {
-      selection_bandwidth_.push_back(
+      selected_bandwidth.push_back(
           coordinator.bottleneck_bandwidth(plan.gossip));
     }
     for (std::size_t w = 0; w < n; ++w) {
@@ -120,7 +120,7 @@ sim::RunResult SapsPsgd::run(sim::Engine& engine) {
     fabric.end_round();
     // Fold this round's staged anomaly observations (fixed observer order —
     // serial, after the parallel exchange).
-    if (reputation_) reputation_->end_round();
+    if (reputation) reputation->end_round();
 
     // Line 11: ROUND_END notifications back over the control plane.
     for (std::size_t w = 0; w < n; ++w) {
@@ -154,7 +154,11 @@ sim::RunResult SapsPsgd::run(sim::Engine& engine) {
         return net::FullModelMsg::decode(env.payload).params.size() == dim;
       });
 
-  control_bytes_ = fabric.control_bytes() - control_before;
+  result.selected_bandwidth = std::move(selected_bandwidth);
+  if (reputation) {
+    result.reputation = reputation->scores();
+    result.suspects = reputation->suspects();
+  }
   return result;
 }
 

@@ -14,8 +14,6 @@
 // active worker answers with ROUND_END, all on the fabric's control plane.
 #pragma once
 
-#include <optional>
-
 #include "algos/algorithm.hpp"
 #include "core/coordinator.hpp"
 #include "core/reputation.hpp"
@@ -46,31 +44,15 @@ class SapsPsgd final : public algos::Algorithm {
         return "SAPS-PSGD";
     }
   }
-  sim::RunResult run(sim::Engine& engine) override;
-
-  /// The last run's reputation monitor (workers observe their matched
-  /// peer's masked update; detection metrics), or nullptr when
-  /// Dynamics::reputation_decay was 0.
-  [[nodiscard]] const ReputationMonitor* reputation() const noexcept {
-    return reputation_ ? &*reputation_ : nullptr;
-  }
-
-  /// Per-round bottleneck bandwidth of the selections made during the last
-  /// run (Fig. 5 series); empty if the engine had no bandwidth matrix.
-  [[nodiscard]] const std::vector<double>& selection_bandwidth()
-      const noexcept {
-    return selection_bandwidth_;
-  }
-  /// Control-plane bytes of the last run (notifications and ROUND_ENDs):
-  /// how much the fabric's control ledger grew during it.
-  [[nodiscard]] double control_bytes() const noexcept { return control_bytes_; }
+  /// The result also carries each round's selected_bandwidth when the
+  /// engine has a bandwidth matrix, and the reputation scores and suspects
+  /// when Dynamics::reputation_decay > 0 (workers observe their matched
+  /// peer's masked update).
+  sim::RunResult run(sim::Engine& engine) const override;
 
  private:
   SapsConfig config_;
   algos::Dynamics dyn_;
-  std::vector<double> selection_bandwidth_;
-  std::optional<ReputationMonitor> reputation_;
-  double control_bytes_ = 0.0;
 };
 
 }  // namespace saps::core

@@ -72,8 +72,7 @@ void describe_suite_flags(Flags& flags);
 
 /// SuiteOptions from --suite-threads (in [0, 1024], like `threads`) and
 /// --progress (a bool; progress lines go to stderr so stdout tables stay
-/// clean).  Exit-2 contract.  Sinks/telemetry stay null — wire those at the
-/// call site.
+/// clean).  Exit-2 contract.  Sinks stay null — wire them at the call site.
 [[nodiscard]] SuiteOptions suite_options_from_flags(const Flags& flags);
 
 }  // namespace saps::scenario

@@ -106,7 +106,7 @@ RunRecord Runner::run(const std::string& algo_key, SinkList* sinks) {
     };
   }
   const auto params = resolve_entry_params(entry.params, spec_.params);
-  auto algorithm = entry.make(params, std::move(dyn));
+  const auto algorithm = entry.make(params, std::move(dyn));
 
   auto engine = make_engine();
   RunMeta meta;
@@ -124,8 +124,8 @@ RunRecord Runner::run(const std::string& algo_key, SinkList* sinks) {
   record.name = record.result.algorithm;
   record.traffic_mb = engine.network().mean_worker_bytes() / 1e6;
   record.comm_seconds = engine.network().total_seconds();
+  record.control_bytes = engine.fabric().control_bytes();
   record.final_params = engine.average_params();
-  record.algorithm = std::move(algorithm);
   if (sinks != nullptr && !sinks->empty()) {
     // The run may have changed the display name (e.g. "SAPS-PSGD(random)")
     // only via config, which name() already reflected; end the frame.

@@ -9,7 +9,6 @@
 // sim::Engine's metric observer).
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -21,16 +20,16 @@
 
 namespace saps::scenario {
 
-/// One executed run.  Keeps the algorithm object alive for post-run
-/// inspection (e.g. core::SapsPsgd::selection_bandwidth) and the final
-/// averaged parameters for checkpointing.
+/// One executed run: what the algorithm returned, and what the Runner read
+/// from its engine afterwards, including the final averaged parameters for
+/// checkpointing.
 struct RunRecord {
   std::string name;  // display name (RunResult::algorithm)
   sim::RunResult result;
-  double traffic_mb = 0.0;    // mean per-worker cumulative traffic
-  double comm_seconds = 0.0;  // cumulative simulated communication time
+  double traffic_mb = 0.0;     // mean per-worker cumulative traffic
+  double comm_seconds = 0.0;   // cumulative simulated communication time
+  double control_bytes = 0.0;  // the fabric's control ledger (SAPS only)
   std::vector<float> final_params;
-  std::unique_ptr<algos::Algorithm> algorithm;
 };
 
 /// Builds the spec's workload (datasets + model factory).  Exposed so sweep

@@ -2,71 +2,15 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <ostream>
 #include <utility>
 
 #include "util/threadpool.hpp"
 
 namespace saps::scenario {
-
-void Telemetry::counter_add(const std::string& name, double delta) {
-  std::lock_guard lock(mu_);
-  values_[name] += delta;
-}
-
-void Telemetry::gauge_set(const std::string& name, double value) {
-  std::lock_guard lock(mu_);
-  values_[name] = value;
-}
-
-void Telemetry::gauge_max(const std::string& name, double value) {
-  std::lock_guard lock(mu_);
-  auto [it, inserted] = values_.emplace(name, value);
-  if (!inserted && value > it->second) it->second = value;
-}
-
-double Telemetry::value(const std::string& name) const {
-  std::lock_guard lock(mu_);
-  const auto it = values_.find(name);
-  return it == values_.end() ? 0.0 : it->second;
-}
-
-std::map<std::string, double> Telemetry::snapshot() const {
-  std::lock_guard lock(mu_);
-  return values_;
-}
-
-void TelemetrySink::begin_run(const RunMeta& meta) {
-  telemetry_->counter_add("runs_started", 1.0);
-  std::lock_guard lock(mu_);
-  starts_[&meta] = std::chrono::steady_clock::now();
-}
-
-void TelemetrySink::point(const RunMeta& meta, const sim::MetricPoint& p) {
-  telemetry_->counter_add("metric_points", 1.0);
-  telemetry_->gauge_max("best_accuracy", p.accuracy);
-  std::chrono::steady_clock::time_point start;
-  {
-    std::lock_guard lock(mu_);
-    const auto it = starts_.find(&meta);
-    if (it == starts_.end()) return;
-    start = it->second;
-  }
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  if (elapsed > 0.0 && p.round > 0) {
-    telemetry_->gauge_set("rounds_per_sec",
-                          static_cast<double>(p.round) / elapsed);
-  }
-}
-
-void TelemetrySink::end_run(const RunMeta& meta) {
-  telemetry_->counter_add("runs_finished", 1.0);
-  std::lock_guard lock(mu_);
-  starts_.erase(&meta);
-}
 
 namespace {
 
@@ -173,12 +117,6 @@ std::vector<SuitePointResult> SuiteRunner::run() {
     }
   }
 
-  if (options_.telemetry != nullptr) {
-    options_.telemetry->gauge_set("points_total", static_cast<double>(n));
-    options_.telemetry->gauge_set("points_done", 0.0);
-    options_.telemetry->gauge_set("points_running", 0.0);
-  }
-
   // Ordered-output state: completed points flush to the shared sinks (and
   // the progress stream) strictly in grid order, as the done prefix grows.
   std::mutex flush_mu;
@@ -190,9 +128,6 @@ std::vector<SuitePointResult> SuiteRunner::run() {
       options_.sinks != nullptr && !options_.sinks->empty();
 
   const auto run_point = [&](std::size_t i) {
-    if (options_.telemetry != nullptr) {
-      options_.telemetry->counter_add("points_running", 1.0);
-    }
     SinkList local;
     RecordingSink* rec = nullptr;
     if (want_sinks) {
@@ -200,19 +135,12 @@ std::vector<SuitePointResult> SuiteRunner::run() {
       rec = sink.get();
       local.add(std::move(sink));
     }
-    if (options_.telemetry != nullptr) {
-      local.add(std::make_unique<TelemetrySink>(*options_.telemetry));
-    }
     Runner runner(results[i].spec, *workloads[workload_of[i]]);
-    results[i].runs = runner.run_all(local.empty() ? nullptr : &local);
+    results[i].runs = runner.run_all(&local);
 
     std::lock_guard lock(flush_mu);
     if (rec != nullptr) recorded[i] = rec->take();
     done[i] = true;
-    if (options_.telemetry != nullptr) {
-      options_.telemetry->counter_add("points_running", -1.0);
-      options_.telemetry->counter_add("points_done", 1.0);
-    }
     while (next_flush < n && done[next_flush]) {
       const auto& r = results[next_flush];
       if (want_sinks) replay(recorded[next_flush], *options_.sinks);

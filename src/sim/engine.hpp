@@ -105,9 +105,18 @@ struct MetricPoint {
   double comm_seconds = 0.0;// cumulative simulated communication time
 };
 
+/// Everything a run measured.  The fields after `history` stay empty unless
+/// the run produced them.
 struct RunResult {
   std::string algorithm;
   std::vector<MetricPoint> history;
+  /// SAPS-PSGD over a bandwidth matrix: each round's bottleneck bandwidth
+  /// of the matched links, MB/s (Fig. 5's series).
+  std::vector<double> selected_bandwidth;
+  /// Each worker's final reputation score (Dynamics::reputation_decay > 0).
+  std::vector<double> reputation;
+  /// The workers whose final score meets the flag threshold, ascending.
+  std::vector<std::size_t> suspects;
 
   [[nodiscard]] const MetricPoint& final() const { return history.back(); }
   /// First point reaching `accuracy`, if any.

@@ -31,12 +31,12 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdlib>
+#include <iostream>
 #include <stdexcept>
 #include <string_view>
 #include <vector>
 
 #include "tensor/ops.hpp"
-#include "util/logging.hpp"
 
 #if defined(__x86_64__) || defined(_M_X64)
 #define SAPS_GEMM_X86 1
@@ -250,10 +250,11 @@ bool cpu_supports_avx2_fma() noexcept {
 
 std::atomic<GemmBackend> g_backend{GemmBackend::kAuto};
 
-// The SAPS_GEMM_BACKEND environment override, read and logged exactly once
-// (first resolution).  It only steers the kAuto resolution: an explicit
-// set_gemm_backend() still wins, so tests that pin a backend are unaffected
-// by the environment they run under.
+// The SAPS_GEMM_BACKEND environment override, read exactly once (first
+// resolution); a value it cannot honor is reported on stderr and ignored.
+// It only steers the kAuto resolution: an explicit set_gemm_backend() still
+// wins, so tests that pin a backend are unaffected by the environment they
+// run under.
 GemmBackend env_backend_uncached() {
   const char* e = std::getenv("SAPS_GEMM_BACKEND");
   if (e == nullptr || *e == '\0') return GemmBackend::kAuto;
@@ -264,16 +265,15 @@ GemmBackend env_backend_uncached() {
   } else if (s == "portable") {
     want = GemmBackend::kPortable;
   } else {
-    SAPS_LOG_WARN("SAPS_GEMM_BACKEND=" << s << ": unknown backend, ignoring");
+    std::cerr << "[WARN] SAPS_GEMM_BACKEND=" << s
+              << ": unknown backend, ignoring\n";
     return GemmBackend::kAuto;
   }
   if (!gemm_backend_available(want)) {
-    SAPS_LOG_WARN("SAPS_GEMM_BACKEND=" << s
-                                       << ": unavailable on this CPU, "
-                                          "ignoring");
+    std::cerr << "[WARN] SAPS_GEMM_BACKEND=" << s
+              << ": unavailable on this CPU, ignoring\n";
     return GemmBackend::kAuto;
   }
-  SAPS_LOG_INFO("kernel backend forced by SAPS_GEMM_BACKEND=" << s);
   return want;
 }
 

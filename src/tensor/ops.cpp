@@ -13,36 +13,6 @@ void require_same(std::size_t a, std::size_t b, const char* what) {
 }
 }  // namespace
 
-void scale(std::span<float> x, float alpha) noexcept {
-  for (auto& v : x) v *= alpha;
-}
-
-void add(std::span<const float> a, std::span<const float> b,
-         std::span<float> out) {
-  require_same(a.size(), b.size(), "add");
-  require_same(a.size(), out.size(), "add");
-  const std::size_t n = a.size();
-  for (std::size_t i = 0; i < n; ++i) out[i] = a[i] + b[i];
-}
-
-void sub(std::span<const float> a, std::span<const float> b,
-         std::span<float> out) {
-  require_same(a.size(), b.size(), "sub");
-  require_same(a.size(), out.size(), "sub");
-  const std::size_t n = a.size();
-  for (std::size_t i = 0; i < n; ++i) out[i] = a[i] - b[i];
-}
-
-double dot(std::span<const float> a, std::span<const float> b) {
-  require_same(a.size(), b.size(), "dot");
-  double acc = 0.0;
-  const std::size_t n = a.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    acc += static_cast<double>(a[i]) * static_cast<double>(b[i]);
-  }
-  return acc;
-}
-
 // The gemm / gemm_fused / gemm_acc / gemm_at_b_acc / gemm_a_bt_acc /
 // gemm_a_bt_fused family lives in tensor/gemm.cpp (the blocked kernel layer).
 

@@ -1,9 +1,5 @@
-// Vector and matrix kernels over raw float spans.
-//
-// The distributed algorithms treat a model as one flat parameter vector
-// (paper notation x ∈ R^N), so all compression / averaging / SGD arithmetic
-// happens through these span kernels.  GEMM, im2col and the direct
-// stride-1 convolution kernels serve src/nn.
+// Matrix kernels over raw float spans: GEMM, im2col and the direct
+// stride-1 convolution kernels that serve src/nn.
 //
 // The GEMM family runs on the packed, register- and cache-blocked kernel
 // layer in tensor/gemm.cpp (see docs/ARCHITECTURE.md, "Kernel layer"): a
@@ -22,19 +18,6 @@
 #include <vector>
 
 namespace saps::ops {
-
-/// x *= alpha
-void scale(std::span<float> x, float alpha) noexcept;
-
-/// out = a + b (element-wise); aliasing with either input is allowed.
-void add(std::span<const float> a, std::span<const float> b,
-         std::span<float> out);
-
-/// out = a - b
-void sub(std::span<const float> a, std::span<const float> b,
-         std::span<float> out);
-
-[[nodiscard]] double dot(std::span<const float> a, std::span<const float> b);
 
 // --- blocked GEMM kernel layer ---------------------------------------------
 
@@ -55,9 +38,9 @@ void set_gemm_backend(GemmBackend backend);
 
 /// The resolved backend the next GEMM call will use (never kAuto).  With the
 /// explicit backend left at kAuto, the `SAPS_GEMM_BACKEND=avx2|portable`
-/// environment variable (read once, logged at INFO) overrides the CPU-feature
-/// resolution — the CI hook for forcing portable-path coverage on AVX2
-/// hosts.  An explicit set_gemm_backend() always wins over the environment.
+/// environment variable (read once) overrides the CPU-feature resolution —
+/// the CI hook for forcing portable-path coverage on AVX2 hosts.  An
+/// explicit set_gemm_backend() always wins over the environment.
 [[nodiscard]] GemmBackend gemm_backend() noexcept;
 
 /// Fused epilogue applied to C after the final k panel of a non-accumulating

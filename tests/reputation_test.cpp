@@ -154,11 +154,10 @@ TEST(Reputation, FedAvgServerMonitorFlagsExactlyTheAttackers) {
   algos::Dynamics dyn;
   dyn.reputation_decay = 0.5;
   algos::FedAvg algo({.fraction = 1.0, .local_steps = 1}, std::move(dyn));
-  (void)algo.run(engine);
+  const auto result = algo.run(engine);
 
-  const auto* monitor = algo.reputation();
-  ASSERT_NE(monitor, nullptr);
-  EXPECT_EQ(monitor->suspects(), (std::vector<std::size_t>{1, 6}));
+  EXPECT_EQ(result.reputation.size(), cfg.workers);
+  EXPECT_EQ(result.suspects, (std::vector<std::size_t>{1, 6}));
 }
 
 // --- determinism of the defended run ----------------------------------------
@@ -207,11 +206,8 @@ DefendedSnapshot run_defended_saps(std::size_t threads) {
     const auto p = engine.params(w);
     snap.params.emplace_back(p.begin(), p.end());
   }
-  const auto* monitor = algo.reputation();
-  for (std::size_t w = 0; w < monitor->workers(); ++w) {
-    snap.scores.push_back(monitor->score(w));
-  }
-  snap.suspects = monitor->suspects();
+  snap.scores = result.reputation;
+  snap.suspects = result.suspects;
   return snap;
 }
 
@@ -279,14 +275,9 @@ TEST(Reputation, CohortPopulationDefendedRunIsDeterministicAcrossReruns) {
     EXPECT_EQ(first.result.history[i].accuracy,
               second.result.history[i].accuracy);
   }
-  const auto* saps_algo =
-      dynamic_cast<const core::SapsPsgd*>(first.algorithm.get());
-  ASSERT_NE(saps_algo, nullptr);
-  ASSERT_NE(saps_algo->reputation(), nullptr);
-  const auto* saps_again =
-      dynamic_cast<const core::SapsPsgd*>(second.algorithm.get());
-  EXPECT_EQ(saps_algo->reputation()->suspects(),
-            saps_again->reputation()->suspects());
+  ASSERT_EQ(first.result.reputation.size(), 12u);
+  EXPECT_EQ(first.result.reputation, second.result.reputation);
+  EXPECT_EQ(first.result.suspects, second.result.suspects);
 }
 
 }  // namespace

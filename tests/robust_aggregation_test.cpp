@@ -165,7 +165,7 @@ sim::Engine make_engine(std::size_t threads, bool force_wrapper = false) {
       std::nullopt);
 }
 
-RunSnapshot run_robust(algos::Algorithm& algo, std::size_t threads,
+RunSnapshot run_robust(const algos::Algorithm& algo, std::size_t threads,
                        bool force_wrapper = false) {
   auto engine = make_engine(threads, force_wrapper);
   RunSnapshot snap;

@@ -44,8 +44,8 @@ TEST(Coordinator, ControlBytesAreTiny) {
   auto engine = blob_engine(32, 3);
   SapsPsgd algo({.compression = 10.0});
   (void)algo.run(engine);
-  EXPECT_LT(algo.control_bytes(), 1e6);
-  EXPECT_GT(algo.control_bytes(), 0.0);
+  EXPECT_LT(engine.fabric().control_bytes(), 1e6);
+  EXPECT_GT(engine.fabric().control_bytes(), 0.0);
 }
 
 TEST(Coordinator, DropoutExcludesWorkerFromPlans) {
@@ -88,6 +88,10 @@ TEST(SapsPsgd, ConvergesOnBlobs) {
   const auto result = algo.run(engine);
   EXPECT_EQ(result.algorithm, "SAPS-PSGD");
   EXPECT_GT(result.final().accuracy, 0.85);
+  // No bandwidth matrix and no reputation scoring: nothing else to report.
+  EXPECT_TRUE(result.selected_bandwidth.empty());
+  EXPECT_TRUE(result.reputation.empty());
+  EXPECT_TRUE(result.suspects.empty());
 }
 
 TEST(SapsPsgd, TrafficMatchesSparsifiedExchange) {
@@ -127,10 +131,12 @@ TEST(SapsPsgd, AdaptiveSelectionRecordsBandwidth) {
   auto engine = blob_engine(8, 1, std::move(bw));
   SapsPsgd algo({.compression = 10.0});
   const auto result = algo.run(engine);
-  EXPECT_FALSE(algo.selection_bandwidth().empty());
-  for (const auto v : algo.selection_bandwidth()) EXPECT_GT(v, 0.0);
+  // One bottleneck bandwidth per round.
+  EXPECT_FALSE(result.selected_bandwidth.empty());
+  EXPECT_EQ(result.selected_bandwidth.size(), result.final().round);
+  for (const auto v : result.selected_bandwidth) EXPECT_GT(v, 0.0);
   EXPECT_GT(result.final().comm_seconds, 0.0);
-  EXPECT_GT(algo.control_bytes(), 0.0);
+  EXPECT_GT(engine.fabric().control_bytes(), 0.0);
 }
 
 TEST(SapsPsgd, RandomStrategyWorksToo) {
@@ -197,7 +203,7 @@ TEST(SapsPsgd, OnRoundDropoutKeepsCoordinatorAndEngineInSync) {
   const double notifies = static_cast<double>(total_rounds * n);
   const double round_ends = static_cast<double>(engine_active);
   const double expected = 24.0 * notifies + 12.0 * round_ends;
-  EXPECT_EQ(algo.control_bytes(), expected);
+  EXPECT_EQ(engine.fabric().control_bytes(), expected);
   ASSERT_FALSE(frozen.empty());
   EXPECT_TRUE(frozen_unchanged);
   EXPECT_GT(result.final().accuracy, 0.8);

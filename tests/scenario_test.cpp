@@ -415,7 +415,8 @@ TEST(Sinks, CsvAndJsonlCarryEveryPointAndTheSpecHeader) {
 
 TEST(Runner, EveryAlgorithmAcceptsAFailureSchedule) {
   // Dropout/rejoin was once SAPS-only; the Dynamics hook lifted the
-  // restriction to every registered algorithm.
+  // restriction to every registered algorithm.  Only SAPS-PSGD's
+  // coordinator uses the control plane.
   ScenarioSpec spec;
   spec.set("workload", "blob");
   spec.set("workers", "4");
@@ -428,6 +429,11 @@ TEST(Runner, EveryAlgorithmAcceptsAFailureSchedule) {
     SCOPED_TRACE(key);
     const auto rec = runner.run(key);
     EXPECT_FALSE(rec.result.history.empty());
+    if (key == "saps") {
+      EXPECT_GT(rec.control_bytes, 0.0);
+    } else {
+      EXPECT_EQ(rec.control_bytes, 0.0);
+    }
   }
 }
 

@@ -180,7 +180,7 @@ struct SuiteOutput {
   std::string jsonl;
 };
 
-SuiteOutput run_suite(std::size_t threads, Telemetry* telemetry = nullptr,
+SuiteOutput run_suite(std::size_t threads,
                       const std::string& text = kSuiteText) {
   SuiteOutput out;
   std::ostringstream jsonl;
@@ -189,7 +189,6 @@ SuiteOutput run_suite(std::size_t threads, Telemetry* telemetry = nullptr,
   SuiteOptions options;
   options.threads = threads;
   options.sinks = &sinks;
-  options.telemetry = telemetry;
   SuiteRunner runner(parse_sweep_text(text), options);
   out.points = runner.run();
   out.jsonl = jsonl.str();
@@ -227,26 +226,10 @@ TEST(SuiteRunner, PointsKeepTheirEngineThreads) {
   // A point's threads= runs its own engine pool inside the suite's pool.
   // Results are thread-count invariant, so the sink bytes do not move.
   const std::string text = std::string(kSuiteText) + "threads=2\n";
-  const auto pooled = run_suite(2, nullptr, text);
+  const auto pooled = run_suite(2, text);
   ASSERT_EQ(pooled.points.size(), 4u);
   for (const auto& point : pooled.points) EXPECT_EQ(point.spec.threads, 2u);
-  EXPECT_EQ(pooled.jsonl, run_suite(1, nullptr, text).jsonl);
-}
-
-TEST(SuiteRunner, TelemetryCountsTheSuite) {
-  Telemetry telemetry;
-  const auto out = run_suite(2, &telemetry);
-  ASSERT_EQ(out.points.size(), 4u);
-  EXPECT_EQ(telemetry.value("points_total"), 4.0);
-  EXPECT_EQ(telemetry.value("points_done"), 4.0);
-  EXPECT_EQ(telemetry.value("points_running"), 0.0);
-  EXPECT_EQ(telemetry.value("runs_started"), 4.0);
-  EXPECT_EQ(telemetry.value("runs_finished"), 4.0);
-  EXPECT_GE(telemetry.value("metric_points"), 4.0);
-  EXPECT_GT(telemetry.value("best_accuracy"), 0.0);
-  const auto snap = telemetry.snapshot();
-  EXPECT_EQ(snap.at("points_done"), 4.0);
-  EXPECT_TRUE(snap.contains("rounds_per_sec"));
+  EXPECT_EQ(pooled.jsonl, run_suite(1, text).jsonl);
 }
 
 TEST(SuiteRunner, ProgressLinesFlushInGridOrder) {

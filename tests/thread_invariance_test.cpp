@@ -57,7 +57,7 @@ sim::Engine make_engine(std::size_t threads, bool with_bandwidth) {
       std::move(bw));
 }
 
-RunSnapshot run_with_threads(algos::Algorithm& algo, std::size_t threads,
+RunSnapshot run_with_threads(const algos::Algorithm& algo, std::size_t threads,
                              bool with_bandwidth) {
   auto engine = make_engine(threads, with_bandwidth);
   RunSnapshot snap;
