@@ -352,6 +352,8 @@ TEST(FaultInjection, DelayedFramesKeepTheirBytesButAddSeconds) {
             baseline.result.final().worker_mb);
   EXPECT_GT(delayed.result.final().comm_seconds,
             baseline.result.final().comm_seconds);
+  // The timeline's bits with every frame 10 ms late.
+  EXPECT_EQ(delayed.result.final().comm_seconds, 0x1.d97a2e800a986p-4);
 }
 
 TEST(FaultInjection, SilentByzantineWorkersSendNothingAndPayNothing) {

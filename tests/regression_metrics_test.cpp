@@ -6,7 +6,8 @@
 // wire_bytes() charging, staged transfer application, event-driven link
 // model — must land on identical traffic, communication time, accuracy and
 // loss.  A nonzero-latency configuration must strictly lengthen
-// comm_seconds, and the control-plane ledger must match the coordinator's.
+// comm_seconds and, with compute jitter, land on pinned timeline bits; the
+// control-plane ledger must match the coordinator's.
 // Every golden run also pins its whole metric history (every field of every
 // eval point, hashed), so the eval cadence and the epoch column are pinned
 // too, not only the final point.  The history digests were captured, serial
@@ -601,6 +602,25 @@ TEST(MessagePlaneRegression, ComputeJitterStrictlyLengthensCommTime) {
   const auto result = make_algorithm("saps")->run(engine);
   EXPECT_GT(engine.network().total_seconds(), kGoldens.at("saps").seconds);
   EXPECT_EQ(result.final().accuracy, kGoldens.at("saps").accuracy);
+}
+
+// The two checks above only order a timed run against an untimed one.
+// These pin the event timeline's own bits: total_seconds() with 1 ms of
+// link latency and 10 ms of compute jitter, where every round's time is
+// the max over compute finishes and latency-shifted transfer completions.
+TEST(MessagePlaneRegression, LatencyAndJitterTimelineMatchesGoldensBitForBit) {
+  const std::map<std::string, double> kTimelineSeconds = {
+      {"psgd", 0x1.6b0ebde54a7bcp-3},    {"topk", 0x1.d945e249d842ap-3},
+      {"qsgd", 0x1.d0b3393e4e099p-3},    {"fedavg", 0x1.5a03caeff20cp-6},
+      {"sfedavg", 0x1.5544dcb7310f8p-6}, {"dpsgd", 0x1.7279e5165a244p-3},
+      {"dcd", 0x1.653861608921ep-3},     {"saps", 0x1.5cb9eef2364dep-3},
+  };
+  for (const auto& [key, seconds] : kTimelineSeconds) {
+    SCOPED_TRACE(key);
+    auto engine = make_engine(/*latency=*/1e-3, /*jitter=*/1e-2);
+    (void)make_algorithm(key)->run(engine);
+    EXPECT_EQ(engine.network().total_seconds(), seconds);
+  }
 }
 
 TEST(MessagePlaneRegression, FabricControlLedgerMatchesCoordinator) {
