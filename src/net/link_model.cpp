@@ -37,7 +37,7 @@ LinkModel::LinkModel(std::size_t workers, LinkOptions options)
       matrix_side_(checked_matrix_side(options_, workers_)),
       up_(workers, 0.0),
       down_(workers, 0.0),
-      ready_(workers, 0.0) {
+      lanes_(workers) {
   if (workers < 2) throw std::invalid_argument("LinkModel: need >= 2 workers");
 }
 
@@ -48,7 +48,7 @@ LinkModel::LinkModel(BandwidthMatrix bandwidth, LinkOptions options)
       bandwidth_(std::move(bandwidth)),
       up_(workers_, 0.0),
       down_(workers_, 0.0),
-      ready_(workers_, 0.0) {}
+      lanes_(workers_) {}
 
 double LinkModel::link_latency(std::size_t src, std::size_t dst) const {
   if (matrix_side_ == 0 || src >= matrix_side_ || dst >= matrix_side_) {
@@ -65,17 +65,13 @@ const BandwidthMatrix& LinkModel::bandwidth() const {
 void LinkModel::start_round() {
   if (in_round_) throw std::logic_error("LinkModel: round already open");
   in_round_ = true;
-  pending_.clear();
-  std::fill(ready_.begin(), ready_.end(), 0.0);
-  last_ready_ = 0.0;
 }
 
 void LinkModel::compute(std::size_t node, double seconds) {
   if (!in_round_) throw std::logic_error("LinkModel: compute outside round");
   if (node >= workers_) throw std::out_of_range("LinkModel::compute");
   if (seconds < 0.0) throw std::invalid_argument("LinkModel: negative compute");
-  ready_[node] += seconds;
-  last_ready_ = std::max(last_ready_, ready_[node]);
+  lanes_[node].compute += seconds;
 }
 
 double LinkModel::modeled_compute(std::size_t node) const {
@@ -103,9 +99,15 @@ void LinkModel::transfer(std::size_t src, std::size_t dst, double bytes,
     throw std::invalid_argument("LinkModel: negative transfer delay");
   }
   if (bytes == 0.0) return;
-  up_[src] += bytes;
-  down_[dst] += bytes;
-  pending_.push_back({src, dst, bytes, extra_seconds});
+  double drain = 0.0;
+  if (bandwidth_) {
+    const double bw = bandwidth_->get(src, dst);  // MB/s
+    if (bw <= 0.0) {
+      throw std::logic_error("LinkModel: transfer over a zero-bandwidth link");
+    }
+    drain = bytes / (bw * 1e6);
+  }
+  lanes_[src].out.push_back({dst, bytes, extra_seconds, drain});
 }
 
 double LinkModel::finish_round() {
@@ -113,24 +115,26 @@ double LinkModel::finish_round() {
   in_round_ = false;
   ++rounds_;
 
-  // Compute-only critical path: a straggler that sends nothing still holds
-  // the synchronous round open.
-  double round_seconds = last_ready_;
-
-  for (const auto& tr : pending_) {
-    // Event chain: serialize-and-send starts once src's compute is done,
-    // the wire adds propagation latency, then bytes drain at link bandwidth;
-    // the merge event at dst fires on arrival.
-    double seconds = ready_[tr.src] + link_latency(tr.src, tr.dst) + tr.extra;
-    if (bandwidth_) {
-      const double bw = bandwidth_->get(tr.src, tr.dst);  // MB/s
-      if (bw <= 0.0) {
-        throw std::logic_error(
-            "LinkModel: transfer over a zero-bandwidth link");
-      }
-      seconds += tr.bytes / (bw * 1e6);
+  // The round's one pass over the nodes.  Every charge was checked when it
+  // was staged, so nothing below throws and no lane is left half-folded.
+  double round_seconds = 0.0;
+  for (std::size_t src = 0; src < workers_; ++src) {
+    Lane& lane = lanes_[src];
+    // Compute-only critical path: a straggler that sends nothing still
+    // holds the synchronous round open.
+    round_seconds = std::max(round_seconds, lane.compute);
+    for (const auto& tr : lane.out) {
+      up_[src] += tr.bytes;
+      down_[tr.dst] += tr.bytes;
+      // Event chain: serialize-and-send starts once src's compute is done,
+      // the wire adds propagation latency, then bytes drain at link
+      // bandwidth; the merge event at dst fires on arrival.
+      const double seconds =
+          lane.compute + link_latency(src, tr.dst) + tr.extra + tr.drain;
+      round_seconds = std::max(round_seconds, seconds);
     }
-    round_seconds = std::max(round_seconds, seconds);
+    lane.compute = 0.0;
+    lane.out.clear();
   }
   total_seconds_ += round_seconds;
   return round_seconds;

@@ -25,6 +25,15 @@
 // concurrent transfers of bytes/bandwidth), which is the backward-compatible
 // default: zero-latency, uniform-compute runs are bit-identical to the
 // pre-event-model accounting (pinned by tests/regression_metrics_test.cpp).
+//
+// This is the round's only ledger.  Each node has one lane holding its
+// compute seconds and its outgoing transfers for the open round; compute()
+// and transfer() write only the lane of the node they name, so tasks that
+// own disjoint nodes may call them concurrently (sim/fabric.hpp states
+// that contract).  finish_round() folds the lanes in ascending source
+// order, then call order, and clears each as it goes: traffic sums add up
+// in that fixed order whatever thread staged what, so they and the round
+// time are bit-identical for every thread count.
 #pragma once
 
 #include <cstddef>
@@ -75,11 +84,15 @@ class LinkModel {
   [[nodiscard]] const BandwidthMatrix& bandwidth() const;
 
   /// Begins a communication round; transfers recorded until finish_round()
-  /// are considered concurrent.
+  /// are considered concurrent.  Touches no per-node state.
   void start_round();
 
+  /// True between start_round() and finish_round().
+  [[nodiscard]] bool in_round() const noexcept { return in_round_; }
+
   /// Raises node's ready time by `seconds` of local compute; its transfers
-  /// in this round start no earlier than its ready time.
+  /// in this round start no earlier than its ready time.  Writes only
+  /// node's lane.
   void compute(std::size_t node, double seconds);
 
   /// The compute model's cost for `node` in the CURRENT round (base +
@@ -87,15 +100,19 @@ class LinkModel {
   /// (compute_seed, rounds(), node).
   [[nodiscard]] double modeled_compute(std::size_t node) const;
 
-  /// Records a directional transfer src → dst of `bytes` within the current
-  /// round.  src == dst is invalid.  `extra_seconds` adds fixed in-flight
-  /// time to this one transfer's completion (fault-injected frame delay).
+  /// Stages a directional transfer src → dst of `bytes` on src's lane.
+  /// src == dst is invalid, and so is a nonzero transfer over a
+  /// zero-bandwidth link; both throw here, at the call.  `extra_seconds`
+  /// adds fixed in-flight time to this one transfer's completion
+  /// (fault-injected frame delay).
   void transfer(std::size_t src, std::size_t dst, double bytes,
                 double extra_seconds = 0.0);
 
-  /// Ends the round.  Returns the round's elapsed seconds: the event-
+  /// Ends the round: folds every lane into the traffic sums and the round
+  /// time, and clears it.  Returns the round's elapsed seconds: the event-
   /// timeline critical path (0 when the round has no compute, latency,
-  /// delay, or transfer over a bandwidth matrix).
+  /// delay, or transfer over a bandwidth matrix).  Throws only when no
+  /// round is open.
   double finish_round();
 
   // --- cumulative statistics -----------------------------------------------
@@ -113,9 +130,16 @@ class LinkModel {
 
  private:
   struct Transfer {
-    std::size_t src, dst;
+    std::size_t dst;
     double bytes;
     double extra;  // injected per-frame delay, seconds
+    double drain;  // bytes / bandwidth, seconds; 0 without a matrix
+  };
+
+  // One node's share of the open round, written only by the node's owner.
+  struct Lane {
+    double compute = 0.0;       // ready time: compute seconds, call order
+    std::vector<Transfer> out;  // outgoing transfers, call order
   };
 
   std::size_t workers_;
@@ -124,9 +148,7 @@ class LinkModel {
   std::size_t matrix_side_ = 0;  // 0 = no latency matrix
   std::optional<BandwidthMatrix> bandwidth_;
   std::vector<double> up_, down_;
-  std::vector<double> ready_;  // per-node compute-finish time, current round
-  double last_ready_ = 0.0;    // max over ready_
-  std::vector<Transfer> pending_;
+  std::vector<Lane> lanes_;  // one per node; empty outside a round
   bool in_round_ = false;
   double total_seconds_ = 0.0;
   std::size_t rounds_ = 0;

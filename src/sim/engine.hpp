@@ -207,7 +207,7 @@ class Engine {
     return models_.at(slot(w))->parameters();
   }
   /// The message plane: every inter-node exchange flows through here as an
-  /// encoded wire message (mailbox delivery + staged accounting).  A
+  /// encoded wire message (mailbox delivery; charges go to network()).  A
   /// sim::FaultyFabric when SimConfig::faults is enabled or forced, the
   /// plain fabric otherwise.
   [[nodiscard]] Fabric& fabric() noexcept { return *fabric_; }

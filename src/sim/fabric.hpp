@@ -7,17 +7,18 @@
 //  - DELIVERY: one FIFO mailbox per node.  send() serializes the message and
 //    pushes the bytes into the destination's mailbox; recv() pops without
 //    blocking and the receiver decodes with the matching MsgType.
-//  - ACCOUNTING over a net::LinkModel: charges are staged per source during
-//    the round and applied in fixed (source, send-order) order at
-//    end_round(), so traffic sums and the event-timeline round time are
-//    bit-identical for every thread count.
+//  - the CONTROL LEDGER (control_bytes()), and no other: every data-plane
+//    and compute charge goes straight to the net::LinkModel, the round's
+//    only ledger, which folds its per-node lanes in fixed (source, then
+//    send order) order at end_round(), so traffic sums and the event-
+//    timeline round time are bit-identical for every thread count.
 //
 // Concurrency contract (mirrors docs/ARCHITECTURE.md "Threading model"):
-// data-plane send()/recv() may be called from engine parallel sections as
-// long as each task owns a DISJOINT set of source nodes (and of receiving
-// mailboxes) — e.g. one task per gossip pair or per worker.  Each mailbox is
-// guarded by its own mutex; the per-source staging lanes are race-free
-// exactly under that ownership discipline.  The control plane
+// data-plane send()/recv() and compute() may be called from engine parallel
+// sections as long as each task owns a DISJOINT set of source nodes (and of
+// receiving mailboxes) — e.g. one task per gossip pair or per worker.  Each
+// mailbox is guarded by its own mutex; the link model's per-node lanes are
+// race-free exactly under that ownership discipline.  The control plane
 // (send_control) is serial coordinator-side code; control bytes are counted
 // separately and never enter worker traffic or round time, matching the
 // paper's accounting (control traffic is reported only to show it is
@@ -77,16 +78,18 @@ class Fabric {
   /// to loss-tolerant draining only when faults can actually fire.
   [[nodiscard]] virtual bool transparent() const noexcept { return true; }
 
-  /// Opens a communication round on the link model and clears the lanes.
-  virtual void begin_round();
+  /// Opens a communication round on the link model.
+  virtual void begin_round() { link_.start_round(); }
 
   /// Charges node's modeled local-compute time (LinkOptions) to the current
-  /// round; a no-op when the compute model is disabled.  Callable from
+  /// round; adds nothing when the compute model is disabled.  Callable from
   /// parallel sections under the per-node ownership discipline.
-  void compute(std::size_t node);
+  void compute(std::size_t node) {
+    link_.compute(node, link_.modeled_compute(node));
+  }
 
-  /// Data plane: encodes, delivers to dst's mailbox, and stages a traffic
-  /// charge of msg.wire_bytes() on src's lane.
+  /// Data plane: encodes, delivers to dst's mailbox, and charges
+  /// msg.wire_bytes() to src's lane of the link model.
   template <typename Msg>
   void send(std::size_t src, std::size_t dst, const Msg& msg) {
     post(src, dst, msg.wire_bytes(), msg.encode());
@@ -109,7 +112,7 @@ class Fabric {
   }
 
   /// Data plane: delivers a pre-encoded frame (copying its bytes into dst's
-  /// mailbox) and stages the charge captured at encode time — byte-for-byte
+  /// mailbox) and charges what was captured at encode time — byte-for-byte
   /// and charge-for-charge identical to send() of the original message.
   void send_frame(std::size_t src, std::size_t dst, const EncodedFrame& frame) {
     post(src, dst, frame.charged, frame.bytes);
@@ -127,10 +130,10 @@ class Fabric {
   /// empty or was never touched.  Throws std::out_of_range on a bad node.
   [[nodiscard]] std::optional<Envelope> recv(std::size_t node);
 
-  /// Closes the round: applies staged compute and transfer charges to the
-  /// link model in fixed (node, then per-source send order) order and
-  /// returns the round's event-timeline seconds.
-  double end_round();
+  /// Closes the round: the link model folds its lanes in fixed (node, then
+  /// per-source send order) order and returns the round's event-timeline
+  /// seconds.
+  double end_round() { return link_.finish_round(); }
 
   /// Cumulative control-plane bytes (both directions).
   [[nodiscard]] double control_bytes() const noexcept { return control_bytes_; }
@@ -139,7 +142,7 @@ class Fabric {
   /// The single data-plane choke point every send()/multicast()/send_frame()
   /// funnels through.  Derived fabrics (sim::FaultyFabric) override it to
   /// drop, duplicate, delay, or rewrite frames; the base implementation is
-  /// validate + stage_charge + deliver.  The control plane (post_control)
+  /// validate + link().transfer + deliver.  The control plane (post_control)
   /// deliberately does NOT route through here: coordinator control traffic
   /// models a reliable side channel and is never faulted.
   virtual void post(std::size_t src, std::size_t dst, double charged,
@@ -148,24 +151,11 @@ class Fabric {
   /// Validates endpoints and the open-round invariant; throws otherwise.
   void check_post(std::size_t src, std::size_t dst) const;
 
-  /// Stages a data-plane charge on src's lane; extra_seconds is added to the
-  /// transfer's in-flight time at end_round (frame delay injection).
-  void stage_charge(std::size_t src, std::size_t dst, double bytes,
-                    double extra_seconds = 0.0) {
-    lanes_[src].push_back({dst, bytes, extra_seconds});
-  }
-
   /// Pushes payload bytes into dst's mailbox (thread-safe).
   void deliver(std::size_t src, std::size_t dst,
                std::vector<std::uint8_t> payload);
 
  private:
-  struct Staged {
-    std::size_t dst;
-    double bytes;
-    double extra_seconds;
-  };
-
   struct Mailbox {
     std::mutex mutex;
     std::queue<Envelope> queue;
@@ -180,10 +170,7 @@ class Fabric {
   // frames.  A published mailbox lives until ~Fabric.
   std::vector<std::atomic<Mailbox*>> mailboxes_;
   std::mutex alloc_mutex_;  // serializes first deliveries
-  std::vector<std::vector<Staged>> lanes_;  // per-source data-plane charges
-  std::vector<double> compute_staged_;      // per-node compute seconds
   double control_bytes_ = 0.0;
-  bool in_round_ = false;
 };
 
 }  // namespace saps::sim

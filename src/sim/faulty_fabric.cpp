@@ -316,12 +316,12 @@ void FaultyFabric::post(std::size_t src, std::size_t dst, double charged,
   }
 
   if (partition_cut(src, dst)) {
-    stage_charge(src, dst, charged, extra);
+    link().transfer(src, dst, charged, extra);
     ++tallies_[src].partitioned;
     return;
   }
   if (u_drop < spec_.drop_prob) {
-    stage_charge(src, dst, charged, extra);
+    link().transfer(src, dst, charged, extra);
     ++tallies_[src].dropped;
     return;
   }
@@ -353,10 +353,10 @@ void FaultyFabric::post(std::size_t src, std::size_t dst, double charged,
   }
 
   const bool duplicate = u_dup < spec_.dup_prob;
-  stage_charge(src, dst, charged, extra);
+  link().transfer(src, dst, charged, extra);
   if (duplicate) {
     // Retransmission: charged and delivered a second time.
-    stage_charge(src, dst, charged, extra);
+    link().transfer(src, dst, charged, extra);
     deliver(src, dst, payload);  // copies
     ++tallies_[src].duplicated;
   }

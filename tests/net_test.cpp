@@ -2,6 +2,7 @@
 
 #include "net/bandwidth.hpp"
 #include "net/link_model.hpp"
+#include "util/threadpool.hpp"
 
 namespace saps::net {
 namespace {
@@ -257,6 +258,62 @@ TEST(LinkModel, ProtocolErrors) {
   EXPECT_THROW(sim.compute(0, -1.0), std::invalid_argument);
   sim.finish_round();
   EXPECT_THROW(sim.finish_round(), std::logic_error);
+
+  // A transfer over a zero-bandwidth link is refused at the call and
+  // charges nothing, so the round's fold has nothing left that can throw.
+  BandwidthMatrix dead(3);
+  dead.set(0, 1, 1.0);
+  dead.set(1, 0, 1.0);
+  LinkModel linked(dead);
+  linked.start_round();
+  EXPECT_THROW(linked.transfer(0, 2, 1.0), std::logic_error);
+  linked.transfer(0, 1, 1e6);
+  EXPECT_EQ(linked.finish_round(), 1.0);
+  EXPECT_EQ(linked.worker_bytes(2), 0.0);
+}
+
+// The calls node `node`'s owner makes in one round: two compute charges,
+// a frame to the next of nodes 0-3, and from nodes 0 and 1 three frames
+// each (one delayed) to node 4, whose owner only computes.
+void stage_node(LinkModel& link, std::size_t node) {
+  link.compute(node, 0.01 * static_cast<double>(node + 1));
+  link.compute(node, 1.0 / 3.0);
+  if (node == 4) return;
+  link.transfer(node, (node + 1) % 4,
+                1e5 / 3.0 * static_cast<double>(node + 1));
+  if (node >= 2) return;
+  for (std::size_t k = 1; k <= 3; ++k) {
+    link.transfer(node, 4, 1e5 / static_cast<double>(3 + node + k),
+                  k == 2 ? 0.004 : 0.0);
+  }
+}
+
+TEST(LinkModel, PooledRoundEqualsSerialRound) {
+  // Each task writes only its own node's lane, and the fold takes the lanes
+  // in ascending source order, so a round staged from a 4-thread pool adds
+  // up to the same bits as the same calls made serially, here in
+  // descending node order.
+  LinkOptions opts;
+  opts.latency_seconds = 1e-3;
+  const auto bw = random_uniform_bandwidth(5, 11);
+  LinkModel serial(bw, opts);
+  LinkModel pooled(bw, opts);
+  serial.start_round();
+  for (std::size_t node = 5; node-- > 0;) stage_node(serial, node);
+  const double serial_seconds = serial.finish_round();
+
+  ThreadPool pool(4);
+  pooled.start_round();
+  pool.run_tasks(5, [&](std::size_t node) { stage_node(pooled, node); });
+  EXPECT_EQ(pooled.finish_round(), serial_seconds);
+  EXPECT_EQ(pooled.total_seconds(), serial.total_seconds());
+  for (std::size_t node = 0; node < 5; ++node) {
+    SCOPED_TRACE(node);
+    EXPECT_EQ(pooled.up_bytes(node), serial.up_bytes(node));
+    EXPECT_EQ(pooled.down_bytes(node), serial.down_bytes(node));
+    EXPECT_EQ(pooled.worker_bytes(node), serial.worker_bytes(node));
+  }
+  EXPECT_GT(serial.down_bytes(4), 0.0);
 }
 
 TEST(LinkModel, StatWorkerCountExcludesServer) {
