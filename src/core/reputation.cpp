@@ -66,7 +66,6 @@ void ReputationMonitor::end_round() {
     score_[p] = config_.decay * score_[p] +
                 sum[p] / static_cast<double>(count[p]);
   }
-  ++rounds_;
 }
 
 double ReputationMonitor::score(std::size_t peer) const {

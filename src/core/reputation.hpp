@@ -74,7 +74,6 @@ class ReputationMonitor {
   [[nodiscard]] double trust(std::size_t peer) const;
   /// Ascending list of peers whose score meets the flag threshold.
   [[nodiscard]] std::vector<std::size_t> suspects() const;
-  [[nodiscard]] std::size_t rounds() const noexcept { return rounds_; }
 
  private:
   struct Staged {
@@ -85,7 +84,6 @@ class ReputationMonitor {
   ReputationConfig config_;
   std::vector<std::vector<Staged>> staged_;  // one lane per observer
   std::vector<double> score_;
-  std::size_t rounds_ = 0;
 };
 
 }  // namespace saps::core
