@@ -111,59 +111,68 @@ float quant_norm_scale(double raw_scale, double adapt) {
   return static_cast<float>(raw_scale);
 }
 
-// Size-preserving adversarial rewrite of one encoded data frame.  Returns
-// the original payload untouched for frame types with no float payload to
-// attack (control frames never reach here anyway).
-std::vector<std::uint8_t> transform_payload(std::vector<std::uint8_t> payload,
-                                            const AttackParams& p, Rng& rng) {
+// The one float-payload rewrite: decodes a masked-model, sparse-delta or
+// full-model frame, runs `edit` over its floats, and re-encodes the frame
+// when `edit` reports a change.  Any other frame is left as it is.
+// Returns whether the frame changed.
+template <typename Edit>
+bool edit_floats(std::vector<std::uint8_t>& payload, const Edit& edit) {
+  const auto rewrite = [&]<typename Msg>(std::vector<float> Msg::*field) {
+    auto msg = Msg::decode(payload);
+    if (!edit(std::span<float>(msg.*field))) return false;
+    payload = msg.encode();
+    return true;
+  };
   switch (net::peek_type(payload)) {
-    case net::MsgType::kMaskedModel: {
-      auto msg = net::MaskedModelMsg::decode(payload);
-      attack_values(msg.values, p, rng);
-      return msg.encode();
-    }
-    case net::MsgType::kSparseDelta: {
-      auto msg = net::SparseDeltaMsg::decode(payload);
-      attack_values(msg.values, p, rng);
-      return msg.encode();
-    }
-    case net::MsgType::kFullModel: {
-      auto msg = net::FullModelMsg::decode(payload);
-      attack_values(msg.params, p, rng);
-      return msg.encode();
-    }
-    case net::MsgType::kQuantGrad: {
-      auto msg = net::QuantGradMsg::decode(payload);
-      switch (p.mode) {
-        case ByzantineMode::kSignFlip:
-          for (auto& q : msg.quantized) q = static_cast<std::int8_t>(-q);
-          break;
-        case ByzantineMode::kModelReplacement:
-          for (auto& q : msg.quantized) q = static_cast<std::int8_t>(-q);
-          msg.norm *= quant_norm_scale(2.0 * p.boost - 1.0, p.adapt);
-          break;
-        default: {
-          // Random levels at an inflated norm: same (levels, count) pair,
-          // so the bit-packed size — and therefore the charge — is
-          // unchanged.  Collusion draws the levels from the shared stream.
-          Rng shared(p.shared_seed);
-          Rng& source =
-              p.mode == ByzantineMode::kCollusion ? shared : rng;
-          const auto span = 2u * msg.levels + 1u;
-          for (auto& q : msg.quantized) {
-            q = static_cast<std::int8_t>(
-                static_cast<int>(source.next_below(span)) -
-                static_cast<int>(msg.levels));
-          }
-          msg.norm *= quant_norm_scale(10.0, p.adapt);
-          break;
-        }
-      }
-      return msg.encode();
-    }
+    case net::MsgType::kMaskedModel:
+      return rewrite(&net::MaskedModelMsg::values);
+    case net::MsgType::kSparseDelta:
+      return rewrite(&net::SparseDeltaMsg::values);
+    case net::MsgType::kFullModel:
+      return rewrite(&net::FullModelMsg::params);
     default:
-      return payload;
+      return false;
   }
+}
+
+// Size-preserving adversarial rewrite of one encoded data frame.  Frame
+// types with no payload to attack are left untouched (control frames never
+// reach here anyway).
+void transform_payload(std::vector<std::uint8_t>& payload,
+                       const AttackParams& p, Rng& rng) {
+  if (net::peek_type(payload) != net::MsgType::kQuantGrad) {
+    edit_floats(payload, [&](std::span<float> v) {
+      attack_values(v, p, rng);
+      return true;
+    });
+    return;
+  }
+  auto msg = net::QuantGradMsg::decode(payload);
+  switch (p.mode) {
+    case ByzantineMode::kSignFlip:
+      for (auto& q : msg.quantized) q = static_cast<std::int8_t>(-q);
+      break;
+    case ByzantineMode::kModelReplacement:
+      for (auto& q : msg.quantized) q = static_cast<std::int8_t>(-q);
+      msg.norm *= quant_norm_scale(2.0 * p.boost - 1.0, p.adapt);
+      break;
+    default: {
+      // Random levels at an inflated norm: same (levels, count) pair, so
+      // the bit-packed size — and therefore the charge — is unchanged.
+      // Collusion draws the levels from the shared stream.
+      Rng shared(p.shared_seed);
+      Rng& source = p.mode == ByzantineMode::kCollusion ? shared : rng;
+      const auto span = 2u * msg.levels + 1u;
+      for (auto& q : msg.quantized) {
+        q = static_cast<std::int8_t>(
+            static_cast<int>(source.next_below(span)) -
+            static_cast<int>(msg.levels));
+      }
+      msg.norm *= quant_norm_scale(10.0, p.adapt);
+      break;
+    }
+  }
+  payload = msg.encode();
 }
 
 // L2 norm of the float payload carried by one encoded data frame, and the
@@ -183,38 +192,21 @@ bool clip_span(std::span<float> v, double clip) {
   return true;
 }
 
-std::vector<std::uint8_t> clip_payload(std::vector<std::uint8_t> payload,
-                                       double clip, bool& clipped) {
-  clipped = false;
-  switch (net::peek_type(payload)) {
-    case net::MsgType::kMaskedModel: {
-      auto msg = net::MaskedModelMsg::decode(payload);
-      clipped = clip_span(msg.values, clip);
-      return clipped ? msg.encode() : payload;
-    }
-    case net::MsgType::kSparseDelta: {
-      auto msg = net::SparseDeltaMsg::decode(payload);
-      clipped = clip_span(msg.values, clip);
-      return clipped ? msg.encode() : payload;
-    }
-    case net::MsgType::kFullModel: {
-      auto msg = net::FullModelMsg::decode(payload);
-      clipped = clip_span(msg.params, clip);
-      return clipped ? msg.encode() : payload;
-    }
-    case net::MsgType::kQuantGrad: {
-      auto msg = net::QuantGradMsg::decode(payload);
-      // The carried norm IS the payload scale for quantized frames.
-      if (msg.norm > clip) {
-        msg.norm = static_cast<float>(clip);
-        clipped = true;
-        return msg.encode();
-      }
-      return payload;
-    }
-    default:
-      return payload;
+// Rescales a frame's float payload to the clip norm; returns whether it
+// was clipped.
+bool clip_payload(std::vector<std::uint8_t>& payload, double clip) {
+  if (net::peek_type(payload) != net::MsgType::kQuantGrad) {
+    return edit_floats(
+        payload, [clip](std::span<float> v) { return clip_span(v, clip); });
   }
+  auto msg = net::QuantGradMsg::decode(payload);
+  // The carried norm IS the payload scale for quantized frames.
+  if (msg.norm > clip) {
+    msg.norm = static_cast<float>(clip);
+    payload = msg.encode();
+    return true;
+  }
+  return false;
 }
 
 }  // namespace
@@ -340,16 +332,14 @@ void FaultyFabric::post(std::size_t src, std::size_t dst, double charged,
     // so every colluder's frame carries the same per-round direction.
     params.shared_seed =
         derive_seed(derive_seed(spec_.fault_seed, kFaultSalt + 2), round_);
-    payload = transform_payload(std::move(payload), params, noise);
+    transform_payload(payload, params, noise);
     ++tallies_[src].transformed;
   }
 
   if (spec_.clip_norm > 0.0) {
     // Receiver-side defense: applied after the adversarial rewrite, to
     // honest and byzantine frames alike, before any duplication.
-    bool clipped = false;
-    payload = clip_payload(std::move(payload), spec_.clip_norm, clipped);
-    if (clipped) ++tallies_[src].clipped;
+    if (clip_payload(payload, spec_.clip_norm)) ++tallies_[src].clipped;
   }
 
   const bool duplicate = u_dup < spec_.dup_prob;
