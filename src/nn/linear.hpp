@@ -21,9 +21,6 @@ class Linear final : public Layer {
   void backward(const Tensor& in, const Tensor& dout, Tensor& din) override;
   [[nodiscard]] const char* name() const noexcept override { return "Linear"; }
 
-  [[nodiscard]] std::size_t in_dim() const noexcept { return in_dim_; }
-  [[nodiscard]] std::size_t out_dim() const noexcept { return out_dim_; }
-
  private:
   std::size_t in_dim_;
   std::size_t out_dim_;
