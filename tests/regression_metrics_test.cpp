@@ -307,7 +307,10 @@ TEST(MessagePlaneRegression, ThresholdPathTopKRunsMatchGoldensBitForBit) {
 // engine, so clients leave and rejoin the cohort and their state goes
 // through freeze/thaw.  Each algorithm also runs with a failures= window
 // (three clients, overlapping rounds) whose members are drawn while away,
-// which moves each run's loss and traffic.
+// which moves each run's loss and traffic.  With no bandwidth matrix, SAPS's
+// reputation strategy runs the coordinator's trust-weighted matching, here
+// against a sign-flipper; that row was captured, serial and on a 4-thread
+// pool, before the plan was built over the round's active list.
 TEST(CohortRegression, SpecDrivenCohortRunsMatchGoldensBitForBit) {
   const SpecGolden goldens[] = {
       {"saps", "algorithm=saps\n", 0x1.9333333333333p-1,
@@ -316,6 +319,11 @@ TEST(CohortRegression, SpecDrivenCohortRunsMatchGoldensBitForBit) {
       {"saps failures", "algorithm=saps\nfailures=2@1-4,5@0-3,11@2-8\n",
        0x1.9333333333333p-1, 0x1.2e391b44f22dep-1, 0x1.c087442c7fbadp-10,
        0x1.3333333333335p-2, 0xb82648c0a918dc99ULL},
+      {"saps reputation",
+       "algorithm=saps\nsaps-strategy=reputation\nreputation-decay=0.5\n"
+       "byzantine=1@1:sign-flip\nfailures=2@1-4,5@0-3,11@2-8\n",
+       0x1.9333333333333p-1, 0x1.2e6e0bb823bf3p-1, 0x1.6a055757d5a9fp-9,
+       0x1.3d70a3d70a3d9p-2, 0xfe400cb22d19a855ULL},
       {"fedavg", "algorithm=fedavg\n", 0x1p+0, 0x1.f13f3809b6c3dp-3,
        0x1.4d72799a1fd15p-9, 0x1.eb851eb851eb9p-5, 0x77ddf800e2ac7769ULL},
       {"fedavg failures", "algorithm=fedavg\nfailures=2@1-4,5@0-3,11@2-8\n",
@@ -429,9 +437,12 @@ TEST(CohortRegression, MomentumResnetCohortRunsMatchGoldensBitForBit) {
 // frames dropped, duplicated, delayed, sign-flipped and cut by a healing
 // partition (chaos); a trimmed mean against a sign-flipper; a median merge
 // on a transparent fabric; and two failure windows over a lossy fabric.
-// Besides the final metrics, a checksum pins the bytes of the run's final
-// averaged parameters.  Captured serial and on a 4-thread pool before the
-// synchronous algorithms moved onto one round driver.
+// SAPS also runs its reputation strategy, the trust-weighted generator
+// against a sign-flipper, under two failure windows.  Besides the final
+// metrics, a checksum pins the bytes of the run's final averaged
+// parameters.  Captured serial and on a 4-thread pool before the
+// synchronous algorithms moved onto one round driver; the reputation row
+// before the SAPS plan was built over the round's active list.
 TEST(FaultRegression, SpecDrivenFaultedRunsMatchGoldensBitForBit) {
   struct FaultGolden {
     const char* algorithm;
@@ -453,6 +464,9 @@ TEST(FaultRegression, SpecDrivenFaultedRunsMatchGoldensBitForBit) {
       {"median", "aggregation=median\n"},
       {"failures",
        "failures=2@1-4,5@0-3\nfault-seed=778\ndrop-prob=0.2\ndup-prob=0.2\n"},
+      {"reputation",
+       "saps-strategy=reputation\nreputation-decay=0.5\n"
+       "byzantine=3@2:sign-flip\nfailures=2@1-4,5@0-3\n"},
   };
   const FaultGolden goldens[] = {
       {"psgd", "chaos", 0x1.799999999999ap-1, 0x1.9808623b63027p-1,
@@ -548,6 +562,9 @@ TEST(FaultRegression, SpecDrivenFaultedRunsMatchGoldensBitForBit) {
       {"saps", "failures", 0x1.7666666666666p-1, 0x1.aeb6b32481416p-1,
        0x1.2e40852b4d8bap-9, 0x1.5c30ca6d6da9ep-11, 0x6216295a5a520c46ULL,
        0x59b8ba5e510d2691ULL},
+      {"saps", "reputation", 0x1.7666666666666p-1, 0x1.b51041d5cd5abp-1,
+       0x1.a47a9e2bcf91ap-10, 0x1.69cf723c06ap-11, 0x9692b6dd7c4d4dcaULL,
+       0x71bf9458c250cd11ULL},
   };
   const std::string common =
       "workload=blob\n"
