@@ -1,5 +1,7 @@
 #include "core/coordinator.hpp"
 
+#include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
 #include "graph/matching.hpp"
@@ -12,11 +14,11 @@ Coordinator::Coordinator(std::size_t workers,
     : workers_(workers),
       config_(config),
       bandwidth_(bandwidth),
-      active_(workers, 1),
-      active_count_(workers),
+      active_(workers),
       seed_rng_(derive_seed(config.seed, 0xc002d)),
       trust_rng_(derive_seed(config.seed, 0x7e057)) {
   if (workers < 2) throw std::invalid_argument("Coordinator: workers < 2");
+  std::iota(active_.begin(), active_.end(), std::size_t{0});
   const bool adaptive =
       (config_.strategy == SelectionStrategy::kAdaptiveBandwidth ||
        config_.strategy == SelectionStrategy::kAdaptiveReputation) &&
@@ -38,38 +40,48 @@ void Coordinator::refresh_trust() {
     throw std::logic_error(
         "Coordinator: kAdaptiveReputation needs a trust provider");
   }
+  // The generator never matches an inactive worker, so only the live
+  // workers' trust can reach its weights.
   if (generator_) {
-    for (std::size_t w = 0; w < workers_; ++w) {
-      generator_->set_trust(w, trust_provider_(w));
-    }
+    for (const auto w : active_) generator_->set_trust(w, trust_provider_(w));
   }
 }
 
 gossip::GossipMatrix Coordinator::reputation_match() {
   // No bandwidth objective to preserve: a jittered trust-weighted greedy
-  // matching on the complete active graph.  Trust defaults keep honest
-  // peers uniformly weighted (the jitter supplies the mixing randomness);
-  // suspects (trust 0) are isolated.  Greedy on a complete graph is
-  // maximal, so no leftover-completion pass is needed.
-  const std::size_t n = workers_;
-  std::vector<double> trust(n, 1.0);
-  for (std::size_t w = 0; w < n; ++w) trust[w] = trust_provider_(w);
-  graph::AdjMatrix e(n);
-  std::vector<double> weight(n * n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
+  // matching on the complete graph of the active list.  Trust defaults keep
+  // honest peers uniformly weighted (the jitter supplies the mixing
+  // randomness); suspects (trust 0) are isolated.  Greedy on a complete
+  // graph is maximal, so no leftover-completion pass is needed.  Vertex a
+  // is worker active_[a]; the list ascends, so the pairs come in the same
+  // lexicographic order as the workers' ranks.
+  const std::size_t m = active_.size();
+  if (m < 2) return gossip::GossipMatrix(workers_);
+  std::vector<double> trust(m);
+  for (std::size_t a = 0; a < m; ++a) trust[a] = trust_provider_(active_[a]);
+  graph::AdjMatrix e(m);
+  std::vector<double> weight(m * m, 0.0);
+  for (std::size_t a = 0; a < m; ++a) {
+    for (std::size_t b = a + 1; b < m; ++b) {
       // The jitter is drawn for every active edge regardless of trust, so
       // the stream does not shift as suspicions change round to round.
-      if (!active_[i] || !active_[j]) continue;
       const double jitter = trust_rng_.uniform(0.7, 1.3);
-      if (trust[i] <= 0.0 || trust[j] <= 0.0) continue;
-      e.set(i, j);
-      const double w = trust[i] * trust[j] * jitter;
-      weight[i * n + j] = w;
-      weight[j * n + i] = w;
+      if (trust[a] <= 0.0 || trust[b] <= 0.0) continue;
+      e.set(a, b);
+      const double w = trust[a] * trust[b] * jitter;
+      weight[a * m + b] = w;
+      weight[b * m + a] = w;
     }
   }
-  return gossip::GossipMatrix(graph::greedy_weight_matching(e, weight));
+  const graph::Matching local = graph::greedy_weight_matching(e, weight);
+  graph::Matching match;
+  match.partner.assign(workers_, graph::Matching::kUnmatched);
+  for (std::size_t a = 0; a < m; ++a) {
+    if (local.partner[a] != graph::Matching::kUnmatched) {
+      match.partner[active_[a]] = active_[local.partner[a]];
+    }
+  }
+  return gossip::GossipMatrix(match);
 }
 
 RoundPlan Coordinator::begin_round() {
@@ -82,17 +94,16 @@ RoundPlan Coordinator::begin_round() {
   } else if (config_.strategy == SelectionStrategy::kAdaptiveReputation) {
     plan.gossip = reputation_match();
   } else {
-    // Random matching over active workers only.  The liveness check is the
-    // incrementally maintained count, not a scan: population-scale runs
-    // call begin_round every round with workers_ in the tens of thousands,
-    // and only the cohort-sized pair filter below may cost O(cohort).
+    // A random matching of the whole population, less every pair with an
+    // inactive member (they neither train nor talk).  Known cost, open in
+    // ROADMAP.md: both the shuffle and the filter below walk the
+    // population, not the active list.
     plan.gossip = random_->select(plan.round);
-    if (active_count_ != workers_) {
-      // Drop pairs touching inactive workers (they neither train nor talk).
+    if (active_.size() != workers_) {
       graph::Matching match;
       match.partner.assign(workers_, graph::Matching::kUnmatched);
       for (const auto& [i, j] : plan.gossip.pairs()) {
-        if (active_[i] && active_[j]) {
+        if (active(i) && active(j)) {
           match.partner[i] = j;
           match.partner[j] = i;
         }
@@ -107,23 +118,15 @@ void Coordinator::worker_done(std::size_t worker) {
   if (worker >= workers_) throw std::out_of_range("Coordinator::worker_done");
 }
 
-void Coordinator::set_active(std::size_t worker, bool active) {
-  if (worker >= workers_) throw std::out_of_range("Coordinator::set_active");
-  const std::uint8_t next = active ? 1 : 0;
-  if (active_[worker] != next) {
-    if (active) {
-      ++active_count_;
-    } else {
-      --active_count_;
-    }
-    active_[worker] = next;
-  }
-  if (generator_) generator_->set_active(worker, active);
+void Coordinator::set_active(std::span<const std::size_t> active) {
+  gossip::check_active_list(active, workers_, "Coordinator::set_active");
+  if (generator_) generator_->set_active(active);
+  active_.assign(active.begin(), active.end());
 }
 
 bool Coordinator::active(std::size_t worker) const {
   if (worker >= workers_) throw std::out_of_range("Coordinator::active");
-  return active_[worker] != 0;
+  return std::binary_search(active_.begin(), active_.end(), worker);
 }
 
 double Coordinator::bottleneck_bandwidth(const gossip::GossipMatrix& w) const {

@@ -13,6 +13,8 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "gossip/generator.hpp"
 #include "gossip/peer_selection.hpp"
@@ -55,8 +57,6 @@ class Coordinator {
               const std::optional<net::BandwidthMatrix>& bandwidth,
               CoordinatorConfig config);
 
-  [[nodiscard]] std::size_t workers() const noexcept { return workers_; }
-
   /// Generates the plan (W_t, t, s) for the next round.
   [[nodiscard]] RoundPlan begin_round();
 
@@ -64,13 +64,16 @@ class Coordinator {
   /// std::out_of_range on a rank outside the population.
   void worker_done(std::size_t worker);
 
-  /// Federated dynamics: workers joining/leaving mid-training.
-  void set_active(std::size_t worker, bool active);
+  /// Federated dynamics: the round's live workers, as the round driver
+  /// lists them (algos::Round::active).  Throws std::invalid_argument,
+  /// before anything changes, unless the ranks are strictly ascending and
+  /// below the population.  A new coordinator has every worker active.
+  void set_active(std::span<const std::size_t> active);
+  /// A binary search over the active list; throws std::out_of_range on a
+  /// rank outside the population.
   [[nodiscard]] bool active(std::size_t worker) const;
-  /// Currently active workers, maintained incrementally by set_active — the
-  /// population-scale path asks this every round, so it must not scan.
   [[nodiscard]] std::size_t active_count() const noexcept {
-    return active_count_;
+    return active_.size();
   }
 
   /// Installs the trust source for kAdaptiveReputation: returns a selection
@@ -87,8 +90,9 @@ class Coordinator {
       const gossip::GossipMatrix& w) const;
 
  private:
-  /// Trust-weighted jittered matching over the complete active graph — the
-  /// reputation strategy's fallback when there is no bandwidth to adapt to.
+  /// Trust-weighted jittered matching over the complete graph of the active
+  /// list — the reputation strategy's fallback when there is no bandwidth
+  /// to adapt to.
   [[nodiscard]] gossip::GossipMatrix reputation_match();
   void refresh_trust();
 
@@ -98,8 +102,7 @@ class Coordinator {
   std::optional<gossip::GossipGenerator> generator_;   // adaptive path
   std::optional<gossip::RandomMatchSelector> random_;  // random path
   std::function<double(std::size_t)> trust_provider_;
-  std::vector<std::uint8_t> active_;
-  std::size_t active_count_;  // == sum(active_), updated on flips
+  std::vector<std::size_t> active_;  // live workers, ascending
   Rng seed_rng_;
   Rng trust_rng_;  // jitter stream of the no-bandwidth reputation matching
   std::size_t round_ = 0;

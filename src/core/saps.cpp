@@ -58,26 +58,23 @@ sim::RunResult SapsPsgd::run(sim::Engine& engine) const {
   }
 
   std::vector<double> selected_bandwidth;
-  const bool pooled = engine.cohort_mode();
   const auto step = [&](const algos::Round& r) {
-    // The driver has drawn the round's cohort and run the liveness hook,
-    // both on the engine: mirror residency ∩ liveness into the coordinator
-    // so the match never names a worker without a live replica.
-    for (std::size_t w = 0; w < n; ++w) {
-      coordinator.set_active(w, engine.resident(w) && engine.active(w));
-    }
+    // The driver has drawn the round's cohort, run the liveness hook and
+    // listed the live workers (resident and active): the coordinator plans
+    // over that list, so the match never names a worker without a live
+    // replica.
+    coordinator.set_active(r.active);
 
     // Algorithm 1 lines 4-6: the coordinator decides (W_t, t, s) and
-    // broadcasts one NotifyMsg per worker over the control plane.
+    // broadcasts one NotifyMsg per roster worker over the control plane.
+    // Non-resident workers never drain their mailbox, so notifying them
+    // would grow it without bound over a population-scale run.
     const RoundPlan plan = coordinator.begin_round();
     if (engine.network().has_bandwidth()) {
       selected_bandwidth.push_back(
           coordinator.bottleneck_bandwidth(plan.gossip));
     }
-    for (std::size_t w = 0; w < n; ++w) {
-      // Non-resident workers never drain their mailbox; notifying them
-      // would grow it without bound over a population-scale run.
-      if (pooled && !engine.resident(w)) continue;
+    for (const auto w : engine.roster()) {
       net::NotifyMsg note;
       note.round = static_cast<std::uint32_t>(plan.round);
       note.mask_seed = plan.mask_seed;
@@ -86,10 +83,8 @@ sim::RunResult SapsPsgd::run(sim::Engine& engine) const {
     }
     // Algorithm 2 line 6: active workers decode their notification (the
     // drain skips notifies queued while a worker was away).
-    for (std::size_t w = 0; w < n; ++w) {
-      if (coordinator.active(w)) {
-        workers[w].begin_round(fabric, static_cast<std::uint32_t>(plan.round));
-      }
+    for (const auto w : r.active) {
+      workers[w].begin_round(fabric, static_cast<std::uint32_t>(plan.round));
     }
 
     // Algorithm 2 line 5: local SGD on every active worker.
@@ -103,9 +98,7 @@ sim::RunResult SapsPsgd::run(sim::Engine& engine) const {
     const auto pairs = plan.gossip.pairs();
 
     fabric.begin_round();
-    for (std::size_t w = 0; w < n; ++w) {
-      if (coordinator.active(w)) fabric.compute(w);
-    }
+    for (const auto w : r.active) fabric.compute(w);
     // The matching is disjoint, so each pair's send/receive/merge touches
     // only its own two workers and mailboxes and parallelizes without
     // races; the traffic charges are staged per source and applied in fixed
@@ -123,13 +116,11 @@ sim::RunResult SapsPsgd::run(sim::Engine& engine) const {
     if (reputation) reputation->end_round();
 
     // Line 11: ROUND_END notifications back over the control plane.
-    for (std::size_t w = 0; w < n; ++w) {
-      if (coordinator.active(w)) {
-        net::RoundEndMsg done;
-        done.round = static_cast<std::uint32_t>(plan.round);
-        done.rank = static_cast<std::uint32_t>(w);
-        fabric.send_control(w, coord_node, done);
-      }
+    for (const auto w : r.active) {
+      net::RoundEndMsg done;
+      done.round = static_cast<std::uint32_t>(plan.round);
+      done.rank = static_cast<std::uint32_t>(w);
+      fabric.send_control(w, coord_node, done);
     }
     while (auto env = fabric.recv(coord_node)) {
       const auto done = net::RoundEndMsg::decode(env->payload);

@@ -7,11 +7,12 @@
 //
 // SAPS supplies only its round step to algos::run_rounds, with the
 // synchronous Schedule: a cohort run draws the cohort of round index and
-// keeps everything.  The step first mirrors the engine's liveness (resident
-// and active) into the coordinator, so a Dynamics::on_round hook flips only
-// the engine and the match never names a worker without a live replica.
-// Each round the coordinator notifies every resident worker and every
-// active worker answers with ROUND_END, all on the fabric's control plane.
+// keeps everything.  The step first hands the coordinator the driver's
+// active list (resident and active, ascending), so a Dynamics::on_round hook
+// flips only the engine and the match never names a worker without a live
+// replica.  Each round the coordinator notifies every roster worker and
+// every active worker answers with ROUND_END, all on the fabric's control
+// plane.
 #pragma once
 
 #include "algos/algorithm.hpp"

@@ -1,7 +1,9 @@
 #include "gossip/generator.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
+#include <string>
 
 namespace saps::gossip {
 
@@ -31,6 +33,7 @@ GossipGenerator::GossipGenerator(const net::BandwidthMatrix& bandwidth,
       b_star_(bandwidth.size()),
       last_used_(bandwidth.size() * bandwidth.size(), -1),
       active_(bandwidth.size(), 1),
+      active_count_(bandwidth.size()),
       trust_(bandwidth.size(), 1.0) {
   if (t_thres_ == 0) throw std::invalid_argument("GossipGenerator: T_thres==0");
   const std::size_t n = bandwidth.size();
@@ -41,24 +44,23 @@ GossipGenerator::GossipGenerator(const net::BandwidthMatrix& bandwidth,
   }
 }
 
-void GossipGenerator::set_active(std::size_t worker, bool active) {
-  if (worker >= active_.size()) {
-    throw std::out_of_range("GossipGenerator::set_active");
+void check_active_list(std::span<const std::size_t> active,
+                       std::size_t workers, const char* what) {
+  if (std::adjacent_find(active.begin(), active.end(),
+                         std::greater_equal<>()) != active.end() ||
+      (!active.empty() && active.back() >= workers)) {
+    throw std::invalid_argument(std::string(what) +
+                                ": the active list must be strictly "
+                                "ascending ranks below " +
+                                std::to_string(workers));
   }
-  active_[worker] = active ? 1 : 0;
 }
 
-bool GossipGenerator::active(std::size_t worker) const {
-  if (worker >= active_.size()) {
-    throw std::out_of_range("GossipGenerator::active");
-  }
-  return active_[worker] != 0;
-}
-
-std::size_t GossipGenerator::active_count() const noexcept {
-  std::size_t c = 0;
-  for (const auto a : active_) c += a;
-  return c;
+void GossipGenerator::set_active(std::span<const std::size_t> active) {
+  check_active_list(active, active_.size(), "GossipGenerator::set_active");
+  std::fill(active_.begin(), active_.end(), 0);
+  for (const auto w : active) active_[w] = 1;
+  active_count_ = active.size();
 }
 
 void GossipGenerator::set_trust(std::size_t worker, double trust) {
@@ -166,9 +168,7 @@ GossipMatrix GossipGenerator::generate(std::size_t t) {
   // (over the active workers)?
   auto rc = rc_graph(t);
   mask_inactive(rc);
-  // Connectivity is judged over active workers only: contract inactive
-  // vertices away by linking them to vertex of component... simpler: build
-  // connectivity over the active subset.
+  // Connected means at most one RC component holds an active worker.
   bool rc_connected = true;
   {
     const auto comps = graph::connected_components(rc);
@@ -198,7 +198,7 @@ GossipMatrix GossipGenerator::generate(std::size_t t) {
   for (const auto p : match.partner) {
     if (p != graph::Matching::kUnmatched) ++matched;
   }
-  if (matched < active_count() - (active_count() % 2)) {
+  if (matched < active_count_ - (active_count_ % 2)) {
     auto leftover = unmatched_graph(match);
     mask_inactive(leftover);
     mask_distrusted(leftover);

@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "gossip/gossip_matrix.hpp"
@@ -48,12 +49,12 @@ class GossipGenerator {
   /// Rounds must be generated in non-decreasing t order.
   [[nodiscard]] GossipMatrix generate(std::size_t t);
 
-  /// Marks a worker inactive (left training) / active again.  Inactive
-  /// workers are excluded from matching — the dynamics the paper motivates
-  /// (federated workers join/leave freely).
-  void set_active(std::size_t worker, bool active);
-  [[nodiscard]] bool active(std::size_t worker) const;
-  [[nodiscard]] std::size_t active_count() const noexcept;
+  /// The workers that may be matched from now on (a new generator has
+  /// every worker active); the rest left training — the dynamics the paper
+  /// motivates (federated workers join/leave freely).  Throws
+  /// std::invalid_argument, before anything changes, unless the ranks are
+  /// strictly ascending and below the population.
+  void set_active(std::span<const std::size_t> active);
 
   /// Attack-aware down-weighting (SelectionStrategy::kAdaptiveReputation):
   /// the matching weight of edge (i, j) becomes B_ij * jitter * trust_i *
@@ -92,9 +93,15 @@ class GossipGenerator {
   Rng rng_;
   graph::AdjMatrix b_star_;              // threshold-filtered bandwidth graph
   std::vector<std::int64_t> last_used_;  // R, flattened; -1 = never
-  std::vector<std::uint8_t> active_;
+  std::vector<std::uint8_t> active_;     // flags of the active list
+  std::size_t active_count_;             // the active list's size
   std::vector<double> trust_;            // 1.0 = neutral, 0.0 = excluded
 };
+
+/// Throws std::invalid_argument naming `what` unless `active` is strictly
+/// ascending and every rank in it is below `workers`.
+void check_active_list(std::span<const std::size_t> active,
+                       std::size_t workers, const char* what);
 
 /// Median of the positive off-diagonal bandwidths — the auto B_thres.
 [[nodiscard]] double median_bandwidth(const net::BandwidthMatrix& bandwidth);

@@ -176,20 +176,33 @@ TEST(Generator, PrefersHighBandwidthPairsWhenConnected) {
 TEST(Generator, InactiveWorkersNeverMatched) {
   auto bw = net::random_uniform_bandwidth(10, 13);
   GossipGenerator gen(bw, {.t_thres = 5, .seed = 2});
-  gen.set_active(3, false);
-  gen.set_active(7, false);
+  const std::vector<std::size_t> without_3_and_7 = {0, 1, 2, 4, 5, 6, 8, 9};
+  gen.set_active(without_3_and_7);
   for (std::size_t t = 0; t < 50; ++t) {
     const auto w = gen.generate(t);
     EXPECT_EQ(w.peer(3), 3u);
     EXPECT_EQ(w.peer(7), 7u);
     EXPECT_TRUE(w.is_doubly_stochastic());
   }
-  gen.set_active(3, true);
+  const std::vector<std::size_t> without_7 = {0, 1, 2, 3, 4, 5, 6, 8, 9};
+  gen.set_active(without_7);
   bool three_matched = false;
   for (std::size_t t = 50; t < 80; ++t) {
     if (gen.generate(t).peer(3) != 3) three_matched = true;
   }
   EXPECT_TRUE(three_matched);
+}
+
+TEST(Generator, RejectsAnActiveListThatIsUnsortedOrOutOfRange) {
+  auto bw = net::random_uniform_bandwidth(4, 1);
+  GossipGenerator gen(bw, {.t_thres = 5, .seed = 2});
+  const std::vector<std::size_t> unsorted = {2, 1};
+  const std::vector<std::size_t> out_of_range = {0, 4};
+  EXPECT_THROW(gen.set_active(unsorted), std::invalid_argument);
+  EXPECT_THROW(gen.set_active(out_of_range), std::invalid_argument);
+  // A refused list changes nothing: all four workers still get a peer.
+  const auto w = gen.generate(0);
+  for (std::size_t v = 0; v < 4; ++v) EXPECT_NE(w.peer(v), v);
 }
 
 TEST(Generator, RejectsZeroWindow) {

@@ -50,11 +50,29 @@ TEST(Coordinator, ControlBytesAreTiny) {
 
 TEST(Coordinator, DropoutExcludesWorkerFromPlans) {
   Coordinator coord(6, std::nullopt, {});
-  coord.set_active(2, false);
+  EXPECT_EQ(coord.active_count(), 6u);
+  const std::vector<std::size_t> live = {0, 1, 3, 4, 5};
+  coord.set_active(live);
+  EXPECT_FALSE(coord.active(2));
+  EXPECT_TRUE(coord.active(3));
+  EXPECT_EQ(coord.active_count(), 5u);
   for (int t = 0; t < 20; ++t) {
     const auto plan = coord.begin_round();
     EXPECT_EQ(plan.gossip.peer(2), 2u);
   }
+}
+
+TEST(Coordinator, RejectsAnActiveListThatIsUnsortedOrOutOfRange) {
+  Coordinator coord(6, std::nullopt, {});
+  const std::vector<std::size_t> unsorted = {0, 3, 1};
+  const std::vector<std::size_t> repeated = {1, 1, 4};
+  const std::vector<std::size_t> out_of_range = {0, 2, 6};
+  EXPECT_THROW(coord.set_active(unsorted), std::invalid_argument);
+  EXPECT_THROW(coord.set_active(repeated), std::invalid_argument);
+  EXPECT_THROW(coord.set_active(out_of_range), std::invalid_argument);
+  // A refused list changes nothing.
+  EXPECT_EQ(coord.active_count(), 6u);
+  EXPECT_TRUE(coord.active(2));
 }
 
 TEST(SapsWorker, SparsifyAndMergeRoundTrip) {

@@ -4,11 +4,12 @@
 // caller, a model that alternates between training and evaluation batch
 // sizes must make no large allocation, and neither must an engine's first
 // steps on workers that have not trained before, nor its construction copy
-// the training set, and a fabric allocates no mailbox until its first
-// delivery.  Global operator new/new[] are replaced with counting
-// versions for this binary (counting all allocations, separately the large
-// ones, and the bytes requested); each test warms its path up, then
-// measures a tight window.
+// the training set, a fabric allocates no mailbox until its first
+// delivery, and the coordinator's plan is sized by the live workers.
+// Global operator new/new[] are replaced with counting versions for this
+// binary (counting all allocations, separately the large ones, and the
+// bytes requested); each test warms its path up, then measures a tight
+// window.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +23,7 @@
 
 #include "compress/quantize.hpp"
 #include "compress/topk.hpp"
+#include "core/coordinator.hpp"
 #include "data/synthetic.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/models.hpp"
@@ -56,6 +58,21 @@ void* operator new(std::size_t size) {
 
 void* operator new[](std::size_t size) {
   return counted_malloc(size);
+}
+
+// The nothrow forms (std::stable_sort's temporary buffer) are replaced too:
+// a sanitizer runtime supplies its own, whose blocks the free() below would
+// then release with a mismatched deallocator.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return counted_malloc(size);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return operator new(size, tag);
 }
 
 // Kept out of line: once GCC inlines a delete next to a call of the
@@ -466,6 +483,26 @@ TEST(Fabric, ConstructionAllocatesAtMost64BytesPerNode) {
     EXPECT_FALSE(fabric.recv(nodes - 1).has_value());
     EXPECT_EQ(allocated_bytes(), built) << nodes << " nodes";
   }
+}
+
+TEST(Coordinator, ReputationPlanAllocatesByTheLiveWorkers) {
+  // A cohort run at population scale hands the coordinator a handful of
+  // live workers.  Without a bandwidth matrix the reputation strategy
+  // matches over them: its graph and weight table are cohort-sized, and
+  // only the plan itself (a peer per worker) is population-sized.
+  constexpr std::size_t kPopulation = 4000;
+  core::CoordinatorConfig cfg;
+  cfg.strategy = core::SelectionStrategy::kAdaptiveReputation;
+  core::Coordinator coord(kPopulation, std::nullopt, cfg);
+  coord.set_trust_provider([](std::size_t) { return 1.0; });
+  const std::vector<std::size_t> live = {3,    17,   250,  999,
+                                         1000, 2048, 3500, 3999};
+  coord.set_active(live);
+  (void)coord.begin_round();  // warm-up
+  const std::size_t before = allocated_bytes();
+  const auto plan = coord.begin_round();
+  EXPECT_LE(allocated_bytes() - before, 64 * kPopulation);
+  EXPECT_NE(plan.gossip.peer(3), 3u);
 }
 
 TEST(Gemm, PackScratchIsReusedAcrossCalls) {
