@@ -170,6 +170,14 @@ int main(int argc, char** argv) {
   auto sinks = saps::scenario::sinks_from_flags_or_exit(flags);
   const bool user_trim = spec.provided("trim-frac");
   const std::string json_path = flags.get_string("json", "");
+  std::ofstream json;
+  if (!json_path.empty()) {
+    json.open(json_path);
+    if (!json) {
+      std::cerr << "--json: cannot open '" << json_path << "' for writing\n";
+      return 2;
+    }
+  }
 
   saps::scenario::Runner base(spec);
   const auto& workload = base.workload();
@@ -383,30 +391,25 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    if (!out) {
-      std::cerr << "--json: cannot open '" << json_path << "' for writing\n";
-      return 2;
-    }
-    out << "{\"context\":{\"bench\":\"bench_robustness\"},\"benchmarks\":[";
+  if (json.is_open()) {
+    json << "{\"context\":{\"bench\":\"bench_robustness\"},\"benchmarks\":[";
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const auto& r = rows[i];
-      out << (i ? "," : "") << "\n  {\"name\":\"BM_Robustness/" << r.algo
-          << "/" << r.attack << "/" << r.agg << "\",\"run_type\":\"iteration\""
-          << ",\"items_per_second\":"
-          << saps::scenario::format_double(r.accuracy)
-          << ",\"final_loss\":" << saps::scenario::format_double(r.loss)
-          << ",\"worker_mb\":" << saps::scenario::format_double(r.worker_mb);
+      json << (i ? "," : "") << "\n  {\"name\":\"BM_Robustness/" << r.algo
+           << "/" << r.attack << "/" << r.agg << "\",\"run_type\":\"iteration\""
+           << ",\"items_per_second\":"
+           << saps::scenario::format_double(r.accuracy)
+           << ",\"final_loss\":" << saps::scenario::format_double(r.loss)
+           << ",\"worker_mb\":" << saps::scenario::format_double(r.worker_mb);
       if (r.precision >= 0.0) {
-        out << ",\"detection_precision\":"
-            << saps::scenario::format_double(r.precision)
-            << ",\"detection_recall\":"
-            << saps::scenario::format_double(r.recall);
+        json << ",\"detection_precision\":"
+             << saps::scenario::format_double(r.precision)
+             << ",\"detection_recall\":"
+             << saps::scenario::format_double(r.recall);
       }
-      out << "}";
+      json << "}";
     }
-    out << "\n]}\n";
+    json << "\n]}\n";
   }
   return 0;
 }

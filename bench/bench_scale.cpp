@@ -142,7 +142,6 @@ int main(int argc, char** argv) {
   auto sinks = saps::scenario::sinks_from_flags_or_exit(flags);
   // cohort=64 matches the acceptance scenario `population=100000 cohort=64`.
   const std::size_t cohort = spec.provided("cohort") ? spec.cohort : 64;
-  const std::string json_path = flags.get_string("json", "");
   if (populations.empty()) {
     // No --populations: a population from --population or --spec runs alone
     // (the CI smoke path); otherwise sweep from the legacy materialized
@@ -166,6 +165,16 @@ int main(int argc, char** argv) {
     saps::scenario::or_exit([&] {
       saps::scenario::check_algorithm_support(s, s.effective_algorithms());
     });
+  }
+
+  const std::string json_path = flags.get_string("json", "");
+  std::ofstream json;
+  if (!json_path.empty()) {
+    json.open(json_path);
+    if (!json) {
+      std::cerr << "--json: cannot open '" << json_path << "' for writing\n";
+      return 2;
+    }
   }
 
   saps::scenario::Runner base(spec);
@@ -220,22 +229,17 @@ int main(int argc, char** argv) {
                "FedAvg) —\ncompare a --cohort=<population> point to see the "
                "materialized cost.\n";
 
-  if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    if (!out) {
-      std::cerr << "--json: cannot open '" << json_path << "' for writing\n";
-      return 2;
-    }
-    out << "{\"context\":{\"bench\":\"bench_scale\"},\"benchmarks\":[";
+  if (json.is_open()) {
+    json << "{\"context\":{\"bench\":\"bench_scale\"},\"benchmarks\":[";
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const auto& r = rows[i];
-      out << (i ? "," : "") << "\n  {\"name\":\"BM_Scale/" << r.algo << "/"
-          << r.population << "\",\"run_type\":\"iteration\""
-          << ",\"items_per_second\":" << saps::scenario::format_double(r.rps)
-          << ",\"peak_rss_mb\":" << saps::scenario::format_double(r.rss_mb)
-          << "}";
+      json << (i ? "," : "") << "\n  {\"name\":\"BM_Scale/" << r.algo << "/"
+           << r.population << "\",\"run_type\":\"iteration\""
+           << ",\"items_per_second\":" << saps::scenario::format_double(r.rps)
+           << ",\"peak_rss_mb\":" << saps::scenario::format_double(r.rss_mb)
+           << "}";
     }
-    out << "\n]}\n";
+    json << "\n]}\n";
   }
   return 0;
 }
