@@ -215,7 +215,7 @@ FaultyFabric::FaultyFabric(net::LinkModel link, FaultSpec spec)
     : Fabric(std::move(link)),
       spec_(std::move(spec)),
       fanin_estimate_(nodes() > 0 ? nodes() - 1 : 0),
-      counter_(nodes(), 0),
+      sends_(nodes()),
       tallies_(nodes()) {
   partition_group_.reserve(spec_.partitions.size());
   for (const auto& event : spec_.partitions) {
@@ -232,7 +232,6 @@ FaultyFabric::FaultyFabric(net::LinkModel link, FaultSpec spec)
 void FaultyFabric::begin_round() {
   Fabric::begin_round();
   ++round_;
-  std::fill(counter_.begin(), counter_.end(), 0);
   // Serial per-round snapshot: parallel post() calls all read one value, so
   // the collusion gate is a pure function of the round like every other
   // fault decision.  Without a probe the whole group counts as live.
@@ -277,7 +276,11 @@ bool FaultyFabric::partition_cut(std::size_t src, std::size_t dst) const {
 void FaultyFabric::post(std::size_t src, std::size_t dst, double charged,
                         std::vector<std::uint8_t> payload) {
   check_post(src, dst);
-  const std::uint64_t k = counter_[src]++;
+  // The source's send index this round: a count kept from an older round
+  // restarts at 0.
+  auto& sends = sends_[src];
+  if (sends.round != round_) sends = {.round = round_, .count = 0};
+  const std::uint64_t k = sends.count++;
 
   const auto* byz = byzantine_event(src);
   if (byz != nullptr && byz->mode == ByzantineMode::kCollusion &&

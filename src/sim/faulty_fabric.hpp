@@ -106,8 +106,13 @@ class FaultyFabric final : public Fabric {
   std::size_t colluders_live_ = 0;
   // Per-source send counters and tallies: sources are owned by disjoint
   // parallel tasks (the fabric's concurrency contract), so per-source slots
-  // need no synchronization.
-  std::vector<std::uint64_t> counter_;
+  // need no synchronization.  A counter holds the round it counts, so
+  // begin_round() resets none of them.
+  struct SendCount {
+    std::size_t round = 0;
+    std::uint64_t count = 0;
+  };
+  std::vector<SendCount> sends_;
   std::vector<Tally> tallies_;
   // partition_group_[event][node] = group index, or kNoGroup when the node
   // is not named by that event (keeps full connectivity).
