@@ -6,6 +6,12 @@
 
 namespace saps::core {
 
+// Score at or above which a peer is `suspected()` (and excluded from
+// reputation-strategy matching).  Honest per-observation anomalies sit well
+// below 1; a sign-flip alone scores ~2, a coordinated 10x-RMS noise
+// direction ~2.7 — both flag on their first cleanly-referenced observation.
+constexpr double kFlagThreshold = 2.0;
+
 double anomaly_score(std::span<const float> received,
                      std::span<const float> reference) {
   if (received.empty() || reference.empty() ||
@@ -76,7 +82,7 @@ double ReputationMonitor::score(std::size_t peer) const {
 }
 
 bool ReputationMonitor::suspected(std::size_t peer) const {
-  return score(peer) >= config_.flag_threshold;
+  return score(peer) >= kFlagThreshold;
 }
 
 double ReputationMonitor::trust(std::size_t peer) const {
@@ -86,7 +92,7 @@ double ReputationMonitor::trust(std::size_t peer) const {
 std::vector<std::size_t> ReputationMonitor::suspects() const {
   std::vector<std::size_t> out;
   for (std::size_t w = 0; w < score_.size(); ++w) {
-    if (score_[w] >= config_.flag_threshold) out.push_back(w);
+    if (score_[w] >= kFlagThreshold) out.push_back(w);
   }
   return out;
 }

@@ -33,12 +33,6 @@ struct ReputationConfig {
   // observes it again, and plain per-round decay would quietly rehabilitate
   // it; the EMA keeps it frozen out instead.  In [0, 1).
   double decay = 0.9;
-  // Score at or above which a peer is `suspected()` (and excluded from
-  // reputation-strategy matching).  Honest per-observation anomalies sit
-  // well below 1; a sign-flip alone scores ~2, a coordinated 10x-RMS noise
-  // direction ~2.7 — both flag on their first cleanly-referenced
-  // observation.
-  double flag_threshold = 2.0;
 };
 
 /// Anomaly of one received update against the observer's own reference:
@@ -69,6 +63,7 @@ class ReputationMonitor {
   [[nodiscard]] const std::vector<double>& scores() const noexcept {
     return score_;
   }
+  /// True when the peer's score is at or above the flag threshold (2.0).
   [[nodiscard]] bool suspected(std::size_t peer) const;
   /// Multiplicative selection weight in (0, 1]: 1 / (1 + score).
   [[nodiscard]] double trust(std::size_t peer) const;

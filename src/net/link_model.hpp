@@ -75,7 +75,6 @@ class LinkModel {
   [[nodiscard]] bool has_bandwidth() const noexcept {
     return bandwidth_.has_value();
   }
-  [[nodiscard]] const LinkOptions& options() const noexcept { return options_; }
 
   /// Restricts the per-worker statistic (mean worker bytes) to the
   /// first `count` nodes — used when the node set includes a virtual

@@ -104,7 +104,7 @@ TEST(ReputationMonitor, ObservationGatedEmaHoldsUnobservedScores) {
   std::vector<float> flipped = f;
   for (auto& x : flipped) x = -x;
 
-  core::ReputationMonitor monitor(4, {.decay = 0.5, .flag_threshold = 2.0});
+  core::ReputationMonitor monitor(4, {.decay = 0.5});
   monitor.observe(0, 1, flipped, f);
   monitor.end_round();
   const double after_flip = monitor.score(1);
