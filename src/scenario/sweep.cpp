@@ -108,7 +108,7 @@ SweepSpec parse_sweep_text(const std::string& text) {
     // Axis lines.  `full` is a scale preset that rewrites OTHER defaults
     // before values apply — as an axis it would silently change the meaning
     // of every base line; `threads` cannot change results by the
-    // thread-count-invariance contract (and the suite runner pins it).
+    // thread-count-invariance contract.
     if (key == "full") {
       fail(line.lineno,
            "'full' is a scale preset, not a sweepable knob; write two sweep "
@@ -116,8 +116,8 @@ SweepSpec parse_sweep_text(const std::string& text) {
     }
     if (key == "threads") {
       fail(line.lineno,
-           "'threads' never changes results (thread-count invariance) and "
-           "the suite runner pins it per point; not sweepable");
+           "'threads' never changes results (thread-count invariance); "
+           "not sweepable");
     }
     const auto [it, inserted] = axis_line.emplace(key, line.lineno);
     if (!inserted) {
