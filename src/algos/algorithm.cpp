@@ -23,8 +23,6 @@ sim::RunResult run_rounds(
   };
 
   eval(0, 0.0);
-  std::vector<std::size_t> active;
-  active.reserve(engine.cohort_size());
   double progress = 0.0;  // epochs completed, when accumulated
   std::size_t round = 0;  // rounds completed
   while (accumulated ? progress < budget : round < epochs * steps) {
@@ -33,13 +31,9 @@ sim::RunResult run_rounds(
       engine.begin_round_cohort(key, schedule.keep);
     }
     if (on_round) on_round(round, engine);
-    active.clear();
-    for (const auto w : engine.roster()) {
-      if (engine.active(w)) active.push_back(w);
-    }
     const std::size_t epoch =
         accumulated ? static_cast<std::size_t>(progress) : round / steps;
-    step({.index = round, .epoch = epoch, .active = active});
+    step({.index = round, .epoch = epoch, .active = engine.active_list()});
     ++round;
     if (accumulated) {
       // Known defect, a FOUND line of CHANGES.md: the sum can fall just

@@ -20,12 +20,16 @@ namespace saps::algos {
 
 /// Scenario dynamics every algorithm honors: a per-round liveness hook (the
 /// Runner turns a dropout/rejoin failure schedule into engine set_active
-/// flips) plus the merge rule robust aggregation swaps in for the plain
-/// mean.  The default-constructed value is the static run: no hook and
-/// MergeRule::kMean.
+/// calls, which edit the engine's active list) plus the merge rule robust
+/// aggregation swaps in for the plain mean.  The default-constructed value
+/// is the static run: no hook and MergeRule::kMean.
 struct Dynamics {
   /// Called by run_rounds with the 0-based round index before every round,
-  /// after the round's cohort draw, so its set_active flips survive it.
+  /// after the round's cohort draw, so its set_active calls survive the
+  /// draw's reset of the active list.  set_active ignores a non-resident
+  /// worker, so a hook states liveness anew each round (the Runner's
+  /// re-applies every failure window): a worker the draw brings in is
+  /// flipped in the round it arrives, before the step.
   std::function<void(std::size_t round, sim::Engine& engine)> on_round;
   /// SAPS-PSGD's pairwise merge has no robust form and ignores these two.
   compress::MergeRule merge = compress::MergeRule::kMean;
@@ -74,7 +78,9 @@ class EvalSchedule {
 struct Round {
   std::size_t index;                    // 0-based round index
   std::size_t epoch;                    // drives the LR schedule
-  std::span<const std::size_t> active;  // roster ∩ active, ascending
+  /// The engine's active list (resident and active, ascending), aliased: a
+  /// step must not call set_active or begin_round_cohort.
+  std::span<const std::size_t> active;
 };
 
 /// How run_rounds paces a run, draws its cohorts and what it evaluates.  The
@@ -99,8 +105,8 @@ struct Schedule {
 
 /// The round driver of all eight algorithms.  Evaluates at round 0, then
 /// runs the rounds `schedule` paces.  Each round, in order: the cohort draw
-/// (cohort mode only), `on_round` (when set), the list of resident active
-/// workers, `step`, and evaluation.  Returns the metric history under
+/// (cohort mode only), `on_round` (when set), `step` (handed the engine's
+/// active list), and evaluation.  Returns the metric history under
 /// `name`.
 sim::RunResult run_rounds(
     sim::Engine& engine, const char* name,

@@ -48,13 +48,17 @@ sim::RunResult FedAvg::run(sim::Engine& engine) const {
   // The global model starts as the common initialization.
   std::vector<float> global(engine.params(0).begin(), engine.params(0).end());
 
+  // The draw order of the fraction sampling (outside cohort mode only).
   Rng rng(derive_seed(cfg.seed, 0xfeda49));
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::vector<std::size_t> order;
+  if (!engine.cohort_mode()) {
+    order.resize(n);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+  }
 
   std::vector<float> accum(dim);
   std::vector<std::size_t> part;
-  std::vector<std::uint8_t> got_down(n, 0);
+  std::vector<std::uint8_t> got_down;  // by position in `part`
   std::vector<std::size_t> sent;  // participants that got the download
   // Decoded uploads and their arrival flags by position in `sent`, so they
   // are sized by the round's participants, not by the population, and
@@ -113,22 +117,22 @@ sim::RunResult FedAvg::run(sim::Engine& engine) const {
     fabric.end_round();
     // A dropped download sits the participant out of the round.
     const std::size_t from_server[] = {server};
+    got_down.assign(part.size(), 0);
     engine.parallel_for(part.size(), [&](std::size_t i) {
       const std::size_t w = part[i];
-      got_down[w] = 0;
       receive_expected(fabric, w, from_server, "FedAvg download",
                        [&](std::size_t, const sim::Envelope& env) {
                          const auto down =
                              net::FullModelMsg::decode(env.payload);
                          std::copy(down.params.begin(), down.params.end(),
                                    engine.params(w).begin());
-                         got_down[w] = 1;
+                         got_down[i] = 1;
                          return true;
                        });
     });
     sent.clear();
-    for (const auto w : part) {
-      if (got_down[w]) sent.push_back(w);
+    for (std::size_t i = 0; i < part.size(); ++i) {
+      if (got_down[i]) sent.push_back(part[i]);
     }
 
     // Local training: a fixed step count (or one local epoch) on each

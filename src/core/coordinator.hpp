@@ -64,8 +64,8 @@ class Coordinator {
   /// std::out_of_range on a rank outside the population.
   void worker_done(std::size_t worker);
 
-  /// Federated dynamics: the round's live workers, as the round driver
-  /// lists them (algos::Round::active).  Throws std::invalid_argument,
+  /// Federated dynamics: the round's live workers, as the engine lists
+  /// them (algos::Round::active).  Throws std::invalid_argument,
   /// before anything changes, unless the ranks are strictly ascending and
   /// below the population.  A new coordinator has every worker active.
   void set_active(std::span<const std::size_t> active);

@@ -69,7 +69,6 @@ Engine::Engine(SimConfig config, const data::Dataset& train,
       factory_(factory),
       train_(&train),
       test_(&test),
-      active_(config_.workers, 0),
       fabric_(make_fabric(config_, bandwidth)) {
   if (config_.workers < 2) throw std::invalid_argument("Engine: workers < 2");
   if (fabric_->nodes() != config_.workers + 1) {
@@ -131,9 +130,9 @@ Engine::Engine(SimConfig config, const data::Dataset& train,
     optimizers_.push_back(std::make_unique<nn::Sgd>(sgd_config));
     slot_of_[w] = s;
     slot_worker_[s] = w;
-    active_[w] = 1;
     roster_.push_back(w);
   }
+  active_ = roster_;
 
   // All replicas must start identical (‖X₀ − X̄₀1ᵀ‖² = 0, Section III-C).
   const auto ref = models_.front()->parameters();
@@ -163,9 +162,7 @@ Engine::Engine(SimConfig config, const data::Dataset& train,
     faulty->set_colluder_liveness_probe([this] {
       std::size_t live = 0;
       for (const auto w : config_.faults.collude_group) {
-        if (w < config_.workers && slot_of_[w] != kNoSlot && active_[w] != 0) {
-          ++live;
-        }
+        if (w < config_.workers && active(w)) ++live;
       }
       return live;
     });
@@ -258,10 +255,7 @@ std::span<const std::size_t> Engine::begin_round_cohort(std::size_t round,
   };
   // Freeze departures first (ascending worker order), freeing their slots...
   for (const auto w : roster_) {
-    if (!selected(w)) {
-      freeze_worker(w, keep);
-      active_[w] = 0;
-    }
+    if (!selected(w)) freeze_worker(w, keep);
   }
   // ...then thaw arrivals into the free slots, lowest slot to lowest new
   // worker.  Both sweeps are serial and ordered — determinism by
@@ -272,8 +266,8 @@ std::span<const std::size_t> Engine::begin_round_cohort(std::size_t round,
     while (slot_worker_[next_free] != kNoSlot) ++next_free;
     thaw_worker(w, next_free);
   }
-  for (const auto w : cohort) active_[w] = 1;
   roster_ = std::move(cohort);
+  active_ = roster_;
   return roster_;
 }
 
@@ -341,15 +335,11 @@ void Engine::apply_update(std::size_t w, std::span<const float> gradient,
 
 void Engine::for_each_worker(const std::function<void(std::size_t)>& fn) {
   if (pool_) {
-    pool_->parallel_for(roster_.size(), [&](std::size_t i) {
-      const std::size_t w = roster_[i];
-      if (active_[w]) fn(w);
-    });
+    pool_->parallel_for(active_.size(),
+                        [&](std::size_t i) { fn(active_[i]); });
     return;
   }
-  for (const auto w : roster_) {
-    if (active_[w]) fn(w);
-  }
+  for (const auto w : active_) fn(w);
 }
 
 void Engine::parallel_for(std::size_t n,
@@ -390,7 +380,16 @@ std::size_t Engine::chunk_count(std::size_t n) const noexcept {
 }
 
 void Engine::set_active(std::size_t w, bool active) {
-  active_.at(w) = active ? 1 : 0;
+  if (slot_of_.at(w) == kNoSlot) return;
+  const auto it = std::lower_bound(active_.begin(), active_.end(), w);
+  const bool listed = it != active_.end() && *it == w;
+  if (active && !listed) active_.insert(it, w);
+  if (!active && listed) active_.erase(it);
+}
+
+bool Engine::active(std::size_t w) const {
+  if (w >= config_.workers) throw std::out_of_range("Engine::active");
+  return std::binary_search(active_.begin(), active_.end(), w);
 }
 
 std::vector<float> Engine::average_params() const {
@@ -400,18 +399,13 @@ std::vector<float> Engine::average_params() const {
 }
 
 void Engine::average_into(std::span<float> avg) const {
+  if (active_.empty()) throw std::logic_error("Engine: no active workers");
   std::fill(avg.begin(), avg.end(), 0.0f);
-  std::size_t count = 0;
-  for (const auto w : roster_) {
-    if (active_[w]) ++count;
-  }
-  if (count == 0) throw std::logic_error("Engine: no active workers");
-  const float inv = 1.0f / static_cast<float>(count);
-  // Chunked over coordinates; each coordinate sums over the roster in fixed
-  // worker order, so the result is identical for every thread count.
+  const float inv = 1.0f / static_cast<float>(active_.size());
+  // Chunked over coordinates; each coordinate sums over the active list in
+  // fixed worker order, so the result is identical for every thread count.
   parallel_chunks(avg.size(), [&](std::size_t begin, std::size_t end) {
-    for (const auto w : roster_) {
-      if (!active_[w]) continue;
+    for (const auto w : active_) {
       const auto p = models_[slot_of_[w]]->parameters();
       for (std::size_t j = begin; j < end; ++j) avg[j] += p[j];
     }
@@ -421,9 +415,7 @@ void Engine::average_into(std::span<float> avg) const {
 
 void Engine::allreduce_average() {
   const auto avg = average_params();
-  parallel_for(roster_.size(), [&](std::size_t i) {
-    const std::size_t w = roster_[i];
-    if (!active_[w]) return;
+  for_each_worker([&](std::size_t w) {
     const auto p = models_[slot_of_[w]]->parameters();
     std::copy(avg.begin(), avg.end(), p.begin());
   });
@@ -504,13 +496,11 @@ MetricPoint Engine::eval_point(std::size_t round, double epoch,
 
 double Engine::consensus_distance() const {
   const auto avg = average_params();
-  std::vector<double> dists(roster_.size(), 0.0);
+  std::vector<double> dists(active_.size(), 0.0);
   // Per-worker distances are independent; the sum below stays in fixed
   // worker order.
-  parallel_for(roster_.size(), [&](std::size_t i) {
-    const std::size_t w = roster_[i];
-    if (!active_[w]) return;
-    const auto p = models_[slot_of_[w]]->parameters();
+  parallel_for(active_.size(), [&](std::size_t i) {
+    const auto p = models_[slot_of_[active_[i]]]->parameters();
     double d = 0.0;
     for (std::size_t j = 0; j < avg.size(); ++j) {
       const double diff = static_cast<double>(p[j]) - avg[j];
@@ -519,13 +509,8 @@ double Engine::consensus_distance() const {
     dists[i] = d;
   });
   double total = 0.0;
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < roster_.size(); ++i) {
-    if (!active_[roster_[i]]) continue;
-    total += dists[i];
-    ++count;
-  }
-  return total / static_cast<double>(count);
+  for (const double d : dists) total += d;
+  return total / static_cast<double>(dists.size());
 }
 
 }  // namespace saps::sim

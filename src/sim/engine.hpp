@@ -158,18 +158,10 @@ class Engine {
   /// True when the engine samples a per-round cohort from a larger
   /// population (cohort < workers) and pools model state.
   [[nodiscard]] bool cohort_mode() const noexcept { return pooled_; }
-  /// Resident replicas per round (== workers() outside cohort mode).
-  [[nodiscard]] std::size_t cohort_size() const noexcept {
-    return cohort_size_;
-  }
   /// The workers currently owning a live replica, ascending.  Outside cohort
   /// mode this is every worker.
   [[nodiscard]] std::span<const std::size_t> roster() const noexcept {
     return roster_;
-  }
-  /// True when worker w owns a live replica this round.
-  [[nodiscard]] bool resident(std::size_t w) const {
-    return slot_of_.at(w) != kNoSlot;
   }
   /// What a worker deselected by begin_round_cohort keeps until it is drawn
   /// again.  kAll suits algorithms whose replica is its state (SAPS).
@@ -180,9 +172,10 @@ class Engine {
 
   /// Draws round `round`'s cohort (a pure function of sample_seed and the
   /// round index — identical across reruns and thread counts), freezes the
-  /// `keep` state of departing workers and thaws/initializes arrivals, marks
-  /// the cohort active and everyone else inactive, and returns the new
-  /// roster.  Outside cohort mode this is a no-op returning the full roster.
+  /// `keep` state of departing workers and thaws/initializes arrivals, sets
+  /// the active list to the new roster (every drawn worker starts active),
+  /// and returns the roster.  Outside cohort mode this is a no-op returning
+  /// the full roster.
   std::span<const std::size_t> begin_round_cohort(std::size_t round,
                                                   Keep keep = Keep::kAll);
 
@@ -249,7 +242,8 @@ class Engine {
   void apply_update(std::size_t w, std::span<const float> gradient,
                     std::size_t epoch);
 
-  /// Runs fn(w) for every ACTIVE worker, optionally on the thread pool.
+  /// Runs fn(w) for every worker of active_list(), optionally on the thread
+  /// pool.  fn must not call set_active or begin_round_cohort.
   void for_each_worker(const std::function<void(std::size_t)>& fn);
 
   /// Runs fn(i) for i in [0, n) on the thread pool (serially without one).
@@ -280,10 +274,22 @@ class Engine {
   /// Number of blocks parallel_chunks uses for a range of size n.
   [[nodiscard]] std::size_t chunk_count(std::size_t n) const noexcept;
 
-  /// Active flags (failure injection).  Inactive workers neither train nor
-  /// communicate; algorithms that support dynamics consult these.
+  /// The round's live workers: the resident workers that are active,
+  /// ascending — the engine's only liveness state.  Inactive workers neither
+  /// train nor communicate.  The span aliases the list, which set_active and
+  /// begin_round_cohort rewrite.
+  [[nodiscard]] std::span<const std::size_t> active_list() const noexcept {
+    return active_;
+  }
+  /// Failure injection: puts resident worker w on the active list or takes
+  /// it off.  A non-resident worker is ignored, since residency is the
+  /// cohort draw's domain and the draw lists every worker it brings in.
+  /// Throws std::out_of_range when w >= workers().
   void set_active(std::size_t w, bool active);
-  [[nodiscard]] bool active(std::size_t w) const { return active_.at(w) != 0; }
+  /// True when w is on the active list (so false for a non-resident
+  /// worker).  A binary search; throws std::out_of_range when
+  /// w >= workers().
+  [[nodiscard]] bool active(std::size_t w) const;
 
   /// Mean of all ACTIVE workers' parameter vectors.
   [[nodiscard]] std::vector<float> average_params() const;
@@ -420,7 +426,7 @@ class Engine {
   // parameters of arrivals whose record kept none).
   std::vector<float> init_params_;
   std::vector<float> init_buffers_;
-  std::vector<std::uint8_t> active_;
+  std::vector<std::size_t> active_;       // resident and active, ascending
   // Owned through a pointer for two reasons: the fabric is polymorphic
   // (FaultyFabric overrides post), and the engine must stay movable while
   // the fabric's mailboxes hold non-movable mutexes.

@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "algos/fedavg.hpp"
@@ -48,6 +50,14 @@ sim::Engine make_pooled_engine(std::size_t population, std::size_t cohort,
       std::nullopt);
 }
 
+bool on_roster(const sim::Engine& e, std::size_t w) {
+  return std::ranges::binary_search(e.roster(), w);
+}
+
+std::vector<std::size_t> listed(const sim::Engine& e) {
+  return {e.active_list().begin(), e.active_list().end()};
+}
+
 TEST(CohortDraw, PureFunctionOfSeedAndRound) {
   // population ≫ resident replicas: only slot_of_ scales with the
   // population, so a 100000-worker engine stays cheap to build.
@@ -83,20 +93,16 @@ TEST(CohortDraw, IndependentOfCallHistory) {
 TEST(CohortPool, ResidencyTracksTheRoster) {
   auto e = make_pooled_engine(1000, 4, 4, 0);
   EXPECT_TRUE(e.cohort_mode());
-  EXPECT_EQ(e.cohort_size(), 4u);
+  EXPECT_EQ(e.roster().size(), 4u);
   for (std::size_t round = 1; round <= 5; ++round) {
     const auto roster = e.begin_round_cohort(round);
     for (const auto w : roster) {
-      EXPECT_TRUE(e.resident(w));
       EXPECT_TRUE(e.active(w));
       (void)e.params(w);  // resident ⇒ a live replica is addressable
     }
-    // A non-member is neither resident nor addressable.
+    // A non-member is neither active nor addressable.
     std::size_t outsider = 0;
-    while (std::binary_search(roster.begin(), roster.end(), outsider)) {
-      ++outsider;
-    }
-    EXPECT_FALSE(e.resident(outsider));
+    while (on_roster(e, outsider)) ++outsider;
     EXPECT_FALSE(e.active(outsider));
     EXPECT_THROW((void)e.params(outsider), std::logic_error);
   }
@@ -148,19 +154,66 @@ TEST(CohortPool, SimultaneouslyEvictedAndFailedWorkerStaysConsistent) {
     // flips them inactive, the way the Runner's failure hook wires it.
     e.set_active(outsider, false);
     e.set_active(roster[0], false);
-    EXPECT_FALSE(e.resident(outsider));
+    EXPECT_FALSE(on_roster(e, outsider));
     EXPECT_FALSE(e.active(outsider));
     EXPECT_THROW((void)e.params(outsider), std::logic_error);
     // Failed-but-drawn: replica stays addressable, worker just sits out.
-    EXPECT_TRUE(e.resident(roster[0]));
+    EXPECT_TRUE(on_roster(e, roster[0]));
     EXPECT_FALSE(e.active(roster[0]));
     (void)e.params(roster[0]);
     // Rejoining (set_active true) must NOT resurrect a non-resident
     // replica: residency is the cohort draw's exclusive domain.
     e.set_active(outsider, true);
-    EXPECT_FALSE(e.resident(outsider));
+    EXPECT_FALSE(on_roster(e, outsider));
+    EXPECT_FALSE(e.active(outsider));
     EXPECT_THROW((void)e.params(outsider), std::logic_error);
   }
+}
+
+TEST(CohortPool, ActiveListIsTheRosterLessAwayWorkers) {
+  // The engine's one liveness state is the active list: the roster after
+  // each draw, less the resident workers a failure hook took off.  Eight
+  // clients and a cohort of four, so workers stay across draws and a draw
+  // must put back a drawn worker that was away.
+  constexpr std::size_t kPopulation = 8;
+  auto e = make_pooled_engine(kPopulation, 4, 4, 0);
+  EXPECT_EQ(listed(e),
+            std::vector<std::size_t>(e.roster().begin(), e.roster().end()));
+  std::vector<std::size_t> away;  // left off at the end of the last round
+  std::size_t redrawn = 0;        // of those, drawn again
+  for (std::size_t round = 1; round <= 6; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const auto roster = e.begin_round_cohort(round);
+    const std::vector<std::size_t> drawn(roster.begin(), roster.end());
+    EXPECT_EQ(listed(e), drawn);
+    for (const auto w : away) redrawn += on_roster(e, w) ? 1 : 0;
+    // Off twice, then back twice: listed once, in ascending order.
+    for (std::size_t i = 0; i < drawn.size(); ++i) {
+      auto rest = drawn;
+      rest.erase(rest.begin() + static_cast<std::ptrdiff_t>(i));
+      e.set_active(drawn[i], false);
+      e.set_active(drawn[i], false);
+      EXPECT_EQ(listed(e), rest);
+      EXPECT_FALSE(e.active(drawn[i]));
+      e.set_active(drawn[i], true);
+      e.set_active(drawn[i], true);
+      EXPECT_EQ(listed(e), drawn);
+      EXPECT_TRUE(e.active(drawn[i]));
+    }
+    // A worker without a replica stays off the list.
+    std::size_t outsider = 0;
+    while (on_roster(e, outsider)) ++outsider;
+    e.set_active(outsider, true);
+    EXPECT_EQ(listed(e), drawn);
+    EXPECT_FALSE(e.active(outsider));
+    // Leave two workers away; the next draw lists every worker it holds.
+    away = {drawn.front(), drawn.back()};
+    for (const auto w : away) e.set_active(w, false);
+  }
+  EXPECT_GT(redrawn, 0u);
+  EXPECT_THROW(e.set_active(kPopulation, true), std::out_of_range);
+  EXPECT_THROW(e.set_active(kPopulation, false), std::out_of_range);
+  EXPECT_THROW((void)e.active(kPopulation), std::out_of_range);
 }
 
 TEST(CohortPool, FedAvgFreezesNoParametersWhileSapsKeepsThem) {
