@@ -57,20 +57,26 @@ void ReputationMonitor::observe(std::size_t observer, std::size_t peer,
 void ReputationMonitor::end_round() {
   // Fixed fold order — ascending observer, staging order within a lane —
   // makes the float accumulation independent of which thread staged what.
-  std::vector<double> sum(score_.size(), 0.0);
-  std::vector<std::size_t> count(score_.size(), 0);
+  // Gathering in that order and sorting by (peer, position) groups each
+  // peer's observations without reordering them.
+  folded_.clear();
   for (auto& lane : staged_) {
     for (const auto& obs : lane) {
-      sum[obs.peer] += obs.anomaly;
-      ++count[obs.peer];
+      folded_.push_back({obs.peer, folded_.size(), obs.anomaly});
     }
     lane.clear();
   }
+  std::sort(folded_.begin(), folded_.end());
   // Observation-gated EMA: only peers somebody heard from this round move.
-  for (std::size_t p = 0; p < score_.size(); ++p) {
-    if (count[p] == 0) continue;
-    score_[p] = config_.decay * score_[p] +
-                sum[p] / static_cast<double>(count[p]);
+  for (auto it = folded_.begin(); it != folded_.end();) {
+    const std::size_t peer = it->peer;
+    double sum = 0.0;
+    std::size_t count = 0;
+    for (; it != folded_.end() && it->peer == peer; ++it, ++count) {
+      sum += it->anomaly;
+    }
+    score_[peer] =
+        config_.decay * score_[peer] + sum / static_cast<double>(count);
   }
 }
 

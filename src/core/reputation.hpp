@@ -18,6 +18,7 @@
 // thread count and across reruns.
 #pragma once
 
+#include <compare>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -54,7 +55,9 @@ class ReputationMonitor {
 
   /// Folds all staged observations into the scores: each OBSERVED peer's
   /// score becomes decay * score + mean(staged anomalies), accumulated in
-  /// fixed observer order; unobserved peers are untouched.  Call once per
+  /// fixed observer order; unobserved peers are untouched.  Visits every
+  /// observer lane but only the observed peers' scores, and allocates
+  /// nothing once its scratch holds a round's observations.  Call once per
   /// round, serially.
   void end_round();
 
@@ -75,9 +78,18 @@ class ReputationMonitor {
     std::size_t peer;
     double anomaly;
   };
+  /// A staged observation with its place in the fold order.  Ordered by
+  /// (peer, position): positions are distinct, so the anomaly never decides.
+  struct Folded {
+    std::size_t peer;
+    std::size_t position;
+    double anomaly;
+    auto operator<=>(const Folded&) const = default;
+  };
 
   ReputationConfig config_;
   std::vector<std::vector<Staged>> staged_;  // one lane per observer
+  std::vector<Folded> folded_;  // end_round's scratch, kept across rounds
   std::vector<double> score_;
 };
 

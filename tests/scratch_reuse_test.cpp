@@ -5,7 +5,8 @@
 // sizes must make no large allocation, and neither must an engine's first
 // steps on workers that have not trained before, nor its construction copy
 // the training set, a fabric allocates no mailbox until its first
-// delivery, and the coordinator's plan is sized by the live workers.
+// delivery, the coordinator's plan is sized by the live workers, and a
+// reputation monitor's fold allocates nothing once warm.
 // Global operator new/new[] are replaced with counting versions for this
 // binary (counting all allocations, separately the large ones, and the
 // bytes requested); each test warms its path up, then measures a tight
@@ -24,6 +25,7 @@
 #include "compress/quantize.hpp"
 #include "compress/topk.hpp"
 #include "core/coordinator.hpp"
+#include "core/reputation.hpp"
 #include "data/synthetic.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/models.hpp"
@@ -503,6 +505,29 @@ TEST(Coordinator, ReputationPlanAllocatesByTheLiveWorkers) {
   const auto plan = coord.begin_round();
   EXPECT_LE(allocated_bytes() - before, 64 * kPopulation);
   EXPECT_NE(plan.gossip.peer(3), 3u);
+}
+
+TEST(ReputationMonitor, EndRoundAllocatesNothingOnceWarm) {
+  // A cohort run stages a few observations a round into a monitor over the
+  // whole population.  Once its scratch has held a round's observations,
+  // the fold allocates nothing, whatever the population.
+  constexpr std::size_t kPopulation = 100000;
+  constexpr std::size_t kObservations = 8;
+  core::ReputationMonitor monitor(kPopulation);
+  const auto received = random_vec(64, 31);
+  const auto reference = random_vec(64, 37);
+  const auto stage = [&](std::size_t round) {
+    for (std::size_t i = 0; i < kObservations; ++i) {
+      const std::size_t observer = (round * 7919 + i * 12553) % kPopulation;
+      monitor.observe(observer, (i % 3) * 33331, received, reference);
+    }
+  };
+  stage(0);
+  monitor.end_round();  // warm-up
+  stage(1);
+  const std::size_t before = allocations();
+  monitor.end_round();
+  EXPECT_EQ(allocations() - before, 0u);
 }
 
 TEST(Gemm, PackScratchIsReusedAcrossCalls) {
