@@ -231,7 +231,6 @@ FaultyFabric::FaultyFabric(net::LinkModel link, FaultSpec spec)
 
 void FaultyFabric::begin_round() {
   Fabric::begin_round();
-  ++round_;
   // Serial per-round snapshot: parallel post() calls all read one value, so
   // the collusion gate is a pure function of the round like every other
   // fault decision.  Without a probe the whole group counts as live.
@@ -253,19 +252,21 @@ FaultyFabric::Tally FaultyFabric::tally() const {
   return total;
 }
 
-const ByzantineEvent* FaultyFabric::byzantine_event(std::size_t src) const {
+const ByzantineEvent* FaultyFabric::byzantine_event(std::size_t src,
+                                                    std::size_t round) const {
   for (const auto& e : spec_.byzantine) {
-    if (e.worker == src && window_open(round_, e.from_round, e.to_round)) {
+    if (e.worker == src && window_open(round, e.from_round, e.to_round)) {
       return &e;
     }
   }
   return nullptr;
 }
 
-bool FaultyFabric::partition_cut(std::size_t src, std::size_t dst) const {
+bool FaultyFabric::partition_cut(std::size_t src, std::size_t dst,
+                                 std::size_t round) const {
   for (std::size_t i = 0; i < spec_.partitions.size(); ++i) {
     const auto& e = spec_.partitions[i];
-    if (!window_open(round_, e.from_round, e.to_round)) continue;
+    if (!window_open(round, e.from_round, e.to_round)) continue;
     const auto gs = partition_group_[i][src];
     const auto gd = partition_group_[i][dst];
     if (gs != kNoGroup && gd != kNoGroup && gs != gd) return true;
@@ -276,13 +277,16 @@ bool FaultyFabric::partition_cut(std::size_t src, std::size_t dst) const {
 void FaultyFabric::post(std::size_t src, std::size_t dst, double charged,
                         std::vector<std::uint8_t> payload) {
   check_post(src, dst);
+  // The open round, 1-based, is every fault window's clock: the link model
+  // counts the rounds the fabric has closed.
+  const std::size_t round = link().rounds() + 1;
   // The source's send index this round: a count kept from an older round
   // restarts at 0.
   auto& sends = sends_[src];
-  if (sends.round != round_) sends = {.round = round_, .count = 0};
+  if (sends.round != round) sends = {.round = round, .count = 0};
   const std::uint64_t k = sends.count++;
 
-  const auto* byz = byzantine_event(src);
+  const auto* byz = byzantine_event(src, round);
   if (byz != nullptr && byz->mode == ByzantineMode::kCollusion &&
       colluders_live_ < spec_.collude_min) {
     // The collusion gate is closed: too few group members are co-selected
@@ -299,7 +303,7 @@ void FaultyFabric::post(std::size_t src, std::size_t dst, double charged,
   // round, src, send-index, dst).  All three uniforms are always drawn, so
   // the drop schedule does not shift when the dup/delay knobs change.
   // derive_seed takes up to three tags, hence the chained derivation.
-  Rng rng(derive_seed(derive_seed(spec_.fault_seed, kFaultSalt, src), round_,
+  Rng rng(derive_seed(derive_seed(spec_.fault_seed, kFaultSalt, src), round,
                       k, dst));
   const double u_drop = rng.next_double();
   const double u_dup = rng.next_double();
@@ -310,7 +314,7 @@ void FaultyFabric::post(std::size_t src, std::size_t dst, double charged,
     ++tallies_[src].delayed;
   }
 
-  if (partition_cut(src, dst)) {
+  if (partition_cut(src, dst, round)) {
     link().transfer(src, dst, charged, extra);
     ++tallies_[src].partitioned;
     return;
@@ -325,7 +329,7 @@ void FaultyFabric::post(std::size_t src, std::size_t dst, double charged,
     // Transform RNG is separate from the decision stream so that enabling a
     // byzantine window never shifts drop/dup/delay schedules.
     Rng noise(derive_seed(derive_seed(spec_.fault_seed, kFaultSalt + 1, src),
-                          round_, k, dst));
+                          round, k, dst));
     AttackParams params;
     params.mode = byz->mode;
     params.boost = static_cast<double>(std::max<std::size_t>(
@@ -334,7 +338,7 @@ void FaultyFabric::post(std::size_t src, std::size_t dst, double charged,
     // The direction stream is shared by the whole group: no src/k/dst tags,
     // so every colluder's frame carries the same per-round direction.
     params.shared_seed =
-        derive_seed(derive_seed(spec_.fault_seed, kFaultSalt + 2), round_);
+        derive_seed(derive_seed(spec_.fault_seed, kFaultSalt + 2), round);
     transform_payload(payload, params, noise);
     ++tallies_[src].transformed;
   }

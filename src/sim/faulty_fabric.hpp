@@ -91,14 +91,15 @@ class FaultyFabric final : public Fabric {
             std::vector<std::uint8_t> payload) override;
 
  private:
-  /// Active byzantine mode of `src` this round, or nullopt-equivalent
-  /// (encoded as count) when honest.
-  [[nodiscard]] const ByzantineEvent* byzantine_event(std::size_t src) const;
-  /// True when src and dst sit in different groups of an open partition.
-  [[nodiscard]] bool partition_cut(std::size_t src, std::size_t dst) const;
+  /// Active byzantine event of `src` in `round`, or nullptr when honest.
+  [[nodiscard]] const ByzantineEvent* byzantine_event(std::size_t src,
+                                                      std::size_t round) const;
+  /// True when src and dst sit in different groups of a partition open in
+  /// `round`.
+  [[nodiscard]] bool partition_cut(std::size_t src, std::size_t dst,
+                                   std::size_t round) const;
 
   FaultSpec spec_;
-  std::size_t round_ = 0;  // 1-based data round: every fault window's clock
   std::size_t fanin_estimate_ = 0;
   std::function<std::size_t()> colluder_liveness_;
   // Snapshot of the colluder-liveness count, taken serially in
