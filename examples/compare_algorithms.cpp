@@ -18,9 +18,10 @@ int main(int argc, char** argv) {
   auto sinks = saps::scenario::sinks_from_flags_or_exit(flags);
 
   saps::scenario::Runner runner(spec);
-  std::cout << "Comparing 7 algorithms on " << runner.workload().display_name
-            << " (" << spec.workers << " workers, " << spec.epochs
-            << " epochs, random (0,5] MB/s bandwidths)\n\n";
+  std::cout << "Comparing " << spec.effective_algorithms().size()
+            << " algorithm(s) on " << runner.workload().display_name << " ("
+            << spec.workers << " workers, " << spec.epochs
+            << " epochs, bandwidth=" << spec.bandwidth << ")\n\n";
 
   const auto runs = runner.run_all(&sinks);
   saps::Table table({"Algorithm", "Accuracy %", "Traffic MB/worker",

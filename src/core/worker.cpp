@@ -8,7 +8,7 @@ namespace saps::core {
 
 SapsWorker::SapsWorker(sim::Engine& engine, std::size_t rank,
                        double compression)
-    : engine_(&engine), rank_(rank), compression_(compression), peer_(rank) {
+    : engine_(&engine), rank_(rank), peer_(rank) {
   if (rank >= engine.workers()) throw std::out_of_range("SapsWorker: rank");
   if (compression < 1.0) {
     throw std::invalid_argument("SapsWorker: compression < 1");

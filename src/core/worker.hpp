@@ -21,6 +21,8 @@ namespace saps::core {
 
 class SapsWorker {
  public:
+  /// Throws std::invalid_argument when compression < 1.  The worker keeps
+  /// no ratio: each round's mask, which the caller passes in, carries it.
   SapsWorker(sim::Engine& engine, std::size_t rank, double compression);
 
   [[nodiscard]] std::size_t rank() const noexcept { return rank_; }
@@ -68,7 +70,6 @@ class SapsWorker {
  private:
   sim::Engine* engine_;
   std::size_t rank_;
-  double compression_;
   std::size_t peer_ = 0;
   std::uint64_t mask_seed_ = 0;
   std::uint32_t round_ = 0;
