@@ -334,12 +334,7 @@ void Engine::apply_update(std::size_t w, std::span<const float> gradient,
 }
 
 void Engine::for_each_worker(const std::function<void(std::size_t)>& fn) {
-  if (pool_) {
-    pool_->parallel_for(active_.size(),
-                        [&](std::size_t i) { fn(active_[i]); });
-    return;
-  }
-  for (const auto w : active_) fn(w);
+  parallel_for(active_.size(), [&](std::size_t i) { fn(active_[i]); });
 }
 
 void Engine::parallel_for(std::size_t n,
