@@ -18,7 +18,6 @@ class ReLU final : public Layer {
   }
   void forward(const Tensor& in, Tensor& out, bool train) override;
   void backward(const Tensor& in, const Tensor& dout, Tensor& din) override;
-  [[nodiscard]] const char* name() const noexcept override { return "ReLU"; }
 };
 
 /// Reshapes (B, C, H, W) → (B, C*H*W).  No-op on rank-2 inputs.
@@ -31,7 +30,6 @@ class Flatten final : public Layer {
       const std::vector<std::size_t>& in_shape) const override;
   void forward(const Tensor& in, Tensor& out, bool train) override;
   void backward(const Tensor& in, const Tensor& dout, Tensor& din) override;
-  [[nodiscard]] const char* name() const noexcept override { return "Flatten"; }
 };
 
 }  // namespace saps::nn

@@ -30,9 +30,6 @@ class BatchNorm2d final : public Layer {
       const std::vector<std::size_t>& in_shape) const override;
   void forward(const Tensor& in, Tensor& out, bool train) override;
   void backward(const Tensor& in, const Tensor& dout, Tensor& din) override;
-  [[nodiscard]] const char* name() const noexcept override {
-    return "BatchNorm2d";
-  }
 
  private:
   std::size_t channels_;

@@ -23,7 +23,6 @@ class Conv2d final : public Layer {
       const std::vector<std::size_t>& in_shape) const override;
   void forward(const Tensor& in, Tensor& out, bool train) override;
   void backward(const Tensor& in, const Tensor& dout, Tensor& din) override;
-  [[nodiscard]] const char* name() const noexcept override { return "Conv2d"; }
 
  private:
   void check_input(const std::vector<std::size_t>& in_shape) const;

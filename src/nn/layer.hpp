@@ -64,9 +64,6 @@ class Layer {
   /// skipping that work while leaving its parameter gradients bit-identical;
   /// parameter-free layers never receive one.
   virtual void backward(const Tensor& in, const Tensor& dout, Tensor& din) = 0;
-
-  /// Human-readable layer name for summaries.
-  [[nodiscard]] virtual const char* name() const noexcept = 0;
 };
 
 }  // namespace saps::nn

@@ -19,7 +19,6 @@ class Linear final : public Layer {
       const std::vector<std::size_t>& in_shape) const override;
   void forward(const Tensor& in, Tensor& out, bool train) override;
   void backward(const Tensor& in, const Tensor& dout, Tensor& din) override;
-  [[nodiscard]] const char* name() const noexcept override { return "Linear"; }
 
  private:
   std::size_t in_dim_;

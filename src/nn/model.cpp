@@ -1,7 +1,6 @@
 #include "nn/model.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <stdexcept>
 
 #include "nn/loss.hpp"
@@ -74,14 +73,6 @@ void Model::bind(std::span<float> params, std::span<float> grads,
 
 void Model::zero_grad() noexcept {
   for (auto& g : grads_) g = 0.0f;
-}
-
-std::size_t Model::num_classes() const {
-  if (!built_) throw std::logic_error("Model::num_classes before build");
-  std::vector<std::size_t> shape = input_shape_;
-  shape.insert(shape.begin(), 1);
-  for (const auto& layer : layers_) shape = layer->output_shape(shape);
-  return shape[1];
 }
 
 void Model::ensure_activations(
@@ -168,17 +159,6 @@ void Model::set_buffers(std::span<const float> state) {
     throw std::invalid_argument("Model::set_buffers: state size mismatch");
   }
   std::copy(state.begin(), state.end(), buffers_.begin());
-}
-
-std::string Model::summary() const {
-  std::ostringstream oss;
-  std::size_t total = 0;
-  for (const auto& layer : layers_) {
-    oss << layer->name() << ": " << layer->param_count() << " params\n";
-    total += layer->param_count();
-  }
-  oss << "total: " << total << " params\n";
-  return oss.str();
 }
 
 }  // namespace saps::nn

@@ -78,7 +78,6 @@ class Model {
   [[nodiscard]] const std::vector<std::size_t>& input_shape() const noexcept {
     return input_shape_;
   }
-  [[nodiscard]] std::size_t num_classes() const;
 
   /// The flat non-trainable evaluation state of all layers (batch-norm
   /// running statistics); empty for buffer-free models.  Together with
@@ -91,9 +90,6 @@ class Model {
   /// buffers(); throws std::invalid_argument unless it is buffer_count()
   /// long.
   void set_buffers(std::span<const float> state);
-
-  /// One-line-per-layer summary.
-  [[nodiscard]] std::string summary() const;
 
  private:
   void bind_layers(std::span<float> params, std::span<float> grads,

@@ -19,9 +19,6 @@ class MaxPool2d final : public Layer {
       const std::vector<std::size_t>& in_shape) const override;
   void forward(const Tensor& in, Tensor& out, bool train) override;
   void backward(const Tensor& in, const Tensor& dout, Tensor& din) override;
-  [[nodiscard]] const char* name() const noexcept override {
-    return "MaxPool2d";
-  }
 
  private:
   std::size_t window_;
@@ -40,9 +37,6 @@ class GlobalAvgPool final : public Layer {
       const std::vector<std::size_t>& in_shape) const override;
   void forward(const Tensor& in, Tensor& out, bool train) override;
   void backward(const Tensor& in, const Tensor& dout, Tensor& din) override;
-  [[nodiscard]] const char* name() const noexcept override {
-    return "GlobalAvgPool";
-  }
 };
 
 }  // namespace saps::nn

@@ -27,9 +27,6 @@ class ResidualBlock final : public Layer {
       const std::vector<std::size_t>& in_shape) const override;
   void forward(const Tensor& in, Tensor& out, bool train) override;
   void backward(const Tensor& in, const Tensor& dout, Tensor& din) override;
-  [[nodiscard]] const char* name() const noexcept override {
-    return "ResidualBlock";
-  }
 
  private:
   bool has_projection() const noexcept { return proj_ != nullptr; }
