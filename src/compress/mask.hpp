@@ -32,10 +32,4 @@ void average_masked_inplace(std::span<float> x,
                             std::span<const std::uint8_t> mask,
                             std::span<const float> peer_values);
 
-/// Wire size in bytes of a masked-values message: 4-byte float per value
-/// plus a 16-byte header (seed + round).  Index-free by construction.
-[[nodiscard]] constexpr double masked_wire_bytes(std::size_t values) noexcept {
-  return 16.0 + 4.0 * static_cast<double>(values);
-}
-
 }  // namespace saps::compress

@@ -233,12 +233,6 @@ void unpack_portable(const std::uint8_t* src, std::size_t len, int levels,
 
 }  // namespace
 
-double QsgdEncoded::wire_bytes() const noexcept {
-  const double symbols = 2.0 * static_cast<double>(levels) + 1.0;
-  const double bits_per_coord = std::ceil(std::log2(symbols));
-  return 5.0 + bits_per_coord * static_cast<double>(quantized.size()) / 8.0;
-}
-
 void qsgd_encode(std::span<const float> x, std::uint8_t levels, Rng& rng,
                  QsgdEncoded& out) {
   if (levels == 0) throw std::invalid_argument("qsgd_encode: levels == 0");

@@ -20,11 +20,6 @@ struct QsgdEncoded {
   float norm = 0.0f;
   std::uint8_t levels = 0;                // s
   std::vector<std::int8_t> quantized;     // signed level per coordinate
-
-  /// Wire size: 4-byte norm + 1-byte levels + ceil(log2(2s+1)) bits per
-  /// coordinate (we charge the information-theoretic size, matching how the
-  /// paper counts "32x compression" for 1-bit schemes).
-  [[nodiscard]] double wire_bytes() const noexcept;
 };
 
 [[nodiscard]] QsgdEncoded qsgd_encode(std::span<const float> x,

@@ -15,10 +15,6 @@ struct SparseVector {
   std::vector<float> values;
 
   [[nodiscard]] std::size_t nnz() const noexcept { return indices.size(); }
-  /// Wire size: 4-byte index + 4-byte value per entry + 16-byte header.
-  [[nodiscard]] double wire_bytes() const noexcept {
-    return 16.0 + 8.0 * static_cast<double>(indices.size());
-  }
 };
 
 /// One selection candidate: a coordinate and its |x| key, the IEEE-754 bits

@@ -1,6 +1,5 @@
 #include "net/wire.hpp"
 
-#include <cmath>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -157,7 +156,7 @@ RoundEndMsg RoundEndMsg::decode(std::span<const std::uint8_t> bytes) {
 
 std::vector<std::uint8_t> MaskedModelMsg::encode() const {
   // Header is exactly 16 bytes (type+count packed with round/seed) so the
-  // encoded size equals compress::masked_wire_bytes(values.size()).
+  // encoded size equals wire_bytes() = 16 + 4·|values|.
   ByteWriter w;
   w.u8(static_cast<std::uint8_t>(MsgType::kMaskedModel));
   pad(w, 3);
@@ -252,16 +251,9 @@ std::uint32_t FullModelMsg::peek_rank(std::span<const std::uint8_t> bytes) {
   return r.u32();
 }
 
-std::size_t QuantGradMsg::bits_per_coord() const noexcept {
-  // Symbols are the signed levels {-s..s}; 2s+1 of them.
-  return compress::level_bits(levels);
-}
-
 double QuantGradMsg::wire_bytes() const noexcept {
-  // Identical expression to compress::QsgdEncoded::wire_bytes(): 4-byte norm
-  // + 1-byte levels + ceil(log2(2s+1)) bits per coordinate.
-  const double symbols = 2.0 * static_cast<double>(levels) + 1.0;
-  const double bits = std::ceil(std::log2(symbols));
+  // 4-byte norm + 1-byte levels + level_bits(s) bits per coordinate.
+  const auto bits = static_cast<double>(compress::level_bits(levels));
   return 5.0 + bits * static_cast<double>(quantized.size()) / 8.0;
 }
 
@@ -292,7 +284,7 @@ QuantGradMsg QuantGradMsg::decode(std::span<const std::uint8_t> bytes) {
   m.origin = r.u32();
   m.norm = r.f32();
   const std::uint32_t count = r.u32();
-  // Packed stream: count coords at bits_per_coord() bits each, whole bytes.
+  // Packed stream: count coords at level_bits(levels) bits each, whole bytes.
   if (count > 0 && compress::packed_bytes(count, m.levels) > r.remaining()) {
     throw std::out_of_range("QuantGradMsg: declared count exceeds payload");
   }

@@ -2,16 +2,17 @@
 //
 // Every inter-node exchange in the simulator flows through sim::Fabric as one
 // of the typed messages below; the fabric charges traffic from each message's
-// wire_bytes().  For the control-plane and sparsified messages (NotifyMsg,
-// RoundEndMsg, MaskedModelMsg, SparseDeltaMsg) the charge IS encode().size()
-// — the cross-check suite in tests/message_plane_test.cpp pins that equality
-// against compress::masked_wire_bytes and SparseVector::wire_bytes across
-// dimensions, and the control messages at 24 and 12 bytes.  Two message types
-// charge less than their physical encoding, matching the paper's accounting:
-// FullModelMsg charges payload floats only (Table I counts model parameters
-// moved, not framing), and QuantGradMsg charges the information-theoretic
-// sub-byte size of QSGD (the "32x compression" convention).  Both deltas are
-// pinned by test so the charge can never drift from the encoding silently.
+// wire_bytes(), the one charge formula for its payload.  For the
+// control-plane and sparsified messages (NotifyMsg, RoundEndMsg,
+// MaskedModelMsg, SparseDeltaMsg) the charge IS encode().size() — the
+// cross-check suite in tests/message_plane_test.cpp pins that equality and
+// its closed form across dimensions, and the control messages at 24 and 12
+// bytes.  Two message types charge less than their physical encoding,
+// matching the paper's accounting: FullModelMsg charges payload floats only
+// (Table I counts model parameters moved, not framing), and QuantGradMsg
+// charges the information-theoretic sub-byte size of QSGD (the "32x
+// compression" convention).  Both deltas are pinned by test so the charge
+// can never drift from the encoding silently.
 // All integers are little-endian; floats are IEEE-754 binary32.
 #pragma once
 
@@ -117,7 +118,7 @@ struct RoundEndMsg {
 
 /// The SAPS sparsified model: seed + round + surviving values, NO indices —
 /// the receiver regenerates the mask from the seed.  Encoded size is exactly
-/// compress::masked_wire_bytes(values.size()) = 16 + 4·|values|.
+/// 16 + 4·|values|.
 struct MaskedModelMsg {
   std::uint64_t mask_seed = 0;
   std::uint32_t round = 0;
@@ -131,8 +132,8 @@ struct MaskedModelMsg {
   static MaskedModelMsg decode(std::span<const std::uint8_t> bytes);
 };
 
-/// (index, value) sparse payload; encoded size = 16 + 8·nnz, matching
-/// compress::SparseVector::wire_bytes().
+/// (index, value) sparse payload: a 16-byte header plus a 4-byte index and a
+/// 4-byte value per entry, so the encoded size is 16 + 8·nnz.
 struct SparseDeltaMsg {
   std::uint32_t round = 0;
   std::uint32_t origin = 0;
@@ -169,11 +170,12 @@ struct FullModelMsg {
 };
 
 /// QSGD quantized gradient: ‖x‖₂ + s + one signed level per coordinate,
-/// bit-packed at ceil(log2(2s+1)) bits.  The CHARGED size is the
-/// information-theoretic compress::QsgdEncoded::wire_bytes() (norm + levels
-/// + packed bits, fractional bytes allowed); the physical encoding
-/// byte-aligns the bit stream and adds a frame, so encode().size() ==
-/// 20 + ceil(bits·n/8) — the delta is pinned by test.
+/// bit-packed at compress::level_bits(s) = ceil(log2(2s+1)) bits.  The
+/// CHARGED size is the information-theoretic 5 + bits·n/8 (4-byte norm,
+/// 1-byte levels, packed bits, fractional bytes allowed), matching how the
+/// paper counts "32x compression"; the physical encoding byte-aligns the
+/// bit stream and adds a frame, so encode().size() == 20 + ceil(bits·n/8) —
+/// the delta is pinned by test.
 struct QuantGradMsg {
   std::uint32_t round = 0;
   std::uint32_t origin = 0;
@@ -183,9 +185,7 @@ struct QuantGradMsg {
 
   // type + levels + 2 pad + round + origin + norm + count.
   static constexpr std::size_t kFrameBytes = 20;
-  [[nodiscard]] std::size_t bits_per_coord() const noexcept;
-  /// Charged wire size; equals compress::QsgdEncoded::wire_bytes() for the
-  /// same (levels, coordinate count).
+  /// Charged wire size: 5 + level_bits(levels)·n/8 for n coordinates.
   [[nodiscard]] double wire_bytes() const noexcept;
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
   static QuantGradMsg decode(std::span<const std::uint8_t> bytes);

@@ -11,6 +11,7 @@
 
 #include "compress/mask.hpp"
 #include "compress/topk.hpp"
+#include "net/wire.hpp"
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
 
@@ -93,8 +94,11 @@ TEST(Mask, AverageRejectsWrongValueCount) {
 }
 
 TEST(Mask, WireBytesFormula) {
-  EXPECT_DOUBLE_EQ(masked_wire_bytes(0), 16.0);
-  EXPECT_DOUBLE_EQ(masked_wire_bytes(100), 416.0);
+  // The masked model's charge: a 16-byte header plus 4 bytes per value.
+  net::MaskedModelMsg msg;
+  EXPECT_DOUBLE_EQ(msg.wire_bytes(), 16.0);
+  msg.values.assign(100, 1.0f);
+  EXPECT_DOUBLE_EQ(msg.wire_bytes(), 416.0);
 }
 
 TEST(TopK, SelectsLargestMagnitudes) {
@@ -113,9 +117,11 @@ TEST(TopK, AlwaysKeepsAtLeastOne) {
 }
 
 TEST(TopK, WireBytes) {
+  // A top-k selection ships as a sparse delta: 16 + 8 bytes per entry.
   const std::vector<float> x = {1, 2, 3, 4};
   const auto s = top_k(x, 2.0);
-  EXPECT_DOUBLE_EQ(s.wire_bytes(), 16.0 + 8.0 * 2);
+  const net::SparseDeltaMsg msg{.indices = s.indices, .values = s.values};
+  EXPECT_DOUBLE_EQ(msg.wire_bytes(), 16.0 + 8.0 * 2);
 }
 
 // --- exact top-k selection --------------------------------------------------

@@ -1,15 +1,14 @@
 // Cross-check suite for the message plane: the traffic charge of every wire
 // message (wire_bytes(), what sim::Fabric bills) is pinned against the
-// byte-level encoding and against the accounting helpers that predate the
-// fabric — compress::masked_wire_bytes, compress::SparseVector::wire_bytes
-// and compress::QsgdEncoded::wire_bytes — across dimensions, the control
-// messages at their 24- and 12-byte sizes, plus truncated-input decode tests
-// for every message type.
+// byte-level encoding and against a closed form written here — 16 + 4k for
+// masked models, 16 + 8·nnz for sparse deltas, 5 + bits·n/8 for QSGD
+// gradients — across dimensions, the control messages at their 24- and
+// 12-byte sizes, plus truncated-input decode tests for every message type.
 #include <gtest/gtest.h>
 
-#include "compress/mask.hpp"
+#include <cmath>
+
 #include "compress/quantize.hpp"
-#include "compress/topk.hpp"
 #include "net/wire.hpp"
 #include "util/rng.hpp"
 
@@ -39,10 +38,8 @@ TEST(ChargeCrossCheck, MaskedModelMatchesMaskedWireBytesAcrossDims) {
     msg.values.resize(k);
     for (auto& v : msg.values) v = rng.next_float();
     const auto bytes = msg.encode();
-    EXPECT_DOUBLE_EQ(static_cast<double>(bytes.size()),
-                     compress::masked_wire_bytes(k))
-        << "k=" << k;
-    EXPECT_DOUBLE_EQ(msg.wire_bytes(), compress::masked_wire_bytes(k));
+    EXPECT_EQ(bytes.size(), 16 + 4 * k) << "k=" << k;
+    EXPECT_DOUBLE_EQ(msg.wire_bytes(), static_cast<double>(bytes.size()));
   }
 }
 
@@ -52,18 +49,13 @@ TEST(ChargeCrossCheck, SparseDeltaMatchesSparseVectorWireBytesAcrossDims) {
     SparseDeltaMsg msg;
     msg.round = 1;
     msg.origin = 4;
-    compress::SparseVector equivalent;
     for (std::size_t i = 0; i < nnz; ++i) {
       msg.indices.push_back(static_cast<std::uint32_t>(3 * i));
       msg.values.push_back(rng.next_float());
     }
-    equivalent.indices = msg.indices;
-    equivalent.values = msg.values;
     const auto bytes = msg.encode();
-    EXPECT_DOUBLE_EQ(static_cast<double>(bytes.size()),
-                     equivalent.wire_bytes())
-        << "nnz=" << nnz;
-    EXPECT_DOUBLE_EQ(msg.wire_bytes(), equivalent.wire_bytes());
+    EXPECT_EQ(bytes.size(), 16 + 8 * nnz) << "nnz=" << nnz;
+    EXPECT_DOUBLE_EQ(msg.wire_bytes(), static_cast<double>(bytes.size()));
   }
 }
 
@@ -101,10 +93,13 @@ TEST(ChargeCrossCheck, QuantGradMatchesQsgdEncodedWireBytes) {
       msg.norm = enc.norm;
       msg.levels = enc.levels;
       msg.quantized = enc.quantized;
-      EXPECT_DOUBLE_EQ(msg.wire_bytes(), enc.wire_bytes())
+      // 2s+1 signed levels at ceil(log2(2s+1)) bits each.
+      const auto bits = static_cast<std::size_t>(
+          std::ceil(std::log2(2.0 * static_cast<double>(levels) + 1.0)));
+      EXPECT_DOUBLE_EQ(msg.wire_bytes(),
+                       5.0 + static_cast<double>(bits * n) / 8.0)
           << "levels=" << int(levels) << " n=" << n;
-      const std::size_t packed =
-          (msg.bits_per_coord() * n + 7) / 8;  // byte-aligned bit stream
+      const std::size_t packed = (bits * n + 7) / 8;  // byte-aligned stream
       EXPECT_EQ(msg.encode().size(), QuantGradMsg::kFrameBytes + packed);
     }
   }

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "compress/quantize.hpp"
+#include "net/wire.hpp"
 #include "tensor/ops.hpp"
 
 namespace saps::compress {
@@ -59,7 +60,8 @@ TEST(Qsgd, WireBytesBelowDense) {
   Rng rng(5);
   std::vector<float> x(10000, 1.0f);
   const auto e = qsgd_encode(x, 4, rng);  // 9 symbols → 4 bits per coord
-  EXPECT_LT(e.wire_bytes(), 4.0 * 10000 / 4);  // ≥ 8x smaller than fp32
+  const net::QuantGradMsg msg{.levels = e.levels, .quantized = e.quantized};
+  EXPECT_LT(msg.wire_bytes(), 4.0 * 10000 / 4);  // ≥ 8x smaller than fp32
 }
 
 TEST(Qsgd, RejectsBadArguments) {

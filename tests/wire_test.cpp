@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "compress/mask.hpp"
-#include "compress/topk.hpp"
 #include "net/wire.hpp"
 #include "util/rng.hpp"
 
@@ -60,10 +58,9 @@ TEST(Wire, MaskedModelRoundTripAndSizeContract) {
   msg.round = 17;
   msg.values = {1.5f, -2.25f, 0.0f, 9.75f};
   const auto bytes = msg.encode();
-  // The encoded size must equal the accounting formula used by the
-  // algorithms: masked_wire_bytes(k) = 16 + 4k.
-  EXPECT_DOUBLE_EQ(static_cast<double>(bytes.size()),
-                   compress::masked_wire_bytes(msg.values.size()));
+  // The encoded size must equal the charge: 16 + 4k for k values.
+  EXPECT_EQ(bytes.size(), 16u + 4u * 4u);
+  EXPECT_DOUBLE_EQ(msg.wire_bytes(), static_cast<double>(bytes.size()));
   const auto back = MaskedModelMsg::decode(bytes);
   EXPECT_EQ(back.mask_seed, msg.mask_seed);
   EXPECT_EQ(back.round, msg.round);
@@ -84,10 +81,9 @@ TEST(Wire, SparseDeltaRoundTripAndSizeContract) {
   msg.indices = {1, 5, 1000};
   msg.values = {0.5f, -1.0f, 2.0f};
   const auto bytes = msg.encode();
-  compress::SparseVector equivalent;
-  equivalent.indices = msg.indices;
-  equivalent.values = msg.values;
-  EXPECT_DOUBLE_EQ(static_cast<double>(bytes.size()), equivalent.wire_bytes());
+  // The encoded size must equal the charge: 16 + 8·nnz for nnz entries.
+  EXPECT_EQ(bytes.size(), 16u + 8u * 3u);
+  EXPECT_DOUBLE_EQ(msg.wire_bytes(), static_cast<double>(bytes.size()));
   const auto back = SparseDeltaMsg::decode(bytes);
   EXPECT_EQ(back.indices, msg.indices);
   EXPECT_EQ(back.values, msg.values);
