@@ -51,12 +51,18 @@ net::LinkModel make_link(const SimConfig& config,
              : net::LinkModel(config.workers + 1, opts);
 }
 
+// The message plane, faulty when any fault knob is enabled or the wrapper
+// is forced.  A FaultyFabric boosts model replacement by the actual
+// aggregation fan-in (`fanin`, the cohort size) and asks `colluders_live`
+// how many collusion-group members are live each round.
 std::unique_ptr<Fabric> make_fabric(
     const SimConfig& config,
-    const std::optional<net::BandwidthMatrix>& bandwidth) {
+    const std::optional<net::BandwidthMatrix>& bandwidth, std::size_t fanin,
+    std::function<std::size_t()> colluders_live) {
   auto link = make_link(config, bandwidth);
   if (config.faults.enabled() || config.faults.force_wrapper) {
-    return std::make_unique<FaultyFabric>(std::move(link), config.faults);
+    return std::make_unique<FaultyFabric>(std::move(link), config.faults,
+                                          fanin, std::move(colluders_live));
   }
   return std::make_unique<Fabric>(std::move(link));
 }
@@ -68,39 +74,47 @@ Engine::Engine(SimConfig config, const data::Dataset& train,
     : config_(std::move(config)),
       factory_(factory),
       train_(&train),
-      test_(&test),
-      fabric_(make_fabric(config_, bandwidth)) {
+      test_(&test) {
   if (config_.workers < 2) throw std::invalid_argument("Engine: workers < 2");
+  const std::size_t cohort =
+      config_.cohort == 0 ? config_.workers : config_.cohort;
+  if (cohort < 2 || cohort > config_.workers) {
+    throw std::invalid_argument("Engine: cohort out of [2, workers]");
+  }
+  // The collusion gate counts group members on the active list (so both
+  // resident and active).  FaultyFabric::begin_round calls the probe
+  // serially, after round setup has fixed the list.
+  const auto colluders_live = [this] {
+    std::size_t live = 0;
+    for (const auto w : config_.faults.collude_group) {
+      if (std::ranges::binary_search(active_, w)) ++live;
+    }
+    return live;
+  };
+  fabric_ = make_fabric(config_, bandwidth, cohort, colluders_live);
   if (fabric_->nodes() != config_.workers + 1) {
     throw std::invalid_argument("Engine: bandwidth matrix size != workers");
   }
   network().set_stat_worker_count(config_.workers);
 
-  shard_groups_ =
+  const std::size_t shard_groups =
       config_.shard_groups == 0 ? config_.workers : config_.shard_groups;
-  if (shard_groups_ < 2 || shard_groups_ > config_.workers) {
+  if (shard_groups < 2 || shard_groups > config_.workers) {
     throw std::invalid_argument("Engine: shard_groups out of [2, workers]");
   }
-  cohort_size_ = config_.cohort == 0 ? config_.workers : config_.cohort;
-  if (cohort_size_ < 2 || cohort_size_ > config_.workers) {
-    throw std::invalid_argument("Engine: cohort out of [2, workers]");
-  }
-  pooled_ = cohort_size_ < config_.workers;
-  sample_seed_ = config_.sample_seed;
-
   // Partition the training data over the shard groups (== workers outside
   // population mode, preserving the legacy per-worker partition exactly).
   switch (config_.partition) {
     case PartitionKind::kIid:
-      shards_ = data::iid_partition(train, shard_groups_, config_.seed);
+      shards_ = data::iid_partition(train, shard_groups, config_.seed);
       break;
     case PartitionKind::kShard:
-      shards_ = data::shard_partition(train, shard_groups_,
+      shards_ = data::shard_partition(train, shard_groups,
                                       config_.shards_per_worker, config_.seed);
       break;
     case PartitionKind::kDirichlet:
       shards_ = data::dirichlet_partition(
-          train, shard_groups_, config_.dirichlet_alpha, config_.seed);
+          train, shard_groups, config_.dirichlet_alpha, config_.seed);
       break;
   }
   for (const auto& shard : shards_) {
@@ -110,62 +124,34 @@ Engine::Engine(SimConfig config, const data::Dataset& train,
     steps_per_epoch_ = std::max(steps_per_epoch_, batches);
   }
 
-  // The replica pool: cohort_size_ slots, initially owned by workers
-  // 0..cohort-1 (== every worker outside cohort mode).
-  samplers_.reserve(cohort_size_);
-  models_.reserve(cohort_size_);
-  optimizers_.reserve(cohort_size_);
-  slot_of_.assign(config_.workers, kNoSlot);
-  slot_worker_.assign(cohort_size_, kNoSlot);
-
+  // The replica pool: one slot per cohort member, initially owned by
+  // workers 0..cohort-1 (== every worker outside cohort mode).
   const nn::SgdConfig sgd_config{.lr = config_.lr,
                                  .momentum = config_.momentum};
-
-  for (std::size_t s = 0; s < cohort_size_; ++s) {
-    const std::size_t w = s;  // initial identity assignment
-    samplers_.push_back(std::make_unique<data::BatchSampler>(
-        train, shards_[w % shard_groups_], config_.batch_size,
-        derive_seed(config_.seed, 0xda7a, w)));
-    models_.push_back(std::make_unique<nn::Model>(factory()));
-    optimizers_.push_back(std::make_unique<nn::Sgd>(sgd_config));
-    slot_of_[w] = s;
-    slot_worker_[s] = w;
+  slots_.reserve(cohort);
+  slot_of_.assign(config_.workers, kNone);
+  for (std::size_t w = 0; w < cohort; ++w) {
+    slots_.emplace_back(w, factory(), nn::Sgd(sgd_config), make_sampler(w, {}));
+    slot_of_[w] = w;
     roster_.push_back(w);
   }
   active_ = roster_;
 
   // All replicas must start identical (‖X₀ − X̄₀1ᵀ‖² = 0, Section III-C).
-  const auto ref = models_.front()->parameters();
-  for (std::size_t s = 1; s < cohort_size_; ++s) {
-    const auto p = models_[s]->parameters();
+  const auto ref = slots_.front().model.parameters();
+  for (std::size_t s = 1; s < cohort; ++s) {
+    const auto p = slots_[s].model.parameters();
     if (p.size() != ref.size()) {
       throw std::invalid_argument("Engine: model factory is not deterministic");
     }
     std::copy(ref.begin(), ref.end(), p.begin());
   }
-  if (pooled_) {
+  if (cohort_mode()) {
     // First-time arrivals start from the common initialization.
     init_params_.assign(ref.begin(), ref.end());
-    const auto buffers = models_.front()->buffers();
+    const auto buffers = slots_.front().model.buffers();
     init_buffers_.assign(buffers.begin(), buffers.end());
     frozen_.resize(config_.workers);
-  }
-
-  if (auto* faulty = dynamic_cast<FaultyFabric*>(fabric_.get())) {
-    // Adaptive-adversary hooks: the model-replacement boost targets the
-    // actual aggregation fan-in (cohort size, == workers outside population
-    // mode), and the collusion gate counts group members that are both
-    // resident in the replica pool and active this round.  The probe is
-    // only invoked from FaultyFabric::begin_round (serial), so it reads
-    // engine state that round setup has already fixed.
-    faulty->set_aggregation_fanin(cohort_size_);
-    faulty->set_colluder_liveness_probe([this] {
-      std::size_t live = 0;
-      for (const auto w : config_.faults.collude_group) {
-        if (w < config_.workers && active(w)) ++live;
-      }
-      return live;
-    });
   }
 
   if (config_.threads > 0) {
@@ -173,9 +159,15 @@ Engine::Engine(SimConfig config, const data::Dataset& train,
   }
 }
 
+data::BatchSampler Engine::make_sampler(
+    std::size_t w, data::BatchSampler::State state) const {
+  return {*train_, shards_[w % shards_.size()], config_.batch_size,
+          derive_seed(config_.seed, 0xda7a, w), state};
+}
+
 std::size_t Engine::shard_size(std::size_t w) const {
   if (w >= config_.workers) throw std::out_of_range("Engine::shard_size");
-  return shards_[w % shard_groups_].size();
+  return shards_[w % shards_.size()].size();
 }
 
 Engine::FrozenBytes Engine::frozen_bytes() const {
@@ -190,56 +182,55 @@ Engine::FrozenBytes Engine::frozen_bytes() const {
 }
 
 void Engine::freeze_worker(std::size_t w, Keep keep) {
-  const std::size_t s = slot_of_[w];
+  auto& replica = slots_[slot_of_[w]];
   auto f = std::make_unique<FrozenWorker>();
   if (keep == Keep::kAll) {
-    const auto p = models_[s]->parameters();
+    const auto p = replica.model.parameters();
     f->params.assign(p.begin(), p.end());
   }
-  const auto b = models_[s]->buffers();
+  const auto b = replica.model.buffers();
   f->buffers.assign(b.begin(), b.end());
-  f->velocity = optimizers_[s]->velocity();
-  f->sampler = samplers_[s]->save_state();
+  f->velocity = replica.optimizer.velocity();
+  f->sampler = replica.sampler.save_state();
   frozen_[w] = std::move(f);
-  slot_worker_[s] = kNoSlot;
-  slot_of_[w] = kNoSlot;
+  replica.worker = kNone;
+  slot_of_[w] = kNone;
 }
 
 void Engine::thaw_worker(std::size_t w, std::size_t s) {
   // Rebind the slot's sampler to the worker's shard and seed; a rejoining
   // worker resumes its exact saved batch stream, a first-time one starts it.
   auto& f = frozen_[w];
-  samplers_[s] = std::make_unique<data::BatchSampler>(
-      *train_, shards_[w % shard_groups_], config_.batch_size,
-      derive_seed(config_.seed, 0xda7a, w),
-      f ? f->sampler : data::BatchSampler::State{});
-  const auto p = models_[s]->parameters();
+  auto& replica = slots_[s];
+  const auto state = f ? f->sampler : data::BatchSampler::State{};
+  replica.sampler = make_sampler(w, state);
+  const auto p = replica.model.parameters();
   if (f) {
     const auto& params = f->params.empty() ? init_params_ : f->params;
     std::copy(params.begin(), params.end(), p.begin());
-    models_[s]->set_buffers(f->buffers);
-    optimizers_[s]->set_velocity(std::move(f->velocity));
+    replica.model.set_buffers(f->buffers);
+    replica.optimizer.set_velocity(std::move(f->velocity));
     f.reset();  // resident state lives in the slot again
   } else {
     std::copy(init_params_.begin(), init_params_.end(), p.begin());
-    models_[s]->set_buffers(init_buffers_);
-    optimizers_[s]->set_velocity({});
+    replica.model.set_buffers(init_buffers_);
+    replica.optimizer.set_velocity({});
   }
-  slot_worker_[s] = w;
+  replica.worker = w;
   slot_of_[w] = s;
 }
 
 std::span<const std::size_t> Engine::begin_round_cohort(std::size_t round,
                                                         Keep keep) {
-  if (!pooled_) return roster_;
+  if (!cohort_mode()) return roster_;
 
-  // Floyd's algorithm: cohort_size_ distinct uniform draws from the
+  // Floyd's algorithm: slots_.size() distinct uniform draws from the
   // population in O(cohort) — a pure function of (sample_seed, round), so
   // the draw is identical across reruns, thread counts and call history.
-  Rng rng(derive_seed(sample_seed_, kCohortSalt, round));
+  Rng rng(derive_seed(config_.sample_seed, kCohortSalt, round));
   std::vector<std::size_t> cohort;
-  cohort.reserve(cohort_size_);
-  for (std::size_t j = config_.workers - cohort_size_; j < config_.workers;
+  cohort.reserve(slots_.size());
+  for (std::size_t j = config_.workers - slots_.size(); j < config_.workers;
        ++j) {
     const std::size_t t = rng.next_below(j + 1);
     if (std::find(cohort.begin(), cohort.end(), t) == cohort.end()) {
@@ -262,8 +253,8 @@ std::span<const std::size_t> Engine::begin_round_cohort(std::size_t round,
   // construction.
   std::size_t next_free = 0;
   for (const auto w : cohort) {
-    if (slot_of_[w] != kNoSlot) continue;  // stayed resident
-    while (slot_worker_[next_free] != kNoSlot) ++next_free;
+    if (slot_of_[w] != kNone) continue;  // stayed resident
+    while (slots_[next_free].worker != kNone) ++next_free;
     thaw_worker(w, next_free);
   }
   roster_ = std::move(cohort);
@@ -302,35 +293,35 @@ Engine::Lease::~Lease() {
   executors_.idle.push_back(exec_);
 }
 
-double Engine::train_step(Executor& exec, std::size_t s) {
-  samplers_[s]->next(exec.x, exec.y);
+double Engine::train_step(Executor& exec, data::BatchSampler& sampler) {
+  sampler.next(exec.x, exec.y);
   exec.model.zero_grad();
   return exec.model.train_batch(exec.x, exec.y);
 }
 
 double Engine::sgd_step(std::size_t w, std::size_t epoch) {
-  const std::size_t s = slot(w);
-  auto& state = *models_[s];
-  const Lease exec(*step_executors_, factory_);
+  auto& replica = slots_[slot(w)];
+  auto& state = replica.model;
+  const Lease exec(step_executors_, factory_);
   exec->model.bind(state.parameters(), exec->grad, state.buffers());
-  const double loss = train_step(*exec, s);
-  optimizers_[s]->step(state.parameters(), exec->grad, epoch);
+  const double loss = train_step(*exec, replica.sampler);
+  replica.optimizer.step(state.parameters(), exec->grad, epoch);
   return loss;
 }
 
 double Engine::compute_gradient(std::size_t w, std::size_t epoch) {
   (void)epoch;
-  const std::size_t s = slot(w);
-  auto& state = *models_[s];
-  const Lease exec(*step_executors_, factory_);
+  auto& replica = slots_[slot(w)];
+  auto& state = replica.model;
+  const Lease exec(step_executors_, factory_);
   exec->model.bind(state.parameters(), state.gradients(), state.buffers());
-  return train_step(*exec, s);
+  return train_step(*exec, replica.sampler);
 }
 
 void Engine::apply_update(std::size_t w, std::span<const float> gradient,
                           std::size_t epoch) {
-  const std::size_t s = slot(w);
-  optimizers_[s]->step(models_[s]->parameters(), gradient, epoch);
+  auto& replica = slots_[slot(w)];
+  replica.optimizer.step(replica.model.parameters(), gradient, epoch);
 }
 
 void Engine::for_each_worker(const std::function<void(std::size_t)>& fn) {
@@ -375,7 +366,7 @@ std::size_t Engine::chunk_count(std::size_t n) const noexcept {
 }
 
 void Engine::set_active(std::size_t w, bool active) {
-  if (slot_of_.at(w) == kNoSlot) return;
+  if (slot_of_.at(w) == kNone) return;
   const auto it = std::lower_bound(active_.begin(), active_.end(), w);
   const bool listed = it != active_.end() && *it == w;
   if (active && !listed) active_.insert(it, w);
@@ -401,7 +392,7 @@ void Engine::average_into(std::span<float> avg) const {
   // fixed worker order, so the result is identical for every thread count.
   parallel_chunks(avg.size(), [&](std::size_t begin, std::size_t end) {
     for (const auto w : active_) {
-      const auto p = models_[slot_of_[w]]->parameters();
+      const auto p = slots_[slot_of_[w]].model.parameters();
       for (std::size_t j = begin; j < end; ++j) avg[j] += p[j];
     }
     for (std::size_t j = begin; j < end; ++j) avg[j] *= inv;
@@ -411,7 +402,7 @@ void Engine::average_into(std::span<float> avg) const {
 void Engine::allreduce_average() {
   const auto avg = average_params();
   for_each_worker([&](std::size_t w) {
-    const auto p = models_[slot_of_[w]]->parameters();
+    const auto p = slots_[slot_of_[w]].model.parameters();
     std::copy(avg.begin(), avg.end(), p.begin());
   });
 }
@@ -462,9 +453,9 @@ MetricPoint Engine::eval_point(std::size_t round, double epoch,
   const std::size_t blocks =
       pool_ ? std::min({batches, pool_->size(), kMaxEvalClones})
             : std::size_t{1};
-  const auto buffers = models_[slot_of_[roster_.front()]]->buffers();
+  const auto buffers = slots_[slot_of_[roster_.front()]].model.buffers();
   parallel_for(blocks, [&](std::size_t b) {
-    const Lease exec(*eval_executors_, factory_);
+    const Lease exec(eval_executors_, factory_);
     exec->model.bind(eval_params_, exec->grad, buffers);
     eval_batches(*exec, b * batches / blocks, (b + 1) * batches / blocks,
                  losses, corrects, seens);
@@ -495,7 +486,7 @@ double Engine::consensus_distance() const {
   // Per-worker distances are independent; the sum below stays in fixed
   // worker order.
   parallel_for(active_.size(), [&](std::size_t i) {
-    const auto p = models_[slot_of_[active_[i]]]->parameters();
+    const auto p = slots_[slot_of_[active_[i]]].model.parameters();
     double d = 0.0;
     for (std::size_t j = 0; j < avg.size(); ++j) {
       const double diff = static_cast<double>(p[j]) - avg[j];

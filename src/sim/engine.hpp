@@ -134,6 +134,9 @@ struct RunResult {
 /// by-reference capture of a local dangles.
 using ModelFactory = std::function<nn::Model()>;
 
+/// Neither copyable nor movable: the fault fabric's colluder-liveness probe
+/// reads the engine it was built for.  Build one in place, or return it as
+/// a prvalue (guaranteed elision), and pass it by reference.
 class Engine {
  public:
   /// Borrows `train` and `test`, which must outlive the engine (a temporary
@@ -142,6 +145,8 @@ class Engine {
   Engine(SimConfig config, const data::Dataset& train,
          const data::Dataset& test, const ModelFactory& factory,
          std::optional<net::BandwidthMatrix> bandwidth);
+  Engine(const Engine&) = delete;
+  Engine& operator=(const Engine&) = delete;
   Engine(SimConfig, data::Dataset&&, const data::Dataset&, const ModelFactory&,
          std::optional<net::BandwidthMatrix>) = delete;
   Engine(SimConfig, const data::Dataset&, data::Dataset&&, const ModelFactory&,
@@ -152,12 +157,14 @@ class Engine {
   [[nodiscard]] const SimConfig& config() const noexcept { return config_; }
   [[nodiscard]] std::size_t workers() const noexcept { return config_.workers; }
   [[nodiscard]] std::size_t param_count() const noexcept {
-    return models_.front()->param_count();
+    return slots_.front().model.param_count();
   }
 
   /// True when the engine samples a per-round cohort from a larger
   /// population (cohort < workers) and pools model state.
-  [[nodiscard]] bool cohort_mode() const noexcept { return pooled_; }
+  [[nodiscard]] bool cohort_mode() const noexcept {
+    return slots_.size() < config_.workers;
+  }
   /// The workers currently owning a live replica, ascending.  Outside cohort
   /// mode this is every worker.
   [[nodiscard]] std::span<const std::size_t> roster() const noexcept {
@@ -190,14 +197,16 @@ class Engine {
   /// Worker w's state: parameters(), gradients() (written by
   /// compute_gradient only) and buffers().  The engine never runs a pass on
   /// it: steps and evaluation run on executors bound to this state.
-  [[nodiscard]] nn::Model& model(std::size_t w) { return *models_.at(slot(w)); }
+  [[nodiscard]] nn::Model& model(std::size_t w) {
+    return slots_[slot(w)].model;
+  }
   /// Worker w's optimizer; its momentum velocity is part of the worker's
   /// state.
   [[nodiscard]] const nn::Sgd& optimizer(std::size_t w) const {
-    return *optimizers_.at(slot(w));
+    return slots_[slot(w)].optimizer;
   }
   [[nodiscard]] std::span<float> params(std::size_t w) {
-    return models_.at(slot(w))->parameters();
+    return model(w).parameters();
   }
   /// The message plane: every inter-node exchange flows through here as an
   /// encoded wire message (mailbox delivery; charges go to network()).  A
@@ -361,9 +370,19 @@ class Engine {
     Executor* exec_;
   };
 
-  /// Draws slot s's next mini-batch into the executor, which is bound to
-  /// the state to train, and runs forward + backward; returns the loss.
-  double train_step(Executor& exec, std::size_t s);
+  /// One replica of the pool: the worker owning it (kNone while free) and
+  /// that worker's state.  Its model never runs a pass, so it holds no
+  /// activations.
+  struct Slot {
+    std::size_t worker;
+    nn::Model model;
+    nn::Sgd optimizer;
+    data::BatchSampler sampler;
+  };
+
+  /// Draws the sampler's next mini-batch into the executor, which is bound
+  /// to the state to train, and runs forward + backward; returns the loss.
+  static double train_step(Executor& exec, data::BatchSampler& sampler);
 
   /// Per-batch eval partials for [batch_begin, batch_end), written into the
   /// caller-provided per-batch vectors; reduced in batch order by eval_point.
@@ -375,12 +394,12 @@ class Engine {
   /// Writes the mean of the active workers' parameters into `avg`.
   void average_into(std::span<float> avg) const;
 
-  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
   /// Replica-pool slot owned by worker w; throws when w is not resident.
   [[nodiscard]] std::size_t slot(std::size_t w) const {
     const std::size_t s = slot_of_.at(w);
-    if (s == kNoSlot) {
+    if (s == kNone) {
       throw std::logic_error("Engine: worker " + std::to_string(w) +
                              " is not resident this round");
     }
@@ -398,27 +417,24 @@ class Engine {
   };
   void freeze_worker(std::size_t w, Keep keep);
   void thaw_worker(std::size_t w, std::size_t s);
+  /// Worker w's sampler over its shard, resuming `state`.
+  [[nodiscard]] data::BatchSampler make_sampler(
+      std::size_t w, data::BatchSampler::State state) const;
 
   SimConfig config_;
   ModelFactory factory_;
   const data::Dataset* train_;
   const data::Dataset* test_;
-  // One index list into *train_ per shard group; samplers view them.
+  // One index list into *train_ per shard group (logical worker w trains
+  // on shard w % shards_.size()); samplers view them.
   std::vector<std::vector<std::size_t>> shards_;
-  // Replica pool, one entry per SLOT (cohort_size_ of them); slot_of_ maps
-  // logical workers onto slots (kNoSlot = not resident).  Outside cohort
-  // mode slot s is permanently owned by worker s.  A slot holds state only:
-  // its model never runs a pass, so it holds no activations.
-  std::vector<std::unique_ptr<data::BatchSampler>> samplers_;
-  std::vector<std::unique_ptr<nn::Model>> models_;
-  std::vector<std::unique_ptr<nn::Sgd>> optimizers_;
-  std::size_t shard_groups_ = 0;
-  std::size_t cohort_size_ = 0;
-  bool pooled_ = false;
-  std::uint64_t sample_seed_ = 0;
-  std::vector<std::size_t> roster_;       // resident workers, ascending
-  std::vector<std::size_t> slot_of_;      // worker -> slot or kNoSlot
-  std::vector<std::size_t> slot_worker_;  // slot -> worker or kNoSlot
+  // The replica pool: one slot per cohort member, sized once at
+  // construction, so slot addresses never change.  slot_of_ maps logical
+  // workers onto slots (kNone = not resident).  Outside cohort mode slot s
+  // is permanently owned by worker s.
+  std::vector<Slot> slots_;
+  std::vector<std::size_t> roster_;   // resident workers, ascending
+  std::vector<std::size_t> slot_of_;  // worker -> slot or kNone
   // Lazily allocated per-worker frozen state (pooled mode): only workers
   // that participated at least once and are currently deselected hold one.
   std::vector<std::unique_ptr<FrozenWorker>> frozen_;
@@ -426,19 +442,17 @@ class Engine {
   // parameters of arrivals whose record kept none).
   std::vector<float> init_params_;
   std::vector<float> init_buffers_;
-  std::vector<std::size_t> active_;       // resident and active, ascending
-  // Owned through a pointer for two reasons: the fabric is polymorphic
-  // (FaultyFabric overrides post), and the engine must stay movable while
-  // the fabric's mailboxes hold non-movable mutexes.
+  std::vector<std::size_t> active_;  // resident and active, ascending
+  // Owned through a pointer because the fabric is polymorphic (FaultyFabric
+  // overrides post).
   std::unique_ptr<Fabric> fabric_;
   std::size_t steps_per_epoch_ = 0;
   std::unique_ptr<ThreadPool> pool_;
   // Local steps and eval blocks check out executors from separate free
   // lists, so neither kind swings its activations between the training and
-  // the eval batch size (regrowing a tensor zero-fills it).  Held through
-  // pointers so the engine stays movable.
-  std::unique_ptr<Executors> step_executors_ = std::make_unique<Executors>();
-  std::unique_ptr<Executors> eval_executors_ = std::make_unique<Executors>();
+  // the eval batch size (regrowing a tensor zero-fills it).
+  Executors step_executors_;
+  Executors eval_executors_;
   // eval_point splits the test set into at most this many blocks, each on
   // its own executor (NOT one per pool thread), so eval memory is bounded
   // however large the pool is.

@@ -211,10 +211,13 @@ bool clip_payload(std::vector<std::uint8_t>& payload, double clip) {
 
 }  // namespace
 
-FaultyFabric::FaultyFabric(net::LinkModel link, FaultSpec spec)
+FaultyFabric::FaultyFabric(net::LinkModel link, FaultSpec spec,
+                           std::size_t fanin,
+                           std::function<std::size_t()> colluders_live)
     : Fabric(std::move(link)),
       spec_(std::move(spec)),
-      fanin_estimate_(nodes() > 0 ? nodes() - 1 : 0),
+      fanin_(fanin),
+      colluders_live_probe_(std::move(colluders_live)),
       sends_(nodes()),
       tallies_(nodes()) {
   partition_group_.reserve(spec_.partitions.size());
@@ -233,9 +236,8 @@ void FaultyFabric::begin_round() {
   Fabric::begin_round();
   // Serial per-round snapshot: parallel post() calls all read one value, so
   // the collusion gate is a pure function of the round like every other
-  // fault decision.  Without a probe the whole group counts as live.
-  colluders_live_ = colluder_liveness_ ? colluder_liveness_()
-                                       : spec_.collude_group.size();
+  // fault decision.
+  colluders_live_ = colluders_live_probe_();
 }
 
 FaultyFabric::Tally FaultyFabric::tally() const {
@@ -332,8 +334,7 @@ void FaultyFabric::post(std::size_t src, std::size_t dst, double charged,
                           round, k, dst));
     AttackParams params;
     params.mode = byz->mode;
-    params.boost = static_cast<double>(std::max<std::size_t>(
-        fanin_estimate_, 1));
+    params.boost = static_cast<double>(fanin_);
     params.adapt = spec_.adapt_attack;
     // The direction stream is shared by the whole group: no src/k/dst tags,
     // so every colluder's frame carries the same per-round direction.

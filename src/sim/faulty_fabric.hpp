@@ -23,13 +23,13 @@
 //
 // Adaptive adversaries (docs/ARCHITECTURE.md, "Adaptive adversaries &
 // attack-aware selection"): model-replacement boosts the negated update by
-// the engine-provided aggregation fan-in; collusion events share one
-// per-round direction stream and fire only when >= collude_min group
-// members are live (the liveness snapshot is taken serially at
-// begin_round); adapt_attack attenuates every transform to a relative L2
-// budget.  clip_norm is the matching receiver-side defense: it rescales
-// any delivered float payload to the clip, honest or not, after the
-// adversarial rewrite — also size-preserving.
+// the aggregation fan-in the engine passes at construction; collusion
+// events share one per-round direction stream and fire only when >=
+// collude_min group members are live (the liveness snapshot is taken
+// serially at begin_round); adapt_attack attenuates every transform to a
+// relative L2 budget.  clip_norm is the matching receiver-side defense: it
+// rescales any delivered float payload to the clip, honest or not, after
+// the adversarial rewrite — also size-preserving.
 //
 // The control plane (send_control) bypasses post by design: coordinator
 // control traffic models a reliable side channel and is never faulted.
@@ -47,7 +47,13 @@ namespace saps::sim {
 
 class FaultyFabric final : public Fabric {
  public:
-  FaultyFabric(net::LinkModel link, FaultSpec spec);
+  /// `fanin` is the aggregation fan-in m that kModelReplacement boosts by
+  /// (v -> (1 - 2m) v): the engine's cohort size.  `colluders_live` returns
+  /// how many members of spec.collude_group are live (resident AND active)
+  /// this round; begin_round calls it once (serial), never parallel sends,
+  /// so the per-frame decision stays a pure per-round function.
+  FaultyFabric(net::LinkModel link, FaultSpec spec, std::size_t fanin,
+               std::function<std::size_t()> colluders_live);
 
   /// A zero-knob wrapper (force_wrapper with nothing enabled) is
   /// transparent: algorithms keep their strict receive validation and the
@@ -70,22 +76,6 @@ class FaultyFabric final : public Fabric {
   };
   [[nodiscard]] Tally tally() const;
 
-  /// Estimated aggregation fan-in m for kModelReplacement boosting
-  /// (v -> (1 - 2m) v).  The engine sets this to the cohort size right
-  /// after fabric construction (serial); defaults to nodes() - 1.
-  void set_aggregation_fanin(std::size_t fanin) noexcept {
-    fanin_estimate_ = fanin;
-  }
-
-  /// Installs the colluder-liveness probe: returns how many members of
-  /// spec.collude_group are live (resident AND active) this round.  Called
-  /// once per begin_round (serial), never from parallel sends, so the
-  /// per-frame decision stays a pure per-round function.  Without a probe
-  /// all colluders count as live.
-  void set_colluder_liveness_probe(std::function<std::size_t()> probe) {
-    colluder_liveness_ = std::move(probe);
-  }
-
  protected:
   void post(std::size_t src, std::size_t dst, double charged,
             std::vector<std::uint8_t> payload) override;
@@ -100,8 +90,8 @@ class FaultyFabric final : public Fabric {
                                    std::size_t round) const;
 
   FaultSpec spec_;
-  std::size_t fanin_estimate_ = 0;
-  std::function<std::size_t()> colluder_liveness_;
+  std::size_t fanin_;
+  std::function<std::size_t()> colluders_live_probe_;
   // Snapshot of the colluder-liveness count, taken serially in
   // begin_round() so parallel post() calls read a fixed per-round value.
   std::size_t colluders_live_ = 0;

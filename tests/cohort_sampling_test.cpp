@@ -16,8 +16,10 @@
 
 #include "algos/fedavg.hpp"
 #include "core/saps.hpp"
+#include "net/wire.hpp"
 #include "nn/models.hpp"
 #include "sim/engine.hpp"
+#include "sim/faulty_fabric.hpp"
 #include "test_util.hpp"
 
 namespace saps {
@@ -29,7 +31,8 @@ constexpr std::size_t kThreadCounts[] = {0, 1, 4};
 // SAPS_THREADS setting cannot override the thread count under test.
 sim::Engine make_pooled_engine(std::size_t population, std::size_t cohort,
                                std::size_t shard_groups, std::size_t threads,
-                               std::size_t epochs = 2) {
+                               std::size_t epochs = 2,
+                               sim::FaultSpec faults = {}) {
   const test_util::BlobSpec spec;
   const auto& [train, test] = test_util::blob_data(spec);
   sim::SimConfig cfg;
@@ -42,6 +45,7 @@ sim::Engine make_pooled_engine(std::size_t population, std::size_t cohort,
   cfg.lr = 0.1;
   cfg.seed = 42;
   cfg.threads = threads;
+  cfg.faults = std::move(faults);
   return sim::Engine(
       cfg, train, test,
       [spec] {
@@ -214,6 +218,56 @@ TEST(CohortPool, ActiveListIsTheRosterLessAwayWorkers) {
   EXPECT_THROW(e.set_active(kPopulation, true), std::out_of_range);
   EXPECT_THROW(e.set_active(kPopulation, false), std::out_of_range);
   EXPECT_THROW((void)e.active(kPopulation), std::out_of_range);
+}
+
+TEST(CohortPool, CollusionGateCountsTheActiveRingMembers) {
+  // A ring of eight with a quorum of three, in a population of 32 drawn
+  // eight at a time: the gate opens exactly in the rounds where at least
+  // three ring members are on the active list, whether the draw or
+  // set_active decides who is on it.
+  constexpr std::size_t kPopulation = 32, kCohort = 8, kQuorum = 3;
+  sim::FaultSpec faults;
+  faults.fault_seed = 9;
+  for (std::size_t w = 0; w < kPopulation; w += 4) {
+    faults.collude_group.push_back(w);
+    faults.byzantine.push_back(
+        {.worker = w, .mode = sim::ByzantineMode::kCollusion});
+  }
+  faults.collude_min = kQuorum;
+  auto e = make_pooled_engine(kPopulation, kCohort, 8, 0, 2, faults);
+  auto& fabric = dynamic_cast<sim::FaultyFabric&>(e.fabric());
+  const net::FullModelMsg frame{.rank = 0, .params = {1.0f, -2.0f}};
+  std::size_t open = 0, closed = 0, taken_off = 0;
+  for (std::size_t round = 1; round <= 40; ++round) {
+    e.begin_round_cohort(round);
+    std::vector<std::size_t> ring;  // the ring members on the active list
+    for (const auto w : e.active_list()) {
+      if (std::ranges::binary_search(faults.collude_group, w)) {
+        ring.push_back(w);
+      }
+    }
+    if (ring.size() == kQuorum && taken_off == 0) {
+      // Taking one resident member off closes a gate the draw opened.
+      e.set_active(ring.back(), false);
+      ring.pop_back();
+      ++taken_off;
+    }
+    const auto before = fabric.tally().transformed;
+    fabric.begin_round();
+    for (const auto w : ring) fabric.send(w, e.server_node(), frame);
+    fabric.end_round();
+    const auto transformed = fabric.tally().transformed - before;
+    if (ring.size() >= kQuorum) {
+      EXPECT_EQ(transformed, ring.size()) << "round " << round;
+      ++open;
+    } else {
+      EXPECT_EQ(transformed, 0u) << "round " << round;
+      ++closed;
+    }
+  }
+  EXPECT_GT(open, 0u);
+  EXPECT_GT(closed, 0u);
+  EXPECT_EQ(taken_off, 1u);
 }
 
 TEST(CohortPool, FedAvgFreezesNoParametersWhileSapsKeepsThem) {

@@ -29,6 +29,14 @@ static_assert(!kBuilds<Dataset, const Dataset&>);
 static_assert(!kBuilds<const Dataset&, Dataset>);
 static_assert(!kBuilds<Dataset, Dataset>);
 
+// Nor is an engine copied or moved: its fault fabric's colluder-liveness
+// probe reads the engine it was built for, so every engine is built in
+// place or returned as a prvalue.
+static_assert(!std::is_copy_constructible_v<Engine>);
+static_assert(!std::is_copy_assignable_v<Engine>);
+static_assert(!std::is_move_constructible_v<Engine>);
+static_assert(!std::is_move_assignable_v<Engine>);
+
 Engine make_engine(SimConfig cfg,
                    std::optional<net::BandwidthMatrix> bw = std::nullopt) {
   // Historical engine-test workload: smaller blobs, seed 100.
