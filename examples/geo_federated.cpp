@@ -83,9 +83,12 @@ int main(int argc, char** argv) {
             << "  final accuracy:          " << fr.accuracy * 100 << "%\n"
             << "  communication time:      " << fr.comm_seconds << " s\n\n";
 
+  // The saving means little unless both runs learned: say how far each got.
   std::cout << "adaptive selection spends "
             << fr.comm_seconds / std::max(1e-9, fa.comm_seconds)
             << "x less time communicating than random selection on these "
-               "links.\n";
+               "links, ending at "
+            << fa.accuracy * 100 << "% accuracy against random's "
+            << fr.accuracy * 100 << "%.\n";
   return 0;
 }
